@@ -27,7 +27,7 @@ from .dataset import (
     load_raster,
     save_raster,
 )
-from .transport import TransportPlan, solve_exact, solve_sinkhorn
+from .transport import TransportPlan, solve_exact
 from .retrieval import (
     CostWeights,
     RetrievalIndex,

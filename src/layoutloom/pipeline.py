@@ -24,6 +24,7 @@ import hashlib
 import json
 import logging
 import random
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -37,7 +38,7 @@ from .dataset import (
     read_jsonl,
     record_to_layout,
 )
-from .errors import ConfigError, LayoutLoomError, NoViableCandidate
+from .errors import ConfigError, LayoutLoomError, NoViableCandidate, SchemaError
 from .gateway import BackendConfig, ExtractionFailure, Gateway, extract_layout
 from .metrics import (
     CONSTRAINT_COLUMNS,
@@ -549,12 +550,24 @@ def _pipeline_config(data: Mapping[str, Any]) -> PipelineConfig:
     return cfg
 
 
+def _trace_name(item_id: str) -> str:
+    """``{item_id}.json``, or SchemaError when the id cannot name a file
+    inside the traces directory: empty, not printable, holding a path
+    separator, or longer than a file name may be."""
+    name = f"{item_id}.json"
+    if not item_id or not item_id.isprintable() or "/" in item_id or "\\" in item_id \
+            or len(name.encode("utf-8")) > 255:
+        raise SchemaError(f"item id {item_id!r} cannot name a trace file")
+    return name
+
+
 def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
     """Execute a full generation run and return the run directory.
 
     The directory receives ``traces/{id}.json``, ``generated.jsonl``,
-    ``metrics.tsv``, and ``run.log``. Per-item failures are recorded and do
-    not abort the run.
+    ``metrics.tsv``, and ``run.log``. Per-item failures, an id that cannot
+    name a trace file among them, are recorded and do not abort the run;
+    duplicate item ids are rejected before any item runs.
     """
     data = _load_run_config(config)
     for key in ("run_dir", "task_family", "index", "backend"):
@@ -596,6 +609,10 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
             ]
         else:
             raise ConfigError("run config needs either items or dataset")
+        repeated = sorted(i for i, n in Counter(str(r.get("id", "")) for r in records).items()
+                          if n > 1)
+        if repeated:
+            raise SchemaError(f"duplicate item ids: {', '.join(map(repr, repeated))}")
         run_logger.info("run starts: %d items, family=%s, mode=%s",
                         len(records), task_family, backend.mode)
 
@@ -608,7 +625,9 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
 
         for record in records:
             item_id = str(record.get("id", ""))
+            trace_path = None
             try:
+                trace_path = traces_dir / _trace_name(item_id)
                 constraint = constraint_from_record(record, task_family)
                 item_layout = record_to_layout(record)
                 query = item_layout if item_layout.elements else None
@@ -635,8 +654,7 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
                                 "k_coarse": cfg.k_coarse,
                                 "n_candidates": cfg.n_candidates},
                     )
-                (traces_dir / f"{item_id}.json").write_text(trace.to_json() + "\n",
-                                                            encoding="utf-8")
+                trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
                 final_layout = record_to_layout(trace.final)
                 finals.append(final_layout)
                 generated_lines.append(json.dumps(trace.final, ensure_ascii=False,
@@ -653,9 +671,10 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
                 failures += 1
                 error_payload = {"id": item_id, "error": type(exc).__name__,
                                  "message": str(exc)}
-                (traces_dir / f"{item_id}.json").write_text(
-                    json.dumps(error_payload, ensure_ascii=False, indent=2,
-                               sort_keys=True) + "\n", encoding="utf-8")
+                if trace_path is not None:
+                    trace_path.write_text(
+                        json.dumps(error_payload, ensure_ascii=False, indent=2,
+                                   sort_keys=True) + "\n", encoding="utf-8")
                 generated_lines.append(json.dumps(error_payload, ensure_ascii=False,
                                                   sort_keys=True))
                 run_logger.error("item %s: %s: %s", item_id, type(exc).__name__, exc)

@@ -1,4 +1,4 @@
-"""Exact and entropic solvers for balanced optimal transport with uniform marginals.
+"""Exact solver for balanced optimal transport with uniform marginals.
 
 The problem solved here is
 
@@ -13,11 +13,6 @@ paths with node potentials on the bipartite residual graph. Costs stay in
 floating point throughout; no cost quantization is applied, so the optimum
 matches enumeration oracles to solver precision (well below 1e-9 on the
 instance sizes this package targets, m*n <= 1e4).
-
-The Sinkhorn solver is a log-domain matrix-scaling iteration for the
-entropy-regularized relaxation. It is documented as approximate: its plan
-satisfies the marginals to the requested tolerance but its cost carries an
-O(epsilon) bias relative to the exact optimum.
 """
 
 from __future__ import annotations
@@ -38,18 +33,12 @@ class TransportPlan:
     cols: int
     mass: np.ndarray
     cost: float
-    method: str = "exact"
 
     def row_sums(self) -> np.ndarray:
         return self.mass.sum(axis=1)
 
     def col_sums(self) -> np.ndarray:
         return self.mass.sum(axis=0)
-
-
-def _plan_cost(mass: np.ndarray, cost: np.ndarray) -> float:
-    # fsum keeps the reduction order-insensitive and reproducible.
-    return math.fsum((mass * cost).ravel().tolist())
 
 
 def solve_exact(cost) -> TransportPlan:
@@ -178,42 +167,4 @@ def solve_exact(cost) -> TransportPlan:
         (flow[i][j] / scale) * c[i][j]
         for i in range(m) for j in range(n) if flow[i][j]
     )
-    return TransportPlan(rows=m, cols=n, mass=mass, cost=total, method="exact")
-
-
-def solve_sinkhorn(
-    cost: np.ndarray,
-    epsilon: float = 0.01,
-    max_iter: int = 20000,
-    tol: float = 1e-10,
-) -> TransportPlan:
-    """Entropy-regularized transport via log-domain Sinkhorn iterations.
-
-    Approximate by construction: the returned plan meets the uniform
-    marginals to ``tol`` but its cost is biased upward by the entropy term.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] == 0 or cost.shape[1] == 0:
-        raise EmptyLayout("transport requires a non-empty cost matrix")
-    m, n = cost.shape
-    log_a = math.log(1.0 / m)
-    log_b = math.log(1.0 / n)
-    f = np.zeros(m)
-    g = np.zeros(n)
-    # P_ij = exp((f_i + g_j - cost_ij) / epsilon); alternate the exact row and
-    # column scalings in log space until both marginals hold within tol.
-    for _ in range(max_iter):
-        f = epsilon * (log_a - _logsumexp((g[None, :] - cost) / epsilon, axis=1))
-        g = epsilon * (log_b - _logsumexp((f[:, None] - cost) / epsilon, axis=0))
-        plan = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
-        err = np.abs(plan.sum(axis=1) - 1.0 / m).max()
-        if err < tol:
-            break
-    plan = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
-    return TransportPlan(rows=m, cols=n, mass=plan, cost=_plan_cost(plan, cost), method="sinkhorn")
-
-
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    peak = x.max(axis=axis, keepdims=True)
-    out = peak + np.log(np.exp(x - peak).sum(axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+    return TransportPlan(rows=m, cols=n, mass=mass, cost=total)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from layoutloom.dataset import DatasetManifest, ingest, record_to_layout
-from layoutloom.errors import ConfigError, NoViableCandidate
+from layoutloom.errors import ConfigError, NoViableCandidate, SchemaError
 from layoutloom.gateway import BackendConfig, Gateway
 from layoutloom.model import BBox, Canvas, Element, Layout, to_html
 from layoutloom.pipeline import (
@@ -442,3 +442,29 @@ class TestRunTask:
         assert len(lines) == 6
         ghost = [l for l in lines if l["id"] == "ghost"]
         assert ghost and ghost[0]["error"] == "ReplayMiss"
+
+    def test_unsafe_item_ids_cost_only_their_item(self, fixture_env, tmp_path):
+        config = fixture_env["run_config"](tmp_path / "run_u", "replay")
+        unsafe = ["sub/dir", "../x", "back\\slash", "", "n" * 300]
+        # Key order as in the recorded test.jsonl, so the five items replay.
+        items = [json.loads(json.dumps(item, sort_keys=True))
+                 for item in fixture_env["items"]]
+        config["items"] = items + [dict(items[0], id=item_id) for item_id in unsafe]
+        del config["dataset"]
+        run_dir = run_task(config)
+        lines = [json.loads(l) for l in
+                 (run_dir / "generated.jsonl").read_text().splitlines()]
+        assert [l["id"] for l in lines] == [f"item{i}" for i in range(5)] + unsafe
+        assert all("error" not in l for l in lines[:5])
+        assert [l["error"] for l in lines[5:]] == ["SchemaError"] * len(unsafe)
+        assert sorted(p.name for p in (run_dir / "traces").iterdir()) == \
+            [f"item{i}.json" for i in range(5)]
+        assert not (run_dir / "x.json").exists()
+
+    def test_duplicate_item_ids_rejected_up_front(self, fixture_env, tmp_path):
+        config = fixture_env["run_config"](tmp_path / "run_d", "replay")
+        config["items"] = fixture_env["items"] + [dict(fixture_env["items"][2])]
+        del config["dataset"]
+        with pytest.raises(SchemaError, match="item2"):
+            run_task(config)
+        assert not (tmp_path / "run_d" / "generated.jsonl").exists()

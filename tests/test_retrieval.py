@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from layoutloom import retrieval
 from layoutloom.dataset import AreaStats, DatasetManifest, ingest
 from layoutloom.errors import EmptyIndex, EmptyLayout, VersionMismatch
-from layoutloom.model import BBox, Canvas, Element, normalize
+from layoutloom.model import BBox, Canvas, Element, Layout, normalize
 from layoutloom.retrieval import (
     CostWeights,
+    IndexEntry,
+    RetrievalIndex,
     build_index,
     element_cost,
     load_index,
@@ -18,6 +23,7 @@ from layoutloom.retrieval import (
     save_index,
     topk_retrieve,
     transport_distance,
+    transport_lower_bounds,
 )
 
 from conftest import make_layout, random_normalized_layout
@@ -238,6 +244,148 @@ class TestTopK:
         empty = RetrievalIndex(vocabulary=("text",), entries=())
         with pytest.raises(EmptyIndex):
             topk_retrieve(make_layout("q", (10, 10), [(0, 0, 5, 5)]), empty, 1)
+
+
+VOCAB = ("text", "logo", "underlay")
+
+
+def _entry(entry_id, layout):
+    label_id = {label: i for i, label in enumerate(VOCAB)}
+    return IndexEntry(id=entry_id, elements=tuple(
+        (label_id[e.label], e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
+        for e in layout.elements))
+
+
+def _random_index(rng, size):
+    return RetrievalIndex(vocabulary=VOCAB, entries=tuple(
+        _entry(f"e{i:03d}", random_normalized_layout(rng, max_elements=6))
+        for i in range(size)))
+
+
+def _brute_force(query, index, k, scale=1.0, exclude_self=False):
+    scan = [
+        (index.entries[i].id, ltsim_score(query, index.entry_layout(i), index.weights,
+                                          scale=scale))
+        for i in range(len(index))
+        if not (exclude_self and index.entries[i].id == query.id)
+    ]
+    scan.sort(key=lambda t: (-t[1], t[0]))
+    return scan[:k]
+
+
+_coord = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_feature = st.tuples(st.sampled_from(VOCAB + ("banner", "headline")),
+                     _coord, _coord, _coord, _coord)
+_features = st.lists(_feature, min_size=1, max_size=25)
+_weights = st.sampled_from([CostWeights(), CostWeights(w_geo=0.8, w_label=0.2),
+                            CostWeights(w_geo=1.0, w_label=0.0),
+                            CostWeights(w_geo=0.0, w_label=1.0)])
+
+
+def _layout(elements):
+    return Layout(id="q", canvas=Canvas(1, 1), elements=tuple(
+        Element(label=label, bbox=BBox(left, top, w, h))
+        for label, left, top, w, h in elements))
+
+
+class TestLowerBound:
+    @settings(max_examples=80, deadline=None)
+    @given(query=_features, entries=st.lists(_features, min_size=1, max_size=4),
+           weights=_weights)
+    def test_never_exceeds_exact_cost(self, query, entries, weights):
+        # Entry labels stay inside the vocabulary; the query's may not.
+        inside = {"banner": "text", "headline": "underlay"}
+        in_vocab = [[(inside.get(e[0], e[0]), *e[1:]) for e in elements]
+                    for elements in entries]
+        index = RetrievalIndex(vocabulary=VOCAB, entries=tuple(
+            _entry(f"e{i}", _layout(elements)) for i, elements in enumerate(in_vocab)))
+        q = _layout(query)
+        bounds = transport_lower_bounds(q, index, weights)
+        assert bounds.shape == (len(index),)
+        for pos in range(len(index)):
+            exact = transport_distance(q, index.entry_layout(pos), weights).cost
+            assert bounds[pos] <= exact + 1e-12
+
+    def test_outside_labels_count_as_mismatched(self):
+        index = _random_index(np.random.default_rng(40), 5)
+        query = _layout([("banner", 0.1, 0.1, 0.2, 0.2), ("headline", 0.3, 0.3, 0.2, 0.2)])
+        bounds = transport_lower_bounds(query, index, CostWeights(w_geo=0.0, w_label=1.0))
+        assert bounds.tolist() == [1.0] * len(index)
+
+    def test_built_lazily_per_index(self):
+        index = _random_index(np.random.default_rng(41), 12)
+        assert "bound_groups" not in vars(index)
+        topk_retrieve(index.entry_layout(0), index, 2)
+        assert "bound_groups" in vars(index)
+
+
+class TestPrunedTopK:
+    def test_duplicate_geometry_tie_order(self):
+        rng = np.random.default_rng(50)
+        shapes = [random_normalized_layout(rng, max_elements=4) for _ in range(10)]
+        # four copies of every shape under ids that do not follow position
+        entries = tuple(_entry(f"id{(7 * i) % 40:02d}", shapes[i % 10]) for i in range(40))
+        index = RetrievalIndex(vocabulary=VOCAB, entries=entries)
+        for pos in range(10):
+            query = index.entry_layout(pos)
+            for k in (1, 2, 3, 5, 6, 9):
+                assert topk_retrieve(query, index, k) == _brute_force(query, index, k)
+
+    def test_k_at_least_index_size(self):
+        rng = np.random.default_rng(51)
+        index = _random_index(rng, 25)
+        query = random_normalized_layout(rng, max_elements=5)
+        for k in (len(index), len(index) + 7):
+            assert topk_retrieve(query, index, k) == _brute_force(query, index, k)
+
+    def test_exclude_self_with_copied_query(self):
+        rng = np.random.default_rng(52)
+        index = _random_index(rng, 30)
+        for pos in (0, 11, 29):
+            query = index.entry_layout(pos)
+            for k in (1, 4, 29, 30):
+                assert topk_retrieve(query, index, k, exclude_self=True) == \
+                    _brute_force(query, index, k, exclude_self=True)
+
+    def test_scale_other_than_one(self):
+        rng = np.random.default_rng(53)
+        index = _random_index(rng, 40)
+        for _ in range(5):
+            query = random_normalized_layout(rng, max_elements=6)
+            # 1e4 underflows every similarity to 0.0, so ids alone order the ties
+            for scale in (0.25, 3.0, 900.0, 1e4):
+                assert topk_retrieve(query, index, 4, scale=scale) == \
+                    _brute_force(query, index, 4, scale=scale)
+
+    def test_query_label_outside_vocabulary(self):
+        rng = np.random.default_rng(54)
+        index = _random_index(rng, 40)
+        query = _layout([("banner", 0.1, 0.1, 0.3, 0.2), ("text", 0.2, 0.5, 0.4, 0.1)])
+        for k in (1, 5):
+            assert topk_retrieve(query, index, k) == _brute_force(query, index, k)
+
+    def test_single_element_count(self):
+        rng = np.random.default_rng(55)
+        index = RetrievalIndex(vocabulary=VOCAB, entries=tuple(
+            _entry(f"s{i:02d}", _layout([(str(rng.choice(VOCAB)), *rng.uniform(0, 0.5, 4))
+                                         for _ in range(3)]))
+            for i in range(30)))
+        for _ in range(5):
+            query = random_normalized_layout(rng, max_elements=5)
+            for k in (1, 3, 10):
+                assert topk_retrieve(query, index, k) == _brute_force(query, index, k)
+
+    def test_prunes_most_solves(self, monkeypatch):
+        rng = np.random.default_rng(56)
+        index = _random_index(rng, 300)
+        solves = []
+        real = retrieval.solve_exact
+        monkeypatch.setattr(retrieval, "solve_exact",
+                            lambda cost: solves.append(1) or real(cost))
+        query = random_normalized_layout(rng, max_elements=4)
+        ranked = topk_retrieve(query, index, 4)
+        assert 4 <= len(solves) < len(index) // 4
+        assert ranked == _brute_force(query, index, 4)
 
 
 class TestPseudoLayout:

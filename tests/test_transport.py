@@ -1,4 +1,4 @@
-"""Exact transport solver against enumeration oracles, plus Sinkhorn sanity."""
+"""Exact transport solver against enumeration oracles."""
 
 import itertools
 import math
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from layoutloom.errors import EmptyLayout
-from layoutloom.transport import solve_exact, solve_sinkhorn
+from layoutloom.transport import solve_exact
 
 
 def permutation_assignment_cost(cost):
@@ -99,24 +99,3 @@ class TestExactSolver:
         with pytest.raises(EmptyLayout):
             solve_exact(np.zeros((0, 3)))
 
-
-class TestSinkhorn:
-    def test_marginals_within_tolerance(self):
-        rng = np.random.default_rng(31)
-        cost = rng.random((4, 6))
-        plan = solve_sinkhorn(cost, epsilon=0.01, tol=1e-10)
-        assert np.abs(plan.row_sums() - 0.25).max() < 1e-9
-        assert np.abs(plan.col_sums() - 1.0 / 6).max() < 1e-9
-
-    def test_approximates_exact_cost(self):
-        rng = np.random.default_rng(32)
-        for _ in range(10):
-            cost = rng.random((3, 3))
-            approx = solve_sinkhorn(cost, epsilon=0.005)
-            exact = solve_exact(cost)
-            assert approx.cost == pytest.approx(exact.cost, abs=0.01)
-
-    def test_method_tag(self):
-        cost = np.array([[0.1, 0.2], [0.3, 0.4]])
-        assert solve_sinkhorn(cost).method == "sinkhorn"
-        assert solve_exact(cost).method == "exact"
