@@ -16,12 +16,18 @@ entry's transport cost comes from one numpy expression per element count:
 Any plan moves at least the total-variation mass between different labels,
 and the L1 cost separates by coordinate, so each coordinate costs at least
 its 1-D Wasserstein-1 distance, which has a closed form from sorted values.
-Entries are visited in (bound, position) order and solved exactly until an
-entry's bound similarity exp(-scale * (LB - BOUND_SLACK)) is strictly below
-the current k-th similarity; every later entry has a bound at least as
-large. An entry whose bound similarity equals the k-th is still solved, so
-ties keep their ascending-id order and results equal a full scan bit for
-bit.
+The first k entries in (bound, position) order are solved exactly. The
+entries whose bound similarity exp(-scale * (LB - BOUND_SLACK)) is not
+strictly below the k-th similarity then get a second, tighter bound: a
+feasible dual of the transport problem, from entropic potentials made
+feasible by a c-transform, computed for all of them in one batch. They are
+solved in ascending order of the larger bound until one is ruled out; every
+later entry has a bound at least as large. An entry whose bound similarity
+equals the k-th is still solved, so ties keep their ascending-id order and
+results equal a full scan bit for bit. On entries with as many elements as
+the query, the first bound alone leaves several times k entries to solve;
+the second leaves few more than k, so the cost of a query depends less on
+how its geometry falls against the index.
 """
 
 from __future__ import annotations
@@ -141,27 +147,38 @@ class RetrievalIndex:
         return Layout(id=entry.id, canvas=Canvas(1, 1), elements=elements)
 
     @cached_property
-    def bound_groups(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per element count n > 0: the positions of the entries with n elements,
-        their label histograms (G, |vocabulary|) as fractions, and their
-        coordinates (G, 4, n) with cx, cy, w and h each sorted ascending.
+    def padded_elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every entry's elements in stored order, padded to the largest
+        count: label ids (N, n_max) with -1 as padding, coordinates
+        (N, n_max, 4) as cx, cy, w and h, and the element counts (N,).
 
         Built on the first query and freed with the index, so building,
         saving and loading an index do no extra work.
         """
-        by_count: dict[int, list[int]] = {}
-        for pos, entry in enumerate(self.entries):
-            if entry.elements:
-                by_count.setdefault(len(entry.elements), []).append(pos)
-        labels = len(self.vocabulary)
+        counts = np.array([len(entry.elements) for entry in self.entries], dtype=np.int64)
+        real = np.arange(max(int(counts.max(initial=0)), 1)) < counts[:, None]
+        feats = np.zeros(real.shape + (5,))
+        feats[real] = np.array([feat for entry in self.entries for feat in entry.elements],
+                               dtype=np.float64).reshape(-1, 5)
+        labels = np.where(real, feats[:, :, 0], -1).astype(np.int64)
+        return labels, feats[:, :, 1:], counts
+
+    @cached_property
+    def bound_groups(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per element count n > 0: the positions of the entries with n elements,
+        their label histograms (G, |vocabulary|) as fractions, and their
+        coordinates (G, 4, n) with cx, cy, w and h each sorted ascending.
+        Built on the first query, like ``padded_elements``.
+        """
+        labels, feats, counts = self.padded_elements
+        vocab = len(self.vocabulary)
         groups = {}
-        for n, positions in sorted(by_count.items()):
-            feats = np.array([self.entries[p].elements for p in positions], dtype=np.float64)
-            cells = feats[:, :, 0].astype(np.int64) + labels * np.arange(len(positions))[:, None]
-            hist = np.bincount(cells.ravel(), minlength=labels * len(positions))
-            groups[n] = (np.array(positions, dtype=np.int64),
-                         hist.reshape(len(positions), labels) / n,
-                         np.sort(feats[:, :, 1:].transpose(0, 2, 1), axis=2))
+        for n in np.unique(counts[counts > 0]).tolist():
+            positions = np.flatnonzero(counts == n)
+            cells = labels[positions, :n] + vocab * np.arange(len(positions))[:, None]
+            hist = np.bincount(cells.ravel(), minlength=vocab * len(positions))
+            groups[n] = (positions, hist.reshape(len(positions), vocab) / n,
+                         np.sort(feats[positions, :n].transpose(0, 2, 1), axis=2))
         return groups
 
 
@@ -268,13 +285,81 @@ def transport_lower_bounds(query: Layout, index: RetrievalIndex,
     return bounds
 
 
+# Temperatures of the entropic dual ascent in ``dual_lower_bounds``, largest
+# first. Annealing down to a small temperature brings the potentials close to
+# an optimal dual; fewer steps give looser, still valid, bounds.
+DUAL_TEMPERATURES = tuple(np.geomspace(0.2, 0.001, 30).tolist())
+
+
+def _smooth_max(x: np.ndarray, eps: float, axis: int) -> np.ndarray:
+    """eps * log(sum(exp(x / eps))) along ``axis``; overwrites ``x``."""
+    top = x.max(axis=axis)
+    x -= np.expand_dims(top, axis)
+    x *= 1.0 / eps
+    np.exp(x, out=x)
+    return top + eps * np.log(x.sum(axis=axis))
+
+
+def dual_lower_bounds(query: Layout, index: RetrievalIndex, positions: Sequence[int],
+                      weights: CostWeights | None = None) -> np.ndarray:
+    """A lower bound on ``transport_distance(query, entry).cost`` for the
+    entries at ``positions``, without ``BOUND_SLACK``; tighter than
+    ``transport_lower_bounds`` and dearer, so it is computed only for the
+    entries that bound keeps.
+
+    Any potentials (u, v) with u_i + v_j <= cost_ij bound the transport cost
+    from below by mean(u) + mean(v) (LP duality). One batched numpy pass
+    over all the entries anneals log-domain entropic potentials u toward an
+    optimal dual, and the c-transform v_j = min_i (cost_ij - u_i) makes the
+    pair feasible exactly. The potentials only rule entries out; every
+    score still comes from an exact solve. Entries with no elements get 0.
+    """
+    w = weights if weights is not None else index.weights
+    nq = normalize(query)
+    m = len(nq.elements)
+    out = np.zeros(len(positions))
+    labels, feats, counts = index.padded_elements
+    rows = np.asarray(positions, dtype=np.int64)
+    keep = counts[rows] > 0
+    rows = rows[keep]
+    if not len(rows):
+        return out
+    label_ids = {label: i for i, label in enumerate(index.vocabulary)}
+    q_labels = np.array([label_ids.get(e.label, -2) for e in nq.elements])
+    q_feats = np.array([(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
+                        for e in nq.elements])
+    counts = counts[rows]
+    real = np.arange(feats.shape[1]) < counts[:, None]  # (G, n_max)
+    # The ground cost of _pair_costs, summed in the same order.
+    entry_feats = feats[rows]
+    geo = np.abs(q_feats[None, :, None, 0] - entry_feats[:, None, :, 0])
+    for c in (1, 2, 3):
+        geo += np.abs(q_feats[None, :, None, c] - entry_feats[:, None, :, c])
+    cost = (w.w_geo * (geo / 4.0)
+            + w.w_label * (q_labels[None, :, None] != labels[rows][:, None, :]))
+    # The ascent runs in float32: the c-transform below makes any potentials
+    # feasible, so their precision only affects how tight the bound is.
+    cost32 = cost.astype(np.float32)
+    log_a = np.float32(-math.log(m))
+    log_b = np.where(real, -np.log(counts)[:, None], -np.inf).astype(np.float32)
+    f = np.zeros(cost.shape[:2], dtype=np.float32)
+    g = np.zeros((len(rows), cost.shape[2]), dtype=np.float32)
+    for eps in DUAL_TEMPERATURES:
+        f = -_smooth_max((g + eps * log_b)[:, None, :] - cost32, eps, 2)
+        g = -_smooth_max((f + eps * log_a)[:, :, None] - cost32, eps, 1)
+    u = f.astype(np.float64)
+    v = np.where(real, (cost - u[:, :, None]).min(axis=1), 0.0)
+    out[keep] = u.sum(axis=1) / m + v.sum(axis=1) / counts
+    return out
+
+
 def topk_retrieve(query: Layout, index: RetrievalIndex, k: int,
                   weights: CostWeights | None = None, scale: float = 1.0,
                   exclude_self: bool = False) -> list[tuple[str, float]]:
     """The k index entries most similar to the query, descending.
 
     Equal to a full scan sorted by (-similarity, id), floats included: only
-    entries that the transport lower bound cannot rule out are solved (see
+    entries that the transport lower bounds cannot rule out are solved (see
     the module docstring). ``k`` larger than the index returns everything.
     With ``exclude_self`` an entry whose id equals the query's id is left out.
     """
@@ -288,15 +373,36 @@ def topk_retrieve(query: Layout, index: RetrievalIndex, k: int,
     nq = normalize(query)
     bounds = transport_lower_bounds(nq, index, w)
     best: list[tuple[float, str]] = []  # (-similarity, id), ascending
-    for pos in np.argsort(bounds, kind="stable").tolist():
-        if len(best) == k and math.exp(-scale * (bounds[pos] - BOUND_SLACK)) < -best[-1][0]:
-            break
+
+    def ruled_out(bound: float) -> bool:
+        return len(best) == k and math.exp(-scale * (bound - BOUND_SLACK)) < -best[-1][0]
+
+    def solve(pos: int) -> None:
         entry = index.entries[pos]
         if exclude_self and entry.id == query.id:
-            continue
+            return
         sim = ltsim_score(nq, index.entry_layout(pos), w, scale=scale)
         bisect.insort(best, (-sim, entry.id))
         del best[k:]
+
+    order = np.argsort(bounds, kind="stable").tolist()
+    # The first k entries in bound order set the k-th similarity; the
+    # entries the first bound cannot rule out against it get the dual bound.
+    seen = 0
+    while seen < len(order) and len(best) < k:
+        solve(order[seen])
+        seen += 1
+    rest = []
+    for pos in order[seen:]:
+        if ruled_out(bounds[pos]):
+            break
+        rest.append(pos)
+    if rest:
+        tighter = np.maximum(bounds[rest], dual_lower_bounds(nq, index, rest, w))
+        for i in np.argsort(tighter, kind="stable").tolist():
+            if ruled_out(tighter[i]):
+                break
+            solve(rest[i])
     return [(rid, -neg) for neg, rid in best]
 
 

@@ -16,6 +16,7 @@ from layoutloom.retrieval import (
     IndexEntry,
     RetrievalIndex,
     build_index,
+    dual_lower_bounds,
     element_cost,
     load_index,
     ltsim_score,
@@ -302,9 +303,12 @@ class TestLowerBound:
         q = _layout(query)
         bounds = transport_lower_bounds(q, index, weights)
         assert bounds.shape == (len(index),)
+        dual = dual_lower_bounds(q, index, range(len(index)), weights)
+        assert dual.shape == (len(index),)
         for pos in range(len(index)):
             exact = transport_distance(q, index.entry_layout(pos), weights).cost
             assert bounds[pos] <= exact + 1e-12
+            assert dual[pos] <= exact + 1e-12
 
     def test_outside_labels_count_as_mismatched(self):
         index = _random_index(np.random.default_rng(40), 5)
@@ -315,8 +319,38 @@ class TestLowerBound:
     def test_built_lazily_per_index(self):
         index = _random_index(np.random.default_rng(41), 12)
         assert "bound_groups" not in vars(index)
+        assert "padded_elements" not in vars(index)
         topk_retrieve(index.entry_layout(0), index, 2)
         assert "bound_groups" in vars(index)
+        assert "padded_elements" in vars(index)
+
+    def test_dual_bound_is_close_to_exact(self):
+        rng = np.random.default_rng(42)
+        index = RetrievalIndex(vocabulary=VOCAB, entries=tuple(
+            _entry(f"e{i:02d}", random_normalized_layout(rng, max_elements=25))
+            for i in range(30)))
+        query = random_normalized_layout(rng, max_elements=15)
+        exact = np.array([transport_distance(query, index.entry_layout(pos)).cost
+                          for pos in range(len(index))])
+        dual = dual_lower_bounds(query, index, range(len(index)))
+        first = transport_lower_bounds(query, index)
+        assert np.all(dual <= exact + 1e-12)
+        assert np.all(exact - dual < 0.02)
+        assert (exact - dual).mean() < (exact - first).mean() / 4
+
+    def test_dual_bound_of_empty_entry_is_zero(self):
+        rng = np.random.default_rng(43)
+        entries = _random_index(rng, 4).entries
+        index = RetrievalIndex(vocabulary=VOCAB,
+                               entries=entries[:2] + (IndexEntry("empty", ()),) + entries[2:])
+        query = random_normalized_layout(rng, max_elements=4)
+        dual = dual_lower_bounds(query, index, [4, 2, 0])
+        assert dual[1] == 0.0 and dual[0] > 0.0 and dual[2] > 0.0
+        with pytest.raises(EmptyLayout):
+            topk_retrieve(query, index, 5)
+        only_empty = RetrievalIndex(vocabulary=VOCAB, entries=(IndexEntry("empty", ()),))
+        with pytest.raises(EmptyLayout):
+            topk_retrieve(query, only_empty, 1)
 
 
 class TestPrunedTopK:
@@ -386,6 +420,23 @@ class TestPrunedTopK:
         ranked = topk_retrieve(query, index, 4)
         assert 4 <= len(solves) < len(index) // 4
         assert ranked == _brute_force(query, index, 4)
+
+    def test_dual_bound_leaves_few_solves_beyond_k(self, monkeypatch):
+        # Entries as large as the query: the first bound alone keeps many.
+        rng = np.random.default_rng(57)
+        index = RetrievalIndex(vocabulary=VOCAB, entries=tuple(
+            _entry(f"e{i:03d}", random_normalized_layout(rng, max_elements=12))
+            for i in range(120)))
+        solves = []
+        real = retrieval.solve_exact
+        monkeypatch.setattr(retrieval, "solve_exact",
+                            lambda cost: solves.append(1) or real(cost))
+        for _ in range(3):
+            query = random_normalized_layout(rng, max_elements=12)
+            solves.clear()
+            ranked = topk_retrieve(query, index, 5)
+            assert len(solves) <= 2 * 5
+            assert ranked == _brute_force(query, index, 5)
 
 
 class TestPseudoLayout:
