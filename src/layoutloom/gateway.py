@@ -16,15 +16,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 import urllib.error
 import urllib.request
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable
 
+from .dataset import dumps_indented
 from .errors import (
     ConfigError,
     CredentialMissing,
@@ -65,6 +68,8 @@ class BackendConfig:
             raise ConfigError(f"unknown backend mode {self.mode!r}")
         if self.mode in ("record", "replay") and not self.transcript_dir:
             raise ConfigError(f"{self.mode} mode requires transcript_dir")
+        if self.fanout < 1:
+            raise ConfigError("fanout must be at least 1")
 
     @classmethod
     def from_env(cls, **overrides) -> "BackendConfig":
@@ -115,11 +120,20 @@ def _transcript_path(directory: str | Path, key: str) -> Path:
     return Path(directory) / f"{key}.json"
 
 
+# Creating and renaming files in one directory from several threads at once
+# costs several times the CPU of doing it one file after another.
+_FILE_WRITES = threading.Lock()
+
+
 def write_transcript(directory: str | Path, transcript: Transcript) -> Path:
-    """Atomic write (temp file then rename) of one transcript."""
+    """Atomic write of one transcript: a temp file of its own, then a rename.
+
+    Concurrent items with equal prompts write the same key; each writer's
+    temp name is unique, and the last rename wins. Within one process the
+    files are written one at a time.
+    """
     path = _transcript_path(directory, transcript.key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     payload = {
         "key": transcript.key,
         "request": {
@@ -132,9 +146,18 @@ def write_transcript(directory: str | Path, transcript: Transcript) -> Path:
         "response_text": transcript.response_text,
         "metadata": {"created_at": transcript.created_at},
     }
-    tmp.write_text(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    tmp.replace(path)
+    text = dumps_indented(payload) + "\n"
+    with _FILE_WRITES:
+        try:
+            try:
+                tmp.write_text(text, encoding="utf-8")
+            except FileNotFoundError:  # the first transcript of a new directory
+                path.parent.mkdir(parents=True, exist_ok=True)
+                tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     return path
 
 

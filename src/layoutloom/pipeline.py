@@ -25,13 +25,16 @@ import json
 import logging
 import random
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .dataset import (
     AreaStats,
     SaliencyRaster,
+    dumps_indented,
     layout_to_record,
     load_area_stats,
     load_raster,
@@ -217,8 +220,9 @@ def rank_candidates(candidates: Sequence[Layout], constraint: ConstraintSpec,
     if not candidates:
         raise NoViableCandidate("no parseable candidates to rank")
     weights = weights or RankerWeights()
-    align_norm = _minmax([alignment(normalize(c)) for c in candidates])
-    overlap_norm = _minmax([overlap(normalize(c)) for c in candidates])
+    normalized = [normalize(c) for c in candidates]
+    align_norm = _minmax([alignment(c) for c in normalized])
+    overlap_norm = _minmax([overlap(c) for c in normalized])
     sat = [constraint_satisfaction(c, constraint) for c in candidates]
     scores = [
         -weights.w_align * a - weights.w_overlap * o + weights.w_constraint * s
@@ -271,7 +275,7 @@ class RefinementTrace:
     config: dict
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), ensure_ascii=False, indent=2, sort_keys=True)
+        return dumps_indented(self)
 
 
 def _layout_record(layout: Layout) -> dict:
@@ -374,7 +378,7 @@ def generate_coarse(constraint: ConstraintSpec, index: RetrievalIndex,
 
     records = fan_out(0)
     viable = [(r, record_to_layout(dict(r.parsed, id=""))) for r in records if r.parsed]
-    if not viable and gateway.config.mode in ("live", "record"):
+    if not viable:
         logger.warning("run %s: all coarse candidates unparseable, retrying once", run_id)
         records.extend(fan_out(cfg.n_candidates))
         viable = [(r, record_to_layout(dict(r.parsed, id=""))) for r in records if r.parsed]
@@ -561,13 +565,72 @@ def _trace_name(item_id: str) -> str:
     return name
 
 
+class _ItemOutcome(NamedTuple):
+    payload: dict                # the item's generated.jsonl record
+    final: Layout | None         # None when the item failed
+    reference: Layout | None     # the item's own layout, when it has elements
+    rasters: dict[str, SaliencyRaster]
+    error: Exception | None      # why the item failed
+
+
+def _run_item(record: Mapping[str, Any], *, task_family: str, index: RetrievalIndex,
+              cfg: PipelineConfig, gateway: Gateway, stats: AreaStats | None,
+              base: Path, traces_dir: Path) -> _ItemOutcome:
+    """Generate one item, write its trace file, and load its rasters.
+
+    Any exception but KeyboardInterrupt becomes the item's error payload,
+    written in place of its trace, so one item never aborts the run.
+    """
+    item_id = str(record.get("id", ""))
+    trace_path = None
+    try:
+        trace_path = traces_dir / _trace_name(item_id)
+        constraint = constraint_from_record(record, task_family)
+        item_layout = record_to_layout(record)
+        query = item_layout if item_layout.elements else None
+        coarse, fragment = generate_coarse(
+            constraint, index, cfg, gateway, stats=stats, query=query, run_id=item_id,
+        )
+        if cfg.use_cot and cfg.stages > 0:
+            trace = refine_cot(coarse, constraint, index, cfg, gateway,
+                               coarse_fragment=fragment, run_id=item_id)
+        else:
+            trace = RefinementTrace(
+                run_id=item_id,
+                constraint_kind=constraint.kind,
+                constraint_digest=constraint_digest(constraint),
+                coarse=fragment,
+                stages=[],
+                final=_layout_record(
+                    Layout(id=item_id, canvas=coarse.canvas, elements=coarse.elements)
+                ),
+                config={"use_cot": False, "stages": 0, "seed": cfg.seed,
+                        "use_rag": cfg.use_rag,
+                        "k_coarse": cfg.k_coarse,
+                        "n_candidates": cfg.n_candidates},
+            )
+        rasters = {key: load_raster(base / record[key])
+                   for key in ("saliency", "gradient") if record.get(key)}
+        trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
+        return _ItemOutcome(payload=trace.final, final=record_to_layout(trace.final),
+                            reference=item_layout if item_layout.elements else None,
+                            rasters=rasters, error=None)
+    except Exception as exc:
+        error_payload = {"id": item_id, "error": type(exc).__name__, "message": str(exc)}
+        if trace_path is not None:
+            trace_path.write_text(dumps_indented(error_payload) + "\n", encoding="utf-8")
+        return _ItemOutcome(error_payload, None, None, {}, exc)
+
+
 def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
     """Execute a full generation run and return the run directory.
 
     The directory receives ``traces/{id}.json``, ``generated.jsonl``,
     ``metrics.tsv``, and ``run.log``. Per-item failures, an id that cannot
     name a trace file among them, are recorded and do not abort the run;
-    duplicate item ids are rejected before any item runs.
+    duplicate item ids are rejected before any item runs. In live and record
+    mode up to ``backend.fanout`` items run at once; replay runs one at a
+    time. Every output is in record order either way.
     """
     data = _load_run_config(config)
     for key in ("run_dir", "task_family", "index", "backend"):
@@ -623,61 +686,37 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
         generated_lines: list[str] = []
         failures = 0
 
-        for record in records:
-            item_id = str(record.get("id", ""))
-            trace_path = None
-            try:
-                trace_path = traces_dir / _trace_name(item_id)
-                constraint = constraint_from_record(record, task_family)
-                item_layout = record_to_layout(record)
-                query = item_layout if item_layout.elements else None
-                coarse, fragment = generate_coarse(
-                    constraint, index, cfg, gateway, stats=stats, query=query,
-                    run_id=item_id,
-                )
-                if cfg.use_cot and cfg.stages > 0:
-                    trace = refine_cot(coarse, constraint, index, cfg, gateway,
-                                       coarse_fragment=fragment, run_id=item_id)
-                else:
-                    trace = RefinementTrace(
-                        run_id=item_id,
-                        constraint_kind=constraint.kind,
-                        constraint_digest=constraint_digest(constraint),
-                        coarse=fragment,
-                        stages=[],
-                        final=_layout_record(
-                            Layout(id=item_id, canvas=coarse.canvas,
-                                   elements=coarse.elements)
-                        ),
-                        config={"use_cot": False, "stages": 0, "seed": cfg.seed,
-                                "use_rag": cfg.use_rag,
-                                "k_coarse": cfg.k_coarse,
-                                "n_candidates": cfg.n_candidates},
-                    )
-                trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
-                final_layout = record_to_layout(trace.final)
-                finals.append(final_layout)
-                generated_lines.append(json.dumps(trace.final, ensure_ascii=False,
+        run_item = partial(_run_item, task_family=task_family, index=index, cfg=cfg,
+                           gateway=gateway, stats=stats, base=base, traces_dir=traces_dir)
+        # Live and record items wait on the LLM almost all the time, so up to
+        # `fanout` of them run at once; each gateway call fans out over at most
+        # `fanout` threads of its own, so at most fanout**2 requests are in
+        # flight. Replay items are CPU-bound and hold the GIL: one at a time,
+        # on this thread.
+        workers = 1 if backend.mode == "replay" else backend.fanout
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # Both maps yield in record order, so every output keeps that order.
+            for outcome in (pool.map if workers > 1 else map)(run_item, records):
+                generated_lines.append(json.dumps(outcome.payload, ensure_ascii=False,
                                                   sort_keys=True))
-                if item_layout.elements:
-                    references[item_id] = item_layout
+                item_id = outcome.payload["id"]
+                error = outcome.error
+                if error is not None:
+                    failures += 1
+                    # A domain error's message says what went wrong; any other
+                    # error also gets its traceback.
+                    run_logger.error("item %s: %s: %s", item_id, type(error).__name__, error,
+                                     exc_info=None if isinstance(error, LayoutLoomError)
+                                     else error)
+                    continue
+                finals.append(outcome.final)
+                if outcome.reference is not None:
+                    references[item_id] = outcome.reference
                 for key, target in (("saliency", saliency_map), ("gradient", gradient_map)):
-                    ref = record.get(key)
-                    if ref:
-                        target[item_id] = load_raster(base / ref)
+                    if key in outcome.rasters:
+                        target[item_id] = outcome.rasters[key]
                 run_logger.info("item %s: ok (%d elements)", item_id,
-                                len(final_layout.elements))
-            except LayoutLoomError as exc:
-                failures += 1
-                error_payload = {"id": item_id, "error": type(exc).__name__,
-                                 "message": str(exc)}
-                if trace_path is not None:
-                    trace_path.write_text(
-                        json.dumps(error_payload, ensure_ascii=False, indent=2,
-                                   sort_keys=True) + "\n", encoding="utf-8")
-                generated_lines.append(json.dumps(error_payload, ensure_ascii=False,
-                                                  sort_keys=True))
-                run_logger.error("item %s: %s: %s", item_id, type(exc).__name__, exc)
+                                len(outcome.final.elements))
 
         (run_dir / "generated.jsonl").write_text(
             "".join(line + "\n" for line in generated_lines), encoding="utf-8")

@@ -153,7 +153,10 @@ class RetrievalIndex:
         (N, n_max, 4) as cx, cy, w and h, and the element counts (N,).
 
         Built on the first query and freed with the index, so building,
-        saving and loading an index do no extra work.
+        saving and loading an index do no extra work. On Python 3.12+
+        ``cached_property`` takes no lock, so the concurrent first queries of
+        a live or record run may each build the arrays; they are equal, and
+        one of them is kept.
         """
         counts = np.array([len(entry.elements) for entry in self.entries], dtype=np.int64)
         real = np.arange(max(int(counts.max(initial=0)), 1)) < counts[:, None]

@@ -1,4 +1,8 @@
-"""Ingestion, interchange round-trips, area statistics, and PGM rasters."""
+"""Ingestion, interchange round-trips, area statistics, PGM rasters, and
+indented JSON."""
+
+import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from layoutloom.dataset import (
     PUBLAYNET_MANIFEST,
     SaliencyRaster,
     compute_area_stats,
+    dumps_indented,
     export_records,
     ingest,
     layout_to_record,
@@ -268,3 +273,23 @@ class TestRecordCodec:
             record_to_layout(record, vocabulary=("text",))
         lenient = record_to_layout(record, vocabulary=("text",), strict=False)
         assert lenient.elements == ()
+
+
+@dataclass
+class _Point:
+    x: float
+    tags: tuple
+
+
+class TestDumpsIndented:
+    @pytest.mark.parametrize("value", [
+        None, True, False, 0, -3, 10**30, 1.5, -0.0, 1e-300, 1e300,
+        float("nan"), float("inf"), float("-inf"), np.float64(0.1),
+        "", "a\"b\\c\n\t\x00 é😀\u2028",
+        [], {}, (), [[]], {"a": {}}, {"k": ("t", 1.0)},
+        [1, [2, (3, "x")], {"z": 1, "a": [None, {}], "é": True}],
+        {"p": _Point(0.5, ("a", 2)), "q": [_Point(1e-9, ())]},
+    ])
+    def test_matches_json_dumps(self, value):
+        assert dumps_indented(value) == json.dumps(
+            value, default=vars, ensure_ascii=False, indent=2, sort_keys=True)

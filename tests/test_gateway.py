@@ -1,6 +1,7 @@
 """Transcript keys, record/replay, fan-out ordering, retries, and extraction."""
 
 import json
+import sys
 import threading
 
 import pytest
@@ -69,6 +70,10 @@ class TestConfig:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             BackendConfig(mode="offline")
+
+    def test_fanout_must_be_positive(self):
+        with pytest.raises(ConfigError):
+            BackendConfig(mode="live", fanout=0)
 
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("LAYOUTLOOM_ENDPOINT", "https://example.test/v1/chat")
@@ -152,6 +157,35 @@ class TestRecordReplay:
                        response_text="hi", created_at="2026-01-01T00:00:00+00:00")
         write_transcript(tmp_path, t)
         assert read_transcript(tmp_path, t.key) == t
+
+    def test_concurrent_writes_of_one_key(self, tmp_path):
+        # Items with equal constraints send identical requests, so concurrent
+        # items write the same transcript key at the same time.
+        t = Transcript(key=transcript_key("a", "b", "c", 0.1, 0), system="a", user="b",
+                       model="c", temperature=0.1, candidate_index=0, response_text="hi")
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(300):
+                    write_transcript(tmp_path, t)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert read_transcript(tmp_path, t.key) == t
+        assert [p.name for p in tmp_path.iterdir()] == [f"{t.key}.json"]
 
 
 class TestRetries:

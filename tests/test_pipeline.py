@@ -2,6 +2,10 @@
 and full replay runs over the bundled fixture."""
 
 import json
+import re
+import threading
+import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +16,12 @@ from layoutloom.errors import ConfigError, NoViableCandidate, SchemaError
 from layoutloom.gateway import BackendConfig, Gateway
 from layoutloom.model import BBox, Canvas, Element, Layout, to_html
 from layoutloom.pipeline import (
+    CandidateRecord,
+    CoarseFragment,
     PipelineConfig,
     RankerWeights,
+    RefinementTrace,
+    StageRecord,
     bundle_sha256,
     constraint_from_record,
     constraint_satisfaction,
@@ -25,7 +33,7 @@ from layoutloom.pipeline import (
 from layoutloom.prompts import ConstraintSpec, build_stage_prompt
 from layoutloom.retrieval import build_index
 
-from conftest import make_layout, random_normalized_layout
+from conftest import make_layout, random_normalized_layout, scripted_llm
 
 MANIFEST = DatasetManifest(name="mini", task_kind="content_aware",
                            vocabulary=("text", "logo", "underlay"))
@@ -266,6 +274,21 @@ class TestGenerateCoarse:
         with pytest.raises(NoViableCandidate):
             generate_coarse(spec, index, cfg, replay, run_id="t3")
 
+    def test_replay_follows_a_recorded_retry(self, tmp_path):
+        spec = ConstraintSpec("content_aware",
+                              {"canvas": [400, 400], "categories": {"text": 1}})
+        index = _tiny_index()
+        cfg = PipelineConfig(k_coarse=2, n_candidates=2)
+        good = _html([(10, 10, 100, 50)], ["text"])
+        # The first fan-out (indices 0 and 1) fails; the retry (2 and 3) parses.
+        record = self._gateway(tmp_path, lambda payload, idx: good if idx >= 2 else "nope")
+        recorded, recorded_fragment = generate_coarse(spec, index, cfg, record, run_id="t5")
+        assert recorded_fragment.chosen_index == 2
+        replay = self._gateway(tmp_path, None, mode="replay")
+        replayed, replayed_fragment = generate_coarse(spec, index, cfg, replay, run_id="t5")
+        assert replayed_fragment == recorded_fragment
+        assert replayed == recorded
+
     def test_no_rag_uses_seeded_random_exemplars(self, tmp_path):
         spec = ConstraintSpec("content_aware",
                               {"canvas": [400, 400], "categories": {"text": 1}})
@@ -343,6 +366,33 @@ class TestRefineCot:
         bundle = build_stage_prompt(2, "content_aware", exemplars, previous, spec,
                                     vocabulary=index.vocabulary)
         assert bundle_sha256(bundle) == trace.stages[1].prompt_sha256
+
+
+class TestTraceJson:
+    def test_matches_indented_json_dumps(self):
+        parsed = {"id": "x", "canvas": {"w": 513, "h": 750},
+                  "elements": [{"label": "text", "bbox": [1.5, -0.0, 1e-300, 12]}]}
+        trace = RefinementTrace(
+            run_id="é😀\"quoted\"\n",
+            constraint_kind="content_aware",
+            constraint_digest="d" * 64,
+            coarse=CoarseFragment(
+                exemplar_ids=[], exemplar_source="ltsim", template_id=("a", "coarse"),
+                candidates=[
+                    CandidateRecord(index=0, raw_text="<html>\t\x00</html>", parsed=parsed,
+                                    score=float("nan")),
+                    CandidateRecord(index=1, raw_text="", parsed=None,
+                                    failure_reason="no elements", score=float("-inf")),
+                ],
+                chosen_index=0),
+            stages=[StageRecord(stage=1, template_id=("a", "1"), exemplar_ids=["e1"],
+                                prompt_sha256="", raw_responses=[], parsed={},
+                                fallback=True)],
+            final=parsed,
+            config={"k": 10**30, "use_rag": False, "temperature": 0.7, "none": None},
+        )
+        assert trace.to_json() == json.dumps(asdict(trace), ensure_ascii=False, indent=2,
+                                             sort_keys=True)
 
 
 class TestConstraintFromRecord:
@@ -468,3 +518,113 @@ class TestRunTask:
         with pytest.raises(SchemaError, match="item2"):
             run_task(config)
         assert not (tmp_path / "run_d" / "generated.jsonl").exists()
+
+    def test_non_domain_error_costs_only_its_item(self, fixture_env, tmp_path):
+        def transport(payload, idx):
+            if _item_of(payload) == 1:
+                raise OSError("connection reset")
+            return scripted_llm(payload, idx)
+
+        config = _record_config(fixture_env, tmp_path, _distinct_items(3), fanout=1)
+        run_dir = run_task(config, transport=transport)
+        lines = [json.loads(l) for l in
+                 (run_dir / "generated.jsonl").read_text().splitlines()]
+        assert [l["id"] for l in lines] == ["it0", "it1", "it2"]
+        assert "error" not in lines[0] and "error" not in lines[2]
+        assert lines[1]["error"] == "OSError"
+        assert lines[1]["message"] == "connection reset"
+        assert json.loads((run_dir / "traces" / "it1.json").read_text())["error"] == "OSError"
+        assert (run_dir / "metrics.tsv").exists()
+        log = (run_dir / "run.log").read_text()
+        assert "item it1: OSError: connection reset" in log
+        assert "Traceback" in log
+
+    def test_keyboard_interrupt_aborts_the_run(self, fixture_env, tmp_path):
+        def transport(payload, idx):
+            raise KeyboardInterrupt
+
+        config = _record_config(fixture_env, tmp_path, _distinct_items(2), fanout=2)
+        with pytest.raises(KeyboardInterrupt):
+            run_task(config, transport=transport)
+        assert not (Path(config["run_dir"]) / "generated.jsonl").exists()
+
+
+def _item_of(payload) -> int | None:
+    """Position of the `_distinct_items` item a coarse request belongs to."""
+    match = re.search(r"^text: (\d+)$", payload["messages"][1]["content"], re.MULTILINE)
+    return int(match.group(1)) - 1 if match else None
+
+
+def _distinct_items(count: int) -> list[dict]:
+    """Items whose coarse prompts differ: item i requires i + 1 text boxes."""
+    return [{"id": f"it{i}", "canvas": {"w": 513, "h": 750}, "elements": [],
+             "constraints": {"categories": {"text": i + 1}}} for i in range(count)]
+
+
+def _record_config(fixture_env, tmp_path, items, fanout):
+    config = fixture_env["run_config"](tmp_path / f"run{fanout}", "record")
+    config["backend"] = dict(config["backend"], fanout=fanout,
+                             transcript_dir=str(tmp_path / f"transcripts{fanout}"))
+    config["items"] = items
+    del config["dataset"]
+    return config
+
+
+class TestConcurrentRun:
+    def test_fanout_does_not_change_outputs(self, fixture_env, tmp_path):
+        # The fixture's items send identical prompts; the others differ.
+        items = [json.loads(json.dumps(item, sort_keys=True))
+                 for item in fixture_env["items"]] + _distinct_items(4)
+        runs = {}
+        for fanout in (1, 4):
+            config = _record_config(fixture_env, tmp_path, items, fanout)
+            run_dir = run_task(config, transport=scripted_llm)
+            keys = sorted(p.name for p in Path(config["backend"]["transcript_dir"]).iterdir())
+            runs[fanout] = (_tree_bytes(run_dir), keys)
+        assert runs[4] == runs[1]
+        assert len(runs[1][0]) == len(items) + 2  # traces, generated.jsonl, metrics.tsv
+        assert all(name.endswith(".json") for name in runs[1][1])
+
+    def test_items_overlap(self, fixture_env, tmp_path):
+        second_started = threading.Event()
+        timed_out = []
+
+        def transport(payload, idx):
+            item = _item_of(payload)
+            if item == 1:
+                second_started.set()
+            elif item == 0 and not second_started.wait(timeout=10):
+                timed_out.append(idx)
+                second_started.set()  # fail once, not once per request
+            return scripted_llm(payload, idx)
+
+        config = _record_config(fixture_env, tmp_path, _distinct_items(2), fanout=2)
+        run_dir = run_task(config, transport=transport)
+        assert timed_out == []
+        lines = (run_dir / "generated.jsonl").read_text().splitlines()
+        assert all("error" not in json.loads(line) for line in lines)
+
+    def test_record_order_when_first_item_finishes_last(self, fixture_env, tmp_path):
+        config = _record_config(fixture_env, tmp_path, _distinct_items(3), fanout=3)
+        second_trace = Path(config["run_dir"]) / "traces" / "it1.json"
+        timed_out = []
+
+        def transport(payload, idx):
+            if _item_of(payload) == 0 and not timed_out:
+                deadline = time.monotonic() + 10
+                while not second_trace.exists():
+                    if time.monotonic() > deadline:
+                        timed_out.append(idx)
+                        break
+                    time.sleep(0.005)
+            return scripted_llm(payload, idx)
+
+        run_dir = run_task(config, transport=transport)
+        assert timed_out == []
+        lines = [json.loads(l) for l in
+                 (run_dir / "generated.jsonl").read_text().splitlines()]
+        assert [l["id"] for l in lines] == ["it0", "it1", "it2"]
+        assert all("error" not in l for l in lines)
+        log = (run_dir / "run.log").read_text()
+        assert [m.group(1) for m in re.finditer(r"item (\w+): ok", log)] == \
+            ["it0", "it1", "it2"]
