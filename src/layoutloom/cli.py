@@ -28,17 +28,9 @@ def _parser() -> argparse.ArgumentParser:
         description="Training-free layout generation with transport-based retrieval "
                     "and staged refinement.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the run seed")
-    common.add_argument("--mode", choices=("live", "record", "replay"), default=None,
-                        help="override the backend mode")
-    common.add_argument("--config", default=None, help="run configuration file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add_parser("ingest", help="validate and normalize a record stream")
+    p = sub.add_parser("ingest", help="validate and normalize a record stream")
     p.add_argument("--manifest", required=True)
     p.add_argument("--records", required=True)
     p.add_argument("--out", required=True)
@@ -46,51 +38,49 @@ def _parser() -> argparse.ArgumentParser:
                    help="skip out-of-vocabulary records instead of failing")
     p.add_argument("--check-counts", action="store_true")
 
-    p = add_parser("index", help="build or query a retrieval index")
+    p = sub.add_parser("index", help="build a retrieval index")
     index_sub = p.add_subparsers(dest="index_command", required=True)
     b = index_sub.add_parser("build")
     b.add_argument("--manifest", required=True)
     b.add_argument("--records", required=True)
     b.add_argument("--split", default="train")
     b.add_argument("--out", required=True)
-    q = index_sub.add_parser("query")
-    q.add_argument("--index", required=True)
-    q.add_argument("--query", required=True, help="layout record as a JSON file")
-    q.add_argument("--k", type=int, default=10)
 
-    p = add_parser("retrieve", help="top-k scan against an index")
+    p = sub.add_parser("retrieve", help="top-k scan against an index")
     p.add_argument("--index", required=True)
-    p.add_argument("--query", required=True)
+    p.add_argument("--query", required=True, help="layout record as a JSON file")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--exclude-self", action="store_true")
 
-    p = add_parser("generate", help="run the full generation pipeline")
+    p = sub.add_parser("generate", help="run the full generation pipeline")
+    p.add_argument("--config", default=None, help="run configuration file")
+    p.add_argument("--seed", type=int, default=None, help="override the run seed")
+    p.add_argument("--mode", choices=("live", "record", "replay"), default=None,
+                   help="override the backend mode")
     p.add_argument("--no-rag", action="store_true", help="seeded random exemplars")
     p.add_argument("--no-cot", action="store_true", help="skip staged refinement")
     p.add_argument("--stages", type=int, default=None, help="number of refinement stages")
 
-    p = add_parser("eval", help="compute metrics for generated layouts")
+    p = sub.add_parser("eval", help="compute metrics for generated layouts")
     p.add_argument("--generated", required=True)
     p.add_argument("--dataset", default=None, help="reference records (JSONL)")
-    p.add_argument("--manifest", default=None)
     p.add_argument("--stats", default=None, help="area statistics JSON")
     p.add_argument("--metrics", default=None, help="comma list, e.g. align,overlap,miou")
-    p.add_argument("--task", default="constraint_explicit",
-                   choices=("content_aware", "constraint_explicit", "text_to_layout"))
+    p.add_argument("--task", default="constraint_explicit", choices=ds.TASK_KINDS)
     p.add_argument("--out", default=None, help="write a TSV here as well")
 
-    p = add_parser("render", help="render a layout record to SVG")
+    p = sub.add_parser("render", help="render a layout record to SVG")
     p.add_argument("--layout", required=True, help="layout record as a JSON file")
     p.add_argument("--out", required=True)
     p.add_argument("--background", default=None, help="PGM raster to embed")
 
-    p = add_parser("prompts", help="inspect prompt templates")
+    p = sub.add_parser("prompts", help="inspect prompt templates")
     prompt_sub = p.add_subparsers(dest="prompts_command", required=True)
     r = prompt_sub.add_parser("render")
-    r.add_argument("--family", required=True, choices=pr.TASK_FAMILIES)
+    r.add_argument("--family", required=True, choices=ds.TASK_KINDS)
     r.add_argument("--stage", required=True, choices=pr.STAGE_NAMES)
 
-    p = add_parser("gateway", help="backend utilities")
+    p = sub.add_parser("gateway", help="backend utilities")
     gw_sub = p.add_subparsers(dest="gateway_command", required=True)
     ping = gw_sub.add_parser("ping")
     ping.add_argument("--endpoint", default=None)
@@ -123,27 +113,20 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    if args.index_command == "build":
-        dataset = _load_dataset(args.manifest, args.records)
-        index = rt.build_index(dataset, args.split)
-        rt.save_index(index, args.out)
-        print(f"indexed {len(index)} layouts from split {args.split!r} -> {args.out}")
-        return 0
-    return _run_query(args.index, args.query, args.k, exclude_self=False)
-
-
-def _run_query(index_path: str, query_path: str, k: int, exclude_self: bool) -> int:
-    index = rt.load_index(index_path)
-    record = _read_json(query_path)
-    query = normalize(ds.record_to_layout(record, index.vocabulary))
-    for layout_id, similarity in rt.topk_retrieve(query, index, k,
-                                                  exclude_self=exclude_self):
-        print(f"{layout_id}\t{similarity:.6f}")
+    dataset = _load_dataset(args.manifest, args.records)
+    index = rt.build_index(dataset, args.split)
+    rt.save_index(index, args.out)
+    print(f"indexed {len(index)} layouts from split {args.split!r} -> {args.out}")
     return 0
 
 
 def _cmd_retrieve(args) -> int:
-    return _run_query(args.index, args.query, args.k, args.exclude_self)
+    index = rt.load_index(args.index)
+    query = normalize(ds.record_to_layout(_read_json(args.query), index.vocabulary))
+    for layout_id, similarity in rt.topk_retrieve(query, index, args.k,
+                                                  exclude_self=args.exclude_self):
+        print(f"{layout_id}\t{similarity:.6f}")
+    return 0
 
 
 def _cmd_generate(args) -> int:

@@ -14,6 +14,7 @@ Environment variables honored by :meth:`BackendConfig.from_env`:
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import threading
@@ -111,10 +112,6 @@ class Transcript:
     response_text: str
     created_at: str = ""
 
-    def derived_key(self) -> str:
-        return transcript_key(self.system, self.user, self.model,
-                              self.temperature, self.candidate_index)
-
 
 def _transcript_path(directory: str | Path, key: str) -> Path:
     return Path(directory) / f"{key}.json"
@@ -198,7 +195,8 @@ def _http_transport(config: BackendConfig) -> Transport:
         try:
             with urllib.request.urlopen(request, timeout=config.timeout) as response:
                 body = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
+        except (urllib.error.URLError, http.client.HTTPException, ConnectionError,
+                TimeoutError, json.JSONDecodeError) as exc:
             raise TransportError(f"chat completion request failed: {exc}") from exc
         try:
             return body["choices"][0]["message"]["content"]

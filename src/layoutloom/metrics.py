@@ -290,9 +290,6 @@ class MetricReport:
     applicability: Mapping[str, str]
     population_size: int
 
-    def value_or_none(self, name: str) -> float | None:
-        return self.values.get(name)
-
 
 def _mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)

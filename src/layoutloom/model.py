@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 from .errors import NegativeDimension, ParseFailure, VocabularyError, ZeroCanvas
 
@@ -360,11 +360,3 @@ def label_counts(layout: Layout) -> dict[str, int]:
         counts[e.label] = counts.get(e.label, 0) + 1
     return counts
 
-
-def with_elements(layout: Layout, elements: Sequence[Element]) -> Layout:
-    return Layout(
-        id=layout.id,
-        canvas=layout.canvas,
-        elements=tuple(elements),
-        task_meta=dict(layout.task_meta),
-    )

@@ -26,12 +26,13 @@ import logging
 import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .dataset import (
+    TASK_KINDS,
     AreaStats,
     SaliencyRaster,
     dumps_indented,
@@ -413,8 +414,10 @@ def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex
     """Sequential staged refinement with one retry per stage, then fallback.
 
     Exemplars (k_refine of them) are fixed once per item, from the ids given
-    or the head of the coarse retrieval ranking.
+    or the head of the coarse retrieval ranking. Without CoT no stage runs
+    and the coarse layout is final.
     """
+    stage_count = cfg.stages if cfg.use_cot else 0
     vocabulary = index.vocabulary
     if exemplar_ids is None:
         base = coarse_fragment.exemplar_ids if coarse_fragment else []
@@ -423,7 +426,7 @@ def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex
 
     current = coarse
     stages: list[StageRecord] = []
-    for stage in range(1, cfg.stages + 1):
+    for stage in range(1, stage_count + 1):
         bundle = build_stage_prompt(stage, constraint.family, exemplars, current,
                                     constraint, vocabulary=vocabulary)
         raw_responses = []
@@ -471,9 +474,9 @@ def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex
             "k_coarse": cfg.k_coarse,
             "k_refine": cfg.k_refine,
             "n_candidates": cfg.n_candidates,
-            "stages": cfg.stages,
+            "stages": stage_count,
             "use_rag": cfg.use_rag,
-            "use_cot": cfg.use_cot,
+            "use_cot": stage_count > 0,
             "seed": cfg.seed,
         },
     )
@@ -534,21 +537,21 @@ def _load_run_config(source: str | Path | Mapping[str, Any]) -> dict:
         raise ConfigError(f"cannot read run config {path}: {exc}") from exc
 
 
+def _canvas_pair(value) -> tuple[int, int]:
+    w, h = value
+    return int(w), int(h)
+
+
+# Fields whose run-config value is not coerced by the type of their default.
+_COERCIONS = {"ranker": lambda weights: RankerWeights(**weights),
+              "default_canvas": _canvas_pair}
+
+
 def _pipeline_config(data: Mapping[str, Any]) -> PipelineConfig:
-    ranker = RankerWeights(**data.get("ranker", {}))
-    cfg = PipelineConfig(ranker=ranker)
-    for key in ("k_coarse", "k_refine", "n_candidates", "stages", "seed"):
-        if key in data:
-            setattr(cfg, key, int(data[key]))
-    for key in ("use_rag", "use_cot", "exclude_self"):
-        if key in data:
-            setattr(cfg, key, bool(data[key]))
-    for key in ("coarse_temperature", "stage_temperature", "similarity_scale"):
-        if key in data:
-            setattr(cfg, key, float(data[key]))
-    if "default_canvas" in data:
-        w, h = data["default_canvas"]
-        cfg.default_canvas = (int(w), int(h))
+    cfg = PipelineConfig(**{
+        f.name: (_COERCIONS.get(f.name) or type(f.default))(data[f.name])
+        for f in fields(PipelineConfig) if f.name in data
+    })
     if cfg.stages not in (0, 1, 2, 3):
         raise ConfigError("stages must be between 0 and 3")
     return cfg
@@ -591,24 +594,8 @@ def _run_item(record: Mapping[str, Any], *, task_family: str, index: RetrievalIn
         coarse, fragment = generate_coarse(
             constraint, index, cfg, gateway, stats=stats, query=query, run_id=item_id,
         )
-        if cfg.use_cot and cfg.stages > 0:
-            trace = refine_cot(coarse, constraint, index, cfg, gateway,
-                               coarse_fragment=fragment, run_id=item_id)
-        else:
-            trace = RefinementTrace(
-                run_id=item_id,
-                constraint_kind=constraint.kind,
-                constraint_digest=constraint_digest(constraint),
-                coarse=fragment,
-                stages=[],
-                final=_layout_record(
-                    Layout(id=item_id, canvas=coarse.canvas, elements=coarse.elements)
-                ),
-                config={"use_cot": False, "stages": 0, "seed": cfg.seed,
-                        "use_rag": cfg.use_rag,
-                        "k_coarse": cfg.k_coarse,
-                        "n_candidates": cfg.n_candidates},
-            )
+        trace = refine_cot(coarse, constraint, index, cfg, gateway,
+                           coarse_fragment=fragment, run_id=item_id)
         rasters = {key: load_raster(base / record[key])
                    for key in ("saliency", "gradient") if record.get(key)}
         trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
@@ -637,7 +624,7 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
         if key not in data:
             raise ConfigError(f"run config is missing {key!r}")
     task_family = data["task_family"]
-    if task_family not in ("content_aware", "constraint_explicit", "text_to_layout"):
+    if task_family not in TASK_KINDS:
         raise ConfigError(f"unknown task family {task_family!r}")
 
     base = Path(data.get("base_dir", "."))

@@ -12,11 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from .dataset import TASK_KINDS, record_to_layout
 from .errors import (
     EmptyExemplars,
     InvalidPayload,
@@ -25,7 +27,6 @@ from .errors import (
 )
 from .model import Layout, to_html
 
-TASK_FAMILIES = ("content_aware", "constraint_explicit", "text_to_layout")
 STAGE_NAMES = ("coarse", "1", "2", "3")
 
 CONSTRAINT_KINDS = (
@@ -132,28 +133,24 @@ class ConstraintSpec:
         return KIND_TO_FAMILY[self.kind]
 
     def categories(self) -> dict[str, int]:
-        """Required category counts, derived for kinds that imply them."""
-        if self.kind in ("gen_t", "content_aware"):
-            return {str(k): int(v) for k, v in self.payload["categories"].items()}
-        if self.kind == "gen_ts":
-            counts: dict[str, int] = {}
-            for item in self.payload["elements"]:
-                counts[item["label"]] = counts.get(item["label"], 0) + 1
-            return counts
-        if self.kind == "gen_r":
-            counts = {}
-            for label in self.payload["elements"]:
-                counts[label] = counts.get(label, 0) + 1
-            return counts
-        if self.kind == "text_to_layout":
-            cats = self.payload.get("categories") or {}
-            return {str(k): int(v) for k, v in cats.items()}
-        return {}
+        """Required category counts, derived for kinds that imply them.
+
+        Counts come in label order, so the order of a payload's keys or
+        elements never changes a prompt, a digest or a retrieval query.
+        """
+        payload = self.payload
+        if self.kind in ("gen_t", "content_aware", "text_to_layout"):
+            counts = {str(k): int(v) for k, v in (payload.get("categories") or {}).items()}
+        elif self.kind == "gen_ts":
+            counts = Counter(item["label"] for item in payload["elements"])
+        elif self.kind == "gen_r":
+            counts = Counter(payload["elements"])
+        else:
+            return {}
+        return dict(sorted(counts.items()))
 
 
 def _layout_from_payload(payload_layout: Mapping[str, Any]) -> Layout:
-    from .dataset import record_to_layout
-
     record = dict(payload_layout)
     record.setdefault("id", "")
     return record_to_layout(record)
@@ -221,12 +218,6 @@ class PromptTemplate:
     system_text: str
     user_text: str
 
-    @property
-    def placeholder_set(self) -> frozenset[str]:
-        found = set(_PLACEHOLDER_RE.findall(self.system_text))
-        found.update(_PLACEHOLDER_RE.findall(self.user_text))
-        return frozenset(found)
-
 
 class TemplateCatalog:
     """Immutable lookup of (family, stage) -> PromptTemplate."""
@@ -249,7 +240,7 @@ class TemplateCatalog:
             root = Path(str(resources.files("layoutloom"))) / "templates"
         root = Path(root)
         templates = {}
-        for family in TASK_FAMILIES:
+        for family in TASK_KINDS:
             for stage in STAGE_NAMES:
                 sys_path = root / family / f"{stage}.sys.txt"
                 usr_path = root / family / f"{stage}.usr.txt"
@@ -371,7 +362,7 @@ def build_stage_prompt(stage: int, task_family: str, exemplars: Sequence[Layout]
     """
     if stage not in (1, 2, 3):
         raise UnknownTemplate(f"stage must be 1, 2, or 3, got {stage}")
-    if task_family not in TASK_FAMILIES:
+    if task_family not in TASK_KINDS:
         raise UnknownTemplate(f"unknown task family {task_family!r}")
     if not exemplars:
         raise EmptyExemplars("stage prompt needs at least one exemplar")

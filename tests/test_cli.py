@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and output contracts."""
 
 import json
+import re
 
 import pytest
 
@@ -70,16 +71,6 @@ class TestIndexAndRetrieve:
         sims = [float(line.split("\t")[1]) for line in lines]
         assert sims == sorted(sims, reverse=True)
         assert lines[0].startswith("r00\t1.000000")
-
-    def test_index_query_subcommand(self, workspace, capsys):
-        main(["index", "build", "--manifest", str(workspace / "manifest.json"),
-              "--records", str(workspace / "records.jsonl"),
-              "--out", str(workspace / "index.json")])
-        (workspace / "query.json").write_text(json.dumps(_records(1)[0]))
-        capsys.readouterr()
-        assert main(["index", "query", "--index", str(workspace / "index.json"),
-                     "--query", str(workspace / "query.json"), "--k", "2"]) == 0
-        assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
 
 class TestEvalCommand:
@@ -165,3 +156,28 @@ class TestUsageErrors:
 
     def test_missing_required_option(self):
         assert main(["retrieve"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        # --seed, --mode and --config are read by generate only.
+        ["retrieve", "--index", "i.json", "--query", "q.json", "--seed", "1"],
+        ["eval", "--generated", "g.jsonl", "--mode", "replay"],
+        ["render", "--layout", "x.json", "--out", "x.svg", "--config", "run.json"],
+        # index query duplicated retrieve; eval never read --manifest.
+        ["index", "query", "--index", "i.json", "--query", "q.json"],
+        ["eval", "--generated", "g.jsonl", "--manifest", "m.json"],
+    ])
+    def test_removed_options_are_usage_errors(self, argv):
+        assert main(argv) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["ingest"], ["index"], ["index", "build"], ["retrieve"], ["generate"], ["eval"],
+    ["render"], ["prompts", "render"], ["gateway", "ping"], ["gateway", "replay-check"],
+])
+def test_help_lists_run_options_for_generate_only(command, capsys):
+    assert main(command + ["--help"]) == 0
+    out = capsys.readouterr().out
+    for option in ("--seed", "--mode", "--config"):
+        assert bool(re.search(rf"{option}\b", out)) == (command == ["generate"])
+    if command == ["index"]:
+        assert "{build}" in out

@@ -1,8 +1,11 @@
 """Transcript keys, record/replay, fan-out ordering, retries, and extraction."""
 
+import http.client
+import io
 import json
 import sys
 import threading
+import urllib.request
 
 import pytest
 
@@ -211,6 +214,27 @@ class TestRetries:
                             retry_backoff=0.0, api_key="k")
         with pytest.raises(TransportError):
             Gateway(cfg, transport=always_fails).complete(BUNDLE, n=1)
+
+    @pytest.mark.parametrize("dropped", [
+        http.client.RemoteDisconnected("Remote end closed connection without response"),
+        http.client.IncompleteRead(b"{", 10),
+        ConnectionResetError("connection reset by peer"),
+    ], ids=type)
+    def test_dropped_connection_is_retried(self, monkeypatch, dropped):
+        body = {"choices": [{"message": {"content": "ok"}}]}
+        calls = []
+
+        def urlopen(request, timeout):
+            calls.append(request.full_url)
+            if len(calls) == 1:
+                raise dropped
+            return io.BytesIO(json.dumps(body).encode("utf-8"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        cfg = BackendConfig(mode="live", model="m", endpoint="http://localhost:9/v1",
+                            retry_limit=2, retry_backoff=0.0, api_key="k")
+        assert Gateway(cfg).complete(BUNDLE, n=1) == ["ok"]
+        assert len(calls) == 2
 
     def test_credential_missing_not_retried(self, monkeypatch):
         monkeypatch.delenv("LAYOUTLOOM_API_KEY", raising=False)

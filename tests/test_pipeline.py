@@ -5,7 +5,7 @@ import json
 import re
 import threading
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from layoutloom.pipeline import (
     RankerWeights,
     RefinementTrace,
     StageRecord,
+    _pipeline_config,
     bundle_sha256,
     constraint_from_record,
     constraint_satisfaction,
@@ -182,6 +183,32 @@ class TestRankCandidates:
         assert transformed.index(max(transformed)) == best
 
 
+# A raw run-config value for every PipelineConfig field and what it becomes.
+_CONFIG_VALUES = {
+    "k_coarse": ("7", 7),
+    "k_refine": (3.0, 3),
+    "n_candidates": ("5", 5),
+    "stages": ("2", 2),
+    "use_rag": (0, False),
+    "use_cot": (0, False),
+    "seed": ("11", 11),
+    "coarse_temperature": ("0.5", 0.5),
+    "stage_temperature": (1, 1.0),
+    "similarity_scale": ("2", 2.0),
+    "exclude_self": (0, False),
+    "ranker": ({"w_align": 2.0}, RankerWeights(w_align=2.0)),
+    "default_canvas": (["640", 480.0], (640, 480)),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
+def test_every_config_field_is_set_from_a_run_config(name):
+    raw, expected = _CONFIG_VALUES[name]
+    value = getattr(_pipeline_config({name: raw}), name)
+    assert value == expected
+    assert type(value) is type(expected)
+
+
 class TestProtocolDefaults:
     def test_pipeline_defaults(self):
         cfg = PipelineConfig()
@@ -190,6 +217,10 @@ class TestProtocolDefaults:
         assert cfg.n_candidates == 10
         assert cfg.stages == 3
         assert cfg.similarity_scale == 1.0
+
+    def test_stages_out_of_range(self):
+        with pytest.raises(ConfigError, match="stages"):
+            _pipeline_config({"stages": 4})
 
     def test_cost_weight_defaults(self):
         from layoutloom.retrieval import DEFAULT_WEIGHTS
@@ -476,6 +507,30 @@ class TestRunTask:
         with pytest.raises(ConfigError):
             run_task({"run_dir": "/tmp/x"})
 
+    def test_no_cot_trace_has_the_cot_config_keys(self, fixture_env, tmp_path):
+        configs = {}
+        for use_cot in (True, False):
+            config = fixture_env["run_config"](tmp_path / f"run_cot_{use_cot}", "replay")
+            config["use_cot"] = use_cot
+            trace = json.loads((run_task(config) / "traces" / "item0.json").read_text())
+            configs[use_cot] = trace["config"]
+        assert set(configs[False]) == set(configs[True])
+        assert configs[True]["use_cot"] is True and configs[True]["stages"] == 3
+        assert configs[False]["use_cot"] is False and configs[False]["stages"] == 0
+
+    def test_inline_items_replay_whatever_their_key_order(self, fixture_env, tmp_path):
+        # The recorded test.jsonl has its keys sorted; the inline items list
+        # their categories as text, logo, underlay.
+        config = fixture_env["run_config"](tmp_path / "run_file", "replay")
+        from_file = run_task(config)
+        config["run_dir"] = str(tmp_path / "run_inline")
+        config["items"] = fixture_env["items"]
+        del config["dataset"]
+        inline = run_task(config)
+        generated = (inline / "generated.jsonl").read_text()
+        assert "ReplayMiss" not in generated
+        assert _tree_bytes(inline) == _tree_bytes(from_file)
+
     def test_partial_failure_recorded(self, fixture_env, tmp_path):
         config = fixture_env["run_config"](tmp_path / "run_f", "replay")
         # an item with no transcripts recorded: replay misses become an error record
@@ -496,9 +551,7 @@ class TestRunTask:
     def test_unsafe_item_ids_cost_only_their_item(self, fixture_env, tmp_path):
         config = fixture_env["run_config"](tmp_path / "run_u", "replay")
         unsafe = ["sub/dir", "../x", "back\\slash", "", "n" * 300]
-        # Key order as in the recorded test.jsonl, so the five items replay.
-        items = [json.loads(json.dumps(item, sort_keys=True))
-                 for item in fixture_env["items"]]
+        items = fixture_env["items"]
         config["items"] = items + [dict(items[0], id=item_id) for item_id in unsafe]
         del config["dataset"]
         run_dir = run_task(config)

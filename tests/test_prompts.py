@@ -2,6 +2,7 @@
 
 import pytest
 
+from layoutloom.dataset import TASK_KINDS
 from layoutloom.errors import (
     EmptyExemplars,
     InvalidPayload,
@@ -12,7 +13,6 @@ from layoutloom.model import to_html
 from layoutloom.prompts import (
     ConstraintSpec,
     STAGE_NAMES,
-    TASK_FAMILIES,
     build_coarse_prompt,
     build_stage_prompt,
     constraint_digest,
@@ -48,7 +48,7 @@ class TestCatalog:
     def test_twelve_templates_exist(self):
         catalog = default_catalog()
         assert len(catalog.keys()) == 12
-        for family in TASK_FAMILIES:
+        for family in TASK_KINDS:
             for stage in STAGE_NAMES:
                 assert catalog.get(family, stage) is not None
 
@@ -58,7 +58,7 @@ class TestCatalog:
 
     def test_all_templates_render(self):
         # 12 render smoke checks: every (family, stage) with a valid binding
-        for family in TASK_FAMILIES:
+        for family in TASK_KINDS:
             constraint = CONSTRAINTS[family]
             current = make_layout("cur", (100, 200), [(1, 2, 3, 4)])
             bundle = build_coarse_prompt(exemplars(), constraint)
