@@ -55,7 +55,6 @@ class BackendConfig:
     mode: str = "replay"
     endpoint: str = ""
     model: str = "offline"
-    temperature: float = 0.7
     max_tokens: int = 2048
     timeout: float = 60.0
     retry_limit: int = 2
@@ -241,8 +240,8 @@ class Gateway:
                     time.sleep(self.config.retry_backoff * (2 ** attempt))
         raise TransportError(f"request failed after {self.config.retry_limit + 1} attempts: {last}")
 
-    def complete(self, bundle: PromptBundle, n: int = 1,
-                 temperature: float | None = None, first_index: int = 0) -> list[str]:
+    def complete(self, bundle: PromptBundle, n: int = 1, *,
+                 temperature: float, first_index: int = 0) -> list[str]:
         """Fetch n candidate responses, ordered by candidate index.
 
         Candidate i uses transcript key salt ``first_index + i``, so retries
@@ -251,14 +250,14 @@ class Gateway:
         """
         if n < 1:
             raise ValueError("n must be at least 1")
-        temp = self.config.temperature if temperature is None else temperature
-        payload = self._payload(bundle, temp)
+        payload = self._payload(bundle, temperature)
         indices = [first_index + i for i in range(n)]
 
         if self.config.mode == "replay":
             texts = []
             for idx in indices:
-                key = transcript_key(bundle.system, bundle.user, self.config.model, temp, idx)
+                key = transcript_key(bundle.system, bundle.user, self.config.model,
+                                     temperature, idx)
                 texts.append(read_transcript(self.config.transcript_dir, key).response_text)
             return texts
 
@@ -274,7 +273,8 @@ class Gateway:
         if self.config.mode == "record":
             stamp = datetime.now(timezone.utc).isoformat()
             for idx, text in zip(indices, texts):
-                key = transcript_key(bundle.system, bundle.user, self.config.model, temp, idx)
+                key = transcript_key(bundle.system, bundle.user, self.config.model,
+                                     temperature, idx)
                 write_transcript(
                     self.config.transcript_dir,
                     Transcript(
@@ -282,7 +282,7 @@ class Gateway:
                         system=bundle.system,
                         user=bundle.user,
                         model=self.config.model,
-                        temperature=temp,
+                        temperature=temperature,
                         candidate_index=idx,
                         response_text=text,
                         created_at=stamp,

@@ -537,24 +537,67 @@ def _load_run_config(source: str | Path | Mapping[str, Any]) -> dict:
         raise ConfigError(f"cannot read run config {path}: {exc}") from exc
 
 
-def _canvas_pair(value) -> tuple[int, int]:
-    w, h = value
-    return int(w), int(h)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# Fields whose run-config value is not coerced by the type of their default.
-_COERCIONS = {"ranker": lambda weights: RankerWeights(**weights),
-              "default_canvas": _canvas_pair}
+def _dataclass_from(name: str, cls, value):
+    """``cls(**value)`` for a run-config object, or ConfigError naming the
+    keys that ``cls`` has no field for."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(str(key) for key in value if key not in known)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {', '.join(unknown)}")
+    return cls(**value)
+
+
+# What a scalar run-config field accepts, by the type of its default. An
+# accepted value is converted to that type, so an integer becomes a float.
+_SCALARS = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", _is_number),
+}
+
+
+def _config_value(name: str, default, value):
+    if name == "ranker":
+        if isinstance(value, Mapping) and not all(map(_is_number, value.values())):
+            raise ConfigError(f"ranker weights must be numbers, got {dict(value)!r}")
+        return _dataclass_from("ranker", RankerWeights, value)
+    if name == "default_canvas":
+        if not (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(type(v) is int and v > 0 for v in value)):
+            raise ConfigError(f"default_canvas must be two positive integers, got {value!r}")
+        return tuple(value)
+    kind, accepts = _SCALARS[type(default)]
+    if not accepts(value):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return type(default)(value)
 
 
 def _pipeline_config(data: Mapping[str, Any]) -> PipelineConfig:
+    """The run config's pipeline fields. A value whose JSON type differs
+    from its field's is a ConfigError: no quoted booleans or numbers, and
+    no float where an integer belongs."""
     cfg = PipelineConfig(**{
-        f.name: (_COERCIONS.get(f.name) or type(f.default))(data[f.name])
+        f.name: _config_value(f.name, f.default, data[f.name])
         for f in fields(PipelineConfig) if f.name in data
     })
     if cfg.stages not in (0, 1, 2, 3):
         raise ConfigError("stages must be between 0 and 3")
     return cfg
+
+
+def _read_input(kind: str, path: Path, load):
+    """``load(path)``, or ConfigError naming the file when it cannot be read
+    or does not hold what a run needs."""
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, SchemaError) as exc:
+        raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
 def _trace_name(item_id: str) -> str:
@@ -641,22 +684,24 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
     run_logger.propagate = False
 
     try:
-        index = load_index(base / data["index"])
+        index = _read_input("index", base / data["index"], load_index)
         cfg = _pipeline_config(data)
-        backend = BackendConfig(**data["backend"])
+        backend = _dataclass_from("backend", BackendConfig, data["backend"])
         gateway = Gateway(backend, transport)
         stats = None
         if data.get("stats"):
-            stats = load_area_stats(base / data["stats"])
+            stats = _read_input("stats", base / data["stats"], load_area_stats)
 
         if "items" in data:
             records = list(data["items"])
         elif "dataset" in data:
             spec = data["dataset"]
-            records = [
-                r for r in read_jsonl(base / spec["records"])
-                if not spec.get("split") or r.get("split") == spec.get("split")
-            ]
+            if not isinstance(spec, Mapping) or "records" not in spec:
+                raise ConfigError("dataset must be an object with a records path")
+            split = spec.get("split")
+            records = _read_input("records", base / spec["records"], lambda path: [
+                r for r in read_jsonl(path) if not split or r.get("split") == split
+            ])
         else:
             raise ConfigError("run config needs either items or dataset")
         repeated = sorted(i for i, n in Counter(str(r.get("id", "")) for r in records).items()

@@ -203,7 +203,7 @@ class TestRetries:
 
         cfg = BackendConfig(mode="live", model="m", endpoint="x", retry_limit=3,
                             retry_backoff=0.0, api_key="k")
-        assert Gateway(cfg, transport=flaky).complete(BUNDLE, n=1) == ["ok"]
+        assert Gateway(cfg, transport=flaky).complete(BUNDLE, n=1, temperature=0.7) == ["ok"]
         assert len(calls) == 3
 
     def test_retry_exhaustion(self):
@@ -213,7 +213,7 @@ class TestRetries:
         cfg = BackendConfig(mode="live", model="m", endpoint="x", retry_limit=1,
                             retry_backoff=0.0, api_key="k")
         with pytest.raises(TransportError):
-            Gateway(cfg, transport=always_fails).complete(BUNDLE, n=1)
+            Gateway(cfg, transport=always_fails).complete(BUNDLE, n=1, temperature=0.7)
 
     @pytest.mark.parametrize("dropped", [
         http.client.RemoteDisconnected("Remote end closed connection without response"),
@@ -233,14 +233,14 @@ class TestRetries:
         monkeypatch.setattr(urllib.request, "urlopen", urlopen)
         cfg = BackendConfig(mode="live", model="m", endpoint="http://localhost:9/v1",
                             retry_limit=2, retry_backoff=0.0, api_key="k")
-        assert Gateway(cfg).complete(BUNDLE, n=1) == ["ok"]
+        assert Gateway(cfg).complete(BUNDLE, n=1, temperature=0.7) == ["ok"]
         assert len(calls) == 2
 
     def test_credential_missing_not_retried(self, monkeypatch):
         monkeypatch.delenv("LAYOUTLOOM_API_KEY", raising=False)
         cfg = BackendConfig(mode="live", model="m", endpoint="https://example.test")
         with pytest.raises(CredentialMissing):
-            Gateway(cfg).complete(BUNDLE, n=1)
+            Gateway(cfg).complete(BUNDLE, n=1, temperature=0.7)
 
     def test_concurrent_fanout_is_thread_safe(self, tmp_path):
         seen = []

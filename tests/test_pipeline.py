@@ -185,19 +185,19 @@ class TestRankCandidates:
 
 # A raw run-config value for every PipelineConfig field and what it becomes.
 _CONFIG_VALUES = {
-    "k_coarse": ("7", 7),
-    "k_refine": (3.0, 3),
-    "n_candidates": ("5", 5),
-    "stages": ("2", 2),
-    "use_rag": (0, False),
-    "use_cot": (0, False),
-    "seed": ("11", 11),
-    "coarse_temperature": ("0.5", 0.5),
+    "k_coarse": (7, 7),
+    "k_refine": (3, 3),
+    "n_candidates": (5, 5),
+    "stages": (2, 2),
+    "use_rag": (False, False),
+    "use_cot": (False, False),
+    "seed": (11, 11),
+    "coarse_temperature": (0.5, 0.5),
     "stage_temperature": (1, 1.0),
-    "similarity_scale": ("2", 2.0),
-    "exclude_self": (0, False),
+    "similarity_scale": (2, 2.0),
+    "exclude_self": (False, False),
     "ranker": ({"w_align": 2.0}, RankerWeights(w_align=2.0)),
-    "default_canvas": (["640", 480.0], (640, 480)),
+    "default_canvas": ([640, 480], (640, 480)),
 }
 
 
@@ -207,6 +207,28 @@ def test_every_config_field_is_set_from_a_run_config(name):
     value = getattr(_pipeline_config({name: raw}), name)
     assert value == expected
     assert type(value) is type(expected)
+
+
+@pytest.mark.parametrize("name, raw", [
+    ("use_cot", "false"),
+    ("exclude_self", "no"),
+    ("use_rag", 0),
+    ("k_coarse", 2.9),
+    ("k_refine", 3.0),
+    ("n_candidates", "7"),
+    ("seed", True),
+    ("coarse_temperature", "0.5"),
+    ("similarity_scale", False),
+    ("default_canvas", ["640", 480]),
+    ("default_canvas", [640, 0]),
+    ("default_canvas", [640, 480, 1]),
+    ("ranker", {"w_align": "2"}),
+    ("ranker", {"w_allign": 2.0}),
+    ("ranker", [1.0, 1.0, 1.0]),
+])
+def test_config_value_of_the_wrong_json_type_is_rejected(name, raw):
+    with pytest.raises(ConfigError, match=name):
+        _pipeline_config({name: raw})
 
 
 class TestProtocolDefaults:
@@ -506,6 +528,37 @@ class TestRunTask:
     def test_missing_config_keys(self):
         with pytest.raises(ConfigError):
             run_task({"run_dir": "/tmp/x"})
+
+    @pytest.mark.parametrize("backend, named", [
+        ({"mode": "replay", "temperature": 0.7}, "temperature"),
+        ({"mode": "replay", "fanuot": 2, "modle": "m"}, "fanuot, modle"),
+        ("replay", "backend"),
+    ])
+    def test_bad_backend_is_a_config_error(self, fixture_env, tmp_path, backend, named):
+        config = fixture_env["run_config"](tmp_path / "run_b", "replay")
+        if isinstance(backend, dict):
+            backend = dict(config["backend"], **backend)
+        config["backend"] = backend
+        with pytest.raises(ConfigError, match=named):
+            run_task(config)
+
+    @pytest.mark.parametrize("key, content", [
+        ("index", None), ("index", "{not json"), ("index", "[]"),
+        ("stats", None), ("stats", "{not json"), ("stats", '{"text": "big"}'),
+        ("records", None), ("records", "{not json\n"), ("records", "[1]\n"),
+    ])
+    def test_unreadable_input_file_is_a_config_error(self, fixture_env, tmp_path, key,
+                                                     content):
+        config = fixture_env["run_config"](tmp_path / "run_i", "replay")
+        path = tmp_path / f"bad_{key}"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        if key == "records":
+            config["dataset"] = dict(config["dataset"], records=str(path))
+        else:
+            config[key] = str(path)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            run_task(config)
 
     def test_no_cot_trace_has_the_cot_config_keys(self, fixture_env, tmp_path):
         configs = {}

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from layoutloom.errors import EmptyLayout
 from layoutloom.transport import solve_exact
@@ -45,6 +46,18 @@ def polytope_vertex_min(cost):
             value = math.fsum(float(cost[i, j]) * float(v) for (i, j), v in zip(basis, x))
             best = min(best, value)
     return best
+
+
+def linprog_min(cost):
+    """The m x n transportation LP with uniform marginals, solved by HiGHS."""
+    m, n = cost.shape
+    rows = np.kron(np.eye(m), np.ones(n))  # sum_j plan[i][j]
+    cols = np.kron(np.ones(m), np.eye(n))  # sum_i plan[i][j]
+    result = linprog(cost.ravel(), A_eq=np.vstack([rows, cols]),
+                     b_eq=np.concatenate([np.full(m, 1.0 / m), np.full(n, 1.0 / n)]),
+                     bounds=(0, None), method="highs")
+    assert result.status == 0
+    return result.fun
 
 
 class TestExactSolver:
@@ -99,3 +112,20 @@ class TestExactSolver:
         with pytest.raises(EmptyLayout):
             solve_exact(np.zeros((0, 3)))
 
+    def test_matches_linprog_oracle(self):
+        rng = np.random.default_rng(25)
+        sizes = [tuple(int(x) for x in rng.integers(1, 26, size=2)) for _ in range(200)]
+        for m, n in sizes + [(24, 25), (23, 25), (25, 24)]:
+            cost = rng.random((m, n))
+            plan = solve_exact(cost)
+            assert abs(plan.cost - linprog_min(cost)) <= 1e-9, (m, n)
+            assert np.abs(plan.row_sums() - 1.0 / m).max() <= 1e-9
+            assert np.abs(plan.col_sums() - 1.0 / n).max() <= 1e-9
+            assert plan.mass.min() >= 0.0
+
+    def test_list_of_rows_matches_ndarray(self):
+        rng = np.random.default_rng(26)
+        for _ in range(50):
+            m, n = (int(x) for x in rng.integers(1, 13, size=2))
+            cost = rng.random((m, n))
+            assert solve_exact(cost.tolist()).cost == solve_exact(cost).cost
