@@ -28,6 +28,10 @@ results equal a full scan bit for bit. On entries with as many elements as
 the query, the first bound alone leaves several times k entries to solve;
 the second leaves few more than k, so the cost of a query depends less on
 how its geometry falls against the index.
+
+Index entries and queries hold at most ``MAX_ELEMENTS`` elements, the most
+the exact solver takes (see ``transport``); building or loading an index
+with a larger entry, or querying with a larger layout, raises SchemaError.
 """
 
 from __future__ import annotations
@@ -44,9 +48,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import AreaStats, CanonicalDataset
-from .errors import EmptyIndex, EmptyLayout, EmptySplit, VersionMismatch
+from .errors import EmptyIndex, EmptyLayout, EmptySplit, SchemaError, VersionMismatch
 from .model import BBox, Canvas, Element, Layout, normalize
-from .transport import TransportPlan, solve_exact
+from .transport import MAX_ELEMENTS, TransportPlan, solve_exact
 
 logger = logging.getLogger(__name__)
 
@@ -112,6 +116,12 @@ def ltsim_score(a: Layout, b: Layout, weights: CostWeights = DEFAULT_WEIGHTS,
     if scale <= 0:
         raise ValueError("scale must be positive")
     return math.exp(-scale * transport_distance(a, b, weights).cost)
+
+
+def _check_size(count: int, what: str) -> None:
+    if count > MAX_ELEMENTS:
+        raise SchemaError(f"{what} has {count} elements; transport similarity "
+                          f"supports at most {MAX_ELEMENTS}")
 
 
 # --- persistent index -------------------------------------------------------
@@ -199,6 +209,7 @@ def build_index(dataset: CanonicalDataset, split: str,
             skipped += 1
             logger.warning("skipping layout %r: no elements to index", layout.id)
             continue
+        _check_size(len(layout.elements), f"layout {layout.id!r}")
         feats = tuple(
             (label_ids[e.label], e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
             for e in layout.elements
@@ -240,6 +251,8 @@ def load_index(path: str | Path) -> RetrievalIndex:
         )
         for e in payload["entries"]
     )
+    for entry in entries:
+        _check_size(len(entry.elements), f"index entry {entry.id!r}")
     return RetrievalIndex(vocabulary=tuple(payload["vocabulary"]), entries=entries,
                           weights=weights, version=version)
 
@@ -372,6 +385,7 @@ def topk_retrieve(query: Layout, index: RetrievalIndex, k: int,
         raise EmptyIndex("cannot retrieve from an empty index")
     if not query.elements:
         raise EmptyLayout("retrieval query has no elements")
+    _check_size(len(query.elements), "retrieval query")
     w = weights if weights is not None else index.weights
     nq = normalize(query)
     bounds = transport_lower_bounds(nq, index, w)

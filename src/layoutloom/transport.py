@@ -16,8 +16,13 @@ repeated lcm/m times and each column lcm/n times (Peyré & Cuturi,
 solves that square problem exactly. Costs stay in floating point
 throughout; no cost quantization is applied, so the optimum matches
 enumeration oracles to solver precision (well below 1e-9 on layout-sized
-instances). The expanded matrix has lcm(m, n)**2 cells, so coprime sizes
-near 25 (lcm 600) cost the most.
+instances).
+
+The expanded matrix has lcm(m, n)**2 cells, which grows as (m * n)**2 on
+coprime sizes, so ``solve_exact`` takes at most ``MAX_ELEMENTS`` rows and
+columns: the PubLayNet and PKU preprocessing keeps layouts of at most 25
+elements, and the largest expansion within that bound, 24 x 25, has 600**2
+cells (2.9 MB). Retrieval rejects larger layouts before they reach here.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import EmptyLayout
+
+MAX_ELEMENTS = 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,11 +57,15 @@ class TransportPlan:
 def solve_exact(cost) -> TransportPlan:
     """Exact uniform-marginal transport: one assignment on the cost matrix
     with rows and columns repeated as the module docstring describes, folded
-    back into whole-unit flows. Accepts an ndarray or a list of rows."""
+    back into whole-unit flows. Accepts an ndarray or a list of rows, with
+    at most ``MAX_ELEMENTS`` rows and columns."""
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.size == 0:
         raise EmptyLayout("transport requires a non-empty cost matrix")
     m, n = c.shape
+    if max(m, n) > MAX_ELEMENTS:
+        raise ValueError(f"transport supports at most {MAX_ELEMENTS} x {MAX_ELEMENTS} "
+                         f"costs, got {m} x {n}")
     unit = math.lcm(m, n)
     rep_r, rep_c = unit // m, unit // n
     rows, cols = linear_sum_assignment(np.repeat(np.repeat(c, rep_r, axis=0), rep_c, axis=1))

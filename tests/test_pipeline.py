@@ -617,6 +617,19 @@ class TestRunTask:
             [f"item{i}.json" for i in range(5)]
         assert not (run_dir / "x.json").exists()
 
+    def test_oversized_query_costs_only_its_item(self, fixture_env, tmp_path):
+        config = fixture_env["run_config"](tmp_path / "run_o", "replay")
+        items = fixture_env["items"]
+        config["items"] = items + [dict(items[0], id="big",
+                                        constraints={"categories": {"text": 26}})]
+        del config["dataset"]
+        run_dir = run_task(config)
+        lines = [json.loads(l) for l in
+                 (run_dir / "generated.jsonl").read_text().splitlines()]
+        assert all("error" not in l for l in lines[:5])
+        assert lines[5]["error"] == "SchemaError"
+        assert "26 elements" in lines[5]["message"]
+
     def test_duplicate_item_ids_rejected_up_front(self, fixture_env, tmp_path):
         config = fixture_env["run_config"](tmp_path / "run_d", "replay")
         config["items"] = fixture_env["items"] + [dict(fixture_env["items"][2])]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from layoutloom import retrieval
 from layoutloom.dataset import AreaStats, DatasetManifest, ingest
-from layoutloom.errors import EmptyIndex, EmptyLayout, VersionMismatch
+from layoutloom.errors import EmptyIndex, EmptyLayout, SchemaError, VersionMismatch
 from layoutloom.model import BBox, Canvas, Element, Layout, normalize
 from layoutloom.retrieval import (
     CostWeights,
@@ -180,6 +180,21 @@ class TestIndex:
         with pytest.raises(VersionMismatch):
             load_index(path)
 
+    def test_oversized_layout_rejected(self, tmp_path):
+        def record(rid, count):
+            return {"id": rid, "split": "train", "canvas": {"w": 100, "h": 100},
+                    "elements": [{"label": "text", "bbox": [i, i, 10, 10]}
+                                 for i in range(count)]}
+
+        index = build_index(ingest([record("a", 25)], MANIFEST), "train")
+        with pytest.raises(SchemaError, match="'b' has 26 elements"):
+            build_index(ingest([record("a", 25), record("b", 26)], MANIFEST), "train")
+        path = tmp_path / "index.json"
+        save_index(index, path)
+        path.write_text(path.read_text().replace('"elements": [', '"elements": [[0, 0, 0, 0, 0], '))
+        with pytest.raises(SchemaError, match="'a' has 26 elements"):
+            load_index(path)
+
     def test_entry_layout_roundtrip(self):
         dataset = _mini_dataset()
         index = build_index(dataset, "train")
@@ -196,6 +211,12 @@ class TestTopK:
         ranked = topk_retrieve(query, index, 3)
         assert ranked[0][0] == index.entries[3].id
         assert ranked[0][1] == 1.0
+
+    def test_oversized_query_rejected(self):
+        index = build_index(_mini_dataset(), "train")
+        assert len(topk_retrieve(pseudo_layout({"text": 20, "logo": 5}), index, 3)) == 3
+        with pytest.raises(SchemaError, match="query has 26 elements"):
+            topk_retrieve(pseudo_layout({"text": 20, "logo": 6}), index, 3)
 
     def test_exclude_self(self):
         dataset = _mini_dataset()

@@ -122,10 +122,9 @@ class TestExactSolver:
             assert np.abs(plan.row_sums() - 1.0 / m).max() <= 1e-9
             assert np.abs(plan.col_sums() - 1.0 / n).max() <= 1e-9
             assert plan.mass.min() >= 0.0
+            assert solve_exact(cost.tolist()).cost == plan.cost
 
-    def test_list_of_rows_matches_ndarray(self):
-        rng = np.random.default_rng(26)
-        for _ in range(50):
-            m, n = (int(x) for x in rng.integers(1, 13, size=2))
-            cost = rng.random((m, n))
-            assert solve_exact(cost.tolist()).cost == solve_exact(cost).cost
+    @pytest.mark.parametrize("shape", [(26, 1), (1, 26), (97, 25)])
+    def test_oversized_rejected(self, shape):
+        with pytest.raises(ValueError, match="at most 25 x 25"):
+            solve_exact(np.zeros(shape))
