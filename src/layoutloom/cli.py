@@ -1,7 +1,7 @@
 """Command-line surface: ingest, index, retrieve, generate, eval, render,
 prompts, gateway.
 
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error or unreadable file, 2 usage error.
 """
 
 from __future__ import annotations
@@ -133,8 +133,9 @@ def _cmd_generate(args) -> int:
     if not args.config:
         raise LayoutLoomError("generate requires --config")
     config = _read_json(args.config)
-    if args.mode:
-        config.setdefault("backend", {})["mode"] = args.mode
+    # A backend that is not an object fails run_task's check instead.
+    if args.mode and isinstance(config.setdefault("backend", {}), dict):
+        config["backend"]["mode"] = args.mode
     if args.seed is not None:
         config["seed"] = args.seed
     if args.no_rag:
@@ -251,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except LayoutLoomError as exc:
+    except (LayoutLoomError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

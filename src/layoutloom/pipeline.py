@@ -330,14 +330,14 @@ def _select_exemplars(query: Layout | None, index: RetrievalIndex, k: int,
                                exclude_self=cfg.exclude_self)
         return [rid for rid, _ in ranked], "ltsim"
     rng = random.Random(f"{cfg.seed}:{run_id}")
-    ids = [entry.id for entry in index.entries]
+    ids = list(index.ids)
     picked = rng.sample(ids, min(k, len(ids)))
     return picked, f"random(seed={cfg.seed})"
 
 
 def _exemplar_layouts(index: RetrievalIndex, ids: Sequence[str],
                       canvas: Canvas) -> list[Layout]:
-    position = {entry.id: i for i, entry in enumerate(index.entries)}
+    position = {eid: i for i, eid in enumerate(index.ids)}
     return [
         denormalize(index.entry_layout(position[eid]), canvas.width, canvas.height)
         for eid in ids
@@ -543,29 +543,32 @@ def _is_number(value) -> bool:
 
 def _dataclass_from(name: str, cls, value):
     """``cls(**value)`` for a run-config object, or ConfigError naming the
-    keys that ``cls`` has no field for."""
+    keys that ``cls`` has no field for or the first value whose JSON type
+    differs from its field's."""
     if not isinstance(value, Mapping):
         raise ConfigError(f"{name} must be an object, got {value!r}")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(str(key) for key in value if key not in known)
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(str(key) for key in value if key not in defaults)
     if unknown:
         raise ConfigError(f"unknown {name} keys: {', '.join(unknown)}")
-    return cls(**value)
+    return cls(**{key: _config_value(f"{name}.{key}", defaults[key], v)
+                  for key, v in value.items()})
 
 
 # What a scalar run-config field accepts, by the type of its default. An
 # accepted value is converted to that type, so an integer becomes a float.
+# A field whose default is None holds an optional path or key.
 _SCALARS = {
     bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("an integer", lambda v: type(v) is int),
     float: ("a number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    type(None): ("a string or null", lambda v: v is None or isinstance(v, str)),
 }
 
 
 def _config_value(name: str, default, value):
     if name == "ranker":
-        if isinstance(value, Mapping) and not all(map(_is_number, value.values())):
-            raise ConfigError(f"ranker weights must be numbers, got {dict(value)!r}")
         return _dataclass_from("ranker", RankerWeights, value)
     if name == "default_canvas":
         if not (isinstance(value, (list, tuple)) and len(value) == 2
@@ -575,7 +578,7 @@ def _config_value(name: str, default, value):
     kind, accepts = _SCALARS[type(default)]
     if not accepts(value):
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
-    return type(default)(value)
+    return value if default is None else type(default)(value)
 
 
 def _pipeline_config(data: Mapping[str, Any]) -> PipelineConfig:

@@ -29,9 +29,12 @@ the query, the first bound alone leaves several times k entries to solve;
 the second leaves few more than k, so the cost of a query depends less on
 how its geometry falls against the index.
 
-Index entries and queries hold at most ``MAX_ELEMENTS`` elements, the most
-the exact solver takes (see ``transport``); building or loading an index
-with a larger entry, or querying with a larger layout, raises SchemaError.
+An index holds what queries read, as padded numpy arrays (see
+``RetrievalIndex``); ``save_index`` writes them to an ``.npz`` archive, and
+``build_index`` and ``load_index`` both go through its validating
+constructor. Every entry holds 1 to ``MAX_ELEMENTS`` elements, the most
+the exact solver takes (see ``transport``); an empty or larger entry, or a
+larger query, raises SchemaError.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ import bisect
 import json
 import logging
 import math
+import zipfile
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -54,7 +57,7 @@ from .transport import MAX_ELEMENTS, TransportPlan, solve_exact
 
 logger = logging.getLogger(__name__)
 
-INDEX_VERSION = "1"
+INDEX_VERSION = "2"
 
 # Subtracted from every lower bound before pruning. The bound reads the
 # stored centers, while the exact cost reads the rebuilt ``(cx - w/2) + w/2``,
@@ -126,73 +129,73 @@ def _check_size(count: int, what: str) -> None:
 
 # --- persistent index -------------------------------------------------------
 
-@dataclass(frozen=True)
-class IndexEntry:
-    """Normalized element features: (label id, cx, cy, width, height)."""
-
-    id: str
-    elements: tuple[tuple[int, float, float, float, float], ...]
-
-
-@dataclass(frozen=True)
 class RetrievalIndex:
-    vocabulary: tuple[str, ...]
-    entries: tuple[IndexEntry, ...]
-    weights: CostWeights = DEFAULT_WEIGHTS
-    version: str = INDEX_VERSION
+    """Normalized index entries as the padded arrays that queries read.
+
+    ``labels`` (N, n_max) holds each entry's label ids in stored order,
+    padded with -1, and ``coords`` (N, n_max, 4) their cx, cy, w and h. The
+    constructor derives ``counts`` (N,) and ``bound_groups``: per element
+    count n, the positions of the entries with n elements, their label
+    histograms (G, |vocabulary|) as fractions, and their coordinates
+    (G, 4, n) each sorted ascending. It raises SchemaError for arrays that
+    do not fit together; for an entry that is empty, too large, or holds a
+    label id outside the vocabulary or a non-finite coordinate; and for an
+    id or label that numpy's unicode arrays would not keep.
+    """
+
+    def __init__(self, vocabulary: Sequence[str], ids: Sequence[str], labels, coords,
+                 weights: CostWeights = DEFAULT_WEIGHTS):
+        self.vocabulary, self.ids, self.weights = tuple(vocabulary), tuple(ids), weights
+        # numpy's unicode arrays drop trailing NULs.
+        bad = [s for s in self.vocabulary + self.ids if not isinstance(s, str) or s.endswith("\0")]
+        if bad:
+            raise SchemaError(f"{bad[0]!r} is not a string an index file can hold")
+        labels, coords = np.asarray(labels), np.asarray(coords)
+        if (labels.dtype.kind not in "iu" or coords.dtype.kind != "f" or labels.ndim != 2
+                or coords.shape != labels.shape + (4,) or len(labels) != len(self.ids)):
+            raise SchemaError(f"index arrays do not fit together: {len(self.ids)} ids, "
+                              f"labels {labels.dtype} {labels.shape}, "
+                              f"coords {coords.dtype} {coords.shape}")
+        self.labels = labels.astype(np.int64, copy=False)
+        self.coords = coords.astype(np.float64, copy=False)
+        self.counts = (self.labels >= 0).sum(axis=1)
+        real = np.arange(self.labels.shape[1]) < self.counts[:, None]
+        vocab = len(self.vocabulary)
+        for faulty, what in (
+            (~np.where(real, self.labels < vocab, self.labels == -1).all(axis=1),
+             f"label ids outside [0, {vocab}) or -1 before its last element"),
+            (self.counts == 0, "no elements"),
+            (~np.isfinite(self.coords).all(axis=(1, 2)), "non-finite coordinates"),
+        ):
+            if faulty.any():
+                raise SchemaError(f"index entry {self.ids[int(faulty.argmax())]!r} has {what}")
+        if len(self.ids):
+            _check_size(int(self.counts.max()),
+                        f"index entry {self.ids[int(self.counts.argmax())]!r}")
+        self.bound_groups = {}
+        for n in np.unique(self.counts).tolist():
+            positions = np.flatnonzero(self.counts == n)
+            cells = self.labels[positions, :n] + vocab * np.arange(len(positions))[:, None]
+            hist = np.bincount(cells.ravel(), minlength=vocab * len(positions))
+            self.bound_groups[n] = (
+                positions, hist.reshape(len(positions), vocab) / n,
+                np.sort(self.coords[positions, :n].transpose(0, 2, 1), axis=2))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
     def entry_layout(self, position: int) -> Layout:
         """Reconstruct the normalized layout stored at an index position."""
-        entry = self.entries[position]
+        n = int(self.counts[position])
         elements = tuple(
             Element(
                 label=self.vocabulary[label_id],
                 bbox=BBox(cx - w / 2.0, cy - h / 2.0, w, h),
             )
-            for label_id, cx, cy, w, h in entry.elements
+            for label_id, (cx, cy, w, h) in zip(self.labels[position, :n].tolist(),
+                                                self.coords[position, :n].tolist())
         )
-        return Layout(id=entry.id, canvas=Canvas(1, 1), elements=elements)
-
-    @cached_property
-    def padded_elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every entry's elements in stored order, padded to the largest
-        count: label ids (N, n_max) with -1 as padding, coordinates
-        (N, n_max, 4) as cx, cy, w and h, and the element counts (N,).
-
-        Built on the first query and freed with the index, so building,
-        saving and loading an index do no extra work. On Python 3.12+
-        ``cached_property`` takes no lock, so the concurrent first queries of
-        a live or record run may each build the arrays; they are equal, and
-        one of them is kept.
-        """
-        counts = np.array([len(entry.elements) for entry in self.entries], dtype=np.int64)
-        real = np.arange(max(int(counts.max(initial=0)), 1)) < counts[:, None]
-        feats = np.zeros(real.shape + (5,))
-        feats[real] = np.array([feat for entry in self.entries for feat in entry.elements],
-                               dtype=np.float64).reshape(-1, 5)
-        labels = np.where(real, feats[:, :, 0], -1).astype(np.int64)
-        return labels, feats[:, :, 1:], counts
-
-    @cached_property
-    def bound_groups(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per element count n > 0: the positions of the entries with n elements,
-        their label histograms (G, |vocabulary|) as fractions, and their
-        coordinates (G, 4, n) with cx, cy, w and h each sorted ascending.
-        Built on the first query, like ``padded_elements``.
-        """
-        labels, feats, counts = self.padded_elements
-        vocab = len(self.vocabulary)
-        groups = {}
-        for n in np.unique(counts[counts > 0]).tolist():
-            positions = np.flatnonzero(counts == n)
-            cells = labels[positions, :n] + vocab * np.arange(len(positions))[:, None]
-            hist = np.bincount(cells.ravel(), minlength=vocab * len(positions))
-            groups[n] = (positions, hist.reshape(len(positions), vocab) / n,
-                         np.sort(feats[positions, :n].transpose(0, 2, 1), axis=2))
-        return groups
+        return Layout(id=self.ids[position], canvas=Canvas(1, 1), elements=elements)
 
 
 def build_index(dataset: CanonicalDataset, split: str,
@@ -202,59 +205,56 @@ def build_index(dataset: CanonicalDataset, split: str,
     if not layouts:
         raise EmptySplit(f"split {split!r} has no layouts to index")
     label_ids = {label: i for i, label in enumerate(dataset.manifest.vocabulary)}
-    entries = []
-    skipped = 0
+    kept = []
     for layout in layouts:
         if not layout.elements:
-            skipped += 1
             logger.warning("skipping layout %r: no elements to index", layout.id)
             continue
-        _check_size(len(layout.elements), f"layout {layout.id!r}")
-        feats = tuple(
-            (label_ids[e.label], e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
-            for e in layout.elements
-        )
-        entries.append(IndexEntry(id=layout.id, elements=feats))
-    if skipped:
-        logger.warning("index over split %r skipped %d empty layouts", split, skipped)
-    return RetrievalIndex(vocabulary=dataset.manifest.vocabulary,
-                          entries=tuple(entries), weights=weights)
+        kept.append(layout)
+    if len(kept) < len(layouts):
+        logger.warning("index over split %r skipped %d empty layouts",
+                       split, len(layouts) - len(kept))
+    counts = np.array([len(layout.elements) for layout in kept], dtype=np.int64)
+    real = np.arange(counts.max(initial=0)) < counts[:, None]
+    elements = [e for layout in kept for e in layout.elements]
+    labels = np.full(real.shape, -1, dtype=np.int64)
+    labels[real] = [label_ids[e.label] for e in elements]
+    coords = np.zeros(real.shape + (4,))
+    coords[real] = np.reshape([(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
+                               for e in elements], (-1, 4))
+    return RetrievalIndex(dataset.manifest.vocabulary, [layout.id for layout in kept],
+                          labels, coords, weights)
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:
-    payload = {
-        "version": index.version,
-        "vocabulary": list(index.vocabulary),
-        "weights": {"w_geo": index.weights.w_geo, "w_label": index.weights.w_label},
-        "entries": [
-            {"id": e.id, "elements": [list(feat) for feat in e.elements]}
-            for e in index.entries
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    """Write the index as an uncompressed numpy ``.npz`` archive to exactly
+    ``path``; ``np.savez`` would add ``.npz`` to a path without it."""
+    with open(path, "wb") as fh:
+        np.savez(fh, version=INDEX_VERSION, vocabulary=index.vocabulary, ids=index.ids,
+                 labels=index.labels, coords=index.coords,
+                 weights=[index.weights.w_geo, index.weights.w_label])
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    version = str(payload.get("version"))
-    if version != INDEX_VERSION:
-        raise VersionMismatch(f"index version {version!r} != supported {INDEX_VERSION!r}")
-    weights = CostWeights(**payload["weights"])
-    entries = tuple(
-        IndexEntry(
-            id=str(e["id"]),
-            elements=tuple(
-                (int(f[0]), float(f[1]), float(f[2]), float(f[3]), float(f[4]))
-                for f in e["elements"]
-            ),
-        )
-        for e in payload["entries"]
-    )
-    for entry in entries:
-        _check_size(len(entry.elements), f"index entry {entry.id!r}")
-    return RetrievalIndex(vocabulary=tuple(payload["vocabulary"]), entries=entries,
-                          weights=weights, version=version)
+    """Read an index that ``save_index`` wrote, through the validating
+    constructor. A file that is not one raises SchemaError; another format
+    version, such as a JSON index of version 1, raises VersionMismatch."""
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as data:
+                version = str(data["version"])
+                if version == INDEX_VERSION:
+                    return RetrievalIndex(data["vocabulary"].tolist(), data["ids"].tolist(),
+                                          data["labels"], data["coords"],
+                                          CostWeights(*data["weights"].tolist()))
+        except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            fh.seek(0)
+            try:
+                version = json.load(fh)["version"]
+            except (KeyError, TypeError, ValueError):
+                raise SchemaError(f"{path} is not a layoutloom index") from exc
+    raise VersionMismatch(f"index {path} has format version {version!r}, not "
+                          f"{INDEX_VERSION!r}; rebuild it with `layoutloom index build`")
 
 
 def _quantile_segments(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -274,8 +274,7 @@ def transport_lower_bounds(query: Layout, index: RetrievalIndex,
 
     The bound is ``w_label * TV + w_geo * sum_coord W1 / 4`` (see the module
     docstring). Query labels outside the index vocabulary count fully as
-    mismatched mass. Entries with no elements get 0, so they are solved
-    and fail as they would in a full scan.
+    mismatched mass.
     """
     if not query.elements:
         raise EmptyLayout("retrieval query has no elements")
@@ -328,31 +327,25 @@ def dual_lower_bounds(query: Layout, index: RetrievalIndex, positions: Sequence[
     over all the entries anneals log-domain entropic potentials u toward an
     optimal dual, and the c-transform v_j = min_i (cost_ij - u_i) makes the
     pair feasible exactly. The potentials only rule entries out; every
-    score still comes from an exact solve. Entries with no elements get 0.
+    score still comes from an exact solve.
     """
     w = weights if weights is not None else index.weights
     nq = normalize(query)
     m = len(nq.elements)
-    out = np.zeros(len(positions))
-    labels, feats, counts = index.padded_elements
     rows = np.asarray(positions, dtype=np.int64)
-    keep = counts[rows] > 0
-    rows = rows[keep]
-    if not len(rows):
-        return out
     label_ids = {label: i for i, label in enumerate(index.vocabulary)}
     q_labels = np.array([label_ids.get(e.label, -2) for e in nq.elements])
     q_feats = np.array([(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
                         for e in nq.elements])
-    counts = counts[rows]
-    real = np.arange(feats.shape[1]) < counts[:, None]  # (G, n_max)
+    counts = index.counts[rows]
+    real = np.arange(index.coords.shape[1]) < counts[:, None]  # (G, n_max)
     # The ground cost of _pair_costs, summed in the same order.
-    entry_feats = feats[rows]
+    entry_feats = index.coords[rows]
     geo = np.abs(q_feats[None, :, None, 0] - entry_feats[:, None, :, 0])
     for c in (1, 2, 3):
         geo += np.abs(q_feats[None, :, None, c] - entry_feats[:, None, :, c])
     cost = (w.w_geo * (geo / 4.0)
-            + w.w_label * (q_labels[None, :, None] != labels[rows][:, None, :]))
+            + w.w_label * (q_labels[None, :, None] != index.labels[rows][:, None, :]))
     # The ascent runs in float32: the c-transform below makes any potentials
     # feasible, so their precision only affects how tight the bound is.
     cost32 = cost.astype(np.float32)
@@ -365,8 +358,7 @@ def dual_lower_bounds(query: Layout, index: RetrievalIndex, positions: Sequence[
         g = -_smooth_max((f + eps * log_a)[:, :, None] - cost32, eps, 1)
     u = f.astype(np.float64)
     v = np.where(real, (cost - u[:, :, None]).min(axis=1), 0.0)
-    out[keep] = u.sum(axis=1) / m + v.sum(axis=1) / counts
-    return out
+    return u.sum(axis=1) / m + v.sum(axis=1) / counts
 
 
 def topk_retrieve(query: Layout, index: RetrievalIndex, k: int,
@@ -395,11 +387,11 @@ def topk_retrieve(query: Layout, index: RetrievalIndex, k: int,
         return len(best) == k and math.exp(-scale * (bound - BOUND_SLACK)) < -best[-1][0]
 
     def solve(pos: int) -> None:
-        entry = index.entries[pos]
-        if exclude_self and entry.id == query.id:
+        entry_id = index.ids[pos]
+        if exclude_self and entry_id == query.id:
             return
         sim = ltsim_score(nq, index.entry_layout(pos), w, scale=scale)
-        bisect.insort(best, (-sim, entry.id))
+        bisect.insort(best, (-sim, entry_id))
         del best[k:]
 
     order = np.argsort(bounds, kind="stable").tolist()

@@ -22,7 +22,7 @@ from layoutloom.dataset import (
 )
 from layoutloom.model import BBox, Canvas, Element, Layout
 from layoutloom.pipeline import run_task
-from layoutloom.retrieval import build_index, save_index
+from layoutloom.retrieval import RetrievalIndex, build_index, save_index
 
 CANVAS_W, CANVAS_H = 513, 750
 VOCAB = ("text", "logo", "underlay")
@@ -66,6 +66,20 @@ def random_normalized_layout(rng, layout_id="", max_elements=3,
         label = str(rng.choice(list(vocabulary)))
         elements.append(Element(label=label, bbox=BBox(left, top, bw, bh)))
     return Layout(id=layout_id, canvas=Canvas(1, 1), elements=tuple(elements))
+
+
+def make_index(entries, vocabulary=VOCAB):
+    """RetrievalIndex over (id, normalized layout) pairs, each layout's
+    elements in order and padded with -1 labels to the largest layout."""
+    label_id = {label: i for i, label in enumerate(vocabulary)}
+    n_max = max((len(layout.elements) for _, layout in entries), default=0)
+    labels = np.full((len(entries), n_max), -1)
+    coords = np.zeros((len(entries), n_max, 4))
+    for row, (_, layout) in enumerate(entries):
+        for col, e in enumerate(layout.elements):
+            labels[row, col] = label_id[e.label]
+            coords[row, col] = (e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
+    return RetrievalIndex(vocabulary, [entry_id for entry_id, _ in entries], labels, coords)
 
 
 # --- scripted offline backend ------------------------------------------------

@@ -26,15 +26,11 @@ from layoutloom.metrics import (
 from layoutloom.model import BBox, Canvas, Element, Layout, parse_html, to_html
 from layoutloom.pipeline import RankerWeights, rank_candidates, run_task
 from layoutloom.prompts import ConstraintSpec
-from layoutloom.retrieval import (
-    IndexEntry,
-    RetrievalIndex,
-    ltsim_score,
-    topk_retrieve,
-)
+from layoutloom.retrieval import ltsim_score, topk_retrieve
 from layoutloom.transport import solve_exact
 
 from conftest import (
+    make_index,
     random_normalized_layout,
     random_pixel_layout,
     scripted_llm,
@@ -111,18 +107,11 @@ def test_criterion_2_transport_matches_enumeration():
 
 
 def _synthetic_index(rng, size=1000, duplicates=100):
-    label_id = {label: i for i, label in enumerate(VOCAB)}
-    entries = []
-    for i in range(size - duplicates):
-        lay = random_normalized_layout(rng, max_elements=3, vocabulary=VOCAB)
-        feats = tuple(
-            (label_id[e.label], e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
-            for e in lay.elements
-        )
-        entries.append(IndexEntry(id=f"syn{i:04d}", elements=feats))
-    for j in range(duplicates):  # exact geometric ties under fresh ids
-        entries.append(IndexEntry(id=f"tie{j:04d}", elements=entries[j].elements))
-    return RetrievalIndex(vocabulary=VOCAB, entries=tuple(entries))
+    entries = [(f"syn{i:04d}", random_normalized_layout(rng, max_elements=3, vocabulary=VOCAB))
+               for i in range(size - duplicates)]
+    # exact geometric ties under fresh ids
+    entries += [(f"tie{j:04d}", entries[j][1]) for j in range(duplicates)]
+    return make_index(entries, VOCAB)
 
 
 def test_criterion_3_retrieval_equals_full_scan():
@@ -139,7 +128,7 @@ def test_criterion_3_retrieval_equals_full_scan():
 
     for qi, query in enumerate(queries):
         full_scan = [
-            (index.entries[i].id, ltsim_score(query, index.entry_layout(i)))
+            (index.ids[i], ltsim_score(query, index.entry_layout(i)))
             for i in range(len(index))
         ]
         full_scan.sort(key=lambda t: (-t[1], t[0]))

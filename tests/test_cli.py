@@ -73,6 +73,24 @@ class TestIndexAndRetrieve:
         assert lines[0].startswith("r00\t1.000000")
 
 
+    @pytest.mark.parametrize("content, error", [
+        (None, "FileNotFoundError"),
+        ('{"id": "r00"}\n{"id": "r01"}\n', "SchemaError"),
+        (json.dumps({"entries": [], "version": "1", "vocabulary": ["text"],
+                     "weights": {"w_geo": 0.5, "w_label": 0.5}}), "VersionMismatch"),
+    ])
+    def test_bad_index_file_exits_1(self, workspace, capsys, content, error):
+        index = workspace / "index.json"
+        if content is not None:
+            index.write_text(content)
+        (workspace / "query.json").write_text(json.dumps(_records(1)[0]))
+        assert main(["retrieve", "--index", str(index),
+                     "--query", str(workspace / "query.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ")
+        assert err.count("\n") == 1
+
+
 class TestEvalCommand:
     def test_identity_miou_prints_one(self, workspace, capsys):
         write_jsonl(_records(), workspace / "generated.jsonl")
@@ -133,6 +151,14 @@ class TestGenerateCommand:
                      "--mode", "replay"]) == 0
         assert (tmp_path / "cli_run" / "generated.jsonl").exists()
         assert (tmp_path / "cli_run" / "metrics.tsv").exists()
+
+    def test_mode_with_a_non_object_backend(self, fixture_env, tmp_path, capsys):
+        config = dict(fixture_env["run_config"](tmp_path / "cli_run", "replay"),
+                      backend="replay")
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["generate", "--config", str(config_path), "--mode", "replay"]) == 1
+        assert "ConfigError: backend must be an object" in capsys.readouterr().err
 
     def test_requires_config(self, capsys):
         assert main(["generate"]) == 1

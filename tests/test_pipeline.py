@@ -22,6 +22,7 @@ from layoutloom.pipeline import (
     RankerWeights,
     RefinementTrace,
     StageRecord,
+    _dataclass_from,
     _pipeline_config,
     bundle_sha256,
     constraint_from_record,
@@ -231,6 +232,45 @@ def test_config_value_of_the_wrong_json_type_is_rejected(name, raw):
         _pipeline_config({name: raw})
 
 
+# A raw run-config value for every BackendConfig field and what it becomes.
+_BACKEND_VALUES = {
+    "mode": ("record", "record"),
+    "endpoint": ("http://localhost:1", "http://localhost:1"),
+    "model": ("m", "m"),
+    "max_tokens": (64, 64),
+    "timeout": (5, 5.0),
+    "retry_limit": (0, 0),
+    "retry_backoff": (1, 1.0),
+    "transcript_dir": ("t", "t"),
+    "fanout": (2, 2),
+    "api_key": (None, None),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(BackendConfig)])
+def test_every_backend_field_is_set_from_a_run_config(name):
+    raw, expected = _BACKEND_VALUES[name]
+    backend = _dataclass_from("backend", BackendConfig, {"transcript_dir": "t", name: raw})
+    assert getattr(backend, name) == expected
+    assert type(getattr(backend, name)) is type(expected)
+
+
+@pytest.mark.parametrize("name, raw", [
+    ("fanout", "4"),
+    ("fanout", 2.0),
+    ("max_tokens", True),
+    ("timeout", "60"),
+    ("retry_backoff", None),
+    ("mode", 1),
+    ("model", None),
+    ("transcript_dir", 5),
+    ("api_key", ["k"]),
+])
+def test_backend_value_of_the_wrong_json_type_is_rejected(name, raw):
+    with pytest.raises(ConfigError, match=f"backend.{name} must be"):
+        _dataclass_from("backend", BackendConfig, {"transcript_dir": "t", name: raw})
+
+
 class TestProtocolDefaults:
     def test_pipeline_defaults(self):
         cfg = PipelineConfig()
@@ -368,7 +408,7 @@ class TestRefineCot:
                              ["text", "text"])
         spec = ConstraintSpec("content_aware",
                               {"canvas": [400, 400], "categories": {"text": 2}})
-        exemplar_ids = [index.entries[0].id, index.entries[1].id]
+        exemplar_ids = list(index.ids[:2])
         return refine_cot(coarse, spec, index, cfg, gateway,
                           exemplar_ids=exemplar_ids, run_id="r1"), coarse
 
@@ -532,6 +572,7 @@ class TestRunTask:
     @pytest.mark.parametrize("backend, named", [
         ({"mode": "replay", "temperature": 0.7}, "temperature"),
         ({"mode": "replay", "fanuot": 2, "modle": "m"}, "fanuot, modle"),
+        ({"mode": "replay", "fanout": "4"}, "backend.fanout"),
         ("replay", "backend"),
     ])
     def test_bad_backend_is_a_config_error(self, fixture_env, tmp_path, backend, named):

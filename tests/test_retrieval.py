@@ -1,5 +1,6 @@
 """Element cost, transport distance on layouts, similarity, and top-k retrieval."""
 
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from layoutloom.errors import EmptyIndex, EmptyLayout, SchemaError, VersionMisma
 from layoutloom.model import BBox, Canvas, Element, Layout, normalize
 from layoutloom.retrieval import (
     CostWeights,
-    IndexEntry,
     RetrievalIndex,
     build_index,
     dual_lower_bounds,
@@ -27,10 +27,10 @@ from layoutloom.retrieval import (
     transport_lower_bounds,
 )
 
-from conftest import make_layout, random_normalized_layout
+from conftest import make_index, make_layout, random_normalized_layout
 
-MANIFEST = DatasetManifest(name="mini", task_kind="content_aware",
-                           vocabulary=("text", "logo", "underlay"))
+VOCAB = ("text", "logo", "underlay")
+MANIFEST = DatasetManifest(name="mini", task_kind="content_aware", vocabulary=VOCAB)
 
 
 def _element(label, left, top, w, h):
@@ -146,6 +146,15 @@ def _mini_dataset(count=12, seed=2):
     return ingest(records, MANIFEST)
 
 
+def _rewrite(path, **arrays):
+    """Replace arrays of a saved index file and keep the others."""
+    with np.load(path) as data:
+        saved = dict(data)
+    saved.update(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **saved)
+
+
 class TestIndex:
     def test_build_skips_empty_layouts(self):
         records = [
@@ -155,8 +164,7 @@ class TestIndex:
              "elements": []},
         ]
         index = build_index(ingest(records, MANIFEST), "train")
-        assert len(index) == 1
-        assert index.entries[0].id == "a"
+        assert index.ids == ("a",)
 
     def test_save_load_identical_retrieval(self, tmp_path):
         dataset = _mini_dataset()
@@ -164,7 +172,10 @@ class TestIndex:
         path = tmp_path / "index.json"
         save_index(index, path)
         again = load_index(path)
-        assert again == index
+        assert (again.vocabulary, again.ids, again.weights) == \
+            (index.vocabulary, index.ids, index.weights)
+        for name in ("labels", "coords", "counts"):
+            assert np.array_equal(getattr(again, name), getattr(index, name))
         rng = np.random.default_rng(6)
         for _ in range(5):
             query = random_normalized_layout(rng)
@@ -175,8 +186,7 @@ class TestIndex:
         index = build_index(dataset, "train")
         path = tmp_path / "index.json"
         save_index(index, path)
-        text = path.read_text().replace('"version": "1"', '"version": "0"')
-        path.write_text(text)
+        _rewrite(path, version=np.array("0"))
         with pytest.raises(VersionMismatch):
             load_index(path)
 
@@ -191,7 +201,7 @@ class TestIndex:
             build_index(ingest([record("a", 25), record("b", 26)], MANIFEST), "train")
         path = tmp_path / "index.json"
         save_index(index, path)
-        path.write_text(path.read_text().replace('"elements": [', '"elements": [[0, 0, 0, 0, 0], '))
+        _rewrite(path, labels=np.zeros((1, 26), dtype=np.int64), coords=np.zeros((1, 26, 4)))
         with pytest.raises(SchemaError, match="'a' has 26 elements"):
             load_index(path)
 
@@ -199,8 +209,98 @@ class TestIndex:
         dataset = _mini_dataset()
         index = build_index(dataset, "train")
         lay = index.entry_layout(0)
-        assert lay.id == index.entries[0].id
-        assert len(lay.elements) == len(index.entries[0].elements)
+        assert lay.id == index.ids[0]
+        assert len(lay.elements) == index.counts[0]
+
+
+def _two_entries():
+    """Labels [[0, 1], [2, -1]] and coordinates of entries 'a' and 'b'."""
+    index = make_index([
+        ("a", _layout([("text", 0.1, 0.1, 0.2, 0.2), ("logo", 0.5, 0.5, 0.2, 0.2)])),
+        ("b", _layout([("underlay", 0.0, 0.0, 1.0, 1.0)])),
+    ])
+    return index.labels.copy(), index.coords.copy()
+
+
+class TestIndexValidation:
+    @pytest.mark.parametrize("cell, label, entry", [
+        ((1, 0), 3, "b"),    # one past the vocabulary
+        ((0, 1), -2, "a"),
+        ((0, 0), -1, "a"),   # padding before a real element
+    ])
+    def test_label_outside_vocabulary_is_refused(self, cell, label, entry):
+        labels, coords = _two_entries()
+        labels[cell] = label
+        with pytest.raises(SchemaError, match=f"'{entry}' has label ids outside"):
+            RetrievalIndex(VOCAB, ("a", "b"), labels, coords)
+
+    def test_loaded_label_outside_vocabulary_is_refused(self, tmp_path):
+        # Unchecked, the mass of label id 3 would land in the TV histogram
+        # of the next entry with as many elements.
+        index = build_index(_mini_dataset(), "train")
+        path = tmp_path / "index.json"
+        save_index(index, path)
+        labels = index.labels.copy()
+        labels[0, 0] = len(VOCAB)
+        _rewrite(path, labels=labels)
+        with pytest.raises(SchemaError, match="label ids outside"):
+            load_index(path)
+
+    @pytest.mark.parametrize("change", [
+        lambda ids, labels, coords: (ids[:1], labels, coords),
+        lambda ids, labels, coords: (ids, labels[0], coords),
+        lambda ids, labels, coords: (ids, labels.astype(float), coords),
+        lambda ids, labels, coords: (ids, labels, coords[:, :, :3]),
+        lambda ids, labels, coords: (ids, labels, coords[:, :1]),
+        lambda ids, labels, coords: (ids, labels, coords.astype(np.int64)),
+    ])
+    def test_arrays_that_do_not_fit_are_refused(self, change):
+        labels, coords = _two_entries()
+        with pytest.raises(SchemaError, match="do not fit together"):
+            RetrievalIndex(VOCAB, *change(("a", "b"), labels, coords))
+
+    def test_non_finite_coordinate_is_refused(self):
+        labels, coords = _two_entries()
+        coords[1, 1, 2] = np.nan  # padding is checked too
+        with pytest.raises(SchemaError, match="'b' has non-finite coordinates"):
+            RetrievalIndex(VOCAB, ("a", "b"), labels, coords)
+
+    @pytest.mark.parametrize("vocabulary, ids", [
+        (VOCAB, ("a\0", "b")),
+        (VOCAB, ("a", 7)),
+        (("text", "logo\0", "underlay"), ("a", "b")),
+    ])
+    def test_strings_an_index_file_cannot_hold_are_refused(self, vocabulary, ids):
+        labels, coords = _two_entries()
+        with pytest.raises(SchemaError, match="not a string"):
+            RetrievalIndex(vocabulary, ids, labels, coords)
+
+    def test_save_writes_exactly_the_given_path(self, tmp_path):
+        save_index(build_index(_mini_dataset(), "train"), tmp_path / "index.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
+
+    @pytest.mark.parametrize("content, error", [
+        (b"", SchemaError),
+        (b"[]", SchemaError),
+        (b'{"id": "a"}\n{"id": "b"}\n', SchemaError),
+        (b"PK\x03\x04 truncated", SchemaError),
+        (json.dumps({"entries": [{"elements": [[0, 0.5, 0.5, 0.2, 0.2]], "id": "a"}],
+                     "version": "1", "vocabulary": ["text"],
+                     "weights": {"w_geo": 0.5, "w_label": 0.5}}).encode(), VersionMismatch),
+    ])
+    def test_file_that_is_not_an_index(self, tmp_path, content, error):
+        path = tmp_path / "index.json"
+        path.write_bytes(content)
+        with pytest.raises(error):
+            load_index(path)
+
+    def test_archive_missing_an_array(self, tmp_path):
+        path = tmp_path / "index.json"
+        labels, coords = _two_entries()
+        with open(path, "wb") as fh:
+            np.savez(fh, version=np.array("2"), labels=labels, coords=coords)
+        with pytest.raises(SchemaError, match="not a layoutloom index"):
+            load_index(path)
 
 
 class TestTopK:
@@ -209,7 +309,7 @@ class TestTopK:
         index = build_index(dataset, "train")
         query = index.entry_layout(3)
         ranked = topk_retrieve(query, index, 3)
-        assert ranked[0][0] == index.entries[3].id
+        assert ranked[0][0] == index.ids[3]
         assert ranked[0][1] == 1.0
 
     def test_oversized_query_rejected(self):
@@ -238,7 +338,7 @@ class TestTopK:
         for _ in range(10):
             query = random_normalized_layout(rng)
             scan = [
-                (index.entries[i].id, ltsim_score(query, index.entry_layout(i)))
+                (index.ids[i], ltsim_score(query, index.entry_layout(i)))
                 for i in range(len(index))
             ]
             scan.sort(key=lambda t: (-t[1], t[0]))
@@ -262,34 +362,22 @@ class TestTopK:
         index = build_index(dataset, "train")
         with pytest.raises(EmptyLayout):
             topk_retrieve(make_layout("q", (10, 10), []), index, 2)
-        from layoutloom.retrieval import RetrievalIndex
-        empty = RetrievalIndex(vocabulary=("text",), entries=())
+        empty = RetrievalIndex(("text",), (), np.zeros((0, 0), dtype=np.int64),
+                               np.zeros((0, 0, 4)))
         with pytest.raises(EmptyIndex):
             topk_retrieve(make_layout("q", (10, 10), [(0, 0, 5, 5)]), empty, 1)
 
 
-VOCAB = ("text", "logo", "underlay")
-
-
-def _entry(entry_id, layout):
-    label_id = {label: i for i, label in enumerate(VOCAB)}
-    return IndexEntry(id=entry_id, elements=tuple(
-        (label_id[e.label], e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
-        for e in layout.elements))
-
-
 def _random_index(rng, size):
-    return RetrievalIndex(vocabulary=VOCAB, entries=tuple(
-        _entry(f"e{i:03d}", random_normalized_layout(rng, max_elements=6))
-        for i in range(size)))
+    return make_index([(f"e{i:03d}", random_normalized_layout(rng, max_elements=6))
+                       for i in range(size)])
 
 
 def _brute_force(query, index, k, scale=1.0, exclude_self=False):
     scan = [
-        (index.entries[i].id, ltsim_score(query, index.entry_layout(i), index.weights,
-                                          scale=scale))
+        (index.ids[i], ltsim_score(query, index.entry_layout(i), index.weights, scale=scale))
         for i in range(len(index))
-        if not (exclude_self and index.entries[i].id == query.id)
+        if not (exclude_self and index.ids[i] == query.id)
     ]
     scan.sort(key=lambda t: (-t[1], t[0]))
     return scan[:k]
@@ -319,8 +407,7 @@ class TestLowerBound:
         inside = {"banner": "text", "headline": "underlay"}
         in_vocab = [[(inside.get(e[0], e[0]), *e[1:]) for e in elements]
                     for elements in entries]
-        index = RetrievalIndex(vocabulary=VOCAB, entries=tuple(
-            _entry(f"e{i}", _layout(elements)) for i, elements in enumerate(in_vocab)))
+        index = make_index([(f"e{i}", _layout(elements)) for i, elements in enumerate(in_vocab)])
         q = _layout(query)
         bounds = transport_lower_bounds(q, index, weights)
         assert bounds.shape == (len(index),)
@@ -337,19 +424,10 @@ class TestLowerBound:
         bounds = transport_lower_bounds(query, index, CostWeights(w_geo=0.0, w_label=1.0))
         assert bounds.tolist() == [1.0] * len(index)
 
-    def test_built_lazily_per_index(self):
-        index = _random_index(np.random.default_rng(41), 12)
-        assert "bound_groups" not in vars(index)
-        assert "padded_elements" not in vars(index)
-        topk_retrieve(index.entry_layout(0), index, 2)
-        assert "bound_groups" in vars(index)
-        assert "padded_elements" in vars(index)
-
     def test_dual_bound_is_close_to_exact(self):
         rng = np.random.default_rng(42)
-        index = RetrievalIndex(vocabulary=VOCAB, entries=tuple(
-            _entry(f"e{i:02d}", random_normalized_layout(rng, max_elements=25))
-            for i in range(30)))
+        index = make_index([(f"e{i:02d}", random_normalized_layout(rng, max_elements=25))
+                            for i in range(30)])
         query = random_normalized_layout(rng, max_elements=15)
         exact = np.array([transport_distance(query, index.entry_layout(pos)).cost
                           for pos in range(len(index))])
@@ -359,19 +437,12 @@ class TestLowerBound:
         assert np.all(exact - dual < 0.02)
         assert (exact - dual).mean() < (exact - first).mean() / 4
 
-    def test_dual_bound_of_empty_entry_is_zero(self):
-        rng = np.random.default_rng(43)
-        entries = _random_index(rng, 4).entries
-        index = RetrievalIndex(vocabulary=VOCAB,
-                               entries=entries[:2] + (IndexEntry("empty", ()),) + entries[2:])
-        query = random_normalized_layout(rng, max_elements=4)
-        dual = dual_lower_bounds(query, index, [4, 2, 0])
-        assert dual[1] == 0.0 and dual[0] > 0.0 and dual[2] > 0.0
-        with pytest.raises(EmptyLayout):
-            topk_retrieve(query, index, 5)
-        only_empty = RetrievalIndex(vocabulary=VOCAB, entries=(IndexEntry("empty", ()),))
-        with pytest.raises(EmptyLayout):
-            topk_retrieve(query, only_empty, 1)
+    def test_empty_entry_is_refused(self):
+        index = _random_index(np.random.default_rng(43), 4)
+        labels = index.labels.copy()
+        labels[2] = -1
+        with pytest.raises(SchemaError, match="'e002' has no elements"):
+            RetrievalIndex(VOCAB, index.ids, labels, index.coords)
 
 
 class TestPrunedTopK:
@@ -379,8 +450,7 @@ class TestPrunedTopK:
         rng = np.random.default_rng(50)
         shapes = [random_normalized_layout(rng, max_elements=4) for _ in range(10)]
         # four copies of every shape under ids that do not follow position
-        entries = tuple(_entry(f"id{(7 * i) % 40:02d}", shapes[i % 10]) for i in range(40))
-        index = RetrievalIndex(vocabulary=VOCAB, entries=entries)
+        index = make_index([(f"id{(7 * i) % 40:02d}", shapes[i % 10]) for i in range(40)])
         for pos in range(10):
             query = index.entry_layout(pos)
             for k in (1, 2, 3, 5, 6, 9):
@@ -421,10 +491,10 @@ class TestPrunedTopK:
 
     def test_single_element_count(self):
         rng = np.random.default_rng(55)
-        index = RetrievalIndex(vocabulary=VOCAB, entries=tuple(
-            _entry(f"s{i:02d}", _layout([(str(rng.choice(VOCAB)), *rng.uniform(0, 0.5, 4))
-                                         for _ in range(3)]))
-            for i in range(30)))
+        index = make_index([
+            (f"s{i:02d}", _layout([(str(rng.choice(VOCAB)), *rng.uniform(0, 0.5, 4))
+                                   for _ in range(3)]))
+            for i in range(30)])
         for _ in range(5):
             query = random_normalized_layout(rng, max_elements=5)
             for k in (1, 3, 10):
@@ -445,9 +515,8 @@ class TestPrunedTopK:
     def test_dual_bound_leaves_few_solves_beyond_k(self, monkeypatch):
         # Entries as large as the query: the first bound alone keeps many.
         rng = np.random.default_rng(57)
-        index = RetrievalIndex(vocabulary=VOCAB, entries=tuple(
-            _entry(f"e{i:03d}", random_normalized_layout(rng, max_elements=12))
-            for i in range(120)))
+        index = make_index([(f"e{i:03d}", random_normalized_layout(rng, max_elements=12))
+                            for i in range(120)])
         solves = []
         real = retrieval.solve_exact
         monkeypatch.setattr(retrieval, "solve_exact",
