@@ -32,7 +32,6 @@ from .retrieval import (
     CostWeights,
     RetrievalIndex,
     build_index,
-    element_cost,
     load_index,
     ltsim_score,
     pseudo_layout,

@@ -18,7 +18,7 @@ from . import pipeline as pl
 from . import prompts as pr
 from . import render as rd
 from . import retrieval as rt
-from .errors import LayoutLoomError
+from .errors import LayoutLoomError, SchemaError
 from .model import normalize
 
 
@@ -92,8 +92,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise SchemaError(f"{path} is not a JSON file: {exc}") from exc
 
 
 def _load_dataset(manifest_path: str, records_path: str, strict: bool = True,
@@ -132,7 +134,7 @@ def _cmd_retrieve(args) -> int:
 def _cmd_generate(args) -> int:
     if not args.config:
         raise LayoutLoomError("generate requires --config")
-    config = _read_json(args.config)
+    config = pl._load_run_config(args.config)
     # A backend that is not an object fails run_task's check instead.
     if args.mode and isinstance(config.setdefault("backend", {}), dict):
         config["backend"]["mode"] = args.mode

@@ -532,9 +532,12 @@ def _load_run_config(source: str | Path | Mapping[str, Any]) -> dict:
         return dict(source)
     path = Path(source)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read run config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"run config {path} is a JSON {type(data).__name__}, not an object")
+    return data
 
 
 def _is_number(value) -> bool:
@@ -680,11 +683,9 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
 
     log_handler = logging.FileHandler(run_dir / "run.log", mode="w", encoding="utf-8")
     log_handler.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
-    run_logger = logging.getLogger(f"layoutloom.run.{run_dir.name}")
-    run_logger.handlers.clear()
+    # Not from getLogger, whose registry keeps every logger and shares one by name.
+    run_logger = logging.Logger(f"layoutloom.run.{run_dir.name}", logging.INFO)
     run_logger.addHandler(log_handler)
-    run_logger.setLevel(logging.INFO)
-    run_logger.propagate = False
 
     try:
         index = _read_input("index", base / data["index"], load_index)
@@ -773,7 +774,6 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
         run_logger.info("run ends: %d ok, %d failed", len(finals), failures)
     finally:
         log_handler.close()
-        run_logger.removeHandler(log_handler)
     return run_dir
 
 

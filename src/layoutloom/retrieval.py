@@ -29,6 +29,13 @@ the query, the first bound alone leaves several times k entries to solve;
 the second leaves few more than k, so the cost of a query depends less on
 how its geometry falls against the index.
 
+Candidates are scored from the index arrays through one cost definition,
+``_ground_costs``. A query's normalized features are computed once, for
+both bounds and the solves. Solved entries' costs come from a tensor built
+from the index arrays, each center rebuilt as ``(cx - w/2) + w/2`` as
+``entry_layout`` does, so a retrieved similarity is bitwise ``ltsim_score``
+on that layout. The dual bound reads the same rebuilt-center costs.
+
 An index holds what queries read, as padded numpy arrays (see
 ``RetrievalIndex``); ``save_index`` writes them to an ``.npz`` archive, and
 ``build_index`` and ``load_index`` both go through its validating
@@ -59,9 +66,10 @@ logger = logging.getLogger(__name__)
 
 INDEX_VERSION = "2"
 
-# Subtracted from every lower bound before pruning. The bound reads the
+# Subtracted from every lower bound before pruning. The first bound reads the
 # stored centers, while the exact cost reads the rebuilt ``(cx - w/2) + w/2``,
-# and the two sums round differently; measured gaps stay near 1e-16.
+# and the two sums round differently, as do the dual bound's sums of
+# potentials; measured gaps stay near 1e-16.
 BOUND_SLACK = 1e-12
 
 
@@ -82,26 +90,25 @@ class CostWeights:
 DEFAULT_WEIGHTS = CostWeights()
 
 
-def _pair_costs(a: Sequence[Element], b: Sequence[Element],
-                weights: CostWeights) -> list[list[float]]:
-    """Ground cost of every (a, b) element pair, with features hoisted out of the loop."""
-    fa = [(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height, e.label) for e in a]
-    fb = [(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height, e.label) for e in b]
-    wg, wl = weights.w_geo, weights.w_label
-    return [
-        [
-            wg * ((abs(acx - bcx) + abs(acy - bcy)
-                   + abs(aw - bw) + abs(ah - bh)) / 4.0)
-            + (0.0 if alab == blab else wl)
-            for bcx, bcy, bw, bh, blab in fb
-        ]
-        for acx, acy, aw, ah, alab in fa
-    ]
+def _features(layout: Layout, vocabulary: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Label ids in ``vocabulary`` (else -2) and cx, cy, w, h of a layout's normalized elements."""
+    label_ids = {label: i for i, label in enumerate(vocabulary)}
+    elements = normalize(layout).elements
+    return (np.array([label_ids.get(e.label, -2) for e in elements]),
+            np.array([(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height) for e in elements]))
 
 
-def element_cost(e: Element, f: Element, weights: CostWeights = DEFAULT_WEIGHTS) -> float:
-    """Ground cost in [0, 1] for normalized elements; 0 iff identical."""
-    return _pair_costs((e,), (f,), weights)[0][0]
+def _ground_costs(q_labels: np.ndarray, q_feats: np.ndarray, labels: np.ndarray,
+                  feats: np.ndarray, weights: CostWeights) -> np.ndarray:
+    """The ground cost (..., m, n) between query elements, given as label ids
+    (m,) and features (m, 4), and entry elements, given as label ids (..., n)
+    and features (..., n, 4) over leading batch axes. The one definition of
+    mu; its terms are summed left to right."""
+    geo = np.abs(q_feats[:, None, 0] - feats[..., None, :, 0])
+    for c in (1, 2, 3):
+        geo += np.abs(q_feats[:, None, c] - feats[..., None, :, c])
+    return weights.w_geo * (geo / 4.0) + np.where(
+        q_labels[:, None] == labels[..., None, :], 0.0, weights.w_label)
 
 
 def transport_distance(a: Layout, b: Layout,
@@ -109,8 +116,9 @@ def transport_distance(a: Layout, b: Layout,
     """Minimal transport cost between two non-empty layouts, solved exactly."""
     if not a.elements or not b.elements:
         raise EmptyLayout("transport distance is undefined for empty layouts")
-    na, nb = normalize(a), normalize(b)
-    return solve_exact(_pair_costs(na.elements, nb.elements, weights))
+    vocabulary = list({e.label for e in a.elements + b.elements})
+    return solve_exact(_ground_costs(*_features(a, vocabulary), *_features(b, vocabulary),
+                                     weights))
 
 
 def ltsim_score(a: Layout, b: Layout, weights: CostWeights = DEFAULT_WEIGHTS,
@@ -139,8 +147,9 @@ class RetrievalIndex:
     histograms (G, |vocabulary|) as fractions, and their coordinates
     (G, 4, n) each sorted ascending. It raises SchemaError for arrays that
     do not fit together; for an entry that is empty, too large, or holds a
-    label id outside the vocabulary or a non-finite coordinate; and for an
-    id or label that numpy's unicode arrays would not keep.
+    label id outside the vocabulary or a non-finite coordinate; for an id or
+    label that numpy's unicode arrays would not keep; and for a vocabulary
+    that repeats a label.
     """
 
     def __init__(self, vocabulary: Sequence[str], ids: Sequence[str], labels, coords,
@@ -150,6 +159,8 @@ class RetrievalIndex:
         bad = [s for s in self.vocabulary + self.ids if not isinstance(s, str) or s.endswith("\0")]
         if bad:
             raise SchemaError(f"{bad[0]!r} is not a string an index file can hold")
+        if len(set(self.vocabulary)) < len(self.vocabulary):
+            raise SchemaError(f"index vocabulary {self.vocabulary} repeats a label")
         labels, coords = np.asarray(labels), np.asarray(coords)
         if (labels.dtype.kind not in "iu" or coords.dtype.kind != "f" or labels.ndim != 2
                 or coords.shape != labels.shape + (4,) or len(labels) != len(self.ids)):
@@ -267,36 +278,26 @@ def _quantile_segments(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return starts * m // unit, starts * n // unit, np.diff(cuts) / unit
 
 
-def transport_lower_bounds(query: Layout, index: RetrievalIndex,
-                           weights: CostWeights | None = None) -> np.ndarray:
-    """A lower bound on ``transport_distance(query, entry).cost`` for every
-    index position, without ``BOUND_SLACK``.
+def transport_lower_bounds(q_labels: np.ndarray, q_feats: np.ndarray, index: RetrievalIndex,
+                           weights: CostWeights) -> np.ndarray:
+    """A lower bound on the transport cost between a non-empty query, given
+    by its ``_features``, and every index position, without ``BOUND_SLACK``.
 
     The bound is ``w_label * TV + w_geo * sum_coord W1 / 4`` (see the module
     docstring). Query labels outside the index vocabulary count fully as
     mismatched mass.
     """
-    if not query.elements:
-        raise EmptyLayout("retrieval query has no elements")
-    w = weights if weights is not None else index.weights
-    nq = normalize(query)
-    m = len(nq.elements)
-    label_ids = {label: i for i, label in enumerate(index.vocabulary)}
-    q_hist = np.zeros(len(index.vocabulary))
-    q_outside = 0.0
-    for e in nq.elements:
-        if e.label in label_ids:
-            q_hist[label_ids[e.label]] += 1.0 / m
-        else:
-            q_outside += 1.0 / m
-    q_coords = np.sort(np.array([(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
-                                 for e in nq.elements]).T, axis=1)
+    m = len(q_labels)
+    inside = q_labels >= 0
+    q_hist = np.bincount(q_labels[inside], minlength=len(index.vocabulary)) / m
+    q_outside = np.count_nonzero(~inside) / m
+    q_coords = np.sort(q_feats.T, axis=1)
     bounds = np.zeros(len(index))
     for n, (positions, hist, coords) in index.bound_groups.items():
         qi, ei, length = _quantile_segments(m, n)
         tv = 0.5 * (np.abs(hist - q_hist).sum(axis=1) + q_outside)
         w1 = (np.abs(coords[:, :, ei] - q_coords[:, qi]) * length).sum(axis=(1, 2))
-        bounds[positions] = w.w_label * tv + w.w_geo * (w1 / 4.0)
+        bounds[positions] = weights.w_label * tv + weights.w_geo * (w1 / 4.0)
     return bounds
 
 
@@ -315,12 +316,11 @@ def _smooth_max(x: np.ndarray, eps: float, axis: int) -> np.ndarray:
     return top + eps * np.log(x.sum(axis=axis))
 
 
-def dual_lower_bounds(query: Layout, index: RetrievalIndex, positions: Sequence[int],
-                      weights: CostWeights | None = None) -> np.ndarray:
-    """A lower bound on ``transport_distance(query, entry).cost`` for the
-    entries at ``positions``, without ``BOUND_SLACK``; tighter than
-    ``transport_lower_bounds`` and dearer, so it is computed only for the
-    entries that bound keeps.
+def dual_lower_bounds(costs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """A lower bound on the transport cost of each cost matrix
+    ``costs[i, :, :counts[i]]`` (later columns are padding), without
+    ``BOUND_SLACK``; tighter than ``transport_lower_bounds`` and dearer, so
+    it is computed only for the entries that bound keeps.
 
     Any potentials (u, v) with u_i + v_j <= cost_ij bound the transport cost
     from below by mean(u) + mean(v) (LP duality). One batched numpy pass
@@ -329,36 +329,32 @@ def dual_lower_bounds(query: Layout, index: RetrievalIndex, positions: Sequence[
     pair feasible exactly. The potentials only rule entries out; every
     score still comes from an exact solve.
     """
-    w = weights if weights is not None else index.weights
-    nq = normalize(query)
-    m = len(nq.elements)
-    rows = np.asarray(positions, dtype=np.int64)
-    label_ids = {label: i for i, label in enumerate(index.vocabulary)}
-    q_labels = np.array([label_ids.get(e.label, -2) for e in nq.elements])
-    q_feats = np.array([(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
-                        for e in nq.elements])
-    counts = index.counts[rows]
-    real = np.arange(index.coords.shape[1]) < counts[:, None]  # (G, n_max)
-    # The ground cost of _pair_costs, summed in the same order.
-    entry_feats = index.coords[rows]
-    geo = np.abs(q_feats[None, :, None, 0] - entry_feats[:, None, :, 0])
-    for c in (1, 2, 3):
-        geo += np.abs(q_feats[None, :, None, c] - entry_feats[:, None, :, c])
-    cost = (w.w_geo * (geo / 4.0)
-            + w.w_label * (q_labels[None, :, None] != index.labels[rows][:, None, :]))
+    m = costs.shape[1]
+    real = np.arange(costs.shape[2]) < counts[:, None]  # (G, n_max)
     # The ascent runs in float32: the c-transform below makes any potentials
     # feasible, so their precision only affects how tight the bound is.
-    cost32 = cost.astype(np.float32)
+    cost32 = costs.astype(np.float32)
     log_a = np.float32(-math.log(m))
     log_b = np.where(real, -np.log(counts)[:, None], -np.inf).astype(np.float32)
-    f = np.zeros(cost.shape[:2], dtype=np.float32)
-    g = np.zeros((len(rows), cost.shape[2]), dtype=np.float32)
+    f = np.zeros(costs.shape[:2], dtype=np.float32)
+    g = np.zeros((len(costs), costs.shape[2]), dtype=np.float32)
     for eps in DUAL_TEMPERATURES:
         f = -_smooth_max((g + eps * log_b)[:, None, :] - cost32, eps, 2)
         g = -_smooth_max((f + eps * log_a)[:, :, None] - cost32, eps, 1)
     u = f.astype(np.float64)
-    v = np.where(real, (cost - u[:, :, None]).min(axis=1), 0.0)
+    v = np.where(real, (costs - u[:, :, None]).min(axis=1), 0.0)
     return u.sum(axis=1) / m + v.sum(axis=1) / counts
+
+
+def _entry_costs(q_labels: np.ndarray, q_feats: np.ndarray, index: RetrievalIndex,
+                 rows: Sequence[int], weights: CostWeights) -> np.ndarray:
+    """Ground costs (len(rows), m, n_max) between a query and the entries at
+    ``rows``, with centers rebuilt as ``(cx - w/2) + w/2``, as in
+    ``entry_layout``, so each cost is bitwise ``transport_distance``'s."""
+    coords = index.coords[rows]
+    half = coords[:, :, 2:] / 2.0
+    feats = np.concatenate(((coords[:, :, :2] - half) + half, coords[:, :, 2:]), axis=2)
+    return _ground_costs(q_labels, q_feats, index.labels[rows], feats, weights)
 
 
 def topk_retrieve(query: Layout, index: RetrievalIndex, k: int,
@@ -373,45 +369,46 @@ def topk_retrieve(query: Layout, index: RetrievalIndex, k: int,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if scale <= 0:
+        raise ValueError("scale must be positive")
     if not len(index):
         raise EmptyIndex("cannot retrieve from an empty index")
     if not query.elements:
         raise EmptyLayout("retrieval query has no elements")
     _check_size(len(query.elements), "retrieval query")
     w = weights if weights is not None else index.weights
-    nq = normalize(query)
-    bounds = transport_lower_bounds(nq, index, w)
+    q_labels, q_feats = _features(query, index.vocabulary)
+    bounds = transport_lower_bounds(q_labels, q_feats, index, w)
+    order = np.argsort(bounds, kind="stable").tolist()
+    if exclude_self:
+        order = [pos for pos in order if index.ids[pos] != query.id]
     best: list[tuple[float, str]] = []  # (-similarity, id), ascending
 
     def ruled_out(bound: float) -> bool:
         return len(best) == k and math.exp(-scale * (bound - BOUND_SLACK)) < -best[-1][0]
 
-    def solve(pos: int) -> None:
-        entry_id = index.ids[pos]
-        if exclude_self and entry_id == query.id:
-            return
-        sim = ltsim_score(nq, index.entry_layout(pos), w, scale=scale)
-        bisect.insort(best, (-sim, entry_id))
+    def solve(pos: int, cost: np.ndarray) -> None:
+        sim = math.exp(-scale * solve_exact(cost[:, :index.counts[pos]]).cost)
+        bisect.insort(best, (-sim, index.ids[pos]))
         del best[k:]
 
-    order = np.argsort(bounds, kind="stable").tolist()
     # The first k entries in bound order set the k-th similarity; the
     # entries the first bound cannot rule out against it get the dual bound.
-    seen = 0
-    while seen < len(order) and len(best) < k:
-        solve(order[seen])
-        seen += 1
+    head = order[:k]
+    for pos, cost in zip(head, _entry_costs(q_labels, q_feats, index, head, w)):
+        solve(pos, cost)
     rest = []
-    for pos in order[seen:]:
+    for pos in order[k:]:
         if ruled_out(bounds[pos]):
             break
         rest.append(pos)
     if rest:
-        tighter = np.maximum(bounds[rest], dual_lower_bounds(nq, index, rest, w))
+        costs = _entry_costs(q_labels, q_feats, index, rest, w)
+        tighter = np.maximum(bounds[rest], dual_lower_bounds(costs, index.counts[rest]))
         for i in np.argsort(tighter, kind="stable").tolist():
             if ruled_out(tighter[i]):
                 break
-            solve(rest[i])
+            solve(rest[i], costs[i])
     return [(rid, -neg) for neg, rid in best]
 
 

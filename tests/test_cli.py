@@ -91,6 +91,49 @@ class TestIndexAndRetrieve:
         assert err.count("\n") == 1
 
 
+BROKEN_JSON = '{"id": "r00", "canvas": '
+
+
+def _build_index(workspace):
+    assert main(["index", "build", "--manifest", str(workspace / "manifest.json"),
+                 "--records", str(workspace / "records.jsonl"),
+                 "--out", str(workspace / "index.json")]) == 0
+
+
+class TestMalformedJsonFiles:
+    """A JSON file that does not parse, or a run config that is not an
+    object, is a domain error: exit 1 with one line, not a traceback."""
+
+    def _assert_one_line_error(self, capsys, argv, error):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ")
+        assert err.count("\n") == 1
+
+    def test_retrieve_with_a_broken_query(self, workspace, capsys):
+        _build_index(workspace)
+        (workspace / "query.json").write_text(BROKEN_JSON)
+        self._assert_one_line_error(capsys, [
+            "retrieve", "--index", str(workspace / "index.json"),
+            "--query", str(workspace / "query.json")], "SchemaError")
+
+    def test_render_with_a_broken_layout(self, workspace, capsys):
+        (workspace / "layout.json").write_text(BROKEN_JSON)
+        self._assert_one_line_error(capsys, [
+            "render", "--layout", str(workspace / "layout.json"),
+            "--out", str(workspace / "out.svg")], "SchemaError")
+        assert not (workspace / "out.svg").exists()
+
+    @pytest.mark.parametrize("content", [BROKEN_JSON, "[]", '["run"]', "3", "null"])
+    @pytest.mark.parametrize("mode", [[], ["--mode", "replay"]])
+    def test_generate_with_a_config_that_is_not_an_object(self, tmp_path, capsys,
+                                                          content, mode):
+        (tmp_path / "run.json").write_text(content)
+        self._assert_one_line_error(
+            capsys, ["generate", "--config", str(tmp_path / "run.json")] + mode, "ConfigError")
+
+
 class TestEvalCommand:
     def test_identity_miou_prints_one(self, workspace, capsys):
         write_jsonl(_records(), workspace / "generated.jsonl")

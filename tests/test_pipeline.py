@@ -2,6 +2,7 @@
 and full replay runs over the bundled fixture."""
 
 import json
+import logging
 import re
 import threading
 import time
@@ -698,6 +699,38 @@ class TestRunTask:
         log = (run_dir / "run.log").read_text()
         assert "item it1: OSError: connection reset" in log
         assert "Traceback" in log
+
+    def test_runs_leave_the_logger_registry_alone(self, fixture_env, tmp_path):
+        run_task(fixture_env["run_config"](tmp_path / "first", "replay"))
+        registered = len(logging.Logger.manager.loggerDict)
+        for name in ("second", "third"):
+            run_dir = run_task(fixture_env["run_config"](tmp_path / name, "replay"))
+            assert len(logging.Logger.manager.loggerDict) == registered
+        sizes = [len(json.loads(line)["elements"])
+                 for line in (run_dir / "generated.jsonl").read_text().splitlines()]
+        # Each line is "date time LEVEL message".
+        assert [line.split(" ", 2)[2] for line in
+                (run_dir / "run.log").read_text().splitlines()] == [
+            "INFO run starts: 5 items, family=content_aware, mode=replay",
+            *(f"INFO item item{i}: ok ({n} elements)" for i, n in enumerate(sizes)),
+            "INFO run ends: 5 ok, 0 failed",
+        ]
+
+    def test_runs_whose_directories_share_a_name_keep_their_logs(self, fixture_env, tmp_path):
+        # A second run starts, and ends, while the first is still running.
+        inner = fixture_env["run_config"](tmp_path / "b" / "run", "replay")
+        started = []
+
+        def transport(payload, idx):
+            if not started:
+                started.append(run_task(inner))
+            return scripted_llm(payload, idx)
+
+        config = _record_config(fixture_env, tmp_path, _distinct_items(2), fanout=1)
+        config["run_dir"] = str(tmp_path / "a" / "run")
+        run_task(config, transport=transport)
+        assert "run ends: 2 ok, 0 failed" in (tmp_path / "a" / "run" / "run.log").read_text()
+        assert "run ends: 5 ok, 0 failed" in (tmp_path / "b" / "run" / "run.log").read_text()
 
     def test_keyboard_interrupt_aborts_the_run(self, fixture_env, tmp_path):
         def transport(payload, idx):

@@ -17,7 +17,6 @@ from layoutloom.retrieval import (
     RetrievalIndex,
     build_index,
     dual_lower_bounds,
-    element_cost,
     load_index,
     ltsim_score,
     pseudo_layout,
@@ -37,27 +36,61 @@ def _element(label, left, top, w, h):
     return Element(label=label, bbox=BBox(left, top, w, h))
 
 
+def _reference_costs(a, b, weights):
+    """The ground cost of every (a, b) element pair, written out in plain
+    Python floats: the definition the numpy costs must equal bit for bit."""
+    fa = [(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height, e.label) for e in a]
+    fb = [(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height, e.label) for e in b]
+    wg, wl = weights.w_geo, weights.w_label
+    return [
+        [
+            wg * ((abs(acx - bcx) + abs(acy - bcy)
+                   + abs(aw - bw) + abs(ah - bh)) / 4.0)
+            + (0.0 if alab == blab else wl)
+            for bcx, bcy, bw, bh, blab in fb
+        ]
+        for acx, acy, aw, ah, alab in fa
+    ]
+
+
+def _element_cost(e, f, weights=CostWeights()):
+    """A 1x1 transport moves all the mass along its one pair, so it costs
+    exactly the ground cost of the two elements."""
+    def one(element):
+        return Layout(id="", canvas=Canvas(1, 1), elements=(element,))
+    return transport_distance(one(e), one(f), weights).cost
+
+
 class TestElementCost:
     def test_identical_elements(self):
         e = _element("text", 0.1, 0.2, 0.3, 0.4)
-        assert element_cost(e, e) == 0.0
+        assert _element_cost(e, e) == 0.0
 
     def test_same_bbox_different_label(self):
         a = _element("text", 0.1, 0.2, 0.3, 0.4)
         b = _element("logo", 0.1, 0.2, 0.3, 0.4)
-        assert element_cost(a, b) == pytest.approx(0.5, abs=1e-15)
+        assert _element_cost(a, b) == pytest.approx(0.5, abs=1e-15)
 
     def test_center_shift(self):
         a = _element("text", 0.0, 0.2, 0.2, 0.4)
         b = _element("text", 0.4, 0.2, 0.2, 0.4)   # cx differs by 0.4
-        assert element_cost(a, b) == pytest.approx(0.5 * (0.4 / 4), abs=1e-15)
+        assert _element_cost(a, b) == pytest.approx(0.5 * (0.4 / 4), abs=1e-15)
 
     def test_symmetry(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             a = _element(str(rng.choice(["text", "logo"])), *rng.uniform(0, 0.5, 4))
             b = _element(str(rng.choice(["text", "logo"])), *rng.uniform(0, 0.5, 4))
-            assert element_cost(a, b) == element_cost(b, a)
+            assert _element_cost(a, b) == _element_cost(b, a)
+
+    def test_equals_the_reference_cost(self):
+        rng = np.random.default_rng(5)
+        for weights in (CostWeights(), CostWeights(w_geo=0.8, w_label=0.2)):
+            for _ in range(50):
+                a = _element(str(rng.choice(["text", "logo"])), *rng.uniform(0, 0.5, 4))
+                b = _element(str(rng.choice(["text", "banner"])), *rng.uniform(0, 0.5, 4))
+                assert _element_cost(a, b, weights) == \
+                    _reference_costs([a], [b], weights)[0][0]
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -275,6 +308,11 @@ class TestIndexValidation:
         with pytest.raises(SchemaError, match="not a string"):
             RetrievalIndex(vocabulary, ids, labels, coords)
 
+    def test_vocabulary_that_repeats_a_label_is_refused(self):
+        labels, coords = _two_entries()
+        with pytest.raises(SchemaError, match="repeats a label"):
+            RetrievalIndex(("text", "logo", "text"), ("a", "b"), labels, coords)
+
     def test_save_writes_exactly_the_given_path(self, tmp_path):
         save_index(build_index(_mini_dataset(), "train"), tmp_path / "index.json")
         assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
@@ -398,20 +436,82 @@ def _layout(elements):
         for label, left, top, w, h in elements))
 
 
+def _in_vocabulary(entries):
+    """Entry labels stay inside the vocabulary; a query's may not."""
+    inside = {"banner": "text", "headline": "underlay"}
+    return [[(inside.get(e[0], e[0]), *e[1:]) for e in elements] for elements in entries]
+
+
+def _index_storing(entries):
+    """An index whose entries store exactly the given (label, cx, cy, w, h)
+    elements, centers included."""
+    labels = np.full((len(entries), max(map(len, entries))), -1)
+    coords = np.zeros(labels.shape + (4,))
+    for row, elements in enumerate(entries):
+        for col, (label, *box) in enumerate(elements):
+            labels[row, col] = VOCAB.index(label)
+            coords[row, col] = box
+    return RetrievalIndex(VOCAB, [f"e{i}" for i in range(len(entries))], labels, coords)
+
+
+def _unstable_center():
+    """A center cx and width w that ``(cx - w/2) + w/2`` does not give back."""
+    return next((cx, w) for cx in np.linspace(0.0, 1.0, 101).tolist()
+                for w in np.linspace(0.01, 1.0, 100).tolist()
+                if (cx - w / 2.0) + w / 2.0 != cx)
+
+
+def _costs(query, index, weights):
+    """The cost tensor ``topk_retrieve`` solves from, for every entry."""
+    return retrieval._entry_costs(*retrieval._features(query, index.vocabulary), index,
+                                  list(range(len(index))), weights)
+
+
+class TestGroundCost:
+    @settings(max_examples=60, deadline=None)
+    @given(query=_features, entries=st.lists(_features, min_size=1, max_size=4),
+           weights=_weights)
+    def test_entry_costs_equal_the_reference_bit_for_bit(self, query, entries, weights):
+        cx, w = _unstable_center()
+        index = _index_storing(_in_vocabulary(entries) + [[("logo", cx, 0.5, w, 0.2)]])
+        q = _layout(query)
+        costs = _costs(q, index, weights)
+        for pos in range(len(index)):
+            reference = _reference_costs(q.elements, index.entry_layout(pos).elements, weights)
+            assert costs[pos, :, :index.counts[pos]].tobytes() == np.array(reference).tobytes()
+
+    def test_copy_of_an_entry_with_an_unstable_center_costs_zero(self):
+        cx, w = _unstable_center()
+        index = _index_storing([[("text", cx, 0.5, w, 0.25)]])
+        query = index.entry_layout(0)
+        assert query.elements[0].bbox.cx != cx
+        assert _costs(query, index, index.weights).tolist() == [[[0.0]]]
+        # The stored center would give a positive cost and a similarity below 1.
+        q_labels, q_feats = retrieval._features(query, index.vocabulary)
+        assert retrieval._ground_costs(q_labels, q_feats, index.labels, index.coords,
+                                       index.weights)[0, 0, 0] > 0.0
+        assert topk_retrieve(query, index, 1) == [("e0", 1.0)]
+
+
+def _bounds(query, index, weights=None):
+    """The first and the dual lower bound of every entry, from the arrays
+    ``topk_retrieve`` computes them from."""
+    w = weights or index.weights
+    q_labels, q_feats = retrieval._features(query, index.vocabulary)
+    return (transport_lower_bounds(q_labels, q_feats, index, w),
+            dual_lower_bounds(_costs(query, index, w), index.counts))
+
+
 class TestLowerBound:
     @settings(max_examples=80, deadline=None)
     @given(query=_features, entries=st.lists(_features, min_size=1, max_size=4),
            weights=_weights)
     def test_never_exceeds_exact_cost(self, query, entries, weights):
-        # Entry labels stay inside the vocabulary; the query's may not.
-        inside = {"banner": "text", "headline": "underlay"}
-        in_vocab = [[(inside.get(e[0], e[0]), *e[1:]) for e in elements]
-                    for elements in entries]
-        index = make_index([(f"e{i}", _layout(elements)) for i, elements in enumerate(in_vocab)])
+        index = make_index([(f"e{i}", _layout(elements))
+                            for i, elements in enumerate(_in_vocabulary(entries))])
         q = _layout(query)
-        bounds = transport_lower_bounds(q, index, weights)
+        bounds, dual = _bounds(q, index, weights)
         assert bounds.shape == (len(index),)
-        dual = dual_lower_bounds(q, index, range(len(index)), weights)
         assert dual.shape == (len(index),)
         for pos in range(len(index)):
             exact = transport_distance(q, index.entry_layout(pos), weights).cost
@@ -421,7 +521,7 @@ class TestLowerBound:
     def test_outside_labels_count_as_mismatched(self):
         index = _random_index(np.random.default_rng(40), 5)
         query = _layout([("banner", 0.1, 0.1, 0.2, 0.2), ("headline", 0.3, 0.3, 0.2, 0.2)])
-        bounds = transport_lower_bounds(query, index, CostWeights(w_geo=0.0, w_label=1.0))
+        bounds, _ = _bounds(query, index, CostWeights(w_geo=0.0, w_label=1.0))
         assert bounds.tolist() == [1.0] * len(index)
 
     def test_dual_bound_is_close_to_exact(self):
@@ -431,8 +531,7 @@ class TestLowerBound:
         query = random_normalized_layout(rng, max_elements=15)
         exact = np.array([transport_distance(query, index.entry_layout(pos)).cost
                           for pos in range(len(index))])
-        dual = dual_lower_bounds(query, index, range(len(index)))
-        first = transport_lower_bounds(query, index)
+        first, dual = _bounds(query, index)
         assert np.all(dual <= exact + 1e-12)
         assert np.all(exact - dual < 0.02)
         assert (exact - dual).mean() < (exact - first).mean() / 4
