@@ -30,7 +30,7 @@ from .errors import (
     SchemaError,
     VocabularyError,
 )
-from .model import BBox, Canvas, Element, Layout, normalize
+from .model import BBox, Canvas, Element, Layout, unit_box
 
 TASK_KINDS = ("content_aware", "constraint_explicit", "text_to_layout")
 
@@ -54,6 +54,8 @@ class DatasetManifest:
             raise SchemaError("split sizes must be non-negative")
         if not isinstance(self.vocabulary, tuple):
             object.__setattr__(self, "vocabulary", tuple(self.vocabulary))
+        if len(set(self.vocabulary)) < len(self.vocabulary):
+            raise SchemaError(f"manifest vocabulary {self.vocabulary} repeats a label")
 
 
 # Built-in manifests for the corpora whose vocabularies are public knowledge.
@@ -128,9 +130,11 @@ class CanonicalDataset:
         return counts
 
 
-def record_to_layout(record: Mapping[str, Any], vocabulary: Iterable[str] | None = None,
-                     strict: bool = True) -> Layout:
-    """Build a pixel-space Layout from one interchange record."""
+def _read_record(record: Mapping[str, Any], vocab: frozenset[str] | None, strict: bool,
+                 unit: bool) -> Layout:
+    """The one reader of interchange records. With ``unit`` each box is
+    divided by the canvas as it is read, giving ``normalize(record_to_layout(
+    record, ...))`` with one object per element."""
     if not isinstance(record, Mapping):
         raise SchemaError(f"record must be an object, got {type(record).__name__}")
     try:
@@ -140,39 +144,62 @@ def record_to_layout(record: Mapping[str, Any], vocabulary: Iterable[str] | None
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed record: {exc}") from exc
 
-    vocab = set(vocabulary) if vocabulary is not None else None
+    # normalize returns a layout on the unit canvas unchanged.
+    unit = unit and (canvas.width, canvas.height) != (1, 1)
+    w, h = float(canvas.width), float(canvas.height)
     elements = []
     for raw in record.get("elements", []):
         try:
             label = str(raw["label"])
-            left, top, width, height = (float(v) for v in raw["bbox"])
+            left, top, width, height = map(float, raw["bbox"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed element in record {rid!r}: {exc}") from exc
         if vocab is not None and label not in vocab:
             if strict:
                 raise VocabularyError(f"record {rid!r} uses label {label!r} outside the vocabulary")
             continue
-        elements.append(Element(label=label, bbox=BBox(left, top, width, height)))
+        elements.append(Element(label, unit_box(left, top, width, height, w, h) if unit
+                                else BBox(left, top, width, height)))
 
     meta = {k: record[k] for k in _META_KEYS if record.get(k) is not None}
+    if unit:
+        meta["px_size"] = [canvas.width, canvas.height]
+        canvas = Canvas(1, 1)
     return Layout(id=rid, canvas=canvas, elements=tuple(elements), task_meta=meta)
 
 
-def layout_to_record(layout: Layout) -> dict[str, Any]:
-    """Inverse of record_to_layout; normalized layouts are scaled back first."""
-    from .model import denormalize
+def record_to_layout(record: Mapping[str, Any], vocabulary: Iterable[str] | None = None,
+                     strict: bool = True) -> Layout:
+    """Build a pixel-space Layout from one interchange record."""
+    vocab = frozenset(vocabulary) if vocabulary is not None else None
+    return _read_record(record, vocab, strict, unit=False)
 
-    lay = denormalize(layout) if layout.is_normalized and layout.px_size else layout
+
+def layout_to_record(layout: Layout) -> dict[str, Any]:
+    """Inverse of record_to_layout. A normalized layout with a remembered
+    pixel size is scaled back to it, each value as ``x * float(W)``, as
+    ``denormalize`` does."""
+    size = layout.px_size if layout.is_normalized else None
+    if size is None:
+        canvas = layout.canvas
+        elements = [{"label": e.label,
+                     "bbox": [e.bbox.left, e.bbox.top, e.bbox.width, e.bbox.height]}
+                    for e in layout.elements]
+    else:
+        canvas = Canvas(*size)
+        w, h = float(canvas.width), float(canvas.height)
+        elements = []
+        for e in layout.elements:
+            box = e.bbox
+            elements.append({"label": e.label,
+                             "bbox": [box.left * w, box.top * h, box.width * w, box.height * h]})
     record: dict[str, Any] = {
-        "id": lay.id,
-        "canvas": {"w": lay.canvas.width, "h": lay.canvas.height},
-        "elements": [
-            {"label": e.label, "bbox": [e.bbox.left, e.bbox.top, e.bbox.width, e.bbox.height]}
-            for e in lay.elements
-        ],
+        "id": layout.id,
+        "canvas": {"w": canvas.width, "h": canvas.height},
+        "elements": elements,
     }
     for key in _META_KEYS:
-        value = lay.task_meta.get(key)
+        value = layout.task_meta.get(key)
         if value is not None:
             record[key] = value
     return record
@@ -187,16 +214,17 @@ def ingest(records: Iterable[Mapping[str, Any]], manifest: DatasetManifest,
     per-split counts must match the manifest's declared sizes.
     """
     dataset = CanonicalDataset(manifest=manifest)
+    vocab = frozenset(manifest.vocabulary)
     for record in records:
         try:
-            layout = record_to_layout(record, manifest.vocabulary, strict=True)
+            layout = _read_record(record, vocab, strict=True, unit=True)
         except VocabularyError:
             if strict:
                 raise
             continue
         if layout.id in dataset.layouts:
             raise SchemaError(f"duplicate layout id {layout.id!r}")
-        dataset.layouts[layout.id] = normalize(layout)
+        dataset.layouts[layout.id] = layout
         dataset.order.append(layout.id)
 
     if check_counts and manifest.split_sizes:

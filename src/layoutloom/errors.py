@@ -94,6 +94,11 @@ class TransportError(LayoutLoomError):
     """A live request failed after exhausting its retry budget."""
 
 
+class RequestRejected(LayoutLoomError):
+    """The backend refused a request with a client-error status (4xx other
+    than 408 and 429), which a retry of the same request cannot change."""
+
+
 class ReplayMiss(LayoutLoomError):
     """Replay mode has no stored transcript for a request key."""
 

@@ -35,6 +35,7 @@ from .errors import (
     LayoutLoomError,
     ParseFailure,
     ReplayMiss,
+    RequestRejected,
     TransportError,
 )
 from .model import Canvas, Layout, parse_html
@@ -194,6 +195,12 @@ def _http_transport(config: BackendConfig) -> Transport:
         try:
             with urllib.request.urlopen(request, timeout=config.timeout) as response:
                 body = json.loads(response.read().decode("utf-8"))
+        except urllib.error.HTTPError as exc:
+            # 408 Request Timeout and 429 Too Many Requests may pass on retry.
+            if 400 <= exc.code < 500 and exc.code not in (408, 429):
+                raise RequestRejected(f"chat completion request refused with "
+                                      f"HTTP {exc.code}: {exc.reason}") from exc
+            raise TransportError(f"chat completion request failed: {exc}") from exc
         except (urllib.error.URLError, http.client.HTTPException, ConnectionError,
                 TimeoutError, json.JSONDecodeError) as exc:
             raise TransportError(f"chat completion request failed: {exc}") from exc
@@ -232,9 +239,7 @@ class Gateway:
         for attempt in range(self.config.retry_limit + 1):
             try:
                 return self._transport(payload, candidate_index)
-            except (TransportError, CredentialMissing) as exc:
-                if isinstance(exc, CredentialMissing):
-                    raise
+            except TransportError as exc:
                 last = exc
                 if attempt < self.config.retry_limit and self.config.retry_backoff > 0:
                     time.sleep(self.config.retry_backoff * (2 ** attempt))

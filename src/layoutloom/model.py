@@ -147,6 +147,13 @@ class ValidationReport:
     fraction: float
 
 
+def unit_box(left: float, top: float, width: float, height: float,
+             w: float, h: float) -> BBox:
+    """A pixel box as fractions of a ``w`` x ``h`` canvas: the one
+    pixel-to-unit division, shared by :func:`normalize` and dataset ingestion."""
+    return BBox(left / w, top / h, width / w, height / h)
+
+
 def normalize(layout: Layout) -> Layout:
     """Rescale all bbox fields into the unit square.
 
@@ -163,7 +170,7 @@ def normalize(layout: Layout) -> Layout:
     elements = tuple(
         Element(
             label=e.label,
-            bbox=BBox(e.bbox.left / w, e.bbox.top / h, e.bbox.width / w, e.bbox.height / h),
+            bbox=unit_box(e.bbox.left, e.bbox.top, e.bbox.width, e.bbox.height, w, h),
             locked=e.locked,
         )
         for e in layout.elements

@@ -337,9 +337,8 @@ def _select_exemplars(query: Layout | None, index: RetrievalIndex, k: int,
 
 def _exemplar_layouts(index: RetrievalIndex, ids: Sequence[str],
                       canvas: Canvas) -> list[Layout]:
-    position = {eid: i for i, eid in enumerate(index.ids)}
     return [
-        denormalize(index.entry_layout(position[eid]), canvas.width, canvas.height)
+        denormalize(index.entry_layout(index.positions[eid]), canvas.width, canvas.height)
         for eid in ids
     ]
 

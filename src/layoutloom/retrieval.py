@@ -50,6 +50,7 @@ import bisect
 import json
 import logging
 import math
+import operator
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,7 +150,8 @@ class RetrievalIndex:
     do not fit together; for an entry that is empty, too large, or holds a
     label id outside the vocabulary or a non-finite coordinate; for an id or
     label that numpy's unicode arrays would not keep; and for a vocabulary
-    that repeats a label.
+    that repeats a label, or ids that repeat one. ``positions`` maps each id
+    to its row.
     """
 
     def __init__(self, vocabulary: Sequence[str], ids: Sequence[str], labels, coords,
@@ -161,6 +163,10 @@ class RetrievalIndex:
             raise SchemaError(f"{bad[0]!r} is not a string an index file can hold")
         if len(set(self.vocabulary)) < len(self.vocabulary):
             raise SchemaError(f"index vocabulary {self.vocabulary} repeats a label")
+        self.positions = {rid: i for i, rid in enumerate(self.ids)}
+        if len(self.positions) < len(self.ids):
+            repeated = next(rid for i, rid in enumerate(self.ids) if self.positions[rid] != i)
+            raise SchemaError(f"index repeats id {repeated!r}")
         labels, coords = np.asarray(labels), np.asarray(coords)
         if (labels.dtype.kind not in "iu" or coords.dtype.kind != "f" or labels.ndim != 2
                 or coords.shape != labels.shape + (4,) or len(labels) != len(self.ids)):
@@ -230,9 +236,12 @@ def build_index(dataset: CanonicalDataset, split: str,
     elements = [e for layout in kept for e in layout.elements]
     labels = np.full(real.shape, -1, dtype=np.int64)
     labels[real] = [label_ids[e.label] for e in elements]
+    # Each box is read once; numpy's left + width / 2.0 is BBox.cx bit for bit.
+    ltwh = operator.attrgetter("left", "top", "width", "height")
+    left, top, width, height = np.array([ltwh(e.bbox) for e in elements],
+                                        dtype=np.float64).reshape(-1, 4).T
     coords = np.zeros(real.shape + (4,))
-    coords[real] = np.reshape([(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
-                               for e in elements], (-1, 4))
+    coords[real] = np.stack((left + width / 2.0, top + height / 2.0, width, height), axis=1)
     return RetrievalIndex(dataset.manifest.vocabulary, [layout.id for layout in kept],
                           labels, coords, weights)
 
@@ -380,8 +389,8 @@ def topk_retrieve(query: Layout, index: RetrievalIndex, k: int,
     q_labels, q_feats = _features(query, index.vocabulary)
     bounds = transport_lower_bounds(q_labels, q_feats, index, w)
     order = np.argsort(bounds, kind="stable").tolist()
-    if exclude_self:
-        order = [pos for pos in order if index.ids[pos] != query.id]
+    if exclude_self and query.id in index.positions:
+        order.remove(index.positions[query.id])
     best: list[tuple[float, str]] = []  # (-similarity, id), ascending
 
     def ruled_out(bound: float) -> bool:

@@ -2,10 +2,14 @@
 indented JSON."""
 
 import json
+import struct
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layoutloom.dataset import (
     AreaStats,
@@ -32,9 +36,12 @@ from layoutloom.errors import (
     DimensionMismatch,
     EmptySplit,
     FormatError,
+    LayoutLoomError,
     SchemaError,
     VocabularyError,
+    ZeroCanvas,
 )
+from layoutloom.model import BBox, Canvas, Element, Layout, denormalize, normalize
 
 PKU_LIKE = DatasetManifest(name="mini", task_kind="content_aware",
                            vocabulary=("text", "logo", "underlay"))
@@ -62,6 +69,16 @@ class TestManifests:
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(SchemaError):
             DatasetManifest(name="x", task_kind="content_aware", vocabulary=())
+
+    def test_vocabulary_that_repeats_a_label_rejected(self, tmp_path):
+        with pytest.raises(SchemaError, match="repeats a label"):
+            DatasetManifest(name="x", task_kind="content_aware",
+                            vocabulary=("text", "logo", "text"))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"name": "x", "task_kind": "content_aware",
+                                    "vocabulary": ["text", "text"]}), encoding="utf-8")
+        with pytest.raises(SchemaError, match="repeats a label"):
+            load_manifest(path)
 
     def test_manifest_roundtrip(self, tmp_path):
         path = tmp_path / "m.json"
@@ -136,6 +153,208 @@ class TestIngest:
         path = tmp_path / "out.jsonl"
         write_jsonl(exported, path)
         assert list(read_jsonl(path)) == records
+
+
+# --- parity with the two-step path ---------------------------------------------
+#
+# Ingest once built a pixel-space layout and normalized a copy of it, and
+# export scaled a copy back through denormalize. That path is kept here as
+# the reference: one-pass ingest and inline export must give the same
+# layouts, floats bit for bit, the same JSON text and the same errors.
+
+def _reference_record_to_layout(record, vocabulary=None, strict=True):
+    if not isinstance(record, Mapping):
+        raise SchemaError(f"record must be an object, got {type(record).__name__}")
+    try:
+        rid = str(record["id"])
+        canvas_obj = record["canvas"]
+        canvas = Canvas(int(canvas_obj["w"]), int(canvas_obj["h"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed record: {exc}") from exc
+    vocab = set(vocabulary) if vocabulary is not None else None
+    elements = []
+    for raw in record.get("elements", []):
+        try:
+            label = str(raw["label"])
+            left, top, width, height = (float(v) for v in raw["bbox"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed element in record {rid!r}: {exc}") from exc
+        if vocab is not None and label not in vocab:
+            if strict:
+                raise VocabularyError(f"record {rid!r} uses label {label!r} outside the vocabulary")
+            continue
+        elements.append(Element(label=label, bbox=BBox(left, top, width, height)))
+    meta = {k: record[k] for k in ("split", "saliency", "gradient", "text", "constraints")
+            if record.get(k) is not None}
+    return Layout(id=rid, canvas=canvas, elements=tuple(elements), task_meta=meta)
+
+
+def _reference_normalize(layout):
+    if layout.is_normalized:
+        return layout
+    w, h = float(layout.canvas.width), float(layout.canvas.height)
+    elements = tuple(
+        Element(label=e.label, locked=e.locked,
+                bbox=BBox(e.bbox.left / w, e.bbox.top / h, e.bbox.width / w, e.bbox.height / h))
+        for e in layout.elements)
+    meta = dict(layout.task_meta)
+    meta["px_size"] = [layout.canvas.width, layout.canvas.height]
+    return Layout(id=layout.id, canvas=Canvas(1, 1), elements=elements, task_meta=meta)
+
+
+def _reference_ingest(records, manifest, strict=True):
+    layouts = []
+    for record in records:
+        try:
+            layout = _reference_record_to_layout(record, manifest.vocabulary, strict=True)
+        except VocabularyError:
+            if strict:
+                raise
+            continue
+        layouts.append(_reference_normalize(layout))
+    return layouts
+
+
+def _reference_layout_to_record(layout):
+    lay = denormalize(layout) if layout.is_normalized and layout.px_size else layout
+    record = {
+        "id": lay.id,
+        "canvas": {"w": lay.canvas.width, "h": lay.canvas.height},
+        "elements": [
+            {"label": e.label, "bbox": [e.bbox.left, e.bbox.top, e.bbox.width, e.bbox.height]}
+            for e in lay.elements
+        ],
+    }
+    for key in ("split", "saliency", "gradient", "text", "constraints"):
+        value = lay.task_meta.get(key)
+        if value is not None:
+            record[key] = value
+    return record
+
+
+def _bits(layout):
+    """Everything a layout holds, with each float as its bytes."""
+    return (layout.id, layout.canvas, list(layout.task_meta.items()),
+            [(e.label, e.locked, struct.pack("<4d", e.bbox.left, e.bbox.top, e.bbox.width,
+                                             e.bbox.height)) for e in layout.elements])
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except LayoutLoomError as exc:
+        return type(exc), str(exc)
+
+
+_sizes = st.integers(1, 2000)
+_canvases = st.one_of(
+    st.just((1, 1)),
+    st.tuples(_sizes, _sizes).filter(lambda c: c[0] != c[1]),
+    st.tuples(_sizes, _sizes).map(lambda c: (str(c[0]), str(c[1]))),
+)
+_coords = st.one_of(st.integers(-2000, 4000),
+                    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+_elements = st.lists(st.fixed_dictionaries({
+    "label": st.sampled_from(PKU_LIKE.vocabulary),
+    "bbox": st.lists(_coords, min_size=4, max_size=4),
+}), max_size=25)
+_meta = st.fixed_dictionaries({}, optional={
+    "split": st.sampled_from(["train", "test"]),
+    "text": st.text(max_size=5),
+    "saliency": st.just("maps/s.pgm"),
+})
+
+
+@st.composite
+def _records(draw, elements=_elements, canvases=_canvases):
+    """Records with distinct ids."""
+    records = []
+    for i in range(draw(st.integers(1, 4))):
+        w, h = draw(canvases)
+        record = {"id": f"r{i}", "canvas": {"w": w, "h": h}, "elements": draw(elements)}
+        record.update(draw(_meta))
+        records.append(record)
+    return records
+
+
+# Elements that may be malformed or carry a label outside the vocabulary,
+# and canvases that may be empty, to check which error comes first.
+_faulty_elements = st.lists(st.one_of(
+    st.fixed_dictionaries({
+        "label": st.sampled_from(PKU_LIKE.vocabulary + ("banner",)),
+        "bbox": st.one_of(st.lists(_coords, min_size=3, max_size=5),
+                          st.just("abcd"), st.just(7), st.just([1, None, 3, 4])),
+    }),
+    st.just({"bbox": [0, 0, 1, 1]}),
+), max_size=6)
+_faulty_canvases = st.one_of(_canvases, st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             st.just(("640.5", "480")))
+
+
+class TestOnePassParity:
+    @settings(max_examples=100, deadline=None)
+    @given(_records())
+    def test_ingest_equals_normalized_record_layouts(self, records):
+        got = [_bits(lay) for lay in ingest(records, PKU_LIKE)]
+        assert got == [_bits(lay) for lay in _reference_ingest(records, PKU_LIKE)]
+        assert got == [_bits(normalize(record_to_layout(r, PKU_LIKE.vocabulary)))
+                       for r in records]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_records())
+    def test_export_text_equals_the_reference(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("export") / "out.jsonl"
+        write_jsonl(export_records(ingest(records, PKU_LIKE)), path)
+        expected = "".join(json.dumps(_reference_layout_to_record(lay), sort_keys=True) + "\n"
+                           for lay in _reference_ingest(records, PKU_LIKE))
+        assert path.read_text(encoding="utf-8") == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(_records())
+    def test_export_of_pixel_and_unit_layouts_is_unchanged(self, records):
+        for record in records:
+            for layout in (record_to_layout(record),
+                           Layout(record["id"], Canvas(1, 1),
+                                  record_to_layout(record).elements)):
+                assert json.dumps(layout_to_record(layout), sort_keys=True) == \
+                    json.dumps(_reference_layout_to_record(layout), sort_keys=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_records(elements=_faulty_elements, canvases=_faulty_canvases), st.booleans())
+    def test_errors_keep_their_type_message_and_order(self, records, strict):
+        got = _outcome(lambda: [_bits(lay) for lay in ingest(records, PKU_LIKE, strict=strict)])
+        expected = _outcome(lambda: [_bits(lay) for lay in
+                                     _reference_ingest(records, PKU_LIKE, strict=strict)])
+        assert got == expected
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_malformed_element_before_unknown_label(self, strict):
+        record = _record("a", [{"label": "text", "bbox": [1, 2, 3]},
+                               {"label": "banner", "bbox": [0, 0, 1, 1]}])
+        with pytest.raises(SchemaError, match="malformed element in record 'a'"):
+            ingest([record], PKU_LIKE, strict=strict)
+
+    def test_unknown_label_skips_the_whole_record_when_lenient(self):
+        records = [_record("a", [{"label": "text", "bbox": [0, 0, 5, 5]},
+                                 {"label": "banner", "bbox": [0, 0, 1, 1]},
+                                 {"label": "text", "bbox": [1, 2, 3]}]),
+                   _record("b", [{"label": "logo", "bbox": [0, 0, 5, 5]}])]
+        assert list(ingest(records, PKU_LIKE, strict=False).layouts) == ["b"]
+        with pytest.raises(VocabularyError, match="'banner'"):
+            ingest(records, PKU_LIKE)
+
+    def test_zero_canvas(self):
+        record = _record("a", [{"label": "text", "bbox": [1, 2, 3]}], canvas=(0, 10))
+        with pytest.raises(ZeroCanvas):
+            ingest([record], PKU_LIKE)
+
+    def test_unit_canvas_comes_back_unchanged(self):
+        record = _record("a", [{"label": "text", "bbox": [3, 0.25, 0.5, 7]}], canvas=(1, 1))
+        layout = ingest([record], PKU_LIKE).layouts["a"]
+        assert layout == record_to_layout(record)
+        assert "px_size" not in layout.task_meta
+        assert export_records(ingest([record], PKU_LIKE)) == [
+            dict(record, elements=[{"label": "text", "bbox": [3.0, 0.25, 0.5, 7.0]}])]
 
 
 class TestAreaStats:

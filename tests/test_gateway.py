@@ -5,6 +5,7 @@ import io
 import json
 import sys
 import threading
+import urllib.error
 import urllib.request
 
 import pytest
@@ -13,6 +14,7 @@ from layoutloom.errors import (
     ConfigError,
     CredentialMissing,
     ReplayMiss,
+    RequestRejected,
     TransportError,
 )
 from layoutloom.gateway import (
@@ -235,6 +237,47 @@ class TestRetries:
                             retry_limit=2, retry_backoff=0.0, api_key="k")
         assert Gateway(cfg).complete(BUNDLE, n=1, temperature=0.7) == ["ok"]
         assert len(calls) == 2
+
+    @staticmethod
+    def _http_gateway(monkeypatch, responses):
+        """A live gateway whose urlopen raises or returns ``responses`` in
+        turn; returns it and the list of requests made."""
+        calls = []
+
+        def urlopen(request, timeout):
+            calls.append(request.full_url)
+            response = responses[len(calls) - 1]
+            if isinstance(response, Exception):
+                raise response
+            return io.BytesIO(json.dumps(response).encode("utf-8"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        cfg = BackendConfig(mode="live", model="m", endpoint="http://localhost:9/v1",
+                            retry_limit=2, retry_backoff=0.0, api_key="k")
+        return Gateway(cfg), calls
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+    def test_client_error_fails_at_once(self, monkeypatch, status):
+        refused = urllib.error.HTTPError("http://localhost:9/v1", status, "Refused", {}, None)
+        gateway, calls = self._http_gateway(monkeypatch, [refused] * 3)
+        with pytest.raises(RequestRejected, match=f"HTTP {status}"):
+            gateway.complete(BUNDLE, n=1, temperature=0.7)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("status", [408, 429, 500, 502, 503])
+    def test_transient_status_is_retried(self, monkeypatch, status):
+        busy = urllib.error.HTTPError("http://localhost:9/v1", status, "Busy", {}, None)
+        ok = {"choices": [{"message": {"content": "ok"}}]}
+        gateway, calls = self._http_gateway(monkeypatch, [busy, ok])
+        assert gateway.complete(BUNDLE, n=1, temperature=0.7) == ["ok"]
+        assert len(calls) == 2
+
+    def test_unreachable_host_is_retried(self, monkeypatch):
+        down = urllib.error.URLError(ConnectionRefusedError(111, "Connection refused"))
+        gateway, calls = self._http_gateway(monkeypatch, [down] * 3)
+        with pytest.raises(TransportError, match="after 3 attempts"):
+            gateway.complete(BUNDLE, n=1, temperature=0.7)
+        assert len(calls) == 3
 
     def test_credential_missing_not_retried(self, monkeypatch):
         monkeypatch.delenv("LAYOUTLOOM_API_KEY", raising=False)

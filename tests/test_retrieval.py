@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layoutloom import retrieval
-from layoutloom.dataset import AreaStats, DatasetManifest, ingest
+from layoutloom.dataset import AreaStats, CanonicalDataset, DatasetManifest, ingest
 from layoutloom.errors import EmptyIndex, EmptyLayout, SchemaError, VersionMismatch
 from layoutloom.model import BBox, Canvas, Element, Layout, normalize
 from layoutloom.retrieval import (
@@ -199,6 +199,29 @@ class TestIndex:
         index = build_index(ingest(records, MANIFEST), "train")
         assert index.ids == ("a",)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.sampled_from(VOCAB),
+                                       *[st.floats(-1e6, 1e6, allow_nan=False)] * 4),
+                             max_size=25), min_size=1, max_size=6).filter(any))
+    def test_build_stores_each_box_as_bbox_reads_it(self, layouts):
+        dataset = CanonicalDataset(manifest=MANIFEST)
+        for i, boxes in enumerate(layouts):
+            dataset.layouts[f"r{i}"] = Layout(
+                id=f"r{i}", canvas=Canvas(1, 1), task_meta={"split": "train"},
+                elements=tuple(_element(*box) for box in boxes))
+            dataset.order.append(f"r{i}")
+        index = build_index(dataset, "train")
+        kept = [dataset.layouts[rid] for rid in index.ids]
+        assert list(index.ids) == [f"r{i}" for i, boxes in enumerate(layouts) if boxes]
+        for row, layout in enumerate(kept):
+            n = len(layout.elements)
+            expected = np.array([(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
+                                 for e in layout.elements])
+            assert index.coords[row, :n].tobytes() == expected.tobytes()
+            assert not index.coords[row, n:].any()
+            assert index.labels[row].tolist() == \
+                [VOCAB.index(e.label) for e in layout.elements] + [-1] * (index.labels.shape[1] - n)
+
     def test_save_load_identical_retrieval(self, tmp_path):
         dataset = _mini_dataset()
         index = build_index(dataset, "train")
@@ -312,6 +335,24 @@ class TestIndexValidation:
         labels, coords = _two_entries()
         with pytest.raises(SchemaError, match="repeats a label"):
             RetrievalIndex(("text", "logo", "text"), ("a", "b"), labels, coords)
+
+    def test_repeated_id_is_refused(self, tmp_path):
+        labels, coords = _two_entries()
+        with pytest.raises(SchemaError, match="repeats id 'a'"):
+            RetrievalIndex(VOCAB, ("a", "a"), labels, coords)
+        path = tmp_path / "index.json"
+        save_index(build_index(_mini_dataset(), "train"), path)
+        with np.load(path) as data:
+            ids = data["ids"].copy()
+        ids[1] = ids[0]
+        _rewrite(path, ids=ids)
+        with pytest.raises(SchemaError, match="repeats id"):
+            load_index(path)
+
+    def test_positions_map_ids_to_rows(self):
+        labels, coords = _two_entries()
+        index = RetrievalIndex(VOCAB, ("b", "a"), labels, coords)
+        assert index.positions == {"b": 0, "a": 1}
 
     def test_save_writes_exactly_the_given_path(self, tmp_path):
         save_index(build_index(_mini_dataset(), "train"), tmp_path / "index.json")
