@@ -43,6 +43,7 @@ from .metrics import (
     MetricReport,
     ReScore,
     alignment,
+    layout_samples,
     max_iou,
     occlusion,
     overlap,

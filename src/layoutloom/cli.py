@@ -155,28 +155,18 @@ def _cmd_eval(args) -> int:
     metric_names = args.metrics.split(",") if args.metrics else None
     generated = [ds.record_to_layout(r) for r in ds.read_jsonl(args.generated)
                  if "error" not in r]
-    references = None
-    saliency: dict[str, ds.SaliencyRaster] = {}
-    gradient: dict[str, ds.SaliencyRaster] = {}
+    columns, exclude = mx.family_metrics(args.task)
+    records = {}
     if args.dataset:
         base = Path(args.dataset).parent
-        references = {}
-        for record in ds.read_jsonl(args.dataset):
-            layout = ds.record_to_layout(record)
-            if layout.elements:
-                references[layout.id] = layout
-            for key, target in (("saliency", saliency), ("gradient", gradient)):
-                if record.get(key):
-                    target[layout.id] = ds.load_raster(base / record[key])
+        records = {ds.record_to_layout(r).id: r for r in ds.read_jsonl(args.dataset)}
+    samples = []
+    for layout in generated:
+        record = records.get(layout.id)
+        samples.append(mx.layout_samples(layout, exclude_overlap_labels=exclude) if record is None
+                       else pl.score_layout(layout, record, base, exclude))
     stats = ds.load_area_stats(args.stats) if args.stats else None
-    exclude = ("underlay",) if args.task == "content_aware" else ()
-    report = mx.population_report(
-        generated, references=references, stats=stats,
-        saliency=saliency or None, gradient=gradient or None,
-        exclude_overlap_labels=exclude, metrics=metric_names,
-    )
-    columns = mx.CONTENT_AWARE_COLUMNS if args.task == "content_aware" \
-        else mx.CONSTRAINT_COLUMNS
+    report = mx.population_report(generated, samples, stats=stats, metrics=metric_names)
     if metric_names:
         columns = tuple(metric_names)
     rows = mx.report_rows(report, columns)
@@ -189,7 +179,7 @@ def _cmd_eval(args) -> int:
             pretty = value
         print(f"{name:<{width}}  {pretty}")
     if args.out:
-        pl.write_metrics_tsv(report, columns, args.out)
+        mx.write_metrics_tsv(report, columns, args.out)
         print(f"wrote {args.out}")
     return 0
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -283,6 +284,27 @@ def size_reasonableness(population: Sequence[Layout], stats: AreaStats,
 CONTENT_AWARE_COLUMNS = ("occ", "rea", "uti", "align", "und_l", "und_s", "overlap", "val", "r_e")
 CONSTRAINT_COLUMNS = ("miou", "align", "overlap", "val")
 
+# Why a per-layout metric has no value when no layout of the population has a
+# sample for it, in report order.
+_SKIP_REASONS = {
+    "align": "no_elements",
+    "overlap": "empty_population",
+    "val": "empty_population",
+    "und_l": "no_underlay",
+    "und_s": "no_underlay",
+    "miou": "no_references",
+    "occ": "no_saliency",
+    "uti": "no_saliency",
+    "rea": "no_gradient",
+}
+
+
+def family_metrics(task_family: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The columns a task family reports, and the labels its overlap leaves out."""
+    if task_family == "content_aware":
+        return CONTENT_AWARE_COLUMNS, ("underlay",)
+    return CONSTRAINT_COLUMNS, ()
+
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -291,94 +313,62 @@ class MetricReport:
     population_size: int
 
 
-def _mean(values: Sequence[float]) -> float:
-    return math.fsum(values) / len(values)
+def layout_samples(layout: Layout, reference: Layout | None = None,
+                   saliency: SaliencyRaster | None = None,
+                   gradient: SaliencyRaster | None = None,
+                   exclude_overlap_labels: Iterable[str] = ()) -> dict[str, float]:
+    """``{metric: value}`` for each per-layout metric that applies to ``layout``.
+
+    Alignment needs elements, maximum IoU a non-empty layout and reference,
+    underlay effectiveness an underlay, occlusion and utilization a saliency
+    raster, and readability a gradient raster and a text element.
+    """
+    samples = {}
+    if layout.elements:
+        samples["align"] = alignment(layout)
+    samples["overlap"] = overlap(layout, exclude_overlap_labels)
+    samples["val"] = validate_layout(layout).fraction
+    for name, metric in (("und_l", underlay_loose), ("und_s", underlay_strict)):
+        if (value := metric(layout)) is not None:
+            samples[name] = value
+    if layout.elements and reference is not None and reference.elements:
+        samples["miou"] = max_iou(layout, reference)
+    if saliency is not None:
+        samples["occ"] = occlusion(layout, saliency)
+        samples["uti"] = utilization(layout, saliency)
+    if gradient is not None and (value := readability(layout, gradient)) is not None:
+        samples["rea"] = value
+    return samples
 
 
-def population_report(
-    generated: Sequence[Layout],
-    references: Mapping[str, Layout] | None = None,
-    stats: AreaStats | None = None,
-    saliency: Mapping[str, SaliencyRaster] | None = None,
-    gradient: Mapping[str, SaliencyRaster] | None = None,
-    exclude_overlap_labels: Iterable[str] = (),
-    underlay_label: str = "underlay",
-    text_labels: Iterable[str] = ("text",),
-    min_area_ratio: float = 0.001,
-    metrics: Iterable[str] | None = None,
-) -> MetricReport:
-    """Aggregate every applicable metric over a generated population.
+def population_report(generated: Sequence[Layout], samples: Sequence[Mapping[str, float]],
+                      stats: AreaStats | None = None,
+                      metrics: Iterable[str] | None = None) -> MetricReport:
+    """Aggregate a generated population's metrics.
 
-    Per-layout metrics are averaged over the layouts they apply to; skipped
-    metrics carry the reason. ``references``, ``saliency`` and ``gradient``
-    map layout id to the matching reference layout or raster.
+    ``samples[i]`` holds ``layout_samples`` of ``generated[i]``. Each
+    per-layout metric is the mean over the layouts that have a sample for it;
+    a metric no layout has carries its skip reason. Size reasonableness is
+    scored over the non-empty layouts. ``metrics`` limits the report to
+    those names.
     """
     wanted = set(metrics) if metrics is not None else None
     values: dict[str, float] = {}
     notes: dict[str, str] = {}
-
-    def include(name: str) -> bool:
-        return wanted is None or name in wanted
-
-    def put(name: str, samples: Sequence[float], why_empty: str) -> None:
-        if not include(name):
-            return
-        if samples:
-            values[name] = _mean(samples)
+    for name, why_empty in _SKIP_REASONS.items():
+        if wanted is not None and name not in wanted:
+            continue
+        column = [s[name] for s in samples if name in s]
+        if column:
+            values[name] = math.fsum(column) / len(column)
             notes[name] = "computed"
         else:
             notes[name] = f"skipped({why_empty})"
 
-    non_empty = [lay for lay in generated if lay.elements]
-
-    put("align", [alignment(lay) for lay in non_empty], "no_elements")
-    if include("overlap"):
-        values["overlap"] = _mean([overlap(lay, exclude_overlap_labels) for lay in generated]) \
-            if generated else 0.0
-        notes["overlap"] = "computed" if generated else "skipped(empty_population)"
-    put("val", [validate_layout(lay, min_area_ratio).fraction for lay in generated],
-        "empty_population")
-
-    und_l = [v for lay in generated if (v := underlay_loose(lay, underlay_label)) is not None]
-    und_s = [v for lay in generated if (v := underlay_strict(lay, underlay_label)) is not None]
-    put("und_l", und_l, "no_underlay")
-    put("und_s", und_s, "no_underlay")
-
-    if include("miou"):
-        pairs = []
-        if references:
-            for lay in non_empty:
-                ref = references.get(lay.id)
-                if ref is not None and ref.elements:
-                    pairs.append(max_iou(lay, ref))
-        put("miou", pairs, "no_references")
-
-    if include("occ") or include("uti"):
-        occ_samples, uti_samples = [], []
-        if saliency:
-            for lay in generated:
-                raster = saliency.get(lay.id)
-                if raster is not None:
-                    occ_samples.append(occlusion(lay, raster))
-                    uti_samples.append(utilization(lay, raster))
-        put("occ", occ_samples, "no_saliency")
-        put("uti", uti_samples, "no_saliency")
-
-    if include("rea"):
-        rea_samples = []
-        if gradient:
-            for lay in generated:
-                raster = gradient.get(lay.id)
-                if raster is not None:
-                    value = readability(lay, raster, text_labels)
-                    if value is not None:
-                        rea_samples.append(value)
-        put("rea", rea_samples, "no_gradient")
-
-    if include("r_e"):
+    if wanted is None or "r_e" in wanted:
+        non_empty = [lay for lay in generated if lay.elements]
         if stats is not None and non_empty:
-            score = size_reasonableness(non_empty, stats)
-            values["r_e"] = score.value
+            values["r_e"] = size_reasonableness(non_empty, stats).value
             notes["r_e"] = "computed"
         else:
             notes["r_e"] = "skipped(no_area_stats)" if stats is None else "skipped(no_elements)"
@@ -396,3 +386,13 @@ def report_rows(report: MetricReport, columns: Sequence[str]) -> list[tuple[str,
         else:
             rows.append((name, report.applicability.get(name, "skipped(not_requested)")))
     return rows
+
+
+def write_metrics_tsv(report: MetricReport, columns: Sequence[str],
+                      path: str | Path) -> None:
+    rows = report_rows(report, columns)
+    lines = [
+        "\t".join(name for name, _ in rows),
+        "\t".join(value for _, value in rows),
+    ]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

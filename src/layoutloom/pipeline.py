@@ -34,7 +34,6 @@ from typing import Any, Mapping, NamedTuple, Sequence
 from .dataset import (
     TASK_KINDS,
     AreaStats,
-    SaliencyRaster,
     dumps_indented,
     layout_to_record,
     load_area_stats,
@@ -45,13 +44,12 @@ from .dataset import (
 from .errors import ConfigError, LayoutLoomError, NoViableCandidate, SchemaError
 from .gateway import BackendConfig, ExtractionFailure, Gateway, extract_layout
 from .metrics import (
-    CONSTRAINT_COLUMNS,
-    CONTENT_AWARE_COLUMNS,
-    MetricReport,
     alignment,
+    family_metrics,
+    layout_samples,
     overlap,
     population_report,
-    report_rows,
+    write_metrics_tsv,
 )
 from .model import Canvas, Layout, denormalize, label_counts, normalize
 from .prompts import (
@@ -616,18 +614,29 @@ def _trace_name(item_id: str) -> str:
     return name
 
 
+def score_layout(layout: Layout, record: Mapping[str, Any], base: Path,
+                 exclude_overlap_labels: Sequence[str]) -> dict[str, float]:
+    """``layout``'s metric samples against ``record``: the record's own layout
+    is the reference, and its saliency and gradient rasters, read relative
+    to ``base``, are the content."""
+    saliency, gradient = (load_raster(base / record[key]) if record.get(key) else None
+                          for key in ("saliency", "gradient"))
+    return layout_samples(layout, record_to_layout(record), saliency, gradient,
+                          exclude_overlap_labels)
+
+
 class _ItemOutcome(NamedTuple):
     payload: dict                # the item's generated.jsonl record
     final: Layout | None         # None when the item failed
-    reference: Layout | None     # the item's own layout, when it has elements
-    rasters: dict[str, SaliencyRaster]
+    samples: dict[str, float]    # the final layout's metric samples
     error: Exception | None      # why the item failed
 
 
 def _run_item(record: Mapping[str, Any], *, task_family: str, index: RetrievalIndex,
               cfg: PipelineConfig, gateway: Gateway, stats: AreaStats | None,
-              base: Path, traces_dir: Path) -> _ItemOutcome:
-    """Generate one item, write its trace file, and load its rasters.
+              base: Path, traces_dir: Path,
+              exclude_overlap_labels: Sequence[str]) -> _ItemOutcome:
+    """Generate one item, score its final layout, and write its trace file.
 
     Any exception but KeyboardInterrupt becomes the item's error payload,
     written in place of its trace, so one item never aborts the run.
@@ -644,17 +653,15 @@ def _run_item(record: Mapping[str, Any], *, task_family: str, index: RetrievalIn
         )
         trace = refine_cot(coarse, constraint, index, cfg, gateway,
                            coarse_fragment=fragment, run_id=item_id)
-        rasters = {key: load_raster(base / record[key])
-                   for key in ("saliency", "gradient") if record.get(key)}
+        final = record_to_layout(trace.final)
+        samples = score_layout(final, record, base, exclude_overlap_labels)
         trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
-        return _ItemOutcome(payload=trace.final, final=record_to_layout(trace.final),
-                            reference=item_layout if item_layout.elements else None,
-                            rasters=rasters, error=None)
+        return _ItemOutcome(payload=trace.final, final=final, samples=samples, error=None)
     except Exception as exc:
         error_payload = {"id": item_id, "error": type(exc).__name__, "message": str(exc)}
         if trace_path is not None:
             trace_path.write_text(dumps_indented(error_payload) + "\n", encoding="utf-8")
-        return _ItemOutcome(error_payload, None, None, {}, exc)
+        return _ItemOutcome(error_payload, None, {}, exc)
 
 
 def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
@@ -715,14 +722,14 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
                         len(records), task_family, backend.mode)
 
         finals: list[Layout] = []
-        references: dict[str, Layout] = {}
-        saliency_map: dict[str, SaliencyRaster] = {}
-        gradient_map: dict[str, SaliencyRaster] = {}
+        samples: list[dict[str, float]] = []
         generated_lines: list[str] = []
         failures = 0
 
+        columns, exclude = family_metrics(task_family)
         run_item = partial(_run_item, task_family=task_family, index=index, cfg=cfg,
-                           gateway=gateway, stats=stats, base=base, traces_dir=traces_dir)
+                           gateway=gateway, stats=stats, base=base, traces_dir=traces_dir,
+                           exclude_overlap_labels=exclude)
         # Live and record items wait on the LLM almost all the time, so up to
         # `fanout` of them run at once; each gateway call fans out over at most
         # `fanout` threads of its own, so at most fanout**2 requests are in
@@ -745,42 +752,17 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
                                      else error)
                     continue
                 finals.append(outcome.final)
-                if outcome.reference is not None:
-                    references[item_id] = outcome.reference
-                for key, target in (("saliency", saliency_map), ("gradient", gradient_map)):
-                    if key in outcome.rasters:
-                        target[item_id] = outcome.rasters[key]
+                samples.append(outcome.samples)
                 run_logger.info("item %s: ok (%d elements)", item_id,
                                 len(outcome.final.elements))
 
         (run_dir / "generated.jsonl").write_text(
             "".join(line + "\n" for line in generated_lines), encoding="utf-8")
 
-        exclude = tuple(data.get("exclude_overlap_labels",
-                                 ("underlay",) if task_family == "content_aware" else ()))
-        report = population_report(
-            finals,
-            references=references or None,
-            stats=stats,
-            saliency=saliency_map or None,
-            gradient=gradient_map or None,
-            exclude_overlap_labels=exclude,
-            metrics=data.get("metrics"),
-        )
-        columns = CONTENT_AWARE_COLUMNS if task_family == "content_aware" \
-            else CONSTRAINT_COLUMNS
+        report = population_report(finals, samples, stats=stats)
         write_metrics_tsv(report, columns, run_dir / "metrics.tsv")
         run_logger.info("run ends: %d ok, %d failed", len(finals), failures)
     finally:
         log_handler.close()
     return run_dir
 
-
-def write_metrics_tsv(report: MetricReport, columns: Sequence[str],
-                      path: str | Path) -> None:
-    rows = report_rows(report, columns)
-    lines = [
-        "\t".join(name for name, _ in rows),
-        "\t".join(value for _, value in rows),
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

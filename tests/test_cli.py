@@ -3,10 +3,18 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from layoutloom.cli import main
-from layoutloom.dataset import save_manifest, write_jsonl, DatasetManifest
+from layoutloom.dataset import (
+    DatasetManifest,
+    SaliencyRaster,
+    save_manifest,
+    save_raster,
+    write_jsonl,
+)
+from layoutloom.pipeline import run_task
 
 MANIFEST = DatasetManifest(name="mini", task_kind="content_aware",
                            vocabulary=("text", "logo", "underlay"))
@@ -154,6 +162,32 @@ class TestEvalCommand:
         header, values = out_path.read_text().strip().splitlines()
         assert header.split("\t") == ["align", "overlap", "val"]
         assert len(values.split("\t")) == 3
+
+
+    def test_only_generated_records_are_read(self, workspace, capsys):
+        records = _records(2)
+        for record in records:
+            record["saliency"] = f"{record['id']}.pgm"
+            record["gradient"] = f"{record['id']}.pgm"
+        write_jsonl(records, workspace / "dataset.jsonl")
+        save_raster(SaliencyRaster(4, 4, np.full((4, 4), 0.2)), workspace / "r00.pgm")
+        # r01's raster file does not exist, and r01 was not generated.
+        write_jsonl(records[:1], workspace / "generated.jsonl")
+        assert main(["eval", "--generated", str(workspace / "generated.jsonl"),
+                     "--dataset", str(workspace / "dataset.jsonl"),
+                     "--task", "content_aware"]) == 0
+        lines = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines()[1:])
+        assert lines["occ"] == "0.200"
+        assert lines["rea"] == "0.200"
+        assert float(lines["uti"]) > 0.0
+
+    def test_a_run_evaluates_to_its_own_metrics(self, fixture_env, tmp_path, capsys):
+        root = fixture_env["root"]
+        run_dir = run_task(fixture_env["run_config"](tmp_path / "run", "replay"))
+        assert main(["eval", "--generated", str(run_dir / "generated.jsonl"),
+                     "--dataset", str(root / "test.jsonl"), "--stats", str(root / "stats.json"),
+                     "--task", "content_aware", "--out", str(tmp_path / "eval.tsv")]) == 0
+        assert (tmp_path / "eval.tsv").read_bytes() == (run_dir / "metrics.tsv").read_bytes()
 
 
 class TestRenderCommand:

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from layoutloom.dataset import AreaStats, SaliencyRaster
 from layoutloom.errors import EmptyLayout, MissingLabelStats, ZeroTrainingArea
 from layoutloom.metrics import (
+    CONTENT_AWARE_COLUMNS,
+    MetricReport,
     alignment,
+    layout_samples,
     max_iou,
     occlusion,
     overlap,
@@ -22,7 +25,7 @@ from layoutloom.metrics import (
     underlay_strict,
     utilization,
 )
-from layoutloom.model import BBox, Canvas, Element, Layout, normalize
+from layoutloom.model import BBox, Canvas, Element, Layout, normalize, validate_layout
 
 from conftest import make_layout, random_normalized_layout
 
@@ -285,7 +288,7 @@ class TestSizeReasonableness:
 class TestPopulationReport:
     def test_applicability_flags(self):
         population = [unit_layout([(0.1, 0.1, 0.2, 0.2)], ["text"], layout_id="x")]
-        report = population_report(population)
+        report = population_report(population, [layout_samples(lay) for lay in population])
         assert report.applicability["und_l"] == "skipped(no_underlay)"
         assert report.applicability["miou"] == "skipped(no_references)"
         assert report.applicability["r_e"] == "skipped(no_area_stats)"
@@ -296,11 +299,142 @@ class TestPopulationReport:
         with_u = unit_layout([(0.1, 0.1, 0.4, 0.4), (0.2, 0.2, 0.1, 0.1)],
                              ["underlay", "text"], layout_id="a")
         without = unit_layout([(0.1, 0.1, 0.2, 0.2)], ["text"], layout_id="b")
-        report = population_report([with_u, without])
+        report = population_report([with_u, without],
+                                   [layout_samples(with_u), layout_samples(without)])
         assert report.values["und_l"] == pytest.approx(1.0, abs=1e-12)
 
     def test_miou_identity_population(self):
         lays = [unit_layout([(0.1, 0.1, 0.2, 0.2)], ["text"], layout_id=f"l{i}")
                 for i in range(3)]
-        report = population_report(lays, references={lay.id: lay for lay in lays})
+        report = population_report(lays, [layout_samples(lay, reference=lay) for lay in lays])
         assert report.values["miou"] == pytest.approx(1.0, abs=1e-12)
+
+
+def _reference_population_report(generated, references=None, stats=None, saliency=None,
+                                 gradient=None, exclude_overlap_labels=(),
+                                 underlay_label="underlay", text_labels=("text",),
+                                 min_area_ratio=0.001, metrics=None):
+    """The population report as it was computed over id-keyed maps of
+    references and rasters; parity reference for layout_samples plus
+    population_report."""
+    wanted = set(metrics) if metrics is not None else None
+    values, notes = {}, {}
+
+    def mean(samples):
+        return math.fsum(samples) / len(samples)
+
+    def include(name):
+        return wanted is None or name in wanted
+
+    def put(name, samples, why_empty):
+        if not include(name):
+            return
+        if samples:
+            values[name] = mean(samples)
+            notes[name] = "computed"
+        else:
+            notes[name] = f"skipped({why_empty})"
+
+    non_empty = [lay for lay in generated if lay.elements]
+    put("align", [alignment(lay) for lay in non_empty], "no_elements")
+    if include("overlap"):
+        values["overlap"] = mean([overlap(lay, exclude_overlap_labels) for lay in generated]) \
+            if generated else 0.0
+        notes["overlap"] = "computed" if generated else "skipped(empty_population)"
+    put("val", [validate_layout(lay, min_area_ratio).fraction for lay in generated],
+        "empty_population")
+    und_l = [v for lay in generated if (v := underlay_loose(lay, underlay_label)) is not None]
+    und_s = [v for lay in generated if (v := underlay_strict(lay, underlay_label)) is not None]
+    put("und_l", und_l, "no_underlay")
+    put("und_s", und_s, "no_underlay")
+    if include("miou"):
+        pairs = []
+        if references:
+            for lay in non_empty:
+                ref = references.get(lay.id)
+                if ref is not None and ref.elements:
+                    pairs.append(max_iou(lay, ref))
+        put("miou", pairs, "no_references")
+    if include("occ") or include("uti"):
+        occ_samples, uti_samples = [], []
+        if saliency:
+            for lay in generated:
+                raster = saliency.get(lay.id)
+                if raster is not None:
+                    occ_samples.append(occlusion(lay, raster))
+                    uti_samples.append(utilization(lay, raster))
+        put("occ", occ_samples, "no_saliency")
+        put("uti", uti_samples, "no_saliency")
+    if include("rea"):
+        rea_samples = []
+        if gradient:
+            for lay in generated:
+                raster = gradient.get(lay.id)
+                if raster is not None:
+                    value = readability(lay, raster, text_labels)
+                    if value is not None:
+                        rea_samples.append(value)
+        put("rea", rea_samples, "no_gradient")
+    if include("r_e"):
+        if stats is not None and non_empty:
+            values["r_e"] = size_reasonableness(non_empty, stats).value
+            notes["r_e"] = "computed"
+        else:
+            notes["r_e"] = "skipped(no_area_stats)" if stats is None else "skipped(no_elements)"
+    return MetricReport(values=values, applicability=notes, population_size=len(generated))
+
+
+_corner = st.floats(min_value=0.0, max_value=1.0)
+_extent = st.floats(min_value=0.0, max_value=0.7)
+
+
+@st.composite
+def _layouts(draw, layout_id):
+    boxes = draw(st.lists(st.tuples(st.sampled_from(("text", "logo", "underlay")),
+                                    _corner, _corner, _extent, _extent), max_size=4))
+    return Layout(layout_id, Canvas(1, 1),
+                  tuple(Element(label, BBox(x, y, w, h)) for label, x, y, w, h in boxes))
+
+
+@st.composite
+def _rasters(draw):
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SaliencyRaster(width, height, rng.random((height, width)))
+
+
+@st.composite
+def _populations(draw):
+    """Layouts, and the references and rasters of some of their ids."""
+    ids = [f"l{i}" for i in range(draw(st.integers(0, 5)))]
+    generated = [draw(_layouts(i)) for i in ids]
+    references = {i: draw(_layouts(i)) for i in ids if draw(st.booleans())}
+    saliency = {i: draw(_rasters()) for i in ids if draw(st.booleans())}
+    gradient = {i: draw(_rasters()) for i in ids if draw(st.booleans())}
+    return generated, references, saliency, gradient
+
+
+class TestSampleParity:
+    """layout_samples plus population_report against the map-based reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_populations(),
+           st.sampled_from(((), ("underlay",))),
+           st.sampled_from((None, AreaStats(means={"text": 0.05, "logo": 0.02,
+                                                   "underlay": 0.1}))),
+           st.one_of(st.none(), st.sets(st.sampled_from(CONTENT_AWARE_COLUMNS + ("miou",)))))
+    def test_same_report_as_the_reference(self, population, exclude, stats, metrics):
+        generated, references, saliency, gradient = population
+        expected = _reference_population_report(
+            generated, references, stats, saliency, gradient, exclude, metrics=metrics)
+        samples = [layout_samples(lay, references.get(lay.id), saliency.get(lay.id),
+                                  gradient.get(lay.id), exclude) for lay in generated]
+        report = population_report(generated, samples, stats, metrics)
+        expected_values = dict(expected.values)
+        if not generated:
+            # The reference wrote 0.0 for an empty population's overlap.
+            assert expected_values.pop("overlap", 0.0) == 0.0
+        assert {k: float(v).hex() for k, v in report.values.items()} == \
+            {k: float(v).hex() for k, v in expected_values.items()}
+        assert report.applicability == expected.applicability
+        assert report.population_size == expected.population_size

@@ -700,6 +700,17 @@ class TestRunTask:
         assert "item it1: OSError: connection reset" in log
         assert "Traceback" in log
 
+    def test_a_run_whose_every_item_fails_scores_no_overlap(self, fixture_env, tmp_path):
+        def transport(payload, idx):
+            raise OSError("connection reset")
+
+        config = _record_config(fixture_env, tmp_path, _distinct_items(2), fanout=1)
+        run_dir = run_task(config, transport=transport)
+        header, values = (run_dir / "metrics.tsv").read_text().splitlines()
+        row = dict(zip(header.split("\t"), values.split("\t")))
+        assert row["overlap"] == "skipped(empty_population)"
+        assert row["val"] == "skipped(empty_population)"
+
     def test_runs_leave_the_logger_registry_alone(self, fixture_env, tmp_path):
         run_task(fixture_env["run_config"](tmp_path / "first", "replay"))
         registered = len(logging.Logger.manager.loggerDict)
