@@ -13,9 +13,13 @@ ingested, never computed.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import os
 import re
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -215,17 +219,18 @@ def ingest(records: Iterable[Mapping[str, Any]], manifest: DatasetManifest,
     """
     dataset = CanonicalDataset(manifest=manifest)
     vocab = frozenset(manifest.vocabulary)
-    for record in records:
-        try:
-            layout = _read_record(record, vocab, strict=True, unit=True)
-        except VocabularyError:
-            if strict:
-                raise
-            continue
-        if layout.id in dataset.layouts:
-            raise SchemaError(f"duplicate layout id {layout.id!r}")
-        dataset.layouts[layout.id] = layout
-        dataset.order.append(layout.id)
+    with collector_paused():
+        for record in records:
+            try:
+                layout = _read_record(record, vocab, strict=True, unit=True)
+            except VocabularyError:
+                if strict:
+                    raise
+                continue
+            if layout.id in dataset.layouts:
+                raise SchemaError(f"duplicate layout id {layout.id!r}")
+            dataset.layouts[layout.id] = layout
+            dataset.order.append(layout.id)
 
     if check_counts and manifest.split_sizes:
         observed = dataset.split_counts()
@@ -238,8 +243,31 @@ def ingest(records: Iterable[Mapping[str, Any]], manifest: DatasetManifest,
     return dataset
 
 
-def export_records(dataset: CanonicalDataset) -> list[dict[str, Any]]:
-    return [layout_to_record(dataset.layouts[lid]) for lid in dataset.order]
+def export_records(dataset: CanonicalDataset) -> Iterator[dict[str, Any]]:
+    """Yield each layout's interchange record in dataset order, built as it
+    is read, so ``write_jsonl(export_records(dataset), path)`` never holds a
+    second copy of the corpus."""
+    for lid in dataset.order:
+        yield layout_to_record(dataset.layouts[lid])
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for a bulk build, and restore its
+    previous state on the way out, also when the build raises.
+
+    A corpus is tens of thousands of small objects, none in a reference
+    cycle, so reference counting frees all it needs to; with the collector
+    on, building them triggers collection after collection, and each full
+    one walks every live object, the corpus included.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def dumps_indented(value: Any) -> str:
@@ -305,12 +333,28 @@ def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
                 raise SchemaError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
 
 
+# ``json.dumps(record, sort_keys=True)`` without building an encoder per call.
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_jsonl(records: Iterable[Mapping[str, Any]], path: str | Path) -> int:
+    """Write one JSON object per line, each encoded as it arrives, and return
+    the count. The lines go to a temp file of their own beside ``path``,
+    which then replaces ``path``; if a record fails, the temp file is
+    removed and a file already at ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    encode = _JSONL_ENCODER.encode
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            count += 1
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for record in records:
+                fh.write(encode(record) + "\n")
+                count += 1
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return count
 
 

@@ -91,7 +91,15 @@ class EmptyExemplars(LayoutLoomError):
 # --- LLM gateway ------------------------------------------------------------
 
 class TransportError(LayoutLoomError):
-    """A live request failed after exhausting its retry budget."""
+    """A live request failed after exhausting its retry budget.
+
+    ``retry_after`` is the wait in seconds that the backend asked for before
+    the next attempt, or None when it asked for none.
+    """
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class RequestRejected(LayoutLoomError):

@@ -13,6 +13,7 @@ Environment variables honored by :meth:`BackendConfig.from_env`:
 
 from __future__ import annotations
 
+import email.utils
 import hashlib
 import http.client
 import json
@@ -49,6 +50,9 @@ MODEL_ENV = "LAYOUTLOOM_MODEL"
 # of the wire payload; it is exposed so offline transports can vary output
 # per candidate the way sampling temperature would.
 Transport = Callable[[dict, int], str]
+
+# The longest wait a Retry-After header can impose before the next attempt.
+RETRY_AFTER_CAP_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -176,6 +180,24 @@ def read_transcript(directory: str | Path, key: str) -> Transcript:
     )
 
 
+def _retry_after(value: str | None) -> float | None:
+    """The seconds a Retry-After header value asks to wait (RFC 9110
+    section 10.2.3): delta-seconds, or an HTTP-date, of which the time left
+    counts and a past one waits nothing. None when absent or unreadable."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        return float(value)
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError, IndexError):
+        return None
+    if when.tzinfo is None:  # "-0000" marks a UTC time of unknown origin
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
+
+
 def _http_transport(config: BackendConfig) -> Transport:
     def call(payload: dict, _candidate_index: int) -> str:
         key = config.api_key or os.environ.get(API_KEY_ENV)
@@ -200,7 +222,12 @@ def _http_transport(config: BackendConfig) -> Transport:
             if 400 <= exc.code < 500 and exc.code not in (408, 429):
                 raise RequestRejected(f"chat completion request refused with "
                                       f"HTTP {exc.code}: {exc.reason}") from exc
-            raise TransportError(f"chat completion request failed: {exc}") from exc
+            # 429 and 5xx may say how long to wait before the next attempt.
+            retry_after = None
+            if (exc.code == 429 or exc.code >= 500) and exc.headers is not None:
+                retry_after = _retry_after(exc.headers.get("Retry-After"))
+            raise TransportError(f"chat completion request failed: {exc}",
+                                 retry_after) from exc
         except (urllib.error.URLError, http.client.HTTPException, ConnectionError,
                 TimeoutError, json.JSONDecodeError) as exc:
             raise TransportError(f"chat completion request failed: {exc}") from exc
@@ -241,7 +268,11 @@ class Gateway:
                 return self._transport(payload, candidate_index)
             except TransportError as exc:
                 last = exc
-                if attempt < self.config.retry_limit and self.config.retry_backoff > 0:
+                if attempt == self.config.retry_limit:
+                    break
+                if exc.retry_after is not None:
+                    time.sleep(min(exc.retry_after, RETRY_AFTER_CAP_S))
+                elif self.config.retry_backoff > 0:
                     time.sleep(self.config.retry_backoff * (2 ** attempt))
         raise TransportError(f"request failed after {self.config.retry_limit + 1} attempts: {last}")
 

@@ -524,6 +524,11 @@ def constraint_from_record(record: Mapping[str, Any], task_family: str) -> Const
     return ConstraintSpec(kind="gen_t", payload={"categories": counts})
 
 
+# The top-level run-config keys: PipelineConfig's fields and these.
+_RUN_KEYS = frozenset(f.name for f in fields(PipelineConfig)) | {
+    "run_dir", "base_dir", "task_family", "index", "stats", "dataset", "items", "backend"}
+
+
 def _load_run_config(source: str | Path | Mapping[str, Any]) -> dict:
     if isinstance(source, Mapping):
         return dict(source)
@@ -675,6 +680,9 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
     time. Every output is in record order either way.
     """
     data = _load_run_config(config)
+    unknown = sorted(str(key) for key in data if key not in _RUN_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown run config keys: {', '.join(unknown)}")
     for key in ("run_dir", "task_family", "index", "backend"):
         if key not in data:
             raise ConfigError(f"run config is missing {key!r}")

@@ -53,12 +53,13 @@ import math
 import operator
 import zipfile
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import AreaStats, CanonicalDataset
+from .dataset import AreaStats, CanonicalDataset, collector_paused
 from .errors import EmptyIndex, EmptyLayout, EmptySplit, SchemaError, VersionMismatch
 from .model import BBox, Canvas, Element, Layout, normalize
 from .transport import MAX_ELEMENTS, TransportPlan, solve_exact
@@ -231,19 +232,22 @@ def build_index(dataset: CanonicalDataset, split: str,
     if len(kept) < len(layouts):
         logger.warning("index over split %r skipped %d empty layouts",
                        split, len(layouts) - len(kept))
-    counts = np.array([len(layout.elements) for layout in kept], dtype=np.int64)
-    real = np.arange(counts.max(initial=0)) < counts[:, None]
-    elements = [e for layout in kept for e in layout.elements]
-    labels = np.full(real.shape, -1, dtype=np.int64)
-    labels[real] = [label_ids[e.label] for e in elements]
-    # Each box is read once; numpy's left + width / 2.0 is BBox.cx bit for bit.
-    ltwh = operator.attrgetter("left", "top", "width", "height")
-    left, top, width, height = np.array([ltwh(e.bbox) for e in elements],
-                                        dtype=np.float64).reshape(-1, 4).T
-    coords = np.zeros(real.shape + (4,))
-    coords[real] = np.stack((left + width / 2.0, top + height / 2.0, width, height), axis=1)
-    return RetrievalIndex(dataset.manifest.vocabulary, [layout.id for layout in kept],
-                          labels, coords, weights)
+    with collector_paused():
+        counts = np.array([len(layout.elements) for layout in kept], dtype=np.int64)
+        real = np.arange(counts.max(initial=0)) < counts[:, None]
+        total = int(counts.sum())
+        labels = np.full(real.shape, -1, dtype=np.int64)
+        labels[real] = np.fromiter((label_ids[e.label] for layout in kept
+                                    for e in layout.elements), dtype=np.int64, count=total)
+        # Each box is read once; numpy's left + width / 2.0 is BBox.cx bit for bit.
+        ltwh = operator.attrgetter("left", "top", "width", "height")
+        left, top, width, height = np.fromiter(
+            chain.from_iterable(ltwh(e.bbox) for layout in kept for e in layout.elements),
+            dtype=np.float64, count=4 * total).reshape(-1, 4).T
+        coords = np.zeros(real.shape + (4,))
+        coords[real] = np.stack((left + width / 2.0, top + height / 2.0, width, height), axis=1)
+        return RetrievalIndex(dataset.manifest.vocabulary, [layout.id for layout in kept],
+                              labels, coords, weights)
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:

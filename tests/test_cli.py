@@ -240,6 +240,15 @@ class TestGenerateCommand:
     def test_requires_config(self, capsys):
         assert main(["generate"]) == 1
 
+    def test_unknown_config_key_is_one_line(self, fixture_env, tmp_path, capsys):
+        config = dict(fixture_env["run_config"](tmp_path / "cli_run", "replay"), use_cto=False)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["generate", "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: ConfigError: unknown run config keys: use_cto"]
+
     def test_ablation_flags_accepted(self, fixture_env, tmp_path):
         # structural smoke for --no-cot: runs entirely from existing transcripts
         config = fixture_env["run_config"](tmp_path / "nocot_run", "replay")

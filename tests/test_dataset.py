@@ -1,6 +1,7 @@
 """Ingestion, interchange round-trips, area statistics, PGM rasters, and
 indented JSON."""
 
+import gc
 import json
 import struct
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from layoutloom.dataset import (
     AreaStats,
+    CanonicalDataset,
     DatasetManifest,
     PKU_MANIFEST,
     PUBLAYNET_MANIFEST,
@@ -42,6 +44,8 @@ from layoutloom.errors import (
     ZeroCanvas,
 )
 from layoutloom.model import BBox, Canvas, Element, Layout, denormalize, normalize
+from layoutloom.retrieval import build_index
+from layoutloom.transport import MAX_ELEMENTS
 
 PKU_LIKE = DatasetManifest(name="mini", task_kind="content_aware",
                            vocabulary=("text", "logo", "underlay"))
@@ -148,7 +152,7 @@ class TestIngest:
                     split="test"),
         ]
         dataset = ingest(records, PKU_LIKE)
-        exported = export_records(dataset)
+        exported = list(export_records(dataset))
         assert exported == records
         path = tmp_path / "out.jsonl"
         write_jsonl(exported, path)
@@ -353,8 +357,80 @@ class TestOnePassParity:
         layout = ingest([record], PKU_LIKE).layouts["a"]
         assert layout == record_to_layout(record)
         assert "px_size" not in layout.task_meta
-        assert export_records(ingest([record], PKU_LIKE)) == [
+        assert list(export_records(ingest([record], PKU_LIKE))) == [
             dict(record, elements=[{"label": "text", "bbox": [3.0, 0.25, 0.5, 7.0]}])]
+
+
+class TestStreamingExport:
+    def test_export_records_is_an_iterator(self):
+        exported = export_records(ingest([_record("a", [])], PKU_LIKE))
+        assert iter(exported) is exported
+        assert next(exported)["id"] == "a"
+
+    @settings(max_examples=100, deadline=None)
+    @given(_records())
+    def test_streamed_bytes_equal_one_dumps_per_line(self, tmp_path_factory, records):
+        corpus = ingest(records, PKU_LIKE)
+        path = tmp_path_factory.mktemp("export") / "out.jsonl"
+        write_jsonl(export_records(corpus), path)
+        expected = "".join(json.dumps(r, sort_keys=True) + "\n"
+                           for r in [layout_to_record(lay) for lay in corpus])
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_a_failing_record_leaves_the_previous_file(self, tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        write_jsonl([{"id": "old"}], path)
+        before = path.read_bytes()
+
+        def records():
+            yield {"id": "a"}
+            yield {"id": "b"}
+            raise SchemaError("record 3 is broken")
+
+        with pytest.raises(SchemaError, match="record 3"):
+            write_jsonl(records(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["dataset.jsonl"]
+
+
+@pytest.fixture
+def collector_state():
+    """Restore the cyclic collector's state after a test that changes it."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def _too_large_for_an_index():
+    layout = Layout("big", Canvas(1, 1),
+                    tuple(Element("text", BBox(0.0, 0.0, 0.1, 0.1))
+                          for _ in range(MAX_ELEMENTS + 1)),
+                    task_meta={"split": "train"})
+    return CanonicalDataset(PKU_LIKE, {"big": layout}, ["big"])
+
+
+class TestBulkBuildsKeepTheCollectorState:
+    @pytest.mark.usefixtures("collector_state")
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("build, error", [
+        (lambda: ingest([_record("a", [{"label": "text", "bbox": [0, 0, 5, 5]}])],
+                        PKU_LIKE), None),
+        (lambda: ingest([_record("a", []), _record("a", [])], PKU_LIKE), SchemaError),
+        (lambda: ingest([_record("a", [{"label": "banner", "bbox": [0, 0, 5, 5]}])],
+                        PKU_LIKE), VocabularyError),
+        (lambda: build_index(ingest([_record("a", [{"label": "text", "bbox": [0, 0, 5, 5]}])],
+                                    PKU_LIKE), "train"), None),
+        (lambda: build_index(_too_large_for_an_index(), "train"), SchemaError),
+    ], ids=["ingest", "ingest-schema-error", "ingest-vocabulary-error", "build-index",
+            "build-index-schema-error"])
+    def test_state_is_restored(self, enabled, build, error):
+        (gc.enable if enabled else gc.disable)()
+        if error is None:
+            build()
+        else:
+            with pytest.raises(error):
+                build()
+        assert gc.isenabled() is enabled
 
 
 class TestAreaStats:

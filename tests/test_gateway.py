@@ -5,8 +5,11 @@ import io
 import json
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 
 import pytest
 
@@ -18,6 +21,7 @@ from layoutloom.errors import (
     TransportError,
 )
 from layoutloom.gateway import (
+    RETRY_AFTER_CAP_S,
     BackendConfig,
     ExtractionFailure,
     Gateway,
@@ -239,7 +243,7 @@ class TestRetries:
         assert len(calls) == 2
 
     @staticmethod
-    def _http_gateway(monkeypatch, responses):
+    def _http_gateway(monkeypatch, responses, retry_backoff=0.0):
         """A live gateway whose urlopen raises or returns ``responses`` in
         turn; returns it and the list of requests made."""
         calls = []
@@ -253,7 +257,7 @@ class TestRetries:
 
         monkeypatch.setattr(urllib.request, "urlopen", urlopen)
         cfg = BackendConfig(mode="live", model="m", endpoint="http://localhost:9/v1",
-                            retry_limit=2, retry_backoff=0.0, api_key="k")
+                            retry_limit=2, retry_backoff=retry_backoff, api_key="k")
         return Gateway(cfg), calls
 
     @pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
@@ -271,6 +275,40 @@ class TestRetries:
         gateway, calls = self._http_gateway(monkeypatch, [busy, ok])
         assert gateway.complete(BUNDLE, n=1, temperature=0.7) == ["ok"]
         assert len(calls) == 2
+
+    def _slept_after(self, monkeypatch, status, retry_after):
+        """The waits before the retry of one ``status`` response carrying
+        ``retry_after`` (no header if None), with a 0.5 s backoff."""
+        headers = http.client.HTTPMessage()
+        if retry_after is not None:
+            headers["Retry-After"] = retry_after
+        busy = urllib.error.HTTPError("http://localhost:9/v1", status, "Busy", headers, None)
+        ok = {"choices": [{"message": {"content": "ok"}}]}
+        gateway, calls = self._http_gateway(monkeypatch, [busy, ok], retry_backoff=0.5)
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        assert gateway.complete(BUNDLE, n=1, temperature=0.7) == ["ok"]
+        assert len(calls) == 2
+        return sleeps
+
+    @pytest.mark.parametrize("status, retry_after, slept", [
+        (429, "7", 7.0),
+        (503, " 2 ", 2.0),
+        (502, "0", 0.0),
+        (500, "86400", RETRY_AFTER_CAP_S),
+        (429, "Thu, 01 Jan 2015 00:00:00 GMT", 0.0),
+        (429, None, 0.5),
+        (503, "soon", 0.5),
+        (503, "-3", 0.5),
+        (408, "7", 0.5),
+    ])
+    def test_retry_after_sets_the_wait(self, monkeypatch, status, retry_after, slept):
+        assert self._slept_after(monkeypatch, status, retry_after) == [slept]
+
+    def test_retry_after_http_date_waits_the_time_left(self, monkeypatch):
+        when = format_datetime(datetime.now(timezone.utc) + timedelta(seconds=30), usegmt=True)
+        [slept] = self._slept_after(monkeypatch, 429, when)
+        assert 28.0 < slept <= 30.0
 
     def test_unreachable_host_is_retried(self, monkeypatch):
         down = urllib.error.URLError(ConnectionRefusedError(111, "Connection refused"))

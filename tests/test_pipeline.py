@@ -570,6 +570,21 @@ class TestRunTask:
         with pytest.raises(ConfigError):
             run_task({"run_dir": "/tmp/x"})
 
+    # A typo of use_cot, and two keys an earlier run config read.
+    @pytest.mark.parametrize("extra", [{"use_cto": False}, {"metrics": "align"},
+                                       {"exclude_overlap_labels": "underlay"}])
+    def test_unknown_top_level_key_is_refused(self, fixture_env, tmp_path, extra):
+        config = dict(fixture_env["run_config"](tmp_path / "run_u", "replay"), **extra)
+        with pytest.raises(ConfigError, match=f"unknown run config keys: {next(iter(extra))}$"):
+            run_task(config)
+        assert not (tmp_path / "run_u").exists()
+
+    def test_every_unknown_key_is_named(self, fixture_env, tmp_path):
+        config = dict(fixture_env["run_config"](tmp_path / "run_u", "replay"),
+                      use_cto=False, metrics="align")
+        with pytest.raises(ConfigError, match="unknown run config keys: metrics, use_cto$"):
+            run_task(config)
+
     @pytest.mark.parametrize("backend, named", [
         ({"mode": "replay", "temperature": 0.7}, "temperature"),
         ({"mode": "replay", "fanuot": 2, "modle": "m"}, "fanuot, modle"),
