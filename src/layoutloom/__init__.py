@@ -57,8 +57,6 @@ from .metrics import (
 from .prompts import (
     ConstraintSpec,
     PromptBundle,
-    PromptTemplate,
-    TemplateCatalog,
     build_coarse_prompt,
     build_stage_prompt,
     render_constraint,

@@ -156,15 +156,16 @@ def _cmd_eval(args) -> int:
     generated = [ds.record_to_layout(r) for r in ds.read_jsonl(args.generated)
                  if "error" not in r]
     columns, exclude = mx.family_metrics(args.task)
-    records = {}
+    references = {}
     if args.dataset:
         base = Path(args.dataset).parent
-        records = {ds.record_to_layout(r).id: r for r in ds.read_jsonl(args.dataset)}
+        references = {ref.id: ref for ref in map(ds.record_to_layout,
+                                                 ds.read_jsonl(args.dataset))}
     samples = []
     for layout in generated:
-        record = records.get(layout.id)
-        samples.append(mx.layout_samples(layout, exclude_overlap_labels=exclude) if record is None
-                       else pl.score_layout(layout, record, base, exclude))
+        reference = references.get(layout.id)
+        samples.append(mx.layout_samples(layout, exclude_overlap_labels=exclude)
+                       if reference is None else pl.score_layout(layout, reference, base, exclude))
     stats = ds.load_area_stats(args.stats) if args.stats else None
     report = mx.population_report(generated, samples, stats=stats, metrics=metric_names)
     if metric_names:
@@ -196,12 +197,12 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_prompts(args) -> int:
-    template = pr.default_catalog().get(args.family, args.stage)
+    system, user = pr.load_template(args.family, args.stage)
     print(f"# system ({args.family}/{args.stage})")
-    print(template.system_text)
+    print(system)
     print()
     print(f"# user ({args.family}/{args.stage})")
-    print(template.user_text)
+    print(user)
     return 0
 
 

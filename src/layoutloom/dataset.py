@@ -107,28 +107,27 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 
 @dataclass
 class CanonicalDataset:
-    """Validated, normalized layouts keyed by id, with split membership."""
+    """Validated, normalized layouts keyed by id in ingestion order, with
+    split membership."""
 
     manifest: DatasetManifest
     layouts: dict[str, Layout] = field(default_factory=dict)
-    order: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.layouts)
 
     def __iter__(self) -> Iterator[Layout]:
-        for lid in self.order:
-            yield self.layouts[lid]
+        return iter(self.layouts.values())
 
     def split_of(self, layout_id: str) -> str:
         return str(self.layouts[layout_id].task_meta.get("split", ""))
 
     def by_split(self, split: str) -> list[Layout]:
-        return [self.layouts[lid] for lid in self.order if self.split_of(lid) == split]
+        return [layout for lid, layout in self.layouts.items() if self.split_of(lid) == split]
 
     def split_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for lid in self.order:
+        for lid in self.layouts:
             split = self.split_of(lid)
             counts[split] = counts.get(split, 0) + 1
         return counts
@@ -230,7 +229,6 @@ def ingest(records: Iterable[Mapping[str, Any]], manifest: DatasetManifest,
             if layout.id in dataset.layouts:
                 raise SchemaError(f"duplicate layout id {layout.id!r}")
             dataset.layouts[layout.id] = layout
-            dataset.order.append(layout.id)
 
     if check_counts and manifest.split_sizes:
         observed = dataset.split_counts()
@@ -247,8 +245,8 @@ def export_records(dataset: CanonicalDataset) -> Iterator[dict[str, Any]]:
     """Yield each layout's interchange record in dataset order, built as it
     is read, so ``write_jsonl(export_records(dataset), path)`` never holds a
     second copy of the corpus."""
-    for lid in dataset.order:
-        yield layout_to_record(dataset.layouts[lid])
+    for layout in dataset.layouts.values():
+        yield layout_to_record(layout)
 
 
 @contextmanager

@@ -22,9 +22,9 @@ language model may wrap around that grammar (prose, code fences, reordered
 style properties, missing wrapper tags).
 
 Element order is significant and preserved through every operation; the
-element ``id``, ``locked`` flag, and ``task_meta`` are not representable in
-the snippet grammar, so callers that need round-trip identity pass the id
-explicitly and keep metadata out of band.
+layout ``id`` and ``task_meta`` are not representable in the snippet
+grammar, so callers that need round-trip identity pass the id explicitly and
+keep metadata out of band.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from .errors import NegativeDimension, ParseFailure, VocabularyError, ZeroCanvas
+from .errors import NegativeDimension, ParseFailure, ZeroCanvas
 
 # The snippet grammar is plain text; an alias keeps signatures readable.
 HtmlSnippet = str
@@ -92,18 +92,16 @@ class BBox:
 
 @dataclass(frozen=True)
 class Element:
-    """One labeled rectangle. ``locked`` marks elements a prompt must not move."""
+    """One labeled rectangle."""
 
     label: str
     bbox: BBox
-    locked: bool = False
 
 
 @dataclass(frozen=True)
 class Canvas:
     width: int
     height: int
-    background_ref: str | None = None
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -161,25 +159,19 @@ def normalize(layout: Layout) -> Layout:
     The original pixel dimensions are kept in ``task_meta["px_size"]``.
     """
     canvas = layout.canvas
-    if canvas.width <= 0 or canvas.height <= 0:
-        raise ZeroCanvas(f"cannot normalize a {canvas.width}x{canvas.height} canvas")
     if layout.is_normalized:
         return layout
     w = float(canvas.width)
     h = float(canvas.height)
     elements = tuple(
-        Element(
-            label=e.label,
-            bbox=unit_box(e.bbox.left, e.bbox.top, e.bbox.width, e.bbox.height, w, h),
-            locked=e.locked,
-        )
+        Element(e.label, unit_box(e.bbox.left, e.bbox.top, e.bbox.width, e.bbox.height, w, h))
         for e in layout.elements
     )
     meta = dict(layout.task_meta)
     meta["px_size"] = [canvas.width, canvas.height]
     return Layout(
         id=layout.id,
-        canvas=Canvas(1, 1, canvas.background_ref),
+        canvas=Canvas(1, 1),
         elements=elements,
         task_meta=meta,
     )
@@ -201,17 +193,14 @@ def denormalize(layout: Layout, width: int | None = None, height: int | None = N
     w = float(width)
     h = float(height)
     elements = tuple(
-        Element(
-            label=e.label,
-            bbox=BBox(e.bbox.left * w, e.bbox.top * h, e.bbox.width * w, e.bbox.height * h),
-            locked=e.locked,
-        )
+        Element(e.label, BBox(e.bbox.left * w, e.bbox.top * h,
+                              e.bbox.width * w, e.bbox.height * h))
         for e in layout.elements
     )
     meta = {k: v for k, v in layout.task_meta.items() if k != "px_size"}
     return Layout(
         id=layout.id,
-        canvas=Canvas(int(width), int(height), layout.canvas.background_ref),
+        canvas=Canvas(int(width), int(height)),
         elements=elements,
         task_meta=meta,
     )
@@ -290,17 +279,15 @@ def parse_html(
     vocabulary: Iterable[str],
     *,
     layout_id: str = "",
-    strict: bool = False,
     fallback_canvas: Canvas | None = None,
 ) -> Layout:
     """Extract a Layout from a snippet, tolerating LLM chatter around it.
 
-    Lenient mode (default) accepts whitespace variation, missing wrapper
-    tags, reordered style properties, code fences, and surrounding prose;
-    divs with unknown classes are skipped and reported in
-    ``task_meta["parse_warnings"]``. Strict mode, meant for dataset
-    ingestion, requires explicit canvas dimensions and raises
-    VocabularyError on any unknown class.
+    Accepts whitespace variation, missing wrapper tags, reordered style
+    properties, code fences, and surrounding prose; divs with unknown
+    classes are skipped and reported in ``task_meta["parse_warnings"]``.
+    Without a canvas div the canvas is ``fallback_canvas``, or else the
+    smallest one that holds every element.
 
     Raises ParseFailure when neither canvas dimensions nor a recognizable
     element div can be found, and NegativeDimension when a parsed width or
@@ -326,8 +313,6 @@ def parse_html(
             continue
         label = next((c for c in classes if c in vocab), None)
         if label is None:
-            if strict:
-                raise VocabularyError(f"unknown element class {classes[0]!r}")
             warnings.append(f"unknown element class {classes[0]!r}")
             continue
         width = props.get("width", 0.0)
@@ -339,8 +324,6 @@ def parse_html(
         )
 
     if canvas_size is None:
-        if strict:
-            raise ParseFailure("no canvas dimensions found (strict mode)")
         if fallback_canvas is not None:
             canvas_size = (fallback_canvas.width, fallback_canvas.height)
         elif elements:

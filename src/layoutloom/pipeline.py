@@ -26,7 +26,8 @@ import logging
 import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from contextlib import ExitStack
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Sequence
@@ -99,9 +100,8 @@ class PipelineConfig:
 # --- constraint satisfaction ------------------------------------------------
 
 def _within_ratio(actual: float, target: float, tolerance: float) -> bool:
-    if target == 0:
-        return actual == 0
-    return abs(actual - target) <= tolerance * abs(target)
+    """``actual`` within ``tolerance`` of a positive ``target``, relatively."""
+    return abs(actual - target) <= tolerance * target
 
 
 def _relation_holds(rel: str, a, b) -> bool:
@@ -144,10 +144,11 @@ def constraint_satisfaction(candidate: Layout, constraint: ConstraintSpec) -> fl
 
     Clauses by kind: exact category counts (gen_t family); plus one size
     clause per specified element within 10 percent (gen_ts); plus one clause
-    per relation triple (gen_r); one clause per locked element staying within
-    1px (completion, refinement); category presence with at least the
-    required count (content_aware, text_to_layout when categories are given).
-    A constraint with no extractable clauses is vacuously satisfied.
+    per relation triple (gen_r); one clause per given element staying within
+    1px (completion; refinement adds none); category presence with at least
+    the required count (content_aware, text_to_layout when categories are
+    given). A constraint with no extractable clauses is vacuously satisfied.
+    ``candidate`` is in pixel space, as the parser returns it.
     """
     kind = constraint.kind
     counts = label_counts(candidate)
@@ -160,42 +161,33 @@ def constraint_satisfaction(candidate: Layout, constraint: ConstraintSpec) -> fl
     if kind == "gen_ts":
         canvas = constraint.payload.get("canvas") or (candidate.canvas.width,
                                                       candidate.canvas.height)
-        norm_cand = normalize(candidate)
-        slots = _match_slots(norm_cand, [it["label"] for it in constraint.payload["elements"]])
-        for item, box in zip(constraint.payload["elements"], slots):
-            if box is None:
-                clauses.append(False)
-                continue
-            w_ok = _within_ratio(box.width, float(item["width"]) / float(canvas[0]), 0.1)
-            h_ok = _within_ratio(box.height, float(item["height"]) / float(canvas[1]), 0.1)
-            clauses.append(w_ok and h_ok)
+        items = constraint.payload["elements"]
+        slots = _match_slots(normalize(candidate), [item["label"] for item in items])
+        for item, box in zip(items, slots):
+            clauses.append(
+                box is not None
+                and _within_ratio(box.width, float(item["width"]) / float(canvas[0]), 0.1)
+                and _within_ratio(box.height, float(item["height"]) / float(canvas[1]), 0.1)
+            )
 
     if kind == "gen_r":
         labels = list(constraint.payload["elements"])
         slots = _match_slots(normalize(candidate), labels)
         for si, rel, oi in constraint.payload.get("relations", []):
-            a, b = slots[int(si)], slots[int(oi)]
+            a, b = slots[si], slots[oi]
             clauses.append(a is not None and b is not None and _relation_holds(rel, a, b))
 
-    if kind in ("completion", "refinement"):
-        given = record_to_layout(dict(constraint.payload["layout"], id=""))
-        fixed = [e for e in given.elements if e.locked] or (
-            list(given.elements) if kind == "completion" else []
-        )
-        if fixed:
-            cand = denormalize(candidate) if candidate.is_normalized and candidate.px_size \
-                else candidate
-            slots = _match_slots(cand, [e.label for e in fixed])
-            for e, box in zip(fixed, slots):
-                if box is None:
-                    clauses.append(False)
-                    continue
-                clauses.append(
-                    abs(box.left - e.bbox.left) <= 1.0
-                    and abs(box.top - e.bbox.top) <= 1.0
-                    and abs(box.width - e.bbox.width) <= 1.0
-                    and abs(box.height - e.bbox.height) <= 1.0
-                )
+    if kind == "completion":
+        given = constraint.given_layout
+        slots = _match_slots(candidate, given.labels())
+        for e, box in zip(given.elements, slots):
+            clauses.append(
+                box is not None
+                and abs(box.left - e.bbox.left) <= 1.0
+                and abs(box.top - e.bbox.top) <= 1.0
+                and abs(box.width - e.bbox.width) <= 1.0
+                and abs(box.height - e.bbox.height) <= 1.0
+            )
 
     if kind in ("content_aware", "text_to_layout"):
         for label, want in constraint.categories().items():
@@ -277,12 +269,6 @@ class RefinementTrace:
         return dumps_indented(self)
 
 
-def _layout_record(layout: Layout) -> dict:
-    record = layout_to_record(layout)
-    record.pop("constraints", None)
-    return record
-
-
 def bundle_sha256(bundle: PromptBundle) -> str:
     body = bundle.system + "\x00" + bundle.user
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
@@ -294,10 +280,8 @@ def _query_layout(constraint: ConstraintSpec, stats: AreaStats | None,
                   canvas: Canvas, query: Layout | None) -> Layout | None:
     if query is not None and query.elements:
         return query
-    if constraint.kind in ("completion", "refinement"):
-        given = record_to_layout(dict(constraint.payload["layout"], id=""))
-        if given.elements:
-            return given
+    if constraint.given_layout is not None and constraint.given_layout.elements:
+        return constraint.given_layout
     categories = constraint.categories()
     if categories:
         return pseudo_layout(categories, stats, canvas)
@@ -308,12 +292,9 @@ def _target_canvas(constraint: ConstraintSpec, cfg: PipelineConfig,
                    query: Layout | None) -> Canvas:
     payload = constraint.payload
     if constraint.kind in ("content_aware", "text_to_layout") and payload.get("canvas"):
-        w, h = payload["canvas"]
-        return Canvas(int(w), int(h))
-    if constraint.kind in ("completion", "refinement"):
-        given = payload["layout"].get("canvas")
-        if given:
-            return Canvas(int(given["w"]), int(given["h"]))
+        return Canvas(*payload["canvas"])
+    if constraint.given_layout is not None:
+        return constraint.given_layout.canvas
     if query is not None and query.px_size:
         w, h = query.px_size
         return Canvas(w, h)
@@ -321,8 +302,7 @@ def _target_canvas(constraint: ConstraintSpec, cfg: PipelineConfig,
 
 
 def _select_exemplars(query: Layout | None, index: RetrievalIndex, k: int,
-                      cfg: PipelineConfig, run_id: str,
-                      stats: AreaStats | None) -> tuple[list[str], str]:
+                      cfg: PipelineConfig, run_id: str) -> tuple[list[str], str]:
     if cfg.use_rag and query is not None:
         ranked = topk_retrieve(query, index, k, scale=cfg.similarity_scale,
                                exclude_self=cfg.exclude_self)
@@ -349,18 +329,18 @@ def generate_coarse(constraint: ConstraintSpec, index: RetrievalIndex,
     vocabulary = index.vocabulary
     query_lay = _query_layout(constraint, stats, Canvas(*cfg.default_canvas), query)
     canvas = _target_canvas(constraint, cfg, query_lay)
-    exemplar_ids, source = _select_exemplars(query_lay, index, cfg.k_coarse, cfg,
-                                             run_id, stats)
+    exemplar_ids, source = _select_exemplars(query_lay, index, cfg.k_coarse, cfg, run_id)
     exemplars = _exemplar_layouts(index, exemplar_ids, canvas)
     bundle = build_coarse_prompt(exemplars, constraint, vocabulary=vocabulary)
 
-    def fan_out(first_index: int) -> list[CandidateRecord]:
+    records: list[CandidateRecord] = []
+    viable: list[tuple[CandidateRecord, Layout]] = []
+
+    def fan_out(first_index: int) -> None:
         texts = gateway.complete(bundle, n=cfg.n_candidates,
                                  temperature=cfg.coarse_temperature,
                                  first_index=first_index)
-        records = []
-        for offset, text in enumerate(texts):
-            idx = first_index + offset
+        for idx, text in enumerate(texts, start=first_index):
             extracted = extract_layout(text, vocabulary, fallback_canvas=canvas,
                                        layout_id=f"{run_id}:coarse:{idx}")
             if isinstance(extracted, ExtractionFailure):
@@ -371,15 +351,13 @@ def generate_coarse(constraint: ConstraintSpec, index: RetrievalIndex,
                                                failure_reason="no elements extracted"))
             else:
                 records.append(CandidateRecord(index=idx, raw_text=text,
-                                               parsed=_layout_record(extracted)))
-        return records
+                                               parsed=layout_to_record(extracted)))
+                viable.append((records[-1], extracted))
 
-    records = fan_out(0)
-    viable = [(r, record_to_layout(dict(r.parsed, id=""))) for r in records if r.parsed]
+    fan_out(0)
     if not viable:
         logger.warning("run %s: all coarse candidates unparseable, retrying once", run_id)
-        records.extend(fan_out(cfg.n_candidates))
-        viable = [(r, record_to_layout(dict(r.parsed, id=""))) for r in records if r.parsed]
+        fan_out(cfg.n_candidates)
     if not viable:
         raise NoViableCandidate(f"run {run_id!r}: every coarse candidate failed extraction")
 
@@ -391,34 +369,28 @@ def generate_coarse(constraint: ConstraintSpec, index: RetrievalIndex,
     fragment = CoarseFragment(
         exemplar_ids=list(exemplar_ids),
         exemplar_source=source,
-        template_id=bundle.provenance.template_id,
+        template_id=(constraint.family, "coarse"),
         candidates=records,
         chosen_index=chosen_record.index,
         prompt_sha256=bundle_sha256(bundle),
     )
-    chosen = Layout(id=f"{run_id}:coarse", canvas=chosen_layout.canvas,
-                    elements=chosen_layout.elements, task_meta=dict(chosen_layout.task_meta))
-    return chosen, fragment
+    return replace(chosen_layout, id=f"{run_id}:coarse"), fragment
 
 
 # --- staged refinement ------------------------------------------------------
 
 def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex,
-               cfg: PipelineConfig, gateway: Gateway,
-               exemplar_ids: Sequence[str] | None = None,
-               coarse_fragment: CoarseFragment | None = None,
+               cfg: PipelineConfig, gateway: Gateway, coarse_fragment: CoarseFragment,
                run_id: str = "") -> RefinementTrace:
     """Sequential staged refinement with one retry per stage, then fallback.
 
-    Exemplars (k_refine of them) are fixed once per item, from the ids given
-    or the head of the coarse retrieval ranking. Without CoT no stage runs
-    and the coarse layout is final.
+    Exemplars (k_refine of them) are fixed once per item: the head of the
+    coarse exemplar ranking. Without CoT no stage runs and the coarse layout
+    is final.
     """
     stage_count = cfg.stages if cfg.use_cot else 0
     vocabulary = index.vocabulary
-    if exemplar_ids is None:
-        base = coarse_fragment.exemplar_ids if coarse_fragment else []
-        exemplar_ids = base[:cfg.k_refine]
+    exemplar_ids = coarse_fragment.exemplar_ids[:cfg.k_refine]
     exemplars = _exemplar_layouts(index, exemplar_ids, coarse.canvas)
 
     current = coarse
@@ -450,23 +422,19 @@ def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex
             exemplar_ids=list(exemplar_ids),
             prompt_sha256=bundle_sha256(bundle),
             raw_responses=raw_responses,
-            parsed=None if fallback else _layout_record(parsed_layout),
+            parsed=None if fallback else layout_to_record(parsed_layout),
             fallback=fallback,
         ))
         current = next_layout
 
-    final = Layout(id=run_id or coarse.id, canvas=current.canvas,
-                   elements=current.elements, task_meta=dict(current.task_meta))
+    final = replace(current, id=run_id or coarse.id)
     return RefinementTrace(
         run_id=run_id,
         constraint_kind=constraint.kind,
         constraint_digest=constraint_digest(constraint),
-        coarse=coarse_fragment or CoarseFragment(
-            exemplar_ids=list(exemplar_ids), exemplar_source="given",
-            template_id=(constraint.family, "coarse"), candidates=[], chosen_index=-1,
-        ),
+        coarse=coarse_fragment,
         stages=stages,
-        final=_layout_record(final),
+        final=layout_to_record(final),
         config={
             "k_coarse": cfg.k_coarse,
             "k_refine": cfg.k_refine,
@@ -619,15 +587,15 @@ def _trace_name(item_id: str) -> str:
     return name
 
 
-def score_layout(layout: Layout, record: Mapping[str, Any], base: Path,
+def score_layout(layout: Layout, reference: Layout, base: Path,
                  exclude_overlap_labels: Sequence[str]) -> dict[str, float]:
-    """``layout``'s metric samples against ``record``: the record's own layout
-    is the reference, and its saliency and gradient rasters, read relative
-    to ``base``, are the content."""
-    saliency, gradient = (load_raster(base / record[key]) if record.get(key) else None
+    """``layout``'s metric samples against ``reference``, a dataset record's
+    layout, whose saliency and gradient rasters, read relative to ``base``,
+    are the content."""
+    meta = reference.task_meta
+    saliency, gradient = (load_raster(base / meta[key]) if meta.get(key) else None
                           for key in ("saliency", "gradient"))
-    return layout_samples(layout, record_to_layout(record), saliency, gradient,
-                          exclude_overlap_labels)
+    return layout_samples(layout, reference, saliency, gradient, exclude_overlap_labels)
 
 
 class _ItemOutcome(NamedTuple):
@@ -652,14 +620,12 @@ def _run_item(record: Mapping[str, Any], *, task_family: str, index: RetrievalIn
         trace_path = traces_dir / _trace_name(item_id)
         constraint = constraint_from_record(record, task_family)
         item_layout = record_to_layout(record)
-        query = item_layout if item_layout.elements else None
-        coarse, fragment = generate_coarse(
-            constraint, index, cfg, gateway, stats=stats, query=query, run_id=item_id,
-        )
+        coarse, fragment = generate_coarse(constraint, index, cfg, gateway, stats=stats,
+                                           query=item_layout, run_id=item_id)
         trace = refine_cot(coarse, constraint, index, cfg, gateway,
                            coarse_fragment=fragment, run_id=item_id)
         final = record_to_layout(trace.final)
-        samples = score_layout(final, record, base, exclude_overlap_labels)
+        samples = score_layout(final, item_layout, base, exclude_overlap_labels)
         trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
         return _ItemOutcome(payload=trace.final, final=final, samples=samples, error=None)
     except Exception as exc:
@@ -731,7 +697,6 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
 
         finals: list[Layout] = []
         samples: list[dict[str, float]] = []
-        generated_lines: list[str] = []
         failures = 0
 
         columns, exclude = family_metrics(task_family)
@@ -744,11 +709,17 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
         # flight. Replay items are CPU-bound and hold the GIL: one at a time,
         # on this thread.
         workers = 1 if backend.mode == "replay" else backend.fanout
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool, ExitStack() as files:
             # Both maps yield in record order, so every output keeps that order.
+            # Each line is on disk once its item and all before it finished; the
+            # file is opened at the first, so a run that finished none has none.
+            generated = None
             for outcome in (pool.map if workers > 1 else map)(run_item, records):
-                generated_lines.append(json.dumps(outcome.payload, ensure_ascii=False,
-                                                  sort_keys=True))
+                if generated is None:
+                    generated = files.enter_context(open(
+                        run_dir / "generated.jsonl", "w", encoding="utf-8", buffering=1))
+                generated.write(json.dumps(outcome.payload, ensure_ascii=False,
+                                           sort_keys=True) + "\n")
                 item_id = outcome.payload["id"]
                 error = outcome.error
                 if error is not None:
@@ -764,8 +735,8 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
                 run_logger.info("item %s: ok (%d elements)", item_id,
                                 len(outcome.final.elements))
 
-        (run_dir / "generated.jsonl").write_text(
-            "".join(line + "\n" for line in generated_lines), encoding="utf-8")
+        if generated is None:
+            (run_dir / "generated.jsonl").write_text("", encoding="utf-8")
 
         report = population_report(finals, samples, stats=stats)
         write_metrics_tsv(report, columns, run_dir / "metrics.tsv")

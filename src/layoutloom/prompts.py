@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .dataset import TASK_KINDS, record_to_layout
 from .errors import (
     EmptyExemplars,
     InvalidPayload,
+    LayoutLoomError,
     UnboundPlaceholder,
     UnknownTemplate,
 )
@@ -73,60 +75,110 @@ def _require(payload: Mapping[str, Any], key: str, kind: str) -> Any:
     return payload[key]
 
 
+def _is_list(value: Any) -> bool:
+    return isinstance(value, (list, tuple))
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_size(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value) and value > 0
+
+
 def _check_categories(value: Any, kind: str) -> None:
     if not isinstance(value, Mapping) or not value:
         raise InvalidPayload(f"{kind} categories must be a non-empty mapping")
     for label, count in value.items():
-        if not isinstance(label, str) or int(count) < 1:
-            raise InvalidPayload(f"{kind} category counts must be positive, got {label}={count}")
+        if not isinstance(label, str) or not _is_int(count) or count < 1:
+            raise InvalidPayload(f"{kind} category counts must be positive integers, "
+                                 f"got {label!r}={count!r}")
 
 
-def _check_layout_payload(value: Any, kind: str) -> None:
-    if not isinstance(value, Mapping) or "canvas" not in value or "elements" not in value:
+def _check_canvas(value: Any, kind: str) -> None:
+    if not (_is_list(value) and len(value) == 2
+            and all(_is_int(v) and v > 0 for v in value)):
+        raise InvalidPayload(f"{kind} canvas must be [width, height] > 0, got {value!r}")
+
+
+def _given_layout(value: Any, kind: str) -> Layout:
+    if not isinstance(value, Mapping) or "canvas" not in value \
+            or not _is_list(value.get("elements")):
         raise InvalidPayload(f"{kind} constraint needs a layout record with canvas and elements")
+    try:
+        return record_to_layout(dict(value, id=""))
+    except LayoutLoomError as exc:
+        raise InvalidPayload(f"{kind} layout: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Typed user constraint; payload shape is checked against the kind."""
+    """Typed user constraint; every payload value a reader uses is checked
+    against the kind, and anything else raises InvalidPayload.
+
+    ``given_layout`` is the pixel-space layout of a completion or refinement
+    payload, parsed once with the id ``""``; None for the other kinds.
+    """
 
     kind: str
     payload: Mapping[str, Any]
+    given_layout: Layout | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind, payload = self.kind, self.payload
         if kind not in CONSTRAINT_KINDS:
             raise InvalidPayload(f"unknown constraint kind {kind!r}")
+        if not isinstance(payload, Mapping):
+            raise InvalidPayload(f"{kind} payload must be an object, got {payload!r}")
         if kind == "gen_t":
             _check_categories(_require(payload, "categories", kind), kind)
         elif kind == "gen_ts":
             elements = _require(payload, "elements", kind)
-            if not isinstance(elements, Sequence) or not elements:
+            if not _is_list(elements) or not elements:
                 raise InvalidPayload("gen_ts needs a non-empty element list")
             for item in elements:
-                if not all(k in item for k in ("label", "width", "height")):
+                if not isinstance(item, Mapping) \
+                        or not all(k in item for k in ("label", "width", "height")):
                     raise InvalidPayload("gen_ts elements need label, width, height")
+                if not (isinstance(item["label"], str)
+                        and _is_size(item["width"]) and _is_size(item["height"])):
+                    raise InvalidPayload(f"gen_ts element {dict(item)!r} needs a string "
+                                         "label and a positive width and height")
+            if payload.get("canvas"):
+                _check_canvas(payload["canvas"], kind)
         elif kind == "gen_r":
             elements = _require(payload, "elements", kind)
-            if not isinstance(elements, Sequence) or not elements:
+            if not _is_list(elements) or not elements \
+                    or not all(isinstance(label, str) for label in elements):
                 raise InvalidPayload("gen_r needs a non-empty element label list")
-            for triple in payload.get("relations", []):
+            relations = payload.get("relations", [])
+            if not _is_list(relations):
+                raise InvalidPayload(f"gen_r relations must be a list, got {relations!r}")
+            for triple in relations:
+                if not _is_list(triple) or len(triple) != 3:
+                    raise InvalidPayload(f"relation {triple!r} is not a "
+                                         "[subject, relation, object] triple")
                 si, rel, oi = triple
                 if rel not in RELATIONS:
                     raise InvalidPayload(f"unknown relation {rel!r}")
-                if not (0 <= int(si) < len(elements) and 0 <= int(oi) < len(elements)):
+                if not all(_is_int(i) and 0 <= i < len(elements) for i in (si, oi)):
                     raise InvalidPayload(f"relation {triple!r} references a missing element")
         elif kind in ("completion", "refinement"):
-            _check_layout_payload(_require(payload, "layout", kind), kind)
+            object.__setattr__(self, "given_layout",
+                               _given_layout(_require(payload, "layout", kind), kind))
         elif kind == "content_aware":
-            canvas = _require(payload, "canvas", kind)
-            if len(canvas) != 2 or int(canvas[0]) <= 0 or int(canvas[1]) <= 0:
-                raise InvalidPayload("content_aware canvas must be [width, height] > 0")
+            _check_canvas(_require(payload, "canvas", kind), kind)
             _check_categories(_require(payload, "categories", kind), kind)
         elif kind == "text_to_layout":
             text = _require(payload, "text", kind)
             if not isinstance(text, str) or not text.strip():
                 raise InvalidPayload("text_to_layout needs a non-empty description")
+            if payload.get("canvas"):
+                _check_canvas(payload["canvas"], kind)
+            if payload.get("categories"):
+                _check_categories(payload["categories"], kind)
 
     @property
     def family(self) -> str:
@@ -140,7 +192,7 @@ class ConstraintSpec:
         """
         payload = self.payload
         if self.kind in ("gen_t", "content_aware", "text_to_layout"):
-            counts = {str(k): int(v) for k, v in (payload.get("categories") or {}).items()}
+            counts = payload.get("categories") or {}
         elif self.kind == "gen_ts":
             counts = Counter(item["label"] for item in payload["elements"])
         elif self.kind == "gen_r":
@@ -148,12 +200,6 @@ class ConstraintSpec:
         else:
             return {}
         return dict(sorted(counts.items()))
-
-
-def _layout_from_payload(payload_layout: Mapping[str, Any]) -> Layout:
-    record = dict(payload_layout)
-    record.setdefault("id", "")
-    return record_to_layout(record)
 
 
 def render_constraint(constraint: ConstraintSpec) -> str:
@@ -175,28 +221,24 @@ def render_constraint(constraint: ConstraintSpec) -> str:
         if kind == "gen_r":
             labels = list(payload["elements"])
             for idx, (si, rel, oi) in enumerate(payload.get("relations", []), start=1):
-                lines.append(
-                    f"relation {idx}: element {int(si) + 1} ({labels[int(si)]}) {rel} "
-                    f"element {int(oi) + 1} ({labels[int(oi)]})"
-                )
+                lines.append(f"relation {idx}: element {si + 1} ({labels[si]}) {rel} "
+                             f"element {oi + 1} ({labels[oi]})")
     elif kind == "completion":
-        snippet = to_html(_layout_from_payload(payload["layout"]))
         lines.append("fixed partial layout (keep these elements unchanged):")
-        lines.append(snippet)
+        lines.append(to_html(constraint.given_layout))
     elif kind == "refinement":
-        snippet = to_html(_layout_from_payload(payload["layout"]))
         lines.append("noisy layout to refine:")
-        lines.append(snippet)
+        lines.append(to_html(constraint.given_layout))
     elif kind == "content_aware":
         w, h = payload["canvas"]
-        lines.append(f"canvas size: {int(w)} x {int(h)} pixels")
+        lines.append(f"canvas size: {w} x {h} pixels")
         lines.append("required element types:")
         for label, count in constraint.categories().items():
             lines.append(f"{label}: {count}")
     elif kind == "text_to_layout":
         canvas = payload.get("canvas")
         if canvas:
-            lines.append(f"canvas size: {int(canvas[0])} x {int(canvas[1])} pixels")
+            lines.append(f"canvas size: {canvas[0]} x {canvas[1]} pixels")
         lines.append("layout description:")
         lines.append(payload["text"])
     return "\n".join(lines)
@@ -209,60 +251,20 @@ def constraint_digest(constraint: ConstraintSpec) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
-# --- template catalog -------------------------------------------------------
+# --- templates --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    family: str
-    stage: str
-    system_text: str
-    user_text: str
-
-
-class TemplateCatalog:
-    """Immutable lookup of (family, stage) -> PromptTemplate."""
-
-    def __init__(self, templates: Mapping[tuple[str, str], PromptTemplate]):
-        self._templates = dict(templates)
-
-    def get(self, family: str, stage: str) -> PromptTemplate:
-        key = (family, str(stage))
-        if key not in self._templates:
-            raise UnknownTemplate(f"no template for family={family!r} stage={stage!r}")
-        return self._templates[key]
-
-    def keys(self) -> list[tuple[str, str]]:
-        return sorted(self._templates)
-
-    @classmethod
-    def load(cls, root: str | Path | None = None) -> "TemplateCatalog":
-        if root is None:
-            root = Path(str(resources.files("layoutloom"))) / "templates"
-        root = Path(root)
-        templates = {}
-        for family in TASK_KINDS:
-            for stage in STAGE_NAMES:
-                sys_path = root / family / f"{stage}.sys.txt"
-                usr_path = root / family / f"{stage}.usr.txt"
-                if not sys_path.exists() or not usr_path.exists():
-                    raise UnknownTemplate(f"missing template assets for {family}/{stage}")
-                templates[(family, stage)] = PromptTemplate(
-                    family=family,
-                    stage=stage,
-                    system_text=sys_path.read_text(encoding="utf-8").rstrip("\n"),
-                    user_text=usr_path.read_text(encoding="utf-8").rstrip("\n"),
-                )
-        return cls(templates)
-
-
-_default_catalog: TemplateCatalog | None = None
-
-
-def default_catalog() -> TemplateCatalog:
-    global _default_catalog
-    if _default_catalog is None:
-        _default_catalog = TemplateCatalog.load()
-    return _default_catalog
+@lru_cache(maxsize=None)
+def load_template(family: str, stage: str) -> tuple[str, str]:
+    """The (system, user) texts of one template, read once from the package's
+    ``templates/{family}/{stage}.sys.txt`` and ``.usr.txt`` assets."""
+    if family not in TASK_KINDS or stage not in STAGE_NAMES:
+        raise UnknownTemplate(f"no template for family={family!r} stage={stage!r}")
+    folder = resources.files("layoutloom") / "templates" / family
+    try:
+        return tuple((folder / f"{stage}.{part}.txt").read_text(encoding="utf-8").rstrip("\n")
+                     for part in ("sys", "usr"))
+    except OSError as exc:
+        raise UnknownTemplate(f"missing template assets for {family}/{stage}") from exc
 
 
 def _render_text(text: str, bindings: Mapping[str, str]) -> str:
@@ -278,83 +280,46 @@ def _render_text(text: str, bindings: Mapping[str, str]) -> str:
 # --- bundles ----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Provenance:
-    template_id: tuple[str, str]
-    exemplar_ids: tuple[str, ...]
-    constraint_digest: str
-
-
-@dataclass(frozen=True)
 class PromptBundle:
     system: str
     user: str
-    provenance: Provenance
 
 
-def exemplar_block(exemplars: Sequence[Layout]) -> str:
-    return "\n\n".join(to_html(layout) for layout in exemplars)
-
-
-def _vocabulary_text(vocabulary: Sequence[str] | None,
-                     exemplars: Sequence[Layout],
-                     constraint: ConstraintSpec) -> tuple[str, list[str]]:
-    if vocabulary is None:
-        ordered: list[str] = []
-        for label in list(constraint.categories()) + [
-            e.label for lay in exemplars for e in lay.elements
-        ]:
-            if label not in ordered:
-                ordered.append(label)
-    else:
-        ordered = list(vocabulary)
-    text = ", ".join(f"{i + 1}) {label}" for i, label in enumerate(ordered))
-    return text or "(unspecified)", ordered
-
-
-def _common_bindings(exemplars: Sequence[Layout], constraint: ConstraintSpec,
-                     vocabulary: Sequence[str] | None) -> dict[str, str]:
-    vocab_text, ordered = _vocabulary_text(vocabulary, exemplars, constraint)
-    primary = ordered[:2]
-    secondary = ordered[2:]
-    bindings = {
+def _bundle(family: str, stage: str, exemplars: Sequence[Layout],
+            constraint: ConstraintSpec, vocabulary: Sequence[str],
+            **bindings: str) -> PromptBundle:
+    """Render the (family, stage) template with the bindings every prompt
+    shares plus ``bindings``."""
+    system, user = load_template(family, stage)
+    if not exemplars:
+        raise EmptyExemplars(f"{family}/{stage} prompt needs at least one exemplar")
+    ordered = list(vocabulary)
+    bindings.update({
         "LEN_TOPK": str(len(exemplars)),
-        "TOPK_HTML_STR": exemplar_block(exemplars),
+        "TOPK_HTML_STR": "\n\n".join(to_html(layout) for layout in exemplars),
         "CONSTRAINT_STR": render_constraint(constraint),
-        "VOCABULARY": vocab_text,
-        "PRIMARY_TYPES": ", ".join(primary) or "(none)",
-        "SECONDARY_TYPES": ", ".join(secondary) or "(none)",
+        "VOCABULARY": ", ".join(f"{i + 1}) {label}" for i, label in enumerate(ordered))
+                      or "(unspecified)",
+        "PRIMARY_TYPES": ", ".join(ordered[:2]) or "(none)",
+        "SECONDARY_TYPES": ", ".join(ordered[2:]) or "(none)",
         "LOCK_RULES": LOCK_RULES[constraint.kind],
-    }
+    })
     text = constraint.payload.get("text")
     if isinstance(text, str):
         bindings["TEXT_DESCRIPTION"] = text
-    return bindings
+    return PromptBundle(system=_render_text(system, bindings),
+                        user=_render_text(user, bindings))
 
 
 def build_coarse_prompt(exemplars: Sequence[Layout], constraint: ConstraintSpec,
-                        vocabulary: Sequence[str] | None = None,
-                        catalog: TemplateCatalog | None = None) -> PromptBundle:
+                        vocabulary: Sequence[str]) -> PromptBundle:
     """Render the coarse-generation prompt from ranked exemplars and a constraint."""
-    if not exemplars:
-        raise EmptyExemplars("coarse prompt needs at least one exemplar")
-    catalog = catalog or default_catalog()
-    template = catalog.get(constraint.family, "coarse")
-    bindings = _common_bindings(exemplars, constraint, vocabulary)
-    return PromptBundle(
-        system=_render_text(template.system_text, bindings),
-        user=_render_text(template.user_text, bindings),
-        provenance=Provenance(
-            template_id=(template.family, template.stage),
-            exemplar_ids=tuple(lay.id for lay in exemplars),
-            constraint_digest=constraint_digest(constraint),
-        ),
-    )
+    return _bundle(constraint.family, "coarse", exemplars, constraint, vocabulary)
 
 
 def build_stage_prompt(stage: int, task_family: str, exemplars: Sequence[Layout],
                        current: Layout, constraint: ConstraintSpec,
-                       vocabulary: Sequence[str] | None = None,
-                       catalog: TemplateCatalog | None = None) -> PromptBundle:
+                       vocabulary: Sequence[str]) -> PromptBundle:
     """Render the refinement prompt for stage 1, 2, or 3.
 
     Stage 1 binds the working layout to {{CURRENT_HTML}}; later stages bind
@@ -362,24 +327,6 @@ def build_stage_prompt(stage: int, task_family: str, exemplars: Sequence[Layout]
     """
     if stage not in (1, 2, 3):
         raise UnknownTemplate(f"stage must be 1, 2, or 3, got {stage}")
-    if task_family not in TASK_KINDS:
-        raise UnknownTemplate(f"unknown task family {task_family!r}")
-    if not exemplars:
-        raise EmptyExemplars("stage prompt needs at least one exemplar")
-    catalog = catalog or default_catalog()
-    template = catalog.get(task_family, str(stage))
-    bindings = _common_bindings(exemplars, constraint, vocabulary)
-    current_html = to_html(current)
-    if stage == 1:
-        bindings["CURRENT_HTML"] = current_html
-    else:
-        bindings[f"STAGE_{stage - 1}_HTML"] = current_html
-    return PromptBundle(
-        system=_render_text(template.system_text, bindings),
-        user=_render_text(template.user_text, bindings),
-        provenance=Provenance(
-            template_id=(template.family, template.stage),
-            exemplar_ids=tuple(lay.id for lay in exemplars),
-            constraint_digest=constraint_digest(constraint),
-        ),
-    )
+    name = "CURRENT_HTML" if stage == 1 else f"STAGE_{stage - 1}_HTML"
+    return _bundle(task_family, str(stage), exemplars, constraint, vocabulary,
+                   **{name: to_html(current)})

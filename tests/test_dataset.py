@@ -198,7 +198,7 @@ def _reference_normalize(layout):
         return layout
     w, h = float(layout.canvas.width), float(layout.canvas.height)
     elements = tuple(
-        Element(label=e.label, locked=e.locked,
+        Element(label=e.label,
                 bbox=BBox(e.bbox.left / w, e.bbox.top / h, e.bbox.width / w, e.bbox.height / h))
         for e in layout.elements)
     meta = dict(layout.task_meta)
@@ -239,8 +239,8 @@ def _reference_layout_to_record(layout):
 def _bits(layout):
     """Everything a layout holds, with each float as its bytes."""
     return (layout.id, layout.canvas, list(layout.task_meta.items()),
-            [(e.label, e.locked, struct.pack("<4d", e.bbox.left, e.bbox.top, e.bbox.width,
-                                             e.bbox.height)) for e in layout.elements])
+            [(e.label, struct.pack("<4d", e.bbox.left, e.bbox.top, e.bbox.width,
+                                   e.bbox.height)) for e in layout.elements])
 
 
 def _outcome(fn):
@@ -406,7 +406,7 @@ def _too_large_for_an_index():
                     tuple(Element("text", BBox(0.0, 0.0, 0.1, 0.1))
                           for _ in range(MAX_ELEMENTS + 1)),
                     task_meta={"split": "train"})
-    return CanonicalDataset(PKU_LIKE, {"big": layout}, ["big"])
+    return CanonicalDataset(PKU_LIKE, {"big": layout})
 
 
 class TestBulkBuildsKeepTheCollectorState:

@@ -33,12 +33,11 @@ from layoutloom.gateway import (
     write_transcript,
 )
 from layoutloom.model import Canvas
-from layoutloom.prompts import Provenance, PromptBundle
+from layoutloom.prompts import PromptBundle
 
 BUNDLE = PromptBundle(
     system="You are a layout assistant.",
     user="Place one text box on a 100x100 canvas.",
-    provenance=Provenance(("content_aware", "coarse"), ("ex0",), "d" * 64),
 )
 
 VOCAB = ["text", "logo", "underlay"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layoutloom.errors import NegativeDimension, ParseFailure, VocabularyError, ZeroCanvas
+from layoutloom.errors import NegativeDimension, ParseFailure, ZeroCanvas
 from layoutloom.model import (
     BBox,
     Canvas,
@@ -156,14 +156,6 @@ class TestParseHtml:
         lay = parse_html(snippet, VOCAB)
         assert [e.label for e in lay.elements] == ["text"]
         assert len(lay.task_meta["parse_warnings"]) == 1
-
-    def test_unknown_class_strict(self):
-        snippet = (
-            '<div class="canvas" style="width:100px; height:100px"></div>'
-            '<div class="banner" style="left:0px; top:0px; width:10px; height:10px"></div>'
-        )
-        with pytest.raises(VocabularyError):
-            parse_html(snippet, VOCAB, strict=True)
 
     def test_parse_failure_on_garbage(self):
         with pytest.raises(ParseFailure):

@@ -203,6 +203,128 @@ _CONFIG_VALUES = {
 }
 
 
+
+# --- the parsed layout against the deleted record round trip ------------------
+
+PARITY_VOCAB = ("text", "title", "list")
+GIVEN = {"canvas": {"w": 400, "h": 300},
+         "elements": [{"label": "text", "bbox": [20, 30, 150, 40]},
+                      {"label": "title", "bbox": [20.5, 100, 200, 60.25]}]}
+EVERY_KIND = [
+    ConstraintSpec("gen_t", {"categories": {"text": 2, "title": 1}}),
+    ConstraintSpec("gen_ts", {"canvas": [400, 300], "elements": [
+        {"label": "text", "width": 150, "height": 40},
+        {"label": "title", "width": 200.5, "height": 60}]}),
+    ConstraintSpec("gen_r", {"elements": ["text", "title", "text"], "relations": [
+        [0, "above", 1], [1, "larger", 2], [2, "right-of", 0], [0, "equal", 2]]}),
+    ConstraintSpec("completion", {"layout": GIVEN}),
+    ConstraintSpec("refinement", {"layout": GIVEN}),
+    ConstraintSpec("content_aware", {"canvas": [400, 300],
+                                     "categories": {"text": 1, "list": 1}}),
+    ConstraintSpec("text_to_layout", {"text": "two text blocks", "categories": {"text": 2}}),
+    ConstraintSpec("text_to_layout", {"text": "two text blocks"}),
+]
+
+
+def _old_constraint_satisfaction(candidate, constraint):
+    """constraint_satisfaction as it was before candidates stayed parsed
+    layouts: the given layout parsed per call, a locked-element filter, and
+    a normalized candidate scaled back to pixels."""
+    from layoutloom.model import denormalize, label_counts, normalize
+    from layoutloom.pipeline import _match_slots, _relation_holds, _within_ratio
+    kind, payload = constraint.kind, constraint.payload
+    counts = label_counts(candidate)
+    clauses = []
+    if kind in ("gen_t", "gen_ts", "gen_r"):
+        clauses += [counts.get(label, 0) == want
+                    for label, want in constraint.categories().items()]
+    if kind == "gen_ts":
+        canvas = payload.get("canvas") or (candidate.canvas.width, candidate.canvas.height)
+        slots = _match_slots(normalize(candidate), [it["label"] for it in payload["elements"]])
+        for item, box in zip(payload["elements"], slots):
+            clauses.append(box is not None
+                           and _within_ratio(box.width, float(item["width"]) / float(canvas[0]),
+                                             0.1)
+                           and _within_ratio(box.height,
+                                             float(item["height"]) / float(canvas[1]), 0.1))
+    if kind == "gen_r":
+        slots = _match_slots(normalize(candidate), list(payload["elements"]))
+        for si, rel, oi in payload.get("relations", []):
+            a, b = slots[int(si)], slots[int(oi)]
+            clauses.append(a is not None and b is not None and _relation_holds(rel, a, b))
+    if kind in ("completion", "refinement"):
+        given = record_to_layout(dict(payload["layout"], id=""))
+        fixed = [e for e in given.elements if getattr(e, "locked", False)] or (
+            list(given.elements) if kind == "completion" else [])
+        if fixed:
+            cand = denormalize(candidate) if candidate.is_normalized and candidate.px_size \
+                else candidate
+            slots = _match_slots(cand, [e.label for e in fixed])
+            for e, box in zip(fixed, slots):
+                clauses.append(box is not None
+                               and abs(box.left - e.bbox.left) <= 1.0
+                               and abs(box.top - e.bbox.top) <= 1.0
+                               and abs(box.width - e.bbox.width) <= 1.0
+                               and abs(box.height - e.bbox.height) <= 1.0)
+    if kind in ("content_aware", "text_to_layout"):
+        clauses += [counts.get(label, 0) >= want
+                    for label, want in constraint.categories().items()]
+    return sum(clauses) / len(clauses) if clauses else 1.0
+
+
+def _candidate_response(rng):
+    """An LLM-like response: some of the given boxes, jittered by up to 1.5 px,
+    random boxes with fractional pixels, an unknown class now and then, and
+    a canvas div that may be missing or 1x1."""
+    divs = []
+    for e in GIVEN["elements"]:
+        if rng.random() < 0.7:
+            box = [v + float(rng.uniform(-1.5, 1.5)) for v in e["bbox"]]
+            divs.append((e["label"], box))
+    for _ in range(int(rng.integers(0, 5))):
+        label = str(rng.choice(PARITY_VOCAB + ("banner",)))
+        divs.append((label, [round(float(v), 2) for v in rng.uniform([0, 0, 5, 5],
+                                                                     [350, 250, 220, 90])]))
+    order = rng.permutation(len(divs))
+    body = "".join(f'<div class="{divs[i][0]}" style="left:{divs[i][1][0]}px; '
+                   f'top:{divs[i][1][1]}px; width:{divs[i][1][2]}px; '
+                   f'height:{divs[i][1][3]}px"></div>\n' for i in order)
+    canvas = rng.choice(["400x300", "none", "1x1"])
+    if canvas != "none":
+        w, h = canvas.split("x")
+        body = f'<div class="canvas" style="width:{w}px; height:{h}px"></div>\n' + body
+    return f"Here you go:\n```html\n{body}```"
+
+
+def test_parsed_candidates_rank_as_their_record_round_trip():
+    from layoutloom.dataset import layout_to_record
+    from layoutloom.gateway import extract_layout
+    rng = np.random.default_rng(20)
+    weights = [RankerWeights(), RankerWeights(w_align=0.0, w_overlap=0.5, w_constraint=2.0)]
+    checked = 0
+    for trial in range(60):
+        parsed = []
+        for idx in range(int(rng.integers(1, 7))):
+            layout = extract_layout(_candidate_response(rng), PARITY_VOCAB,
+                                    fallback_canvas=Canvas(400, 300),
+                                    layout_id=f"t{trial}:coarse:{idx}")
+            if isinstance(layout, Layout) and layout.elements:
+                parsed.append(layout)
+        if not parsed:
+            continue
+        rebuilt = [record_to_layout(dict(layout_to_record(x), id="")) for x in parsed]
+        for constraint in EVERY_KIND:
+            for w in weights:
+                assert rank_candidates(parsed, constraint, w) == \
+                    rank_candidates(rebuilt, constraint, w)
+            for x, y in zip(parsed, rebuilt):
+                old = _old_constraint_satisfaction(y, constraint)
+                assert constraint_satisfaction(x, constraint) == old
+                assert constraint_satisfaction(y, constraint) == old
+                checked += old not in (0.0, 1.0)
+    assert checked > 50  # partial satisfaction, not only the trivial ends
+
+
 @pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
 def test_every_config_field_is_set_from_a_run_config(name):
     raw, expected = _CONFIG_VALUES[name]
@@ -409,9 +531,12 @@ class TestRefineCot:
                              ["text", "text"])
         spec = ConstraintSpec("content_aware",
                               {"canvas": [400, 400], "categories": {"text": 2}})
-        exemplar_ids = list(index.ids[:2])
-        return refine_cot(coarse, spec, index, cfg, gateway,
-                          exemplar_ids=exemplar_ids, run_id="r1"), coarse
+        fragment = CoarseFragment(exemplar_ids=list(index.ids[:3]), exemplar_source="ltsim",
+                                  template_id=("content_aware", "coarse"), candidates=[],
+                                  chosen_index=0)
+        trace = refine_cot(coarse, spec, index, cfg, gateway, fragment, run_id="r1")
+        assert all(s.exemplar_ids == list(index.ids[:2]) for s in trace.stages)
+        return trace, coarse
 
     def test_three_clean_stages(self, tmp_path):
         clean = _html([(40, 30, 150, 60), (40, 150, 150, 60)], ["text", "text"])
@@ -564,6 +689,9 @@ class TestRunTask:
         assert trace["coarse"]["chosen_index"] >= 0
         assert len(trace["coarse"]["candidates"]) == 10
         assert trace["coarse"]["exemplar_ids"][:4] == trace["stages"][0]["exemplar_ids"]
+        assert trace["coarse"]["template_id"] == ["content_aware", "coarse"]
+        assert [s["template_id"] for s in trace["stages"]] == \
+            [["content_aware", str(stage)] for stage in (1, 2, 3)]
         assert trace["final"]["elements"]
 
     def test_missing_config_keys(self):
@@ -766,6 +894,40 @@ class TestRunTask:
         with pytest.raises(KeyboardInterrupt):
             run_task(config, transport=transport)
         assert not (Path(config["run_dir"]) / "generated.jsonl").exists()
+
+    def test_interrupted_run_keeps_the_lines_of_finished_items(self, fixture_env, tmp_path):
+        config = _record_config(fixture_env, tmp_path, _distinct_items(3), fanout=1)
+        generated = Path(config["run_dir"]) / "generated.jsonl"
+        on_disk = []
+
+        def transport(payload, idx):
+            if _item_of(payload) == 2:
+                if not on_disk:  # read before the run unwinds
+                    on_disk.append(generated.read_text())
+                raise KeyboardInterrupt
+            return scripted_llm(payload, idx)
+
+        with pytest.raises(KeyboardInterrupt):
+            run_task(config, transport=transport)
+        assert on_disk[0] == generated.read_text()
+        lines = [json.loads(line) for line in on_disk[0].splitlines()]
+        assert [line["id"] for line in lines] == ["it0", "it1"]
+        assert all("error" not in line for line in lines)
+
+    def test_malformed_constraint_payload_costs_only_its_item(self, fixture_env, tmp_path):
+        bad = {"id": "bad", "canvas": {"w": 513, "h": 750}, "elements": [],
+               "constraints": {"kind": "gen_ts", "payload": {"elements": [
+                   {"label": "text", "width": "w", "height": 3}]}}}
+        config = _record_config(fixture_env, tmp_path, _distinct_items(2) + [bad], fanout=1)
+        run_dir = run_task(config, transport=scripted_llm)
+        lines = [json.loads(l) for l in
+                 (run_dir / "generated.jsonl").read_text().splitlines()]
+        assert [l["id"] for l in lines] == ["it0", "it1", "bad"]
+        assert "error" not in lines[0] and "error" not in lines[1]
+        assert lines[2]["error"] == "InvalidPayload"
+        log = (run_dir / "run.log").read_text()
+        assert "item bad: InvalidPayload: gen_ts element" in log
+        assert "Traceback" not in log
 
 
 def _item_of(payload) -> int | None:

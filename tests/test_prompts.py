@@ -2,7 +2,7 @@
 
 import pytest
 
-from layoutloom.dataset import TASK_KINDS
+from layoutloom.dataset import TASK_KINDS, record_to_layout
 from layoutloom.errors import (
     EmptyExemplars,
     InvalidPayload,
@@ -16,11 +16,13 @@ from layoutloom.prompts import (
     build_coarse_prompt,
     build_stage_prompt,
     constraint_digest,
-    default_catalog,
+    load_template,
     render_constraint,
 )
 
 from conftest import make_layout
+
+VOCAB = ("text", "logo", "title")
 
 
 def exemplars(n=3):
@@ -46,26 +48,28 @@ CONSTRAINTS = {
 
 class TestCatalog:
     def test_twelve_templates_exist(self):
-        catalog = default_catalog()
-        assert len(catalog.keys()) == 12
+        assert len(TASK_KINDS) * len(STAGE_NAMES) == 12
         for family in TASK_KINDS:
             for stage in STAGE_NAMES:
-                assert catalog.get(family, stage) is not None
+                system, user = load_template(family, stage)
+                assert system.strip() and user.strip()
 
     def test_unknown_template(self):
-        with pytest.raises(UnknownTemplate):
-            default_catalog().get("content_aware", "4")
+        for family, stage in [("content_aware", "4"), ("poster", "coarse"),
+                              ("content_aware", 1)]:
+            with pytest.raises(UnknownTemplate):
+                load_template(family, stage)
 
     def test_all_templates_render(self):
         # 12 render smoke checks: every (family, stage) with a valid binding
         for family in TASK_KINDS:
             constraint = CONSTRAINTS[family]
             current = make_layout("cur", (100, 200), [(1, 2, 3, 4)])
-            bundle = build_coarse_prompt(exemplars(), constraint)
+            bundle = build_coarse_prompt(exemplars(), constraint, VOCAB)
             assert "{{" not in bundle.system + bundle.user
             for stage in (1, 2, 3):
                 bundle = build_stage_prompt(stage, family, exemplars(), current,
-                                            constraint)
+                                            constraint, VOCAB)
                 assert "{{" not in bundle.system + bundle.user
 
 
@@ -127,6 +131,53 @@ class TestConstraintSpec:
         with pytest.raises(InvalidPayload):
             ConstraintSpec("nonesuch", {})
 
+    # Each payload value a reader uses, malformed; without the checks these
+    # raised ValueError or TypeError, or (gen_ts width "w") were rendered into
+    # the prompt and failed in ranking.
+    @pytest.mark.parametrize("kind, payload", [
+        ("gen_t", ["categories"]),
+        ("gen_t", {"categories": {"text": "many"}}),
+        ("gen_t", {"categories": {"text": True}}),
+        ("gen_t", {"categories": {"text": 0}}),
+        ("gen_ts", {"elements": "text"}),
+        ("gen_ts", {"elements": ["label width height"]}),
+        ("gen_ts", {"elements": [{"label": "text", "width": "w", "height": 3}]}),
+        ("gen_ts", {"elements": [{"label": "text", "width": 30, "height": float("nan")}]}),
+        ("gen_ts", {"elements": [{"label": 7, "width": 30, "height": 3}]}),
+        ("gen_ts", {"elements": [{"label": "text", "width": 30, "height": 3}],
+                    "canvas": [0, 300]}),
+        ("gen_r", {"elements": "text"}),
+        ("gen_r", {"elements": [["text"]]}),
+        ("gen_r", {"elements": ["text", "title"], "relations": [[0, "above"]]}),
+        ("gen_r", {"elements": ["text", "title"], "relations": [["x", "above", 1]]}),
+        ("gen_r", {"elements": ["text", "title"], "relations": [[0, "above", True]]}),
+        ("gen_r", {"elements": ["text", "title"], "relations": {"0": "above"}}),
+        ("completion", {"layout": {"canvas": {"w": 0, "h": 10}, "elements": []}}),
+        ("completion", {"layout": {"canvas": [10, 10], "elements": []}}),
+        ("completion", {"layout": {"canvas": {"w": 10, "h": 10}, "elements": 5}}),
+        ("refinement", {"layout": {"canvas": {"w": 10, "h": 10},
+                                   "elements": [{"label": "text"}]}}),
+        ("content_aware", {"canvas": 5, "categories": {"text": 1}}),
+        ("content_aware", {"canvas": [513, "750"], "categories": {"text": 1}}),
+        ("text_to_layout", {"text": "a form", "canvas": [360]}),
+        ("text_to_layout", {"text": "a form", "categories": {"text": "2"}}),
+    ])
+    def test_malformed_payload_values(self, kind, payload):
+        with pytest.raises(InvalidPayload):
+            ConstraintSpec(kind, payload)
+
+    @pytest.mark.parametrize("kind", ["completion", "refinement"])
+    def test_given_layout_is_parsed_once_with_an_empty_id(self, kind):
+        record = {"id": "partial7", "canvas": {"w": 100, "h": 80},
+                  "elements": [{"label": "text", "bbox": [10, 10, 20, 20]}]}
+        spec = ConstraintSpec(kind, {"layout": record})
+        assert spec.given_layout.id == ""
+        assert spec.given_layout == record_to_layout(dict(record, id=""))
+        assert ConstraintSpec(kind, {"layout": record}) == spec
+
+    def test_other_kinds_have_no_given_layout(self):
+        assert all(spec.given_layout is None for spec in CONSTRAINTS.values())
+
     def test_digest_stable_and_distinct(self):
         a = constraint_digest(CONSTRAINTS["constraint_explicit"])
         b = constraint_digest(ConstraintSpec("gen_t", {"categories": {"text": 2, "title": 1}}))
@@ -138,7 +189,7 @@ class TestConstraintSpec:
 class TestCoarsePrompt:
     def test_exemplar_count_and_order(self):
         ex = exemplars(10)
-        bundle = build_coarse_prompt(ex, CONSTRAINTS["content_aware"])
+        bundle = build_coarse_prompt(ex, CONSTRAINTS["content_aware"], VOCAB)
         assert bundle.user.count('<div class="canvas"') == 10
         positions = [bundle.user.find(to_html(lay)) for lay in ex]
         assert all(p >= 0 for p in positions)
@@ -146,53 +197,46 @@ class TestCoarsePrompt:
         assert "Below are 10 reference layouts" in bundle.user
 
     def test_len_topk_binding_single(self):
-        bundle = build_coarse_prompt(exemplars(1), CONSTRAINTS["content_aware"])
+        bundle = build_coarse_prompt(exemplars(1), CONSTRAINTS["content_aware"], VOCAB)
         assert "Below are 1 reference layouts" in bundle.user
 
     def test_deterministic(self):
-        one = build_coarse_prompt(exemplars(), CONSTRAINTS["constraint_explicit"])
-        two = build_coarse_prompt(exemplars(), CONSTRAINTS["constraint_explicit"])
+        one = build_coarse_prompt(exemplars(), CONSTRAINTS["constraint_explicit"], VOCAB)
+        two = build_coarse_prompt(exemplars(), CONSTRAINTS["constraint_explicit"], VOCAB)
         assert one == two
 
     def test_empty_exemplars(self):
         with pytest.raises(EmptyExemplars):
-            build_coarse_prompt([], CONSTRAINTS["content_aware"])
-
-    def test_provenance(self):
-        ex = exemplars(2)
-        bundle = build_coarse_prompt(ex, CONSTRAINTS["content_aware"])
-        assert bundle.provenance.template_id == ("content_aware", "coarse")
-        assert bundle.provenance.exemplar_ids == ("ex0", "ex1")
-        assert len(bundle.provenance.constraint_digest) == 64
+            build_coarse_prompt([], CONSTRAINTS["content_aware"], VOCAB)
 
 
 class TestStagePrompts:
     def test_content_aware_stage_rules(self):
         current = make_layout("cur", (513, 750), [(10, 10, 100, 50)])
         s1 = build_stage_prompt(1, "content_aware", exemplars(), current,
-                                CONSTRAINTS["content_aware"])
+                                CONSTRAINTS["content_aware"], VOCAB)
         assert "Keep object and underlay locked" in s1.system
         s2 = build_stage_prompt(2, "content_aware", exemplars(), current,
-                                CONSTRAINTS["content_aware"])
+                                CONSTRAINTS["content_aware"], VOCAB)
         assert "maximize IoU with associated text/logo" in s2.system
         assert "fully contains the corresponding text/logo" in s2.system
 
     def test_text_to_layout_stage2_overlap_rule(self):
         current = make_layout("cur", (360, 640), [(10, 10, 100, 50)])
         bundle = build_stage_prompt(2, "text_to_layout", exemplars(), current,
-                                    CONSTRAINTS["text_to_layout"])
+                                    CONSTRAINTS["text_to_layout"], VOCAB)
         assert "Reduce Overlap to near zero" in bundle.system
 
     def test_stage_placeholder_progression(self):
         current = make_layout("cur", (100, 200), [(1, 2, 3, 4)])
         s1 = build_stage_prompt(1, "content_aware", exemplars(), current,
-                                CONSTRAINTS["content_aware"])
+                                CONSTRAINTS["content_aware"], VOCAB)
         assert "initial layout needing refinement" in s1.user
         s2 = build_stage_prompt(2, "content_aware", exemplars(), current,
-                                CONSTRAINTS["content_aware"])
+                                CONSTRAINTS["content_aware"], VOCAB)
         assert "after Stage 1" in s2.user
         s3 = build_stage_prompt(3, "content_aware", exemplars(), current,
-                                CONSTRAINTS["content_aware"])
+                                CONSTRAINTS["content_aware"], VOCAB)
         assert "after Stage 2" in s3.user
         for bundle in (s1, s2, s3):
             assert to_html(current) in bundle.user
@@ -202,13 +246,13 @@ class TestStagePrompts:
         # a constraint without a text payload cannot fill text_to_layout templates
         with pytest.raises(UnboundPlaceholder):
             build_stage_prompt(1, "text_to_layout", exemplars(), current,
-                               CONSTRAINTS["constraint_explicit"])
+                               CONSTRAINTS["constraint_explicit"], VOCAB)
 
     def test_invalid_stage(self):
         current = make_layout("cur", (100, 200), [(1, 2, 3, 4)])
         with pytest.raises(UnknownTemplate):
             build_stage_prompt(4, "content_aware", exemplars(), current,
-                               CONSTRAINTS["content_aware"])
+                               CONSTRAINTS["content_aware"], VOCAB)
 
     def test_vocabulary_binding(self):
         current = make_layout("cur", (100, 200), [(1, 2, 3, 4)])
@@ -224,5 +268,5 @@ class TestStagePrompts:
             "elements": [{"label": "text", "bbox": [1, 2, 3, 4]}],
         }})
         bundle = build_stage_prompt(1, "constraint_explicit", exemplars(), current,
-                                    completion)
+                                    completion, VOCAB)
         assert "partial elements are fixed" in bundle.system

@@ -209,7 +209,6 @@ class TestIndex:
             dataset.layouts[f"r{i}"] = Layout(
                 id=f"r{i}", canvas=Canvas(1, 1), task_meta={"split": "train"},
                 elements=tuple(_element(*box) for box in boxes))
-            dataset.order.append(f"r{i}")
         index = build_index(dataset, "train")
         kept = [dataset.layouts[rid] for rid in index.ids]
         assert list(index.ids) == [f"r{i}" for i, boxes in enumerate(layouts) if boxes]
