@@ -42,7 +42,7 @@ from .dataset import (
     read_jsonl,
     record_to_layout,
 )
-from .errors import ConfigError, LayoutLoomError, NoViableCandidate, SchemaError
+from .errors import ConfigError, InvalidPayload, LayoutLoomError, NoViableCandidate, SchemaError
 from .gateway import BackendConfig, ExtractionFailure, Gateway, extract_layout
 from .metrics import (
     alignment,
@@ -381,12 +381,13 @@ def generate_coarse(constraint: ConstraintSpec, index: RetrievalIndex,
 
 def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex,
                cfg: PipelineConfig, gateway: Gateway, coarse_fragment: CoarseFragment,
-               run_id: str = "") -> RefinementTrace:
+               run_id: str = "") -> tuple[RefinementTrace, Layout]:
     """Sequential staged refinement with one retry per stage, then fallback.
 
     Exemplars (k_refine of them) are fixed once per item: the head of the
     coarse exemplar ranking. Without CoT no stage runs and the coarse layout
-    is final.
+    is final. Returns the trace and the final layout, which ``trace.final``
+    records.
     """
     stage_count = cfg.stages if cfg.use_cot else 0
     vocabulary = index.vocabulary
@@ -428,7 +429,7 @@ def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex
         current = next_layout
 
     final = replace(current, id=run_id or coarse.id)
-    return RefinementTrace(
+    trace = RefinementTrace(
         run_id=run_id,
         constraint_kind=constraint.kind,
         constraint_digest=constraint_digest(constraint),
@@ -445,6 +446,7 @@ def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex
             "seed": cfg.seed,
         },
     )
+    return trace, final
 
 
 # --- full task runs ---------------------------------------------------------
@@ -454,23 +456,32 @@ def constraint_from_record(record: Mapping[str, Any], task_family: str) -> Const
 
     An explicit ``constraints`` object wins; otherwise content-aware items
     fall back to their own element categories, and text items to their text.
+    ``constraints`` that are not an object, or a ``canvas`` that is not an
+    object of integer ``w`` and ``h`` (each 0 when missing), raise
+    InvalidPayload.
     """
-    raw = record.get("constraints")
-    if raw and "kind" in raw:
-        return ConstraintSpec(kind=str(raw["kind"]), payload=raw.get("payload", {}))
+    rid = record.get("id")
+    raw = record.get("constraints", {})
+    if not isinstance(raw, Mapping):
+        raise InvalidPayload(f"record {rid!r} constraints must be an object, got {raw!r}")
     canvas = record.get("canvas", {})
-    canvas_pair = [int(canvas.get("w", 0) or 0), int(canvas.get("h", 0) or 0)]
+    canvas_pair = ([canvas.get("w", 0), canvas.get("h", 0)]
+                   if isinstance(canvas, Mapping) else None)
+    if canvas_pair is None or not all(isinstance(v, int) and not isinstance(v, bool)
+                                      for v in canvas_pair):
+        raise InvalidPayload(f"record {rid!r} canvas must be an object of integer w and h, "
+                             f"got {canvas!r}")
+    if "kind" in raw:
+        return ConstraintSpec(kind=str(raw["kind"]), payload=raw.get("payload", {}))
     if task_family == "content_aware":
         payload: dict[str, Any] = {"canvas": canvas_pair}
-        if raw and "categories" in raw:
-            payload["categories"] = dict(raw["categories"])
+        if "categories" in raw:
+            payload["categories"] = raw["categories"]
         else:
             layout = record_to_layout(record)
             counts = label_counts(layout)
             if not counts:
-                raise ConfigError(
-                    f"record {record.get('id')!r} has no categories and no elements"
-                )
+                raise ConfigError(f"record {rid!r} has no categories and no elements")
             payload["categories"] = counts
         for key in ("saliency", "gradient"):
             if record.get(key):
@@ -480,15 +491,15 @@ def constraint_from_record(record: Mapping[str, Any], task_family: str) -> Const
         payload = {"text": str(record.get("text", ""))}
         if canvas_pair[0] > 0:
             payload["canvas"] = canvas_pair
-        if raw and "categories" in raw:
-            payload["categories"] = dict(raw["categories"])
+        if "categories" in raw:
+            payload["categories"] = raw["categories"]
         return ConstraintSpec(kind="text_to_layout", payload=payload)
     # Constraint-explicit without an explicit spec: treat the record's own
     # label multiset as a Gen-T style type constraint.
     layout = record_to_layout(record)
     counts = label_counts(layout)
     if not counts:
-        raise ConfigError(f"record {record.get('id')!r} yields no type constraint")
+        raise ConfigError(f"record {rid!r} yields no type constraint")
     return ConstraintSpec(kind="gen_t", payload={"categories": counts})
 
 
@@ -622,9 +633,8 @@ def _run_item(record: Mapping[str, Any], *, task_family: str, index: RetrievalIn
         item_layout = record_to_layout(record)
         coarse, fragment = generate_coarse(constraint, index, cfg, gateway, stats=stats,
                                            query=item_layout, run_id=item_id)
-        trace = refine_cot(coarse, constraint, index, cfg, gateway,
-                           coarse_fragment=fragment, run_id=item_id)
-        final = record_to_layout(trace.final)
+        trace, final = refine_cot(coarse, constraint, index, cfg, gateway,
+                                  coarse_fragment=fragment, run_id=item_id)
         samples = score_layout(final, item_layout, base, exclude_overlap_labels)
         trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
         return _ItemOutcome(payload=trace.final, final=final, samples=samples, error=None)

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layoutloom.dataset import DatasetManifest, ingest, record_to_layout
-from layoutloom.errors import ConfigError, NoViableCandidate, SchemaError
+from layoutloom.dataset import DatasetManifest, ingest, layout_to_record, record_to_layout
+from layoutloom.errors import ConfigError, InvalidPayload, NoViableCandidate, SchemaError
 from layoutloom.gateway import BackendConfig, Gateway
 from layoutloom.model import BBox, Canvas, Element, Layout, to_html
 from layoutloom.pipeline import (
@@ -297,7 +297,6 @@ def _candidate_response(rng):
 
 
 def test_parsed_candidates_rank_as_their_record_round_trip():
-    from layoutloom.dataset import layout_to_record
     from layoutloom.gateway import extract_layout
     rng = np.random.default_rng(20)
     weights = [RankerWeights(), RankerWeights(w_align=0.0, w_overlap=0.5, w_constraint=2.0)]
@@ -534,8 +533,10 @@ class TestRefineCot:
         fragment = CoarseFragment(exemplar_ids=list(index.ids[:3]), exemplar_source="ltsim",
                                   template_id=("content_aware", "coarse"), candidates=[],
                                   chosen_index=0)
-        trace = refine_cot(coarse, spec, index, cfg, gateway, fragment, run_id="r1")
+        trace, final = refine_cot(coarse, spec, index, cfg, gateway, fragment, run_id="r1")
         assert all(s.exemplar_ids == list(index.ids[:2]) for s in trace.stages)
+        # The layout handed out is the one the trace records.
+        assert layout_to_record(final) == trace.final
         return trace, coarse
 
     def test_three_clean_stages(self, tmp_path):
@@ -645,6 +646,33 @@ class TestConstraintFromRecord:
         spec = constraint_from_record(record, "text_to_layout")
         assert spec.kind == "text_to_layout"
         assert spec.payload["text"] == "a signup screen"
+
+    @pytest.mark.parametrize("family", ["content_aware", "text_to_layout",
+                                        "constraint_explicit"])
+    @pytest.mark.parametrize("change", [
+        {"canvas": {"w": "wide", "h": 10}},
+        {"canvas": [513, 750]},
+        {"canvas": {"w": 513.7, "h": 750}},
+        {"canvas": {"w": True, "h": 750}},
+        {"constraints": ["gen_t"]},
+        {"constraints": "gen_t"},
+    ])
+    def test_malformed_canvas_or_constraints_are_refused(self, family, change):
+        record = dict({"id": "x", "canvas": {"w": 100, "h": 200}, "text": "a form",
+                       "elements": [{"label": "text", "bbox": [0, 0, 10, 10]}]}, **change)
+        with pytest.raises(InvalidPayload):
+            constraint_from_record(record, family)
+        if "canvas" in change:  # an explicit constraint does not skip the check
+            record["constraints"] = {"kind": "gen_t", "payload": {"categories": {"text": 1}}}
+            with pytest.raises(InvalidPayload):
+                constraint_from_record(record, family)
+
+    @pytest.mark.parametrize("family", ["content_aware", "text_to_layout"])
+    def test_categories_that_are_not_an_object_are_refused(self, family):
+        record = {"id": "x", "canvas": {"w": 100, "h": 200}, "elements": [],
+                  "text": "a form", "constraints": {"categories": "text"}}
+        with pytest.raises(InvalidPayload):
+            constraint_from_record(record, family)
 
 
 def _tree_bytes(run_dir: Path) -> dict:
@@ -927,6 +955,20 @@ class TestRunTask:
         assert lines[2]["error"] == "InvalidPayload"
         log = (run_dir / "run.log").read_text()
         assert "item bad: InvalidPayload: gen_ts element" in log
+        assert "Traceback" not in log
+
+    def test_malformed_canvas_costs_only_its_item(self, fixture_env, tmp_path):
+        bad = {"id": "bad", "canvas": [513, 750], "elements": [],
+               "constraints": {"categories": {"text": 1}}}
+        config = _record_config(fixture_env, tmp_path, [bad] + _distinct_items(2), fanout=1)
+        run_dir = run_task(config, transport=scripted_llm)
+        lines = [json.loads(l) for l in
+                 (run_dir / "generated.jsonl").read_text().splitlines()]
+        assert [l["id"] for l in lines] == ["bad", "it0", "it1"]
+        assert lines[0]["error"] == "InvalidPayload"
+        assert "error" not in lines[1] and "error" not in lines[2]
+        log = (run_dir / "run.log").read_text()
+        assert "item bad: InvalidPayload: record 'bad' canvas" in log
         assert "Traceback" not in log
 
 

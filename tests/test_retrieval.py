@@ -2,10 +2,11 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from layoutloom import retrieval
@@ -402,7 +403,9 @@ class TestTopK:
         query = index.entry_layout(3)
         ranked = topk_retrieve(query, index, 3, exclude_self=True)
         assert all(rid != query.id for rid, _ in ranked)
-
+        # An index that holds only the query leaves nothing to return.
+        alone = make_index([(query.id, query)])
+        assert topk_retrieve(query, alone, 3, exclude_self=True) == []
     def test_k_larger_than_index(self):
         dataset = _mini_dataset(count=4)
         index = build_index(dataset, "train")
@@ -666,6 +669,161 @@ class TestPrunedTopK:
             ranked = topk_retrieve(query, index, 5)
             assert len(solves) <= 2 * 5
             assert ranked == _brute_force(query, index, 5)
+
+
+def _clustered_index(rng, size=240, m=6, jitter=0.08):
+    """``size`` entries of ``m`` elements, jittered copies of one base layout,
+    each geometry stored twice under shuffled ids; and a jittered copy of
+    the base as a query. The first bound rules few of them out."""
+    labels = rng.choice(VOCAB, m)
+    w, h = rng.uniform(0.1, 0.4, (2, m))
+    left, top = rng.uniform(0.0, 1.0 - w), rng.uniform(0.0, 1.0 - h)
+
+    def jittered(layout_id):
+        d = rng.normal(0.0, jitter, (4, m))
+        return Layout(id=layout_id, canvas=Canvas(1, 1), elements=tuple(
+            _element(str(labels[i]), float(left[i] + d[0, i]), float(top[i] + d[1, i]),
+                     float(w[i] + d[2, i]), float(h[i] + d[3, i]))
+            for i in range(m)))
+
+    shapes = [jittered("") for _ in range(size // 2)]
+    ids = [f"e{p:03d}" for p in rng.permutation(size)]
+    return make_index([(ids[i], shapes[i % len(shapes)]) for i in range(size)]), jittered("q")
+
+
+def _first_bound_survivors(query, index, kth_similarity, scale):
+    """Entries whose first-bound similarity is not below the true k-th
+    similarity, which is at least the one the first k solves set."""
+    bounds, _ = _bounds(query, index)
+    kept = np.exp(-scale * (bounds - retrieval.BOUND_SLACK)) >= kth_similarity
+    return int(kept.sum())
+
+
+class TestBatchedDualBound:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+           scale=st.sampled_from([1e-4, 0.25, 1.0, 900.0, 1e4]),
+           exclude_self=st.booleans(),
+           query_kind=st.sampled_from(["near", "entry", "outside"]))
+    def test_equals_full_scan_across_batches(self, seed, k, scale, exclude_self, query_kind):
+        rng = np.random.default_rng(seed)
+        index, query = _clustered_index(rng)
+        if query_kind == "entry":  # an entry under its own id, with its duplicate
+            query = index.entry_layout(int(rng.integers(len(index))))
+        elif query_kind == "outside":
+            query = replace(query, elements=(replace(query.elements[0], label="banner"),)
+                            + query.elements[1:])
+        expected = _brute_force(query, index, k, scale, exclude_self)
+        survivors = _first_bound_survivors(query, index, expected[-1][1], scale) - k
+        assume(survivors > 2 * retrieval.DUAL_BATCH)
+        assert topk_retrieve(query, index, k, scale=scale, exclude_self=exclude_self) \
+            == expected
+
+    def test_checkpoint_bounds_never_exceed_exact_cost(self):
+        rng = np.random.default_rng(60)
+        index = make_index([(f"e{i:02d}", random_normalized_layout(rng, max_elements=12))
+                            for i in range(40)])
+        query = random_normalized_layout(rng, max_elements=12)
+        exact = np.array([transport_distance(query, index.entry_layout(pos)).cost
+                          for pos in range(len(index))])
+        checkpoints = []
+
+        def keep_all(bound):
+            checkpoints.append(bound.copy())
+            return np.zeros(len(bound), dtype=bool)
+
+        dual_lower_bounds(_costs(query, index, index.weights), index.counts, keep_all)
+        assert len(checkpoints) == len(retrieval.DUAL_CHECKPOINTS)
+        for bound in checkpoints:
+            assert np.all(bound <= exact + 1e-12)
+
+    def test_rows_are_dropped_only_when_ruled_out(self):
+        rng = np.random.default_rng(61)
+        index = make_index([(f"e{i:02d}", random_normalized_layout(rng, max_elements=12))
+                            for i in range(60)])
+        query = random_normalized_layout(rng, max_elements=12)
+        costs = _costs(query, index, index.weights)
+        exact = np.array([transport_distance(query, index.entry_layout(pos)).cost
+                          for pos in range(len(index))])
+        full = dual_lower_bounds(costs, index.counts)
+        threshold = float(np.median(full))
+        pruned = dual_lower_bounds(costs, index.counts, lambda bound: bound > threshold)
+        assert pruned.shape == full.shape
+        assert np.all(pruned <= exact + 1e-12)
+        # A row either stopped with a bound the predicate rules out, or ran
+        # the whole anneal.
+        stopped = pruned > threshold
+        assert 0 < stopped.sum() < len(index)
+        assert np.all(np.abs(pruned - full)[~stopped] <= 1e-9)
+
+    def test_two_argument_call_returns_a_full_length_bound(self):
+        rng = np.random.default_rng(62)
+        index = _random_index(rng, 30)
+        query = random_normalized_layout(rng, max_elements=6)
+        costs = _costs(query, index, index.weights)
+        bound = dual_lower_bounds(costs, index.counts)
+        assert bound.shape == (len(index),)
+        assert np.all(np.isfinite(bound))
+        keep_all = dual_lower_bounds(costs, index.counts,
+                                     lambda b: np.zeros(len(b), dtype=bool))
+        assert bound.tobytes() == keep_all.tobytes()
+
+    def test_segment_arrays_are_cached_read_only(self):
+        segments = retrieval._quantile_segments(4, 6)
+        assert segments is retrieval._quantile_segments(4, 6)
+        for array in segments:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_a_batch_whose_first_entry_is_ruled_out_ends_the_scan(self, monkeypatch):
+        # The first k solves set a low k-th similarity, so the first bound
+        # keeps several batches; the solves of the first batch raise it.
+        rng = np.random.default_rng(63)
+        index, query = _clustered_index(rng, size=300, jitter=0.05)
+        k = 4
+        expected = _brute_force(query, index, k)
+        bounds, _ = _bounds(query, index)
+        head_cost = max(transport_distance(query, index.entry_layout(pos)).cost
+                        for pos in np.argsort(bounds, kind="stable")[:k].tolist())
+        kept_by_head = int((bounds - retrieval.BOUND_SLACK <= head_cost).sum()) - k
+        assert kept_by_head > 3 * retrieval.DUAL_BATCH
+        batches = []
+        real = retrieval.dual_lower_bounds
+        monkeypatch.setattr(retrieval, "dual_lower_bounds",
+                            lambda *a: batches.append(1) or real(*a))
+        assert topk_retrieve(query, index, k) == expected
+        assert 0 < len(batches) < kept_by_head // retrieval.DUAL_BATCH
+
+    def test_vector_prefilter_tolerates_np_exp_below_math_exp(self, monkeypatch):
+        # One-element entries tie with the query's copies at a cost whose
+        # bound similarity at scale 1e-4 equals the exact one; the head holds
+        # the copy at the first position, and a lower id waits outside it.
+        scale = 1e-4
+        query = _layout([("text", 0.1, 0.2, 0.2, 0.2)])
+        far = [("logo", 0.7, 0.7, 0.1, 0.1)]
+
+        def tied(offset):
+            near = [("text", 0.2 + offset, 0.3, 0.2, 0.2)]
+            stored = _index_storing([near, far, near, far, near])
+            return RetrievalIndex(VOCAB, ["e3", "e0", "e1", "e4", "e2"],
+                                  stored.labels, stored.coords)
+
+        def bound_equals_exact(index):
+            bound = float(_bounds(query, index)[0][0])
+            exact = transport_distance(query, index.entry_layout(0)).cost
+            return bound == exact and math.exp(-scale * (bound - retrieval.BOUND_SLACK)) \
+                == math.exp(-scale * exact)
+
+        index = next(index for index in map(tied, np.linspace(0.01, 0.3, 300).tolist())
+                     if bound_equals_exact(index))
+        # np.exp one unit in the last place below math.exp, as it may be.
+        real = np.exp
+        monkeypatch.setattr(np, "exp", lambda x, *a, **kw: np.nextafter(
+            real(x, *a, **kw), -np.inf, **kw))
+        expected = _brute_force(query, index, 1, scale=scale)
+        assert expected[0][0] == "e1"
+        assert topk_retrieve(query, index, 1, scale=scale) == expected
 
 
 class TestPseudoLayout:
