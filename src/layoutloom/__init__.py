@@ -78,6 +78,6 @@ from .pipeline import (
     refine_cot,
     run_task,
 )
-from .render import RenderStyle, render_svg
+from .render import render_svg
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ from . import prompts as pr
 from . import render as rd
 from . import retrieval as rt
 from .errors import LayoutLoomError, SchemaError
-from .model import normalize
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -30,7 +29,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate and normalize a record stream")
+    p = sub.add_parser("ingest", help="validate a record stream")
     p.add_argument("--manifest", required=True)
     p.add_argument("--records", required=True)
     p.add_argument("--out", required=True)
@@ -124,7 +123,7 @@ def _cmd_index(args) -> int:
 
 def _cmd_retrieve(args) -> int:
     index = rt.load_index(args.index)
-    query = normalize(ds.record_to_layout(_read_json(args.query), index.vocabulary))
+    query = ds.record_to_layout(_read_json(args.query), index.vocabulary)
     for layout_id, similarity in rt.topk_retrieve(query, index, args.k,
                                                   exclude_self=args.exclude_self):
         print(f"{layout_id}\t{similarity:.6f}")
@@ -189,8 +188,7 @@ def _cmd_render(args) -> int:
     record = _read_json(args.layout)
     layout = ds.record_to_layout(record)
     background = ds.load_raster(args.background) if args.background else None
-    style = rd.RenderStyle(show_background=background is not None)
-    svg = rd.render_svg(layout, style, background)
+    svg = rd.render_svg(layout, background)
     Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
     return 0

@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
     VocabularyError,
 )
-from .model import BBox, Canvas, Element, Layout, unit_box
+from .model import BBox, Canvas, Element, Layout
 
 TASK_KINDS = ("content_aware", "constraint_explicit", "text_to_layout")
 
@@ -107,8 +107,8 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 
 @dataclass
 class CanonicalDataset:
-    """Validated, normalized layouts keyed by id in ingestion order, with
-    split membership."""
+    """Validated layouts keyed by id in ingestion order, with split
+    membership. Each layout is in its record's canvas pixels, as read."""
 
     manifest: DatasetManifest
     layouts: dict[str, Layout] = field(default_factory=dict)
@@ -133,11 +133,10 @@ class CanonicalDataset:
         return counts
 
 
-def _read_record(record: Mapping[str, Any], vocab: frozenset[str] | None, strict: bool,
-                 unit: bool) -> Layout:
-    """The one reader of interchange records. With ``unit`` each box is
-    divided by the canvas as it is read, giving ``normalize(record_to_layout(
-    record, ...))`` with one object per element."""
+def _read_record(record: Mapping[str, Any], vocab: frozenset[str] | None,
+                 strict: bool) -> Layout:
+    """The one reader of interchange records: a pixel-space Layout, each box
+    value as ``float(value)``."""
     if not isinstance(record, Mapping):
         raise SchemaError(f"record must be an object, got {type(record).__name__}")
     try:
@@ -147,9 +146,6 @@ def _read_record(record: Mapping[str, Any], vocab: frozenset[str] | None, strict
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed record: {exc}") from exc
 
-    # normalize returns a layout on the unit canvas unchanged.
-    unit = unit and (canvas.width, canvas.height) != (1, 1)
-    w, h = float(canvas.width), float(canvas.height)
     elements = []
     for raw in record.get("elements", []):
         try:
@@ -161,13 +157,9 @@ def _read_record(record: Mapping[str, Any], vocab: frozenset[str] | None, strict
             if strict:
                 raise VocabularyError(f"record {rid!r} uses label {label!r} outside the vocabulary")
             continue
-        elements.append(Element(label, unit_box(left, top, width, height, w, h) if unit
-                                else BBox(left, top, width, height)))
+        elements.append(Element(label, BBox(left, top, width, height)))
 
     meta = {k: record[k] for k in _META_KEYS if record.get(k) is not None}
-    if unit:
-        meta["px_size"] = [canvas.width, canvas.height]
-        canvas = Canvas(1, 1)
     return Layout(id=rid, canvas=canvas, elements=tuple(elements), task_meta=meta)
 
 
@@ -175,31 +167,17 @@ def record_to_layout(record: Mapping[str, Any], vocabulary: Iterable[str] | None
                      strict: bool = True) -> Layout:
     """Build a pixel-space Layout from one interchange record."""
     vocab = frozenset(vocabulary) if vocabulary is not None else None
-    return _read_record(record, vocab, strict, unit=False)
+    return _read_record(record, vocab, strict)
 
 
 def layout_to_record(layout: Layout) -> dict[str, Any]:
-    """Inverse of record_to_layout. A normalized layout with a remembered
-    pixel size is scaled back to it, each value as ``x * float(W)``, as
-    ``denormalize`` does."""
-    size = layout.px_size if layout.is_normalized else None
-    if size is None:
-        canvas = layout.canvas
-        elements = [{"label": e.label,
-                     "bbox": [e.bbox.left, e.bbox.top, e.bbox.width, e.bbox.height]}
-                    for e in layout.elements]
-    else:
-        canvas = Canvas(*size)
-        w, h = float(canvas.width), float(canvas.height)
-        elements = []
-        for e in layout.elements:
-            box = e.bbox
-            elements.append({"label": e.label,
-                             "bbox": [box.left * w, box.top * h, box.width * w, box.height * h]})
+    """Inverse of record_to_layout, in the layout's own canvas coordinates."""
     record: dict[str, Any] = {
         "id": layout.id,
-        "canvas": {"w": canvas.width, "h": canvas.height},
-        "elements": elements,
+        "canvas": {"w": layout.canvas.width, "h": layout.canvas.height},
+        "elements": [{"label": e.label,
+                      "bbox": [e.bbox.left, e.bbox.top, e.bbox.width, e.bbox.height]}
+                     for e in layout.elements],
     }
     for key in _META_KEYS:
         value = layout.task_meta.get(key)
@@ -210,7 +188,9 @@ def layout_to_record(layout: Layout) -> dict[str, Any]:
 
 def ingest(records: Iterable[Mapping[str, Any]], manifest: DatasetManifest,
            strict: bool = True, check_counts: bool = False) -> CanonicalDataset:
-    """Validate and normalize a record stream into a CanonicalDataset.
+    """Validate a record stream into a CanonicalDataset of the layouts
+    ``record_to_layout`` reads, in pixel space; export writes each box value
+    back as read.
 
     Records with labels outside the vocabulary raise VocabularyError in
     strict mode and are skipped otherwise. With ``check_counts`` the observed
@@ -221,7 +201,7 @@ def ingest(records: Iterable[Mapping[str, Any]], manifest: DatasetManifest,
     with collector_paused():
         for record in records:
             try:
-                layout = _read_record(record, vocab, strict=True, unit=True)
+                layout = _read_record(record, vocab, strict=True)
             except VocabularyError:
                 if strict:
                     raise
@@ -326,33 +306,43 @@ def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise SchemaError(f"{path}:{line_no}: a record must be an object, "
+                                  f"got {type(record).__name__}")
+            yield record
 
 
 # ``json.dumps(record, sort_keys=True)`` without building an encoder per call.
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-def write_jsonl(records: Iterable[Mapping[str, Any]], path: str | Path) -> int:
-    """Write one JSON object per line, each encoded as it arrives, and return
-    the count. The lines go to a temp file of their own beside ``path``,
-    which then replaces ``path``; if a record fails, the temp file is
-    removed and a file already at ``path`` is left as it was."""
-    path = Path(path)
+@contextmanager
+def replacing(path: Path) -> Iterator[Path]:
+    """Yield a temp path of its own beside ``path``, which replaces ``path``
+    once the block ends. If the block raises, the temp file is removed and a
+    file already at ``path`` is left as it was."""
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
-    encode = _JSONL_ENCODER.encode
-    count = 0
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(encode(record) + "\n")
-                count += 1
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_jsonl(records: Iterable[Mapping[str, Any]], path: str | Path) -> int:
+    """Write one JSON object per line, each encoded as it arrives, and return
+    the count. The lines replace ``path`` only once every record is written
+    (see ``replacing``)."""
+    encode = _JSONL_ENCODER.encode
+    count = 0
+    with replacing(Path(path)) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(encode(record) + "\n")
+            count += 1
     return count
 
 
@@ -360,7 +350,7 @@ def write_jsonl(records: Iterable[Mapping[str, Any]], path: str | Path) -> int:
 
 @dataclass(frozen=True)
 class AreaStats:
-    """Per-label mean normalized element area over one dataset split."""
+    """Per-label mean unit-canvas element area over one dataset split."""
 
     means: Mapping[str, float]
 
@@ -372,14 +362,16 @@ class AreaStats:
 
 
 def compute_area_stats(dataset: CanonicalDataset, split: str) -> AreaStats:
-    """Mean of (normalized width x normalized height) per label over a split."""
+    """Mean of ``(width / W) * (height / H)`` per label over a split, each
+    element's area on the unit canvas."""
     layouts = dataset.by_split(split)
     if not layouts:
         raise EmptySplit(f"split {split!r} has no layouts")
     areas: dict[str, list[float]] = {}
     for layout in layouts:
+        w, h = float(layout.canvas.width), float(layout.canvas.height)
         for e in layout.elements:
-            areas.setdefault(e.label, []).append(e.bbox.area)
+            areas.setdefault(e.label, []).append((e.bbox.width / w) * (e.bbox.height / h))
     means = {label: math.fsum(values) / len(values) for label, values in sorted(areas.items())}
     return AreaStats(means=means)
 

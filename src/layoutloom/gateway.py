@@ -22,14 +22,13 @@ import threading
 import time
 import urllib.error
 import urllib.request
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .dataset import dumps_indented
+from .dataset import dumps_indented, replacing
 from .errors import (
     ConfigError,
     CredentialMissing,
@@ -127,14 +126,14 @@ _FILE_WRITES = threading.Lock()
 
 
 def write_transcript(directory: str | Path, transcript: Transcript) -> Path:
-    """Atomic write of one transcript: a temp file of its own, then a rename.
+    """Atomic write of one transcript: a temp file of its own, then a rename
+    (see ``dataset.replacing``).
 
     Concurrent items with equal prompts write the same key; each writer's
     temp name is unique, and the last rename wins. Within one process the
     files are written one at a time.
     """
     path = _transcript_path(directory, transcript.key)
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     payload = {
         "key": transcript.key,
         "request": {
@@ -148,17 +147,12 @@ def write_transcript(directory: str | Path, transcript: Transcript) -> Path:
         "metadata": {"created_at": transcript.created_at},
     }
     text = dumps_indented(payload) + "\n"
-    with _FILE_WRITES:
+    with _FILE_WRITES, replacing(path) as tmp:
         try:
-            try:
-                tmp.write_text(text, encoding="utf-8")
-            except FileNotFoundError:  # the first transcript of a new directory
-                path.parent.mkdir(parents=True, exist_ok=True)
-                tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+            tmp.write_text(text, encoding="utf-8")
+        except FileNotFoundError:  # the first transcript of a new directory
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text, encoding="utf-8")
     return path
 
 

@@ -1,12 +1,11 @@
 """Canonical layout types, normalization, validation, and HTML serialization.
 
-A Layout is an ordered set of labeled rectangles on a fixed canvas. Layouts
-exist in two coordinate regimes:
-
-* pixel space: canvas carries its real dimensions, bbox fields are pixels;
-* normalized space: canvas is the 1x1 unit square, bbox fields are fractions
-  of the original width/height, and ``task_meta["px_size"]`` remembers the
-  pixel dimensions so serialization can scale back.
+A Layout is an ordered set of labeled rectangles on a fixed canvas, and its
+bbox fields are always in that canvas's coordinates: pixels of a W x H
+canvas, or fractions of the 1x1 unit canvas that :func:`normalize` returns.
+A unit-canvas layout remembers no pixel size; :func:`denormalize` is told
+the canvas to scale it to. Unit coordinates are computed where they are
+read: by the metrics, the ranker and retrieval.
 
 The HTML snippet grammar emitted by :func:`to_html` is canonical and
 byte-stable:
@@ -125,16 +124,6 @@ class Layout:
     def is_normalized(self) -> bool:
         return self.canvas.width == 1 and self.canvas.height == 1
 
-    @property
-    def px_size(self) -> tuple[int, int] | None:
-        """Pixel dimensions: the canvas itself, or the remembered original."""
-        if not self.is_normalized:
-            return (self.canvas.width, self.canvas.height)
-        size = self.task_meta.get("px_size")
-        if size is None:
-            return None
-        return (int(size[0]), int(size[1]))
-
     def labels(self) -> tuple[str, ...]:
         return tuple(e.label for e in self.elements)
 
@@ -145,51 +134,29 @@ class ValidationReport:
     fraction: float
 
 
-def unit_box(left: float, top: float, width: float, height: float,
-             w: float, h: float) -> BBox:
-    """A pixel box as fractions of a ``w`` x ``h`` canvas: the one
-    pixel-to-unit division, shared by :func:`normalize` and dataset ingestion."""
-    return BBox(left / w, top / h, width / w, height / h)
-
-
 def normalize(layout: Layout) -> Layout:
-    """Rescale all bbox fields into the unit square.
+    """Rescale all bbox fields into the unit square, each as ``x / W``.
 
     Idempotent: a layout whose canvas is already 1x1 is returned unchanged.
-    The original pixel dimensions are kept in ``task_meta["px_size"]``.
     """
-    canvas = layout.canvas
     if layout.is_normalized:
         return layout
-    w = float(canvas.width)
-    h = float(canvas.height)
+    w = float(layout.canvas.width)
+    h = float(layout.canvas.height)
     elements = tuple(
-        Element(e.label, unit_box(e.bbox.left, e.bbox.top, e.bbox.width, e.bbox.height, w, h))
+        Element(e.label, BBox(e.bbox.left / w, e.bbox.top / h,
+                              e.bbox.width / w, e.bbox.height / h))
         for e in layout.elements
     )
-    meta = dict(layout.task_meta)
-    meta["px_size"] = [canvas.width, canvas.height]
-    return Layout(
-        id=layout.id,
-        canvas=Canvas(1, 1),
-        elements=elements,
-        task_meta=meta,
-    )
+    return Layout(id=layout.id, canvas=Canvas(1, 1), elements=elements,
+                  task_meta=layout.task_meta)
 
 
-def denormalize(layout: Layout, width: int | None = None, height: int | None = None) -> Layout:
-    """Scale a normalized layout back to pixel space.
-
-    Dimensions default to the remembered ``px_size``; a pixel-space layout is
-    returned unchanged.
-    """
+def denormalize(layout: Layout, width: int, height: int) -> Layout:
+    """Scale a unit-canvas layout to a ``width`` x ``height`` canvas; a
+    layout on any other canvas is returned unchanged."""
     if not layout.is_normalized:
         return layout
-    if width is None or height is None:
-        size = layout.px_size
-        if size is None:
-            raise ZeroCanvas("normalized layout has no px_size and no target dimensions were given")
-        width, height = size
     w = float(width)
     h = float(height)
     elements = tuple(
@@ -197,13 +164,8 @@ def denormalize(layout: Layout, width: int | None = None, height: int | None = N
                               e.bbox.width * w, e.bbox.height * h))
         for e in layout.elements
     )
-    meta = {k: v for k, v in layout.task_meta.items() if k != "px_size"}
-    return Layout(
-        id=layout.id,
-        canvas=Canvas(int(width), int(height)),
-        elements=elements,
-        task_meta=meta,
-    )
+    return Layout(id=layout.id, canvas=Canvas(int(width), int(height)), elements=elements,
+                  task_meta=layout.task_meta)
 
 
 _UNIT = BBox(0.0, 0.0, 1.0, 1.0)
@@ -228,25 +190,19 @@ def validate_layout(layout: Layout, min_area_ratio: float = 0.001) -> Validation
 def to_html(layout: Layout) -> HtmlSnippet:
     """Serialize a layout to the canonical snippet grammar.
 
-    Coordinates are emitted as integer pixels (round half-up). Normalized
-    layouts are scaled back through their remembered pixel size; a normalized
-    layout without one is serialized on the unit canvas as-is.
+    Coordinates are emitted as integer pixels of the layout's own canvas
+    (round half-up).
     """
-    if layout.is_normalized and layout.px_size is not None:
-        pw, ph = layout.px_size
-        sx, sy = float(pw), float(ph)
-    else:
-        pw, ph = layout.canvas.width, layout.canvas.height
-        sx = sy = 1.0
     parts = [
         "<html><body>",
-        f'<div class="canvas" style="width:{pw}px; height:{ph}px"></div>',
+        f'<div class="canvas" style="width:{layout.canvas.width}px; '
+        f'height:{layout.canvas.height}px"></div>',
     ]
     for e in layout.elements:
-        x = round_half_up(e.bbox.left * sx)
-        y = round_half_up(e.bbox.top * sy)
-        w = round_half_up(e.bbox.width * sx)
-        h = round_half_up(e.bbox.height * sy)
+        x = round_half_up(e.bbox.left)
+        y = round_half_up(e.bbox.top)
+        w = round_half_up(e.bbox.width)
+        h = round_half_up(e.bbox.height)
         parts.append(
             f'<div class="{e.label}" style="left:{x}px; top:{y}px; '
             f'width:{w}px; height:{h}px"></div>'
@@ -285,7 +241,7 @@ def parse_html(
 
     Accepts whitespace variation, missing wrapper tags, reordered style
     properties, code fences, and surrounding prose; divs with unknown
-    classes are skipped and reported in ``task_meta["parse_warnings"]``.
+    classes are skipped.
     Without a canvas div the canvas is ``fallback_canvas``, or else the
     smallest one that holds every element.
 
@@ -296,7 +252,6 @@ def parse_html(
     vocab = set(vocabulary)
     canvas_size: tuple[int, int] | None = None
     elements: list[Element] = []
-    warnings: list[str] = []
 
     for m in _DIV_RE.finditer(snippet):
         attrs = _attrs(m.group(1))
@@ -313,7 +268,6 @@ def parse_html(
             continue
         label = next((c for c in classes if c in vocab), None)
         if label is None:
-            warnings.append(f"unknown element class {classes[0]!r}")
             continue
         width = props.get("width", 0.0)
         height = props.get("height", 0.0)
@@ -333,15 +287,7 @@ def parse_html(
         else:
             raise ParseFailure("no canvas dimensions and no recognizable element divs found")
 
-    meta: dict[str, Any] = {}
-    if warnings:
-        meta["parse_warnings"] = warnings
-    return Layout(
-        id=layout_id,
-        canvas=Canvas(canvas_size[0], canvas_size[1]),
-        elements=tuple(elements),
-        task_meta=meta,
-    )
+    return Layout(id=layout_id, canvas=Canvas(*canvas_size), elements=tuple(elements))
 
 
 def label_counts(layout: Layout) -> dict[str, int]:

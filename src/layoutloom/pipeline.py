@@ -277,27 +277,29 @@ def bundle_sha256(bundle: PromptBundle) -> str:
 # --- coarse generation ------------------------------------------------------
 
 def _query_layout(constraint: ConstraintSpec, stats: AreaStats | None,
-                  canvas: Canvas, query: Layout | None) -> Layout | None:
-    if query is not None and query.elements:
-        return query
+                  item: Layout | None) -> Layout | None:
+    if item is not None and item.elements:
+        return item
     if constraint.given_layout is not None and constraint.given_layout.elements:
         return constraint.given_layout
     categories = constraint.categories()
     if categories:
-        return pseudo_layout(categories, stats, canvas)
+        return pseudo_layout(categories, stats)
     return None
 
 
 def _target_canvas(constraint: ConstraintSpec, cfg: PipelineConfig,
-                   query: Layout | None) -> Canvas:
+                   item: Layout | None) -> Canvas:
+    """The canvas a coarse layout is drafted on: the constraint's, else the
+    canvas of an item with elements, unless that is the unit canvas, else
+    ``cfg.default_canvas``."""
     payload = constraint.payload
     if constraint.kind in ("content_aware", "text_to_layout") and payload.get("canvas"):
         return Canvas(*payload["canvas"])
     if constraint.given_layout is not None:
         return constraint.given_layout.canvas
-    if query is not None and query.px_size:
-        w, h = query.px_size
-        return Canvas(w, h)
+    if item is not None and item.elements and not item.is_normalized:
+        return item.canvas
     return Canvas(*cfg.default_canvas)
 
 
@@ -327,8 +329,8 @@ def generate_coarse(constraint: ConstraintSpec, index: RetrievalIndex,
                     run_id: str = "") -> tuple[Layout, CoarseFragment]:
     """Retrieve exemplars, fan out n candidates, rank, and return the best."""
     vocabulary = index.vocabulary
-    query_lay = _query_layout(constraint, stats, Canvas(*cfg.default_canvas), query)
-    canvas = _target_canvas(constraint, cfg, query_lay)
+    query_lay = _query_layout(constraint, stats, query)
+    canvas = _target_canvas(constraint, cfg, query)
     exemplar_ids, source = _select_exemplars(query_lay, index, cfg.k_coarse, cfg, run_id)
     exemplars = _exemplar_layouts(index, exemplar_ids, canvas)
     bundle = build_coarse_prompt(exemplars, constraint, vocabulary=vocabulary)
@@ -397,8 +399,8 @@ def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex
     current = coarse
     stages: list[StageRecord] = []
     for stage in range(1, stage_count + 1):
-        bundle = build_stage_prompt(stage, constraint.family, exemplars, current,
-                                    constraint, vocabulary=vocabulary)
+        bundle = build_stage_prompt(stage, exemplars, current, constraint,
+                                    vocabulary=vocabulary)
         raw_responses = []
         parsed_layout: Layout | None = None
         for attempt in range(2):
@@ -688,6 +690,10 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
 
         if "items" in data:
             records = list(data["items"])
+            for i, record in enumerate(records):
+                if not isinstance(record, Mapping):
+                    raise SchemaError(f"items[{i}] must be an object, "
+                                      f"got {type(record).__name__}")
         elif "dataset" in data:
             spec = data["dataset"]
             if not isinstance(spec, Mapping) or "records" not in spec:

@@ -317,10 +317,9 @@ def build_coarse_prompt(exemplars: Sequence[Layout], constraint: ConstraintSpec,
     return _bundle(constraint.family, "coarse", exemplars, constraint, vocabulary)
 
 
-def build_stage_prompt(stage: int, task_family: str, exemplars: Sequence[Layout],
-                       current: Layout, constraint: ConstraintSpec,
-                       vocabulary: Sequence[str]) -> PromptBundle:
-    """Render the refinement prompt for stage 1, 2, or 3.
+def build_stage_prompt(stage: int, exemplars: Sequence[Layout], current: Layout,
+                       constraint: ConstraintSpec, vocabulary: Sequence[str]) -> PromptBundle:
+    """Render the constraint family's refinement prompt for stage 1, 2, or 3.
 
     Stage 1 binds the working layout to {{CURRENT_HTML}}; later stages bind
     it to {{STAGE_{t-1}_HTML}} so the template can name its predecessor.
@@ -328,5 +327,5 @@ def build_stage_prompt(stage: int, task_family: str, exemplars: Sequence[Layout]
     if stage not in (1, 2, 3):
         raise UnknownTemplate(f"stage must be 1, 2, or 3, got {stage}")
     name = "CURRENT_HTML" if stage == 1 else f"STAGE_{stage - 1}_HTML"
-    return _bundle(task_family, str(stage), exemplars, constraint, vocabulary,
+    return _bundle(constraint.family, str(stage), exemplars, constraint, vocabulary,
                    **{name: to_html(current)})

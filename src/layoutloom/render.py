@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import base64
 import hashlib
-from dataclasses import dataclass, field
-from typing import Mapping
 from xml.sax.saxutils import escape, quoteattr
 
 from .dataset import SaliencyRaster
@@ -17,21 +15,14 @@ PALETTE = (
     "#f032e6", "#bcf60c", "#fabebe", "#008080", "#9a6324", "#808000",
 )
 
+# The pixel canvas a unit-canvas layout is drawn on.
 FALLBACK_SIZE = (1000, 1000)
 
-
-@dataclass(frozen=True)
-class RenderStyle:
-    fill_opacity: float = 0.45
-    stroke_width: float = 2.0
-    show_labels: bool = True
-    show_background: bool = False
-    color_overrides: Mapping[str, str] = field(default_factory=dict)
+FILL_OPACITY = 0.45
+STROKE_WIDTH = 2.0
 
 
-def label_color(label: str, overrides: Mapping[str, str] | None = None) -> str:
-    if overrides and label in overrides:
-        return overrides[label]
+def label_color(label: str) -> str:
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     return PALETTE[digest[0] % len(PALETTE)]
 
@@ -41,19 +32,14 @@ def _fmt(value: float) -> str:
     return text.rstrip("0").rstrip(".") if "." in text else text
 
 
-def render_svg(layout: Layout, style: RenderStyle | None = None,
-               background: SaliencyRaster | None = None) -> str:
-    """One rect per element in element order; later elements draw on top.
+def render_svg(layout: Layout, background: SaliencyRaster | None = None) -> str:
+    """One labeled rect per element in element order; later elements draw
+    on top. A unit-canvas layout is drawn on a ``FALLBACK_SIZE`` canvas.
 
     Output is byte-deterministic and well-formed XML. A grayscale background
-    raster is embedded as a base64 PGM image only when the style asks for it.
+    raster, when given, is embedded as a base64 PGM image.
     """
-    style = style or RenderStyle()
-    if layout.is_normalized:
-        size = layout.px_size or FALLBACK_SIZE
-        lay = denormalize(layout, size[0], size[1])
-    else:
-        lay = layout
+    lay = denormalize(layout, *FALLBACK_SIZE)
     width, height = lay.canvas.width, lay.canvas.height
 
     parts = [
@@ -63,7 +49,7 @@ def render_svg(layout: Layout, style: RenderStyle | None = None,
         f'<rect class="canvas" x="0" y="0" width="{width}" height="{height}" '
         f'fill="#ffffff" stroke="#000000" stroke-width="1"/>',
     ]
-    if style.show_background and background is not None:
+    if background is not None:
         header = f"P5\n{background.width} {background.height}\n255\n".encode("ascii")
         pixels = bytes(int(round(v * 255.0)) for v in background.values.ravel().tolist())
         data = base64.b64encode(header + pixels).decode("ascii")
@@ -72,18 +58,17 @@ def render_svg(layout: Layout, style: RenderStyle | None = None,
             f'href="data:image/x-portable-graymap;base64,{data}"/>'
         )
     for e in lay.elements:
-        color = label_color(e.label, style.color_overrides)
+        color = label_color(e.label)
         parts.append(
             f'<rect class={quoteattr(e.label)} x="{_fmt(e.bbox.left)}" y="{_fmt(e.bbox.top)}" '
             f'width="{_fmt(max(0.0, e.bbox.width))}" height="{_fmt(max(0.0, e.bbox.height))}" '
-            f'fill="{color}" fill-opacity="{_fmt(style.fill_opacity)}" '
-            f'stroke="{color}" stroke-width="{_fmt(style.stroke_width)}"/>'
+            f'fill="{color}" fill-opacity="{_fmt(FILL_OPACITY)}" '
+            f'stroke="{color}" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
         )
-        if style.show_labels:
-            parts.append(
-                f'<text x="{_fmt(e.bbox.left + 3)}" y="{_fmt(e.bbox.top + 14)}" '
-                f'font-family="monospace" font-size="12" fill="#000000">'
-                f'{escape(e.label)}</text>'
-            )
+        parts.append(
+            f'<text x="{_fmt(e.bbox.left + 3)}" y="{_fmt(e.bbox.top + 14)}" '
+            f'font-family="monospace" font-size="12" fill="#000000">'
+            f'{escape(e.label)}</text>'
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -233,7 +233,8 @@ class RetrievalIndex:
 
 def build_index(dataset: CanonicalDataset, split: str,
                 weights: CostWeights = DEFAULT_WEIGHTS) -> RetrievalIndex:
-    """Index the normalized layouts of one split; empty layouts are skipped."""
+    """Index one split's layouts on the unit canvas, each box value divided
+    by its canvas (``normalize``, bit for bit); empty layouts are skipped."""
     layouts = dataset.by_split(split)
     if not layouts:
         raise EmptySplit(f"split {split!r} has no layouts to index")
@@ -254,11 +255,15 @@ def build_index(dataset: CanonicalDataset, split: str,
         labels = np.full(real.shape, -1, dtype=np.int64)
         labels[real] = np.fromiter((label_ids[e.label] for layout in kept
                                     for e in layout.elements), dtype=np.int64, count=total)
-        # Each box is read once; numpy's left + width / 2.0 is BBox.cx bit for bit.
+        # Each box is read once. numpy's x / W is normalize's, and its
+        # left + width / 2.0 is BBox.cx, bit for bit.
         ltwh = operator.attrgetter("left", "top", "width", "height")
         left, top, width, height = np.fromiter(
             chain.from_iterable(ltwh(e.bbox) for layout in kept for e in layout.elements),
             dtype=np.float64, count=4 * total).reshape(-1, 4).T
+        w, h = np.repeat(np.array([(layout.canvas.width, layout.canvas.height)
+                                   for layout in kept], dtype=np.float64), counts, axis=0).T
+        left, top, width, height = left / w, top / h, width / w, height / h
         coords = np.zeros(real.shape + (4,))
         coords[real] = np.stack((left + width / 2.0, top + height / 2.0, width, height), axis=1)
         return RetrievalIndex(dataset.manifest.vocabulary, [layout.id for layout in kept],
@@ -501,12 +506,12 @@ def topk_retrieve(query: Layout, index: RetrievalIndex, k: int,
 
 
 def pseudo_layout(categories: Mapping[str, int], stats: AreaStats | None = None,
-                  canvas: Canvas | None = None, default_area: float = 0.05) -> Layout:
+                  default_area: float = 0.05) -> Layout:
     """Build a retrieval query for tasks that provide categories but no boxes.
 
-    Each required category contributes square boxes centered on the canvas,
-    sized so their area equals the label's training-set mean (or a default
-    when no statistics are available).
+    Each required category contributes square boxes centered on the unit
+    canvas, sized so their area equals the label's training-set mean (or a
+    default when no statistics are available).
     """
     if not categories:
         raise EmptyLayout("cannot build a pseudo layout from zero categories")
@@ -519,7 +524,4 @@ def pseudo_layout(categories: Mapping[str, int], stats: AreaStats | None = None,
         offset = (1.0 - side) / 2.0
         for _ in range(max(1, int(count))):
             elements.append(Element(label=label, bbox=BBox(offset, offset, side, side)))
-    meta = {}
-    if canvas is not None:
-        meta["px_size"] = [canvas.width, canvas.height]
-    return Layout(id="", canvas=Canvas(1, 1), elements=tuple(elements), task_meta=meta)
+    return Layout(id="", canvas=Canvas(1, 1), elements=tuple(elements))

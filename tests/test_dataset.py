@@ -3,6 +3,8 @@ indented JSON."""
 
 import gc
 import json
+import math
+import re
 import struct
 from dataclasses import dataclass
 from typing import Mapping
@@ -43,7 +45,7 @@ from layoutloom.errors import (
     VocabularyError,
     ZeroCanvas,
 )
-from layoutloom.model import BBox, Canvas, Element, Layout, denormalize, normalize
+from layoutloom.model import BBox, Canvas, Element, Layout, normalize
 from layoutloom.retrieval import build_index
 from layoutloom.transport import MAX_ELEMENTS
 
@@ -96,12 +98,13 @@ class TestIngest:
         assert len(dataset) == 0
         assert dataset.split_counts() == {}
 
-    def test_layouts_normalized_and_keyed(self):
-        dataset = ingest([_record("a", [{"label": "text", "bbox": [10, 20, 30, 40]}])],
-                         PKU_LIKE)
+    def test_layouts_in_pixels_and_keyed(self):
+        record = _record("a", [{"label": "text", "bbox": [10, 20, 30, 40]}])
+        dataset = ingest([record], PKU_LIKE)
         lay = dataset.layouts["a"]
-        assert lay.is_normalized
-        assert lay.elements[0].bbox.left == 10 / 100
+        assert lay == record_to_layout(record)
+        assert lay.canvas == Canvas(100, 200)
+        assert lay.elements[0].bbox == BBox(10.0, 20.0, 30.0, 40.0)
         assert dataset.split_of("a") == "train"
 
     def test_unknown_label_strict(self):
@@ -158,13 +161,26 @@ class TestIngest:
         write_jsonl(exported, path)
         assert list(read_jsonl(path)) == records
 
+    @pytest.mark.parametrize("line, kind", [("[1, 2]", "list"), ('"a"', "str"), ("7", "int"),
+                                            ("null", "NoneType")])
+    def test_read_jsonl_refuses_a_line_that_is_not_an_object(self, tmp_path, line, kind):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"id": "a"}\n\n' + line + "\n", encoding="utf-8")
+        lines = read_jsonl(path)
+        assert next(lines) == {"id": "a"}
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}:3: a record must be an object, got {kind}")):
+            next(lines)
 
-# --- parity with the two-step path ---------------------------------------------
+
+# --- parity with the normalize-first path ---------------------------------------
 #
-# Ingest once built a pixel-space layout and normalized a copy of it, and
-# export scaled a copy back through denormalize. That path is kept here as
-# the reference: one-pass ingest and inline export must give the same
-# layouts, floats bit for bit, the same JSON text and the same errors.
+# Ingest once divided each box by its canvas as it read it, and export
+# scaled each value back. Ingest now keeps each value as read, and the index
+# and the area statistics divide where they read it. A separate record
+# reader and normalize-first computations are the reference: ingest must
+# give the same layouts, floats bit for bit, and the same errors, and the
+# index and the statistics must hold the bits that ``normalize`` gives.
 
 def _reference_record_to_layout(record, vocabulary=None, strict=True):
     if not isinstance(record, Mapping):
@@ -193,19 +209,6 @@ def _reference_record_to_layout(record, vocabulary=None, strict=True):
     return Layout(id=rid, canvas=canvas, elements=tuple(elements), task_meta=meta)
 
 
-def _reference_normalize(layout):
-    if layout.is_normalized:
-        return layout
-    w, h = float(layout.canvas.width), float(layout.canvas.height)
-    elements = tuple(
-        Element(label=e.label,
-                bbox=BBox(e.bbox.left / w, e.bbox.top / h, e.bbox.width / w, e.bbox.height / h))
-        for e in layout.elements)
-    meta = dict(layout.task_meta)
-    meta["px_size"] = [layout.canvas.width, layout.canvas.height]
-    return Layout(id=layout.id, canvas=Canvas(1, 1), elements=elements, task_meta=meta)
-
-
 def _reference_ingest(records, manifest, strict=True):
     layouts = []
     for record in records:
@@ -215,25 +218,16 @@ def _reference_ingest(records, manifest, strict=True):
             if strict:
                 raise
             continue
-        layouts.append(_reference_normalize(layout))
+        layouts.append(layout)
     return layouts
 
 
-def _reference_layout_to_record(layout):
-    lay = denormalize(layout) if layout.is_normalized and layout.px_size else layout
-    record = {
-        "id": lay.id,
-        "canvas": {"w": lay.canvas.width, "h": lay.canvas.height},
-        "elements": [
-            {"label": e.label, "bbox": [e.bbox.left, e.bbox.top, e.bbox.width, e.bbox.height]}
-            for e in lay.elements
-        ],
-    }
-    for key in ("split", "saliency", "gradient", "text", "constraints"):
-        value = lay.task_meta.get(key)
-        if value is not None:
-            record[key] = value
-    return record
+def _as_read(record):
+    """A record as export writes it: the canvas as integers and each box
+    value as ``float(value)``."""
+    return dict(record, canvas={"w": int(record["canvas"]["w"]), "h": int(record["canvas"]["h"])},
+                elements=[dict(e, bbox=[float(v) for v in e["bbox"]])
+                          for e in record["elements"]])
 
 
 def _bits(layout):
@@ -295,33 +289,47 @@ _faulty_canvases = st.one_of(_canvases, st.tuples(st.integers(0, 3), st.integers
                              st.just(("640.5", "480")))
 
 
-class TestOnePassParity:
+class TestPixelSpaceParity:
     @settings(max_examples=100, deadline=None)
     @given(_records())
-    def test_ingest_equals_normalized_record_layouts(self, records):
+    def test_ingest_equals_record_to_layout(self, records):
         got = [_bits(lay) for lay in ingest(records, PKU_LIKE)]
         assert got == [_bits(lay) for lay in _reference_ingest(records, PKU_LIKE)]
-        assert got == [_bits(normalize(record_to_layout(r, PKU_LIKE.vocabulary)))
-                       for r in records]
+        assert got == [_bits(record_to_layout(r, PKU_LIKE.vocabulary)) for r in records]
 
     @settings(max_examples=100, deadline=None)
     @given(_records())
-    def test_export_text_equals_the_reference(self, tmp_path_factory, records):
+    def test_export_writes_each_value_as_read(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("export") / "out.jsonl"
         write_jsonl(export_records(ingest(records, PKU_LIKE)), path)
-        expected = "".join(json.dumps(_reference_layout_to_record(lay), sort_keys=True) + "\n"
-                           for lay in _reference_ingest(records, PKU_LIKE))
+        expected = "".join(json.dumps(_as_read(r), sort_keys=True) + "\n" for r in records)
         assert path.read_text(encoding="utf-8") == expected
 
-    @settings(max_examples=60, deadline=None)
-    @given(_records())
-    def test_export_of_pixel_and_unit_layouts_is_unchanged(self, records):
-        for record in records:
-            for layout in (record_to_layout(record),
-                           Layout(record["id"], Canvas(1, 1),
-                                  record_to_layout(record).elements)):
-                assert json.dumps(layout_to_record(layout), sort_keys=True) == \
-                    json.dumps(_reference_layout_to_record(layout), sort_keys=True)
+    @settings(max_examples=100, deadline=None)
+    @given(_records(elements=_elements.filter(bool)))
+    def test_index_stores_the_normalized_boxes(self, records):
+        corpus = ingest([dict(r, split="train") for r in records], PKU_LIKE)
+        index = build_index(corpus, "train")
+        assert list(index.ids) == [r["id"] for r in records]
+        for row, rid in enumerate(index.ids):
+            unit = normalize(corpus.layouts[rid])
+            expected = np.array([(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
+                                 for e in unit.elements])
+            assert index.coords[row, :len(unit.elements)].tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_records(elements=_elements.filter(bool)))
+    def test_area_stats_equal_the_normalize_first_means(self, records):
+        corpus = ingest([dict(r, split="train") for r in records], PKU_LIKE)
+        areas = {}
+        for layout in corpus:
+            for e in normalize(layout).elements:
+                areas.setdefault(e.label, []).append(e.bbox.area)
+        expected = {label: math.fsum(v) / len(v) for label, v in sorted(areas.items())}
+        got = compute_area_stats(corpus, "train").means
+        assert list(got) == list(expected)
+        assert [struct.pack("<d", v) for v in got.values()] == \
+            [struct.pack("<d", v) for v in expected.values()]
 
     @settings(max_examples=200, deadline=None)
     @given(_records(elements=_faulty_elements, canvases=_faulty_canvases), st.booleans())
@@ -356,7 +364,6 @@ class TestOnePassParity:
         record = _record("a", [{"label": "text", "bbox": [3, 0.25, 0.5, 7]}], canvas=(1, 1))
         layout = ingest([record], PKU_LIKE).layouts["a"]
         assert layout == record_to_layout(record)
-        assert "px_size" not in layout.task_meta
         assert list(export_records(ingest([record], PKU_LIKE))) == [
             dict(record, elements=[{"label": "text", "bbox": [3.0, 0.25, 0.5, 7.0]}])]
 

@@ -30,7 +30,7 @@ class TestNormalize:
         norm = normalize(lay)
         assert norm.elements[0].bbox == BBox(0.25, 0.25, 0.5, 0.5)
         assert norm.canvas == Canvas(1, 1)
-        assert norm.task_meta["px_size"] == [200, 100]
+        assert norm.task_meta == lay.task_meta
 
     def test_unit_canvas_is_identity(self):
         lay = make_layout("a", (1, 1), [(0.2, 0.3, 0.4, 0.1)])
@@ -54,7 +54,11 @@ class TestNormalize:
 
     def test_denormalize_inverts(self):
         lay = make_layout("a", (200, 100), [(50, 25, 100, 50)])
-        assert denormalize(normalize(lay)) == lay
+        assert denormalize(normalize(lay), 200, 100) == lay
+
+    def test_denormalize_leaves_a_pixel_layout(self):
+        lay = make_layout("a", (200, 100), [(50, 25, 100, 50)])
+        assert denormalize(lay, 400, 300) is lay
 
 
 class TestValidate:
@@ -103,9 +107,15 @@ class TestToHtml:
         lay = make_layout("a", (123, 456), [(1, 2, 3, 4), (5, 6, 7, 8)], ["text", "logo"])
         assert to_html(lay) == to_html(lay)
 
-    def test_normalized_layout_scales_back(self):
+    def test_unit_canvas_layout_is_written_on_its_own_canvas(self):
         lay = make_layout("a", (200, 100), [(50, 25, 100, 50)])
-        assert to_html(normalize(lay)) == to_html(lay)
+        assert to_html(normalize(lay)) == (
+            "<html><body>\n"
+            '<div class="canvas" style="width:1px; height:1px"></div>\n'
+            '<div class="text" style="left:0px; top:0px; width:1px; height:1px"></div>\n'
+            "</body></html>"
+        )
+        assert to_html(denormalize(normalize(lay), 200, 100)) == to_html(lay)
 
     def test_rounding_half_up(self):
         assert round_half_up(2.5) == 3
@@ -147,7 +157,7 @@ class TestParseHtml:
         assert lay.canvas == Canvas(100, 50)
         assert lay.elements[0].bbox == BBox(1.0, 2.0, 3.0, 4.0)
 
-    def test_unknown_class_collected_as_warning(self):
+    def test_unknown_class_is_skipped(self):
         snippet = (
             '<div class="canvas" style="width:100px; height:100px"></div>'
             '<div class="banner" style="left:0px; top:0px; width:10px; height:10px"></div>'
@@ -155,7 +165,7 @@ class TestParseHtml:
         )
         lay = parse_html(snippet, VOCAB)
         assert [e.label for e in lay.elements] == ["text"]
-        assert len(lay.task_meta["parse_warnings"]) == 1
+        assert lay.task_meta == {}
 
     def test_parse_failure_on_garbage(self):
         with pytest.raises(ParseFailure):

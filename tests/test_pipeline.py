@@ -229,8 +229,9 @@ EVERY_KIND = [
 def _old_constraint_satisfaction(candidate, constraint):
     """constraint_satisfaction as it was before candidates stayed parsed
     layouts: the given layout parsed per call, a locked-element filter, and
-    a normalized candidate scaled back to pixels."""
-    from layoutloom.model import denormalize, label_counts, normalize
+    a normalized candidate scaled back to pixels (the candidates are parsed
+    pixel-space layouts, so it was the candidate itself)."""
+    from layoutloom.model import label_counts, normalize
     from layoutloom.pipeline import _match_slots, _relation_holds, _within_ratio
     kind, payload = constraint.kind, constraint.payload
     counts = label_counts(candidate)
@@ -257,9 +258,7 @@ def _old_constraint_satisfaction(candidate, constraint):
         fixed = [e for e in given.elements if getattr(e, "locked", False)] or (
             list(given.elements) if kind == "completion" else [])
         if fixed:
-            cand = denormalize(candidate) if candidate.is_normalized and candidate.px_size \
-                else candidate
-            slots = _match_slots(cand, [e.label for e in fixed])
+            slots = _match_slots(candidate, [e.label for e in fixed])
             for e, box in zip(fixed, slots):
                 clauses.append(box is not None
                                and abs(box.left - e.bbox.left) <= 1.0
@@ -583,8 +582,7 @@ class TestRefineCot:
         from layoutloom.pipeline import _exemplar_layouts
         exemplars = _exemplar_layouts(index, trace.stages[1].exemplar_ids, coarse.canvas)
         previous = record_to_layout(dict(trace.stages[0].parsed, id=""))
-        bundle = build_stage_prompt(2, "content_aware", exemplars, previous, spec,
-                                    vocabulary=index.vocabulary)
+        bundle = build_stage_prompt(2, exemplars, previous, spec, vocabulary=index.vocabulary)
         assert bundle_sha256(bundle) == trace.stages[1].prompt_sha256
 
 
@@ -850,6 +848,31 @@ class TestRunTask:
         with pytest.raises(SchemaError, match="item2"):
             run_task(config)
         assert not (tmp_path / "run_d" / "generated.jsonl").exists()
+
+    @pytest.mark.parametrize("entry", [[1, 2], "item5", 7, None])
+    def test_items_entry_that_is_not_an_object_is_refused_up_front(self, fixture_env,
+                                                                   tmp_path, entry):
+        config = fixture_env["run_config"](tmp_path / "run_n", "replay")
+        config["items"] = fixture_env["items"] + [entry]
+        del config["dataset"]
+        with pytest.raises(SchemaError, match=rf"^items\[5\] must be an object, "
+                                              rf"got {type(entry).__name__}$"):
+            run_task(config)
+        assert not (tmp_path / "run_n" / "generated.jsonl").exists()
+
+    def test_records_line_that_is_not_an_object_is_refused_up_front(self, fixture_env,
+                                                                    tmp_path):
+        config = fixture_env["run_config"](tmp_path / "run_n", "replay")
+        path = tmp_path / "records.jsonl"
+        path.write_text((fixture_env["root"] / "test.jsonl").read_text(encoding="utf-8")
+                        + "[1, 2]\n", encoding="utf-8")
+        config["dataset"] = dict(config["dataset"], records=str(path))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"cannot read records file {path}: {path}:6: a record must be an object, "
+                f"got list")) as raised:
+            run_task(config)
+        assert isinstance(raised.value.__cause__, SchemaError)
+        assert not (tmp_path / "run_n" / "generated.jsonl").exists()
 
     def test_non_domain_error_costs_only_its_item(self, fixture_env, tmp_path):
         def transport(payload, idx):

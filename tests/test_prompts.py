@@ -2,6 +2,7 @@
 
 import pytest
 
+from layoutloom import prompts
 from layoutloom.dataset import TASK_KINDS, record_to_layout
 from layoutloom.errors import (
     EmptyExemplars,
@@ -68,8 +69,7 @@ class TestCatalog:
             bundle = build_coarse_prompt(exemplars(), constraint, VOCAB)
             assert "{{" not in bundle.system + bundle.user
             for stage in (1, 2, 3):
-                bundle = build_stage_prompt(stage, family, exemplars(), current,
-                                            constraint, VOCAB)
+                bundle = build_stage_prompt(stage, exemplars(), current, constraint, VOCAB)
                 assert "{{" not in bundle.system + bundle.user
 
 
@@ -213,50 +213,43 @@ class TestCoarsePrompt:
 class TestStagePrompts:
     def test_content_aware_stage_rules(self):
         current = make_layout("cur", (513, 750), [(10, 10, 100, 50)])
-        s1 = build_stage_prompt(1, "content_aware", exemplars(), current,
-                                CONSTRAINTS["content_aware"], VOCAB)
+        s1 = build_stage_prompt(1, exemplars(), current, CONSTRAINTS["content_aware"], VOCAB)
         assert "Keep object and underlay locked" in s1.system
-        s2 = build_stage_prompt(2, "content_aware", exemplars(), current,
-                                CONSTRAINTS["content_aware"], VOCAB)
+        s2 = build_stage_prompt(2, exemplars(), current, CONSTRAINTS["content_aware"], VOCAB)
         assert "maximize IoU with associated text/logo" in s2.system
         assert "fully contains the corresponding text/logo" in s2.system
 
     def test_text_to_layout_stage2_overlap_rule(self):
         current = make_layout("cur", (360, 640), [(10, 10, 100, 50)])
-        bundle = build_stage_prompt(2, "text_to_layout", exemplars(), current,
-                                    CONSTRAINTS["text_to_layout"], VOCAB)
+        bundle = build_stage_prompt(2, exemplars(), current, CONSTRAINTS["text_to_layout"], VOCAB)
         assert "Reduce Overlap to near zero" in bundle.system
 
     def test_stage_placeholder_progression(self):
         current = make_layout("cur", (100, 200), [(1, 2, 3, 4)])
-        s1 = build_stage_prompt(1, "content_aware", exemplars(), current,
-                                CONSTRAINTS["content_aware"], VOCAB)
+        s1 = build_stage_prompt(1, exemplars(), current, CONSTRAINTS["content_aware"], VOCAB)
         assert "initial layout needing refinement" in s1.user
-        s2 = build_stage_prompt(2, "content_aware", exemplars(), current,
-                                CONSTRAINTS["content_aware"], VOCAB)
+        s2 = build_stage_prompt(2, exemplars(), current, CONSTRAINTS["content_aware"], VOCAB)
         assert "after Stage 1" in s2.user
-        s3 = build_stage_prompt(3, "content_aware", exemplars(), current,
-                                CONSTRAINTS["content_aware"], VOCAB)
+        s3 = build_stage_prompt(3, exemplars(), current, CONSTRAINTS["content_aware"], VOCAB)
         assert "after Stage 2" in s3.user
         for bundle in (s1, s2, s3):
             assert to_html(current) in bundle.user
 
-    def test_missing_text_description_unbound(self):
+    def test_unbound_placeholder_is_refused(self, monkeypatch):
         current = make_layout("cur", (100, 200), [(1, 2, 3, 4)])
-        # a constraint without a text payload cannot fill text_to_layout templates
-        with pytest.raises(UnboundPlaceholder):
-            build_stage_prompt(1, "text_to_layout", exemplars(), current,
-                               CONSTRAINTS["constraint_explicit"], VOCAB)
+        monkeypatch.setattr(prompts, "load_template",
+                            lambda family, stage: ("{{TEXT_DESCRIPTION}}", "{{CURRENT_HTML}}"))
+        with pytest.raises(UnboundPlaceholder, match="TEXT_DESCRIPTION"):
+            build_stage_prompt(1, exemplars(), current, CONSTRAINTS["constraint_explicit"], VOCAB)
 
     def test_invalid_stage(self):
         current = make_layout("cur", (100, 200), [(1, 2, 3, 4)])
         with pytest.raises(UnknownTemplate):
-            build_stage_prompt(4, "content_aware", exemplars(), current,
-                               CONSTRAINTS["content_aware"], VOCAB)
+            build_stage_prompt(4, exemplars(), current, CONSTRAINTS["content_aware"], VOCAB)
 
     def test_vocabulary_binding(self):
         current = make_layout("cur", (100, 200), [(1, 2, 3, 4)])
-        bundle = build_stage_prompt(1, "constraint_explicit", exemplars(), current,
+        bundle = build_stage_prompt(1, exemplars(), current,
                                     CONSTRAINTS["constraint_explicit"],
                                     vocabulary=("text", "title", "list"))
         assert "1) text, 2) title, 3) list" in bundle.system
@@ -267,6 +260,5 @@ class TestStagePrompts:
             "canvas": {"w": 100, "h": 200},
             "elements": [{"label": "text", "bbox": [1, 2, 3, 4]}],
         }})
-        bundle = build_stage_prompt(1, "constraint_explicit", exemplars(), current,
-                                    completion, VOCAB)
+        bundle = build_stage_prompt(1, exemplars(), current, completion, VOCAB)
         assert "partial elements are fixed" in bundle.system

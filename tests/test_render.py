@@ -6,7 +6,7 @@ import numpy as np
 
 from layoutloom.dataset import SaliencyRaster
 from layoutloom.model import normalize
-from layoutloom.render import RenderStyle, label_color, render_svg
+from layoutloom.render import FALLBACK_SIZE, label_color, render_svg
 
 from conftest import make_layout
 
@@ -40,22 +40,28 @@ class TestRenderSvg:
         lay = make_layout("a", (300, 300), [(1, 2, 3, 4)], ["text"])
         ET.fromstring(render_svg(lay))  # raises on malformed output
 
-    def test_normalized_layout_uses_px_size(self):
+    def test_unit_canvas_layout_is_drawn_at_the_fallback_size(self):
         lay = normalize(make_layout("a", (200, 100), [(50, 25, 100, 50)]))
-        svg = render_svg(lay)
-        root = ET.fromstring(svg)
-        assert root.get("viewBox") == "0 0 200 100"
+        root = ET.fromstring(render_svg(lay))
+        assert root.get("viewBox") == "0 0 {} {}".format(*FALLBACK_SIZE)
+        box = _rects(render_svg(lay))[1]
+        assert [box.get(k) for k in ("x", "y", "width", "height")] == \
+            ["250", "250", "500", "500"]
 
     def test_stable_label_colors(self):
         assert label_color("text") == label_color("text")
-        style = RenderStyle(color_overrides={"text": "#123456"})
-        assert label_color("text", style.color_overrides) == "#123456"
+
+    def test_every_element_is_labeled(self):
+        lay = make_layout("a", (300, 300), [(0, 0, 50, 50), (60, 60, 50, 50)],
+                          ["text", "logo"])
+        texts = ET.fromstring(render_svg(lay)).iter("{http://www.w3.org/2000/svg}text")
+        assert [t.text for t in texts] == ["text", "logo"]
 
     def test_background_embedding(self):
         raster = SaliencyRaster(4, 4, np.zeros((4, 4)))
         lay = make_layout("a", (40, 40), [(0, 0, 10, 10)])
-        plain = render_svg(lay, RenderStyle(show_background=False), raster)
-        with_bg = render_svg(lay, RenderStyle(show_background=True), raster)
+        plain = render_svg(lay)
+        with_bg = render_svg(lay, raster)
         assert "data:image/x-portable-graymap;base64," not in plain
         assert "data:image/x-portable-graymap;base64," in with_bg
         ET.fromstring(with_bg)

@@ -829,12 +829,13 @@ class TestBatchedDualBound:
 class TestPseudoLayout:
     def test_uses_stats_areas(self):
         stats = AreaStats(means={"text": 0.09, "logo": 0.04})
-        lay = pseudo_layout({"text": 2, "logo": 1}, stats, Canvas(100, 200))
+        lay = pseudo_layout({"text": 2, "logo": 1}, stats)
         assert len(lay.elements) == 3
         text_box = lay.elements[0].bbox
         assert text_box.width == pytest.approx(0.3, abs=1e-12)
         assert text_box.cx == pytest.approx(0.5, abs=1e-12)
-        assert lay.task_meta["px_size"] == [100, 200]
+        assert lay.canvas == Canvas(1, 1)
+        assert lay.task_meta == {}
 
     def test_default_area_without_stats(self):
         lay = pseudo_layout({"underlay": 1})
