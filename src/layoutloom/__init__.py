@@ -65,7 +65,6 @@ from .gateway import (
     BackendConfig,
     ExtractionFailure,
     Gateway,
-    Transcript,
     extract_layout,
     transcript_key,
 )

@@ -133,18 +133,21 @@ class CanonicalDataset:
         return counts
 
 
-def _read_record(record: Mapping[str, Any], vocab: frozenset[str] | None,
-                 strict: bool) -> Layout:
+def _read_record(record: Mapping[str, Any], vocab: frozenset[str] | None) -> Layout:
     """The one reader of interchange records: a pixel-space Layout, each box
-    value as ``float(value)``."""
+    value as ``float(value)``. The canvas ``w`` and ``h`` must be JSON
+    integers, and every label must be in ``vocab`` when one is given."""
     if not isinstance(record, Mapping):
         raise SchemaError(f"record must be an object, got {type(record).__name__}")
     try:
         rid = str(record["id"])
         canvas_obj = record["canvas"]
-        canvas = Canvas(int(canvas_obj["w"]), int(canvas_obj["h"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        size = (canvas_obj["w"], canvas_obj["h"])
+    except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed record: {exc}") from exc
+    if not all(type(v) is int for v in size):
+        raise SchemaError(f"record {rid!r} canvas must have integer w and h, got {canvas_obj!r}")
+    canvas = Canvas(*size)
 
     elements = []
     for raw in record.get("elements", []):
@@ -154,20 +157,18 @@ def _read_record(record: Mapping[str, Any], vocab: frozenset[str] | None,
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed element in record {rid!r}: {exc}") from exc
         if vocab is not None and label not in vocab:
-            if strict:
-                raise VocabularyError(f"record {rid!r} uses label {label!r} outside the vocabulary")
-            continue
+            raise VocabularyError(f"record {rid!r} uses label {label!r} outside the vocabulary")
         elements.append(Element(label, BBox(left, top, width, height)))
 
     meta = {k: record[k] for k in _META_KEYS if record.get(k) is not None}
     return Layout(id=rid, canvas=canvas, elements=tuple(elements), task_meta=meta)
 
 
-def record_to_layout(record: Mapping[str, Any], vocabulary: Iterable[str] | None = None,
-                     strict: bool = True) -> Layout:
+def record_to_layout(record: Mapping[str, Any],
+                     vocabulary: Iterable[str] | None = None) -> Layout:
     """Build a pixel-space Layout from one interchange record."""
     vocab = frozenset(vocabulary) if vocabulary is not None else None
-    return _read_record(record, vocab, strict)
+    return _read_record(record, vocab)
 
 
 def layout_to_record(layout: Layout) -> dict[str, Any]:
@@ -201,7 +202,7 @@ def ingest(records: Iterable[Mapping[str, Any]], manifest: DatasetManifest,
     with collector_paused():
         for record in records:
             try:
-                layout = _read_record(record, vocab, strict=True)
+                layout = _read_record(record, vocab)
             except VocabularyError:
                 if strict:
                     raise

@@ -1,11 +1,12 @@
 """Backend-agnostic LLM access with deterministic record/replay.
 
 Requests use the generic chat-completions JSON shape (one system and one
-user message), so swapping vendors is configuration, not code. Every request
-is identified by a stable key hashed from its content plus the candidate
-index; record mode persists one transcript file per key and replay mode
-answers from those files only, which makes full pipeline runs byte-stable
-and network-free.
+user message), so swapping vendors is configuration, not code. Each
+candidate is one request record, ``{system, user, model, temperature,
+candidate_index}``, and its key is the hash of that record. Record mode
+stores one transcript file per key, holding the request it is keyed by and
+the response text; replay mode answers from those files only, which makes
+full pipeline runs byte-stable and network-free.
 
 Environment variables honored by :meth:`BackendConfig.from_env`:
 ``LAYOUTLOOM_API_KEY``, ``LAYOUTLOOM_ENDPOINT``, ``LAYOUTLOOM_MODEL``.
@@ -26,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
 from .dataset import dumps_indented, replacing
 from .errors import (
@@ -86,34 +87,12 @@ class BackendConfig:
         return cls(**values)
 
 
-def transcript_key(system: str, user: str, model: str, temperature: float,
-                   candidate_index: int) -> str:
-    """Stable, platform-independent hash of the request content."""
-    body = json.dumps(
-        {
-            "system": system,
-            "user": user,
-            "model": model,
-            "temperature": temperature,
-            "candidate_index": candidate_index,
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+def transcript_key(request: Mapping[str, Any]) -> str:
+    """Stable, platform-independent hash of a request record, ``{system,
+    user, model, temperature, candidate_index}``: the SHA-256 of its compact
+    JSON with sorted keys and non-ASCII text kept."""
+    body = json.dumps(request, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class Transcript:
-    key: str
-    system: str
-    user: str
-    model: str
-    temperature: float
-    candidate_index: int
-    response_text: str
-    created_at: str = ""
 
 
 def _transcript_path(directory: str | Path, key: str) -> Path:
@@ -125,28 +104,20 @@ def _transcript_path(directory: str | Path, key: str) -> Path:
 _FILE_WRITES = threading.Lock()
 
 
-def write_transcript(directory: str | Path, transcript: Transcript) -> Path:
-    """Atomic write of one transcript: a temp file of its own, then a rename
-    (see ``dataset.replacing``).
+def write_transcript(directory: str | Path, request: Mapping[str, Any], response_text: str,
+                     created_at: str) -> Path:
+    """Store ``request`` and its response under the request's key. The
+    write is atomic: a temp file of its own, then a rename (see
+    ``dataset.replacing``).
 
     Concurrent items with equal prompts write the same key; each writer's
     temp name is unique, and the last rename wins. Within one process the
     files are written one at a time.
     """
-    path = _transcript_path(directory, transcript.key)
-    payload = {
-        "key": transcript.key,
-        "request": {
-            "system": transcript.system,
-            "user": transcript.user,
-            "model": transcript.model,
-            "temperature": transcript.temperature,
-            "candidate_index": transcript.candidate_index,
-        },
-        "response_text": transcript.response_text,
-        "metadata": {"created_at": transcript.created_at},
-    }
-    text = dumps_indented(payload) + "\n"
+    key = transcript_key(request)
+    path = _transcript_path(directory, key)
+    text = dumps_indented({"key": key, "request": request, "response_text": response_text,
+                           "metadata": {"created_at": created_at}}) + "\n"
     with _FILE_WRITES, replacing(path) as tmp:
         try:
             tmp.write_text(text, encoding="utf-8")
@@ -156,22 +127,13 @@ def write_transcript(directory: str | Path, transcript: Transcript) -> Path:
     return path
 
 
-def read_transcript(directory: str | Path, key: str) -> Transcript:
-    path = _transcript_path(directory, key)
-    if not path.exists():
-        raise ReplayMiss(key)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    request = data["request"]
-    return Transcript(
-        key=data["key"],
-        system=request["system"],
-        user=request["user"],
-        model=request["model"],
-        temperature=request["temperature"],
-        candidate_index=request["candidate_index"],
-        response_text=data["response_text"],
-        created_at=data.get("metadata", {}).get("created_at", ""),
-    )
+def read_response(directory: str | Path, key: str) -> str:
+    """The response text stored under ``key``, or ReplayMiss."""
+    try:
+        text = _transcript_path(directory, key).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ReplayMiss(key) from None
+    return json.loads(text)["response_text"]
 
 
 def _retry_after(value: str | None) -> float | None:
@@ -274,97 +236,73 @@ class Gateway:
                  temperature: float, first_index: int = 0) -> list[str]:
         """Fetch n candidate responses, ordered by candidate index.
 
-        Candidate i uses transcript key salt ``first_index + i``, so retries
-        with ``first_index=n`` draw fresh samples that record and replay
-        independently of the first round.
+        Candidate i's request carries ``candidate_index = first_index + i``,
+        so retries with ``first_index=n`` draw fresh samples that record and
+        replay independently of the first round.
         """
         if n < 1:
             raise ValueError("n must be at least 1")
-        payload = self._payload(bundle, temperature)
-        indices = [first_index + i for i in range(n)]
-
+        requests = [{"system": bundle.system, "user": bundle.user, "model": self.config.model,
+                     "temperature": temperature, "candidate_index": first_index + i}
+                    for i in range(n)]
         if self.config.mode == "replay":
-            texts = []
-            for idx in indices:
-                key = transcript_key(bundle.system, bundle.user, self.config.model,
-                                     temperature, idx)
-                texts.append(read_transcript(self.config.transcript_dir, key).response_text)
-            return texts
+            return [read_response(self.config.transcript_dir, transcript_key(request))
+                    for request in requests]
 
-        def fetch(idx: int) -> str:
-            return self._call_with_retry(payload, idx)
+        payload = self._payload(bundle, temperature)
+
+        def fetch(request: dict) -> str:
+            return self._call_with_retry(payload, request["candidate_index"])
 
         if n == 1:
-            texts = [fetch(indices[0])]
+            texts = [fetch(requests[0])]
         else:
             with ThreadPoolExecutor(max_workers=min(self.config.fanout, n)) as pool:
-                texts = list(pool.map(fetch, indices))
+                texts = list(pool.map(fetch, requests))
 
         if self.config.mode == "record":
             stamp = datetime.now(timezone.utc).isoformat()
-            for idx, text in zip(indices, texts):
-                key = transcript_key(bundle.system, bundle.user, self.config.model,
-                                     temperature, idx)
-                write_transcript(
-                    self.config.transcript_dir,
-                    Transcript(
-                        key=key,
-                        system=bundle.system,
-                        user=bundle.user,
-                        model=self.config.model,
-                        temperature=temperature,
-                        candidate_index=idx,
-                        response_text=text,
-                        created_at=stamp,
-                    ),
-                )
+            for request, text in zip(requests, texts):
+                write_transcript(self.config.transcript_dir, request, text, stamp)
         return texts
 
     def ping(self) -> bool:
         """Round-trip connectivity probe for live backends."""
-        payload = {
-            "model": self.config.model,
-            "messages": [
-                {"role": "system", "content": "You are a connectivity probe."},
-                {"role": "user", "content": "Reply with the single word OK."},
-            ],
-            "temperature": 0.0,
-            "max_tokens": 8,
-        }
-        return bool(self._call_with_retry(payload, 0))
+        probe = PromptBundle(system="You are a connectivity probe.",
+                             user="Reply with the single word OK.")
+        return bool(self._call_with_retry(dict(self._payload(probe, 0.0), max_tokens=8), 0))
 
 
 @dataclass(frozen=True)
 class ExtractionFailure:
-    """Returned instead of a Layout when a response holds no parseable layout."""
+    """Returned instead of a Layout when a response holds no layout with
+    elements."""
 
-    raw_text: str
     reason: str
 
 
 def extract_layout(response: str, vocabulary: Iterable[str],
                    fallback_canvas: Canvas | None = None,
                    layout_id: str = "") -> Layout | ExtractionFailure:
-    """Lenient response-to-layout parsing; failures are values, not errors."""
+    """Lenient response-to-layout parsing; failures are values, not errors.
+    A layout without elements is a failure too."""
     try:
-        return parse_html(response, vocabulary, layout_id=layout_id,
-                          fallback_canvas=fallback_canvas)
+        layout = parse_html(response, vocabulary, layout_id=layout_id,
+                            fallback_canvas=fallback_canvas)
     except (ParseFailure, LayoutLoomError) as exc:
-        return ExtractionFailure(raw_text=response, reason=str(exc))
+        return ExtractionFailure(reason=str(exc))
+    return layout if layout.elements else ExtractionFailure(reason="no elements extracted")
 
 
 def replay_check(transcript_dir: str | Path) -> list[str]:
-    """Verify every stored transcript re-derives its own key; return problems."""
+    """Verify every stored transcript's request hashes to its key and file
+    name; return problems."""
     problems = []
     directory = Path(transcript_dir)
     for path in sorted(directory.glob("*.json")):
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-            request = data["request"]
-            derived = transcript_key(
-                request["system"], request["user"], request["model"],
-                request["temperature"], request["candidate_index"],
-            )
+            derived = transcript_key(data["request"])
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             problems.append(f"{path.name}: unreadable transcript ({exc})")
             continue

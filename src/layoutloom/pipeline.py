@@ -62,8 +62,6 @@ from .prompts import (
 )
 from .retrieval import RetrievalIndex, load_index, pseudo_layout, topk_retrieve
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_CANVAS = (512, 512)
 
 
@@ -91,10 +89,11 @@ class PipelineConfig:
     seed: int = 0
     coarse_temperature: float = 0.7
     stage_temperature: float = 0.0
-    similarity_scale: float = 1.0
-    exclude_self: bool = True
     ranker: RankerWeights = field(default_factory=RankerWeights)
-    default_canvas: tuple[int, int] = DEFAULT_CANVAS
+
+    def __post_init__(self):
+        if self.stages not in (0, 1, 2, 3):
+            raise ConfigError("stages must be between 0 and 3")
 
 
 # --- constraint satisfaction ------------------------------------------------
@@ -288,11 +287,10 @@ def _query_layout(constraint: ConstraintSpec, stats: AreaStats | None,
     return None
 
 
-def _target_canvas(constraint: ConstraintSpec, cfg: PipelineConfig,
-                   item: Layout | None) -> Canvas:
+def _target_canvas(constraint: ConstraintSpec, item: Layout | None) -> Canvas:
     """The canvas a coarse layout is drafted on: the constraint's, else the
     canvas of an item with elements, unless that is the unit canvas, else
-    ``cfg.default_canvas``."""
+    ``DEFAULT_CANVAS``."""
     payload = constraint.payload
     if constraint.kind in ("content_aware", "text_to_layout") and payload.get("canvas"):
         return Canvas(*payload["canvas"])
@@ -300,14 +298,13 @@ def _target_canvas(constraint: ConstraintSpec, cfg: PipelineConfig,
         return constraint.given_layout.canvas
     if item is not None and item.elements and not item.is_normalized:
         return item.canvas
-    return Canvas(*cfg.default_canvas)
+    return Canvas(*DEFAULT_CANVAS)
 
 
 def _select_exemplars(query: Layout | None, index: RetrievalIndex, k: int,
                       cfg: PipelineConfig, run_id: str) -> tuple[list[str], str]:
     if cfg.use_rag and query is not None:
-        ranked = topk_retrieve(query, index, k, scale=cfg.similarity_scale,
-                               exclude_self=cfg.exclude_self)
+        ranked = topk_retrieve(query, index, k, exclude_self=True)
         return [rid for rid, _ in ranked], "ltsim"
     rng = random.Random(f"{cfg.seed}:{run_id}")
     ids = list(index.ids)
@@ -330,7 +327,7 @@ def generate_coarse(constraint: ConstraintSpec, index: RetrievalIndex,
     """Retrieve exemplars, fan out n candidates, rank, and return the best."""
     vocabulary = index.vocabulary
     query_lay = _query_layout(constraint, stats, query)
-    canvas = _target_canvas(constraint, cfg, query)
+    canvas = _target_canvas(constraint, query)
     exemplar_ids, source = _select_exemplars(query_lay, index, cfg.k_coarse, cfg, run_id)
     exemplars = _exemplar_layouts(index, exemplar_ids, canvas)
     bundle = build_coarse_prompt(exemplars, constraint, vocabulary=vocabulary)
@@ -348,17 +345,13 @@ def generate_coarse(constraint: ConstraintSpec, index: RetrievalIndex,
             if isinstance(extracted, ExtractionFailure):
                 records.append(CandidateRecord(index=idx, raw_text=text, parsed=None,
                                                failure_reason=extracted.reason))
-            elif not extracted.elements:
-                records.append(CandidateRecord(index=idx, raw_text=text, parsed=None,
-                                               failure_reason="no elements extracted"))
             else:
                 records.append(CandidateRecord(index=idx, raw_text=text,
                                                parsed=layout_to_record(extracted)))
                 viable.append((records[-1], extracted))
 
     fan_out(0)
-    if not viable:
-        logger.warning("run %s: all coarse candidates unparseable, retrying once", run_id)
+    if not viable:  # retry once with fresh candidates
         fan_out(cfg.n_candidates)
     if not viable:
         raise NoViableCandidate(f"run {run_id!r}: every coarse candidate failed extraction")
@@ -409,16 +402,10 @@ def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex
             raw_responses.append(text)
             extracted = extract_layout(text, vocabulary, fallback_canvas=current.canvas,
                                        layout_id=f"{run_id}:stage{stage}")
-            if not isinstance(extracted, ExtractionFailure) and extracted.elements:
+            if not isinstance(extracted, ExtractionFailure):
                 parsed_layout = extracted
                 break
         fallback = parsed_layout is None
-        if fallback:
-            logger.warning("run %s: stage %d unparseable twice, keeping previous layout",
-                           run_id, stage)
-            next_layout = current
-        else:
-            next_layout = parsed_layout
         stages.append(StageRecord(
             stage=stage,
             template_id=(constraint.family, str(stage)),
@@ -428,7 +415,8 @@ def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex
             parsed=None if fallback else layout_to_record(parsed_layout),
             fallback=fallback,
         ))
-        current = next_layout
+        if not fallback:
+            current = parsed_layout
 
     final = replace(current, id=run_id or coarse.id)
     trace = RefinementTrace(
@@ -556,11 +544,6 @@ _SCALARS = {
 def _config_value(name: str, default, value):
     if name == "ranker":
         return _dataclass_from("ranker", RankerWeights, value)
-    if name == "default_canvas":
-        if not (isinstance(value, (list, tuple)) and len(value) == 2
-                and all(type(v) is int and v > 0 for v in value)):
-            raise ConfigError(f"default_canvas must be two positive integers, got {value!r}")
-        return tuple(value)
     kind, accepts = _SCALARS[type(default)]
     if not accepts(value):
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
@@ -571,13 +554,10 @@ def _pipeline_config(data: Mapping[str, Any]) -> PipelineConfig:
     """The run config's pipeline fields. A value whose JSON type differs
     from its field's is a ConfigError: no quoted booleans or numbers, and
     no float where an integer belongs."""
-    cfg = PipelineConfig(**{
+    return PipelineConfig(**{
         f.name: _config_value(f.name, f.default, data[f.name])
         for f in fields(PipelineConfig) if f.name in data
     })
-    if cfg.stages not in (0, 1, 2, 3):
-        raise ConfigError("stages must be between 0 and 3")
-    return cfg
 
 
 def _read_input(kind: str, path: Path, load):
@@ -616,6 +596,8 @@ class _ItemOutcome(NamedTuple):
     final: Layout | None         # None when the item failed
     samples: dict[str, float]    # the final layout's metric samples
     error: Exception | None      # why the item failed
+    coarse_retried: bool = False           # the first coarse fan-out had no viable draft
+    fallback_stages: tuple[int, ...] = ()  # stages that kept the previous layout
 
 
 def _run_item(record: Mapping[str, Any], *, task_family: str, index: RetrievalIndex,
@@ -639,7 +621,9 @@ def _run_item(record: Mapping[str, Any], *, task_family: str, index: RetrievalIn
                                   coarse_fragment=fragment, run_id=item_id)
         samples = score_layout(final, item_layout, base, exclude_overlap_labels)
         trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
-        return _ItemOutcome(payload=trace.final, final=final, samples=samples, error=None)
+        return _ItemOutcome(payload=trace.final, final=final, samples=samples, error=None,
+                            coarse_retried=len(fragment.candidates) > cfg.n_candidates,
+                            fallback_stages=tuple(s.stage for s in trace.stages if s.fallback))
     except Exception as exc:
         error_payload = {"id": item_id, "error": type(exc).__name__, "message": str(exc)}
         if trace_path is not None:
@@ -748,8 +732,13 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
                     continue
                 finals.append(outcome.final)
                 samples.append(outcome.samples)
-                run_logger.info("item %s: ok (%d elements)", item_id,
-                                len(outcome.final.elements))
+                notes = [f"{len(outcome.final.elements)} elements"]
+                if outcome.coarse_retried:
+                    notes.append("coarse drafts retried")
+                if outcome.fallback_stages:
+                    notes.append(f"stage {', '.join(map(str, outcome.fallback_stages))} "
+                                 f"kept the previous layout")
+                run_logger.info("item %s: ok (%s)", item_id, "; ".join(notes))
 
         if generated is None:
             (run_dir / "generated.jsonl").write_text("", encoding="utf-8")

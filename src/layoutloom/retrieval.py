@@ -81,6 +81,9 @@ INDEX_VERSION = "2"
 # potentials; measured gaps stay near 1e-16.
 BOUND_SLACK = 1e-12
 
+# The unit-canvas area of a pseudo-layout box whose label has no statistics.
+PSEUDO_DEFAULT_AREA = 0.05
+
 
 @dataclass(frozen=True)
 class CostWeights:
@@ -430,8 +433,7 @@ def _entry_costs(q_labels: np.ndarray, q_feats: np.ndarray, index: RetrievalInde
     return _ground_costs(q_labels, q_feats, index.labels[rows, :n], feats, weights)
 
 
-def topk_retrieve(query: Layout, index: RetrievalIndex, k: int,
-                  weights: CostWeights | None = None, scale: float = 1.0,
+def topk_retrieve(query: Layout, index: RetrievalIndex, k: int, scale: float = 1.0,
                   exclude_self: bool = False) -> list[tuple[str, float]]:
     """The k index entries most similar to the query, descending.
 
@@ -449,7 +451,7 @@ def topk_retrieve(query: Layout, index: RetrievalIndex, k: int,
     if not query.elements:
         raise EmptyLayout("retrieval query has no elements")
     _check_size(len(query.elements), "retrieval query")
-    w = weights if weights is not None else index.weights
+    w = index.weights
     q_labels, q_feats = _features(query, index.vocabulary)
     bounds = transport_lower_bounds(q_labels, q_feats, index, w)
     pool = np.arange(len(index))
@@ -505,19 +507,18 @@ def topk_retrieve(query: Layout, index: RetrievalIndex, k: int,
     return [(rid, -neg) for neg, rid in best]
 
 
-def pseudo_layout(categories: Mapping[str, int], stats: AreaStats | None = None,
-                  default_area: float = 0.05) -> Layout:
+def pseudo_layout(categories: Mapping[str, int], stats: AreaStats | None = None) -> Layout:
     """Build a retrieval query for tasks that provide categories but no boxes.
 
     Each required category contributes square boxes centered on the unit
-    canvas, sized so their area equals the label's training-set mean (or a
-    default when no statistics are available).
+    canvas, sized so their area equals the label's training-set mean (or
+    ``PSEUDO_DEFAULT_AREA`` when the statistics do not have the label).
     """
     if not categories:
         raise EmptyLayout("cannot build a pseudo layout from zero categories")
     elements = []
     for label, count in categories.items():
-        area = default_area
+        area = PSEUDO_DEFAULT_AREA
         if stats is not None and label in stats:
             area = stats[label]
         side = min(1.0, math.sqrt(max(area, 0.0)))

@@ -182,15 +182,19 @@ class TestIngest:
 # give the same layouts, floats bit for bit, and the same errors, and the
 # index and the statistics must hold the bits that ``normalize`` gives.
 
-def _reference_record_to_layout(record, vocabulary=None, strict=True):
+def _reference_record_to_layout(record, vocabulary=None):
     if not isinstance(record, Mapping):
         raise SchemaError(f"record must be an object, got {type(record).__name__}")
     try:
         rid = str(record["id"])
         canvas_obj = record["canvas"]
-        canvas = Canvas(int(canvas_obj["w"]), int(canvas_obj["h"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        w, h = canvas_obj["w"], canvas_obj["h"]
+    except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed record: {exc}") from exc
+    if isinstance(w, bool) or isinstance(h, bool) or not isinstance(w, int) \
+            or not isinstance(h, int):
+        raise SchemaError(f"record {rid!r} canvas must have integer w and h, got {canvas_obj!r}")
+    canvas = Canvas(w, h)
     vocab = set(vocabulary) if vocabulary is not None else None
     elements = []
     for raw in record.get("elements", []):
@@ -200,9 +204,7 @@ def _reference_record_to_layout(record, vocabulary=None, strict=True):
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed element in record {rid!r}: {exc}") from exc
         if vocab is not None and label not in vocab:
-            if strict:
-                raise VocabularyError(f"record {rid!r} uses label {label!r} outside the vocabulary")
-            continue
+            raise VocabularyError(f"record {rid!r} uses label {label!r} outside the vocabulary")
         elements.append(Element(label=label, bbox=BBox(left, top, width, height)))
     meta = {k: record[k] for k in ("split", "saliency", "gradient", "text", "constraints")
             if record.get(k) is not None}
@@ -213,7 +215,7 @@ def _reference_ingest(records, manifest, strict=True):
     layouts = []
     for record in records:
         try:
-            layout = _reference_record_to_layout(record, manifest.vocabulary, strict=True)
+            layout = _reference_record_to_layout(record, manifest.vocabulary)
         except VocabularyError:
             if strict:
                 raise
@@ -223,11 +225,9 @@ def _reference_ingest(records, manifest, strict=True):
 
 
 def _as_read(record):
-    """A record as export writes it: the canvas as integers and each box
-    value as ``float(value)``."""
-    return dict(record, canvas={"w": int(record["canvas"]["w"]), "h": int(record["canvas"]["h"])},
-                elements=[dict(e, bbox=[float(v) for v in e["bbox"]])
-                          for e in record["elements"]])
+    """A record as export writes it: each box value as ``float(value)``."""
+    return dict(record, elements=[dict(e, bbox=[float(v) for v in e["bbox"]])
+                                  for e in record["elements"]])
 
 
 def _bits(layout):
@@ -248,7 +248,6 @@ _sizes = st.integers(1, 2000)
 _canvases = st.one_of(
     st.just((1, 1)),
     st.tuples(_sizes, _sizes).filter(lambda c: c[0] != c[1]),
-    st.tuples(_sizes, _sizes).map(lambda c: (str(c[0]), str(c[1]))),
 )
 _coords = st.one_of(st.integers(-2000, 4000),
                     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
@@ -286,7 +285,8 @@ _faulty_elements = st.lists(st.one_of(
     st.just({"bbox": [0, 0, 1, 1]}),
 ), max_size=6)
 _faulty_canvases = st.one_of(_canvases, st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                             st.just(("640.5", "480")))
+                             st.just(("640.5", "480")), st.just(("640", 480)),
+                             st.just((640.0, 480)), st.just((True, 480)))
 
 
 class TestPixelSpaceParity:
@@ -573,8 +573,18 @@ class TestRecordCodec:
         record = _record("a", [{"label": "nope", "bbox": [0, 0, 1, 1]}])
         with pytest.raises(VocabularyError):
             record_to_layout(record, vocabulary=("text",))
-        lenient = record_to_layout(record, vocabulary=("text",), strict=False)
-        assert lenient.elements == ()
+
+    @pytest.mark.parametrize("w", [100.7, 100.0, "100", True, None])
+    def test_canvas_that_is_not_integers_is_refused(self, w):
+        wide = _record("a", [{"label": "text", "bbox": [0, 0, 1, 1]}], canvas=(w, 200))
+        tall = _record("b", [], canvas=(100, w))
+        for record, canvas in ((wide, {"w": w, "h": 200}), (tall, {"w": 100, "h": w})):
+            message = re.escape(f"record {record['id']!r} canvas must have integer w and h, "
+                                f"got {canvas!r}")
+            with pytest.raises(SchemaError, match=message):
+                record_to_layout(record)
+            with pytest.raises(SchemaError, match=message):
+                ingest([record], PKU_LIKE, strict=False)
 
 
 @dataclass

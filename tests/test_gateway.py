@@ -25,9 +25,8 @@ from layoutloom.gateway import (
     BackendConfig,
     ExtractionFailure,
     Gateway,
-    Transcript,
     extract_layout,
-    read_transcript,
+    read_response,
     replay_check,
     transcript_key,
     write_transcript,
@@ -43,6 +42,12 @@ BUNDLE = PromptBundle(
 VOCAB = ["text", "logo", "underlay"]
 
 
+def request(system, user, model, temperature, candidate_index):
+    """The request record a gateway keys and stores a transcript by."""
+    return {"system": system, "user": user, "model": model, "temperature": temperature,
+            "candidate_index": candidate_index}
+
+
 def echo_transport(payload, candidate_index):
     return (
         '<div class="canvas" style="width:100px; height:100px"></div>'
@@ -54,20 +59,20 @@ def echo_transport(payload, candidate_index):
 class TestTranscriptKey:
     def test_stable_value(self):
         # frozen: a change here means every stored transcript goes stale
-        key = transcript_key("sys", "usr", "model-x", 0.7, 3)
+        key = transcript_key(request("sys", "usr", "model-x", 0.7, 3))
         assert key == "95ef299f1b0fee4a37dafe186c38e4ba9538f5ac61af2fff480a5b1efb4bfde5"
 
     def test_depends_on_every_field(self):
-        base = transcript_key("s", "u", "m", 0.5, 0)
-        assert transcript_key("s2", "u", "m", 0.5, 0) != base
-        assert transcript_key("s", "u2", "m", 0.5, 0) != base
-        assert transcript_key("s", "u", "m2", 0.5, 0) != base
-        assert transcript_key("s", "u", "m", 0.6, 0) != base
-        assert transcript_key("s", "u", "m", 0.5, 1) != base
+        base = transcript_key(request("s", "u", "m", 0.5, 0))
+        assert transcript_key(request("s2", "u", "m", 0.5, 0)) != base
+        assert transcript_key(request("s", "u2", "m", 0.5, 0)) != base
+        assert transcript_key(request("s", "u", "m2", 0.5, 0)) != base
+        assert transcript_key(request("s", "u", "m", 0.6, 0)) != base
+        assert transcript_key(request("s", "u", "m", 0.5, 1)) != base
 
     def test_unicode_stability(self):
-        assert transcript_key("sÿs", "üser", "m", 0.0, 0) == \
-            transcript_key("sÿs", "üser", "m", 0.0, 0)
+        assert transcript_key(request("sÿs", "üser", "m", 0.0, 0)) == \
+            transcript_key(request("sÿs", "üser", "m", 0.0, 0))
 
 
 class TestConfig:
@@ -118,13 +123,13 @@ class TestRecordReplay:
         gateway = Gateway(cfg)
         with pytest.raises(ReplayMiss) as exc:
             gateway.complete(BUNDLE, n=1, temperature=0.7)
-        expected = transcript_key(BUNDLE.system, BUNDLE.user, "m", 0.7, 0)
+        expected = transcript_key(request(BUNDLE.system, BUNDLE.user, "m", 0.7, 0))
         assert exc.value.key == expected
 
     def test_partial_transcripts_miss(self, tmp_path):
         record_cfg = BackendConfig(mode="record", model="m", transcript_dir=str(tmp_path))
         Gateway(record_cfg, transport=echo_transport).complete(BUNDLE, n=2, temperature=0.7)
-        missing = transcript_key(BUNDLE.system, BUNDLE.user, "m", 0.7, 2)
+        missing = transcript_key(request(BUNDLE.system, BUNDLE.user, "m", 0.7, 2))
         replay_cfg = BackendConfig(mode="replay", model="m", transcript_dir=str(tmp_path))
         with pytest.raises(ReplayMiss) as exc:
             Gateway(replay_cfg).complete(BUNDLE, n=3, temperature=0.7)
@@ -135,11 +140,9 @@ class TestRecordReplay:
         Gateway(cfg, transport=echo_transport).complete(BUNDLE, n=4, temperature=0.2)
         for path in tmp_path.glob("*.json"):
             data = json.loads(path.read_text())
-            request = data["request"]
-            derived = transcript_key(request["system"], request["user"],
-                                     request["model"], request["temperature"],
-                                     request["candidate_index"])
-            assert derived == data["key"] == path.stem
+            assert transcript_key(data["request"]) == data["key"] == path.stem
+            assert data["request"] == request(BUNDLE.system, BUNDLE.user, "m", 0.2,
+                                              data["request"]["candidate_index"])
         assert replay_check(tmp_path) == []
 
     def test_replay_check_flags_tampering(self, tmp_path):
@@ -159,24 +162,27 @@ class TestRecordReplay:
         gateway.complete(BUNDLE, n=2, temperature=0.7, first_index=2)
         assert len(list(tmp_path.glob("*.json"))) == 4
 
-    def test_transcript_io_roundtrip(self, tmp_path):
-        t = Transcript(key=transcript_key("a", "b", "c", 0.1, 7), system="a", user="b",
-                       model="c", temperature=0.1, candidate_index=7,
-                       response_text="hi", created_at="2026-01-01T00:00:00+00:00")
-        write_transcript(tmp_path, t)
-        assert read_transcript(tmp_path, t.key) == t
+    def test_transcript_stores_the_request_it_is_keyed_by(self, tmp_path):
+        stored = request("a", "b", "c", 0.1, 7)
+        path = write_transcript(tmp_path, stored, "hi", "2026-01-01T00:00:00+00:00")
+        key = transcript_key(stored)
+        assert path == tmp_path / f"{key}.json"
+        assert json.loads(path.read_text(encoding="utf-8")) == {
+            "key": key, "request": stored, "response_text": "hi",
+            "metadata": {"created_at": "2026-01-01T00:00:00+00:00"}}
+        assert read_response(tmp_path, key) == "hi"
 
     def test_concurrent_writes_of_one_key(self, tmp_path):
         # Items with equal constraints send identical requests, so concurrent
         # items write the same transcript key at the same time.
-        t = Transcript(key=transcript_key("a", "b", "c", 0.1, 0), system="a", user="b",
-                       model="c", temperature=0.1, candidate_index=0, response_text="hi")
+        stored = request("a", "b", "c", 0.1, 0)
+        key = transcript_key(stored)
         errors = []
 
         def writer():
             try:
                 for _ in range(300):
-                    write_transcript(tmp_path, t)
+                    write_transcript(tmp_path, stored, "hi", "")
             except Exception as exc:
                 errors.append(exc)
 
@@ -192,8 +198,55 @@ class TestRecordReplay:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert read_transcript(tmp_path, t.key) == t
-        assert [p.name for p in tmp_path.iterdir()] == [f"{t.key}.json"]
+        assert read_response(tmp_path, key) == "hi"
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+
+
+# A transcript file as an earlier release wrote it, byte for byte: every
+# transcript recorded since must still replay, and must still be written so.
+GOLDEN_REQUEST = request("You are a layout assistant.",
+                         'Plaziere «Text» auf 100×100 — ok?\n"quoted"', "offline", 0.7, 3)
+GOLDEN_KEY = "dbd969e2f35974df6484006cfd6a0f214ae5b3a88ac34f245f3caea91b3c1eda"
+GOLDEN_RESPONSE = ('<div class="canvas" style="width:100px; height:100px"></div>\n'
+                   '<div class="text" style="left:1px; top:2px; width:30px; height:4px"></div>')
+GOLDEN_CREATED_AT = "2026-10-19T12:00:00.000000+00:00"
+GOLDEN_BYTES = (
+    b'{\n  "key": "dbd969e2f35974df6484006cfd6a0f214ae5b3a88ac34f245f3caea91b3c1eda",\n'
+    b'  "metadata": {\n    "created_at": "2026-10-19T12:00:00.000000+00:00"\n  },\n'
+    b'  "request": {\n    "candidate_index": 3,\n    "model": "offline",\n'
+    b'    "system": "You are a layout assistant.",\n    "temperature": 0.7,\n'
+    b'    "user": "Plaziere \xc2\xabText\xc2\xbb auf 100\xc3\x97100 \xe2\x80\x94 ok?\\n'
+    b'\\"quoted\\""\n  },\n'
+    b'  "response_text": "<div class=\\"canvas\\" style=\\"width:100px; height:100px\\">'
+    b'</div>\\n<div class=\\"text\\" style=\\"left:1px; top:2px; width:30px; '
+    b'height:4px\\"></div>"\n}\n'
+)
+
+
+class TestTranscriptFormat:
+    def test_a_stored_transcript_replays(self, tmp_path):
+        (tmp_path / f"{GOLDEN_KEY}.json").write_bytes(GOLDEN_BYTES)
+        assert replay_check(tmp_path) == []
+        assert transcript_key(GOLDEN_REQUEST) == GOLDEN_KEY
+        cfg = BackendConfig(mode="replay", model="offline", transcript_dir=str(tmp_path))
+        bundle = PromptBundle(system=GOLDEN_REQUEST["system"], user=GOLDEN_REQUEST["user"])
+        assert Gateway(cfg).complete(bundle, n=1, temperature=0.7, first_index=3) == \
+            [GOLDEN_RESPONSE]
+
+    def test_the_same_request_is_written_to_the_same_bytes(self, tmp_path):
+        path = write_transcript(tmp_path, GOLDEN_REQUEST, GOLDEN_RESPONSE, GOLDEN_CREATED_AT)
+        assert path.name == f"{GOLDEN_KEY}.json"
+        assert path.read_bytes() == GOLDEN_BYTES
+
+    def test_recording_writes_the_request_record(self, tmp_path):
+        cfg = BackendConfig(mode="record", model="offline", transcript_dir=str(tmp_path))
+        bundle = PromptBundle(system=GOLDEN_REQUEST["system"], user=GOLDEN_REQUEST["user"])
+        Gateway(cfg, transport=lambda payload, idx: GOLDEN_RESPONSE).complete(
+            bundle, n=1, temperature=0.7, first_index=3)
+        data = json.loads((tmp_path / f"{GOLDEN_KEY}.json").read_text(encoding="utf-8"))
+        assert data["request"] == GOLDEN_REQUEST
+        stored = json.loads(GOLDEN_BYTES)
+        assert dict(data, metadata=stored["metadata"]) == stored
 
 
 class TestRetries:
@@ -338,6 +391,21 @@ class TestRetries:
         assert sorted(seen) == list(range(10))
 
 
+def test_ping_sends_the_probe_payload():
+    sent = []
+    cfg = BackendConfig(mode="live", model="m", endpoint="x", api_key="k")
+    assert Gateway(cfg, transport=lambda payload, idx: sent.append(payload) or "OK").ping()
+    assert json.dumps(sent) == json.dumps([{
+        "model": "m",
+        "messages": [
+            {"role": "system", "content": "You are a connectivity probe."},
+            {"role": "user", "content": "Reply with the single word OK."},
+        ],
+        "temperature": 0.0,
+        "max_tokens": 8,
+    }])
+
+
 class TestExtraction:
     def test_clean_snippet(self):
         text = ('<div class="canvas" style="width:50px; height:60px"></div>'
@@ -359,4 +427,9 @@ class TestExtraction:
     def test_refusal_is_failure_value(self):
         result = extract_layout("I cannot produce layouts today.", VOCAB)
         assert isinstance(result, ExtractionFailure)
-        assert "I cannot produce layouts today." == result.raw_text
+        assert result.reason
+
+    def test_layout_without_elements_is_failure_value(self):
+        result = extract_layout('<div class="canvas" style="width:50px; height:60px"></div>',
+                                VOCAB)
+        assert result == ExtractionFailure(reason="no elements extracted")

@@ -196,10 +196,7 @@ _CONFIG_VALUES = {
     "seed": (11, 11),
     "coarse_temperature": (0.5, 0.5),
     "stage_temperature": (1, 1.0),
-    "similarity_scale": (2, 2.0),
-    "exclude_self": (False, False),
     "ranker": ({"w_align": 2.0}, RankerWeights(w_align=2.0)),
-    "default_canvas": ([640, 480], (640, 480)),
 }
 
 
@@ -333,17 +330,12 @@ def test_every_config_field_is_set_from_a_run_config(name):
 
 @pytest.mark.parametrize("name, raw", [
     ("use_cot", "false"),
-    ("exclude_self", "no"),
     ("use_rag", 0),
     ("k_coarse", 2.9),
     ("k_refine", 3.0),
     ("n_candidates", "7"),
     ("seed", True),
     ("coarse_temperature", "0.5"),
-    ("similarity_scale", False),
-    ("default_canvas", ["640", 480]),
-    ("default_canvas", [640, 0]),
-    ("default_canvas", [640, 480, 1]),
     ("ranker", {"w_align": "2"}),
     ("ranker", {"w_allign": 2.0}),
     ("ranker", [1.0, 1.0, 1.0]),
@@ -399,11 +391,15 @@ class TestProtocolDefaults:
         assert cfg.k_refine == 4
         assert cfg.n_candidates == 10
         assert cfg.stages == 3
-        assert cfg.similarity_scale == 1.0
 
     def test_stages_out_of_range(self):
         with pytest.raises(ConfigError, match="stages"):
             _pipeline_config({"stages": 4})
+
+    @pytest.mark.parametrize("stages", [-1, 4])
+    def test_stages_out_of_range_through_the_python_api(self, stages):
+        with pytest.raises(ConfigError, match="stages must be between 0 and 3"):
+            PipelineConfig(stages=stages)
 
     def test_cost_weight_defaults(self):
         from layoutloom.retrieval import DEFAULT_WEIGHTS
@@ -733,6 +729,15 @@ class TestRunTask:
             run_task(config)
         assert not (tmp_path / "run_u").exists()
 
+    # Settings an earlier PipelineConfig had, which no run, command or workload set.
+    @pytest.mark.parametrize("key, value", [("similarity_scale", 1.0), ("exclude_self", True),
+                                            ("default_canvas", [512, 512])])
+    def test_deleted_setting_is_refused(self, fixture_env, tmp_path, key, value):
+        config = dict(fixture_env["run_config"](tmp_path / "run_u", "replay"), **{key: value})
+        with pytest.raises(ConfigError, match=f"unknown run config keys: {key}$"):
+            run_task(config)
+        assert not (tmp_path / "run_u").exists()
+
     def test_every_unknown_key_is_named(self, fixture_env, tmp_path):
         config = dict(fixture_env["run_config"](tmp_path / "run_u", "replay"),
                       use_cto=False, metrics="align")
@@ -920,6 +925,39 @@ class TestRunTask:
             *(f"INFO item item{i}: ok ({n} elements)" for i, n in enumerate(sizes)),
             "INFO run ends: 5 ok, 0 failed",
         ]
+
+    def test_retries_and_fallbacks_are_named_in_the_run_log(self, fixture_env, tmp_path,
+                                                             capfd, caplog):
+        # Every item's stages 2 and 3 are refused, so they keep stage 1's
+        # layout, and item it1's first coarse fan-out (candidates 0-9) holds
+        # no layout, so its drafts are retried.
+        def transport(payload, idx):
+            user = payload["messages"][1]["content"]
+            if "after Stage" in user:
+                return "I cannot refine this layout."
+            if "needing refinement" not in user and _item_of(payload) == 1 and idx < 10:
+                return "I need more information before I can design this layout."
+            return scripted_llm(payload, idx)
+
+        config = _record_config(fixture_env, tmp_path, _distinct_items(3), fanout=1)
+        run_dir = run_task(config, transport=transport)
+        # Each line is "date time LEVEL message".
+        assert [line.split(" ", 2)[2] for line in
+                (run_dir / "run.log").read_text().splitlines()] == [
+            "INFO run starts: 3 items, family=content_aware, mode=record",
+            "INFO item it0: ok (1 elements; stage 2, 3 kept the previous layout)",
+            "INFO item it1: ok (2 elements; coarse drafts retried; "
+            "stage 2, 3 kept the previous layout)",
+            "INFO item it2: ok (3 elements; stage 2, 3 kept the previous layout)",
+            "INFO run ends: 3 ok, 0 failed",
+        ]
+        trace = json.loads((run_dir / "traces" / "it1.json").read_text())
+        assert [s["fallback"] for s in trace["stages"]] == [False, True, True]
+        assert len(trace["coarse"]["candidates"]) == 20
+        assert capfd.readouterr().err == ""
+        # Under pytest a record that reaches the root logger is caught here
+        # instead of being printed to stderr.
+        assert caplog.records == []
 
     def test_runs_whose_directories_share_a_name_keep_their_logs(self, fixture_env, tmp_path):
         # A second run starts, and ends, while the first is still running.
