@@ -212,22 +212,19 @@ def to_html(layout: Layout) -> HtmlSnippet:
 
 
 _DIV_RE = re.compile(r"<div\b([^>]*?)/?>", re.IGNORECASE | re.DOTALL)
-_ATTR_RE = re.compile(r"""([\w-]+)\s*=\s*("([^"]*)"|'([^']*)'|([^\s>'"]+))""")
+# An attribute's value is double-quoted, single-quoted or bare; exactly one of
+# the three groups matches, and findall gives the other two as "".
+_ATTR_RE = re.compile(r"""([\w-]+)\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s>'"]+))""")
 _PROP_RE = re.compile(r"([a-zA-Z-]+)\s*:\s*(-?\d+(?:\.\d+)?(?:e-?\d+)?)\s*(?:px)?", re.IGNORECASE)
 
 
 def _attrs(fragment: str) -> dict[str, str]:
-    out = {}
-    for m in _ATTR_RE.finditer(fragment):
-        value = m.group(3) if m.group(3) is not None else m.group(4)
-        if value is None:
-            value = m.group(5)
-        out[m.group(1).lower()] = value or ""
-    return out
+    return {name.lower(): double + single + bare
+            for name, double, single, bare in _ATTR_RE.findall(fragment)}
 
 
 def _style_props(style: str) -> dict[str, float]:
-    return {m.group(1).lower(): float(m.group(2)) for m in _PROP_RE.finditer(style)}
+    return {name.lower(): float(value) for name, value in _PROP_RE.findall(style)}
 
 
 def parse_html(

@@ -1,10 +1,13 @@
 """Layout types, normalization, validation, and snippet serialization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layoutloom import model
 from layoutloom.errors import NegativeDimension, ParseFailure, ZeroCanvas
 from layoutloom.model import (
     BBox,
@@ -221,3 +224,46 @@ def test_normalize_idempotent_property(seed):
     lay = random_pixel_layout(rng)
     once = normalize(lay)
     assert normalize(once) == once
+
+
+# --- attribute and style scanning against the finditer loops they replaced ---
+
+_OLD_ATTR_RE = re.compile(r"""([\w-]+)\s*=\s*("([^"]*)"|'([^']*)'|([^\s>'"]+))""")
+
+
+def _attrs_oracle(fragment):
+    out = {}
+    for m in _OLD_ATTR_RE.finditer(fragment):
+        value = m.group(3) if m.group(3) is not None else m.group(4)
+        if value is None:
+            value = m.group(5)
+        out[m.group(1).lower()] = value or ""
+    return out
+
+
+def _style_props_oracle(style):
+    return {m.group(1).lower(): float(m.group(2)) for m in model._PROP_RE.finditer(style)}
+
+
+_MARKUP = st.text(alphabet="aClsty-_= \t\"':;.5+e0x/<>", max_size=60)
+_ATTR_TOKENS = st.lists(st.sampled_from([
+    "class", "CLASS", "style", "data-x", "=", " = ", '"', "'", '""', "''", '"a b"', "'c'",
+    "text", "left:5px", ";", " ", "\t", ">", "/", "x=y", "=''", 'a="', "\n",
+]), max_size=14).map("".join)
+_STYLE_TOKENS = st.lists(st.sampled_from([
+    "left", "TOP", "width", "height", "margin-top", ":", " : ", "5", "-5", "+5", ".5", "1.25",
+    "1e3", "1E-2", "1e+2", "e", "px", "PX", ";", "; ", " ", "-", "abc", "0", "12.",
+]), max_size=14).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_MARKUP, _ATTR_TOKENS))
+def test_attrs_equal_the_finditer_loop(fragment):
+    assert model._attrs(fragment) == _attrs_oracle(fragment)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_MARKUP, _STYLE_TOKENS))
+def test_style_props_equal_the_finditer_loop(style):
+    got, want = model._style_props(style), _style_props_oracle(style)
+    assert list(got.items()) == list(want.items())
