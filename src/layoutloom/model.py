@@ -215,7 +215,10 @@ _DIV_RE = re.compile(r"<div\b([^>]*?)/?>", re.IGNORECASE | re.DOTALL)
 # An attribute's value is double-quoted, single-quoted or bare; exactly one of
 # the three groups matches, and findall gives the other two as "".
 _ATTR_RE = re.compile(r"""([\w-]+)\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s>'"]+))""")
-_PROP_RE = re.compile(r"([a-zA-Z-]+)\s*:\s*(-?\d+(?:\.\d+)?(?:e-?\d+)?)\s*(?:px)?", re.IGNORECASE)
+# A property's number in the forms float() reads: an optional sign, digits with
+# an optional fraction or a fraction alone, and an optional signed exponent.
+_PROP_RE = re.compile(r"([a-zA-Z-]+)\s*:\s*([+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:e[+-]?\d+)?)\s*(?:px)?",
+                      re.IGNORECASE)
 
 
 def _attrs(fragment: str) -> dict[str, str]:

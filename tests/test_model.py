@@ -201,6 +201,19 @@ class TestParseHtml:
         assert lay.canvas == Canvas(100, 100)
         assert lay.elements[0].bbox == BBox(1.5, 2.25, 3.75, 4.0)
 
+    @pytest.mark.parametrize("written, value", [
+        ("1e+2", 100.0), ("1E+2", 100.0), ("2.5e-1", 0.25), ("+5", 5.0), ("+5.5", 5.5),
+        (".5", 0.5), ("-.5", -0.5), ("+.5e+1", 5.0), ("7.", 7.0), ("-3", -3.0),
+    ])
+    def test_number_forms_read_as_float_reads_them(self, written, value):
+        snippet = (
+            '<div class="canvas" style="width:100px; height:100px"></div>'
+            f'<div class="text" style="left:{written}px; top:{written}px; '
+            f'width:4px; height:4px"></div>'
+        )
+        bbox = parse_html(snippet, VOCAB).elements[0].bbox
+        assert (bbox.left, bbox.top) == (value, value) == (float(written),) * 2
+
     def test_element_order_preserved(self):
         lay = make_layout("a", (500, 500),
                           [(0, 0, 10, 10), (20, 20, 10, 10), (40, 40, 10, 10)],
