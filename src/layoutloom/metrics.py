@@ -22,9 +22,11 @@ do not depend on element order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -43,58 +45,121 @@ DEFAULT_TOLERANCE_RATIO = 1.1
 
 # --- graphic metrics --------------------------------------------------------
 
-def _anchors(box: BBox) -> tuple[float, float, float, float, float, float]:
-    return (box.left, box.cx, box.right, box.top, box.cy, box.bottom)
+class UnitBoxes(NamedTuple):
+    """Layouts' elements on the unit canvas, padded to the longest layout.
+
+    ``ltwh`` (L, n, 4) holds each element's left, top, width and height,
+    each ``x / W`` as :func:`normalize` computes it, and NaN past a layout's
+    last element; ``counts`` the element counts and ``labels`` every
+    element's label, layout after layout.
+    """
+
+    ltwh: np.ndarray
+    counts: list[int]
+    labels: tuple[str, ...]
+
+    @property
+    def real(self) -> np.ndarray:
+        return np.arange(self.ltwh.shape[1]) < np.array(self.counts)[:, None]
 
 
-def alignment(layout: Layout) -> float:
-    """Mean nearest-anchor gap: 0 when every element shares an anchor line.
+_LTWH = operator.attrgetter("left", "top", "width", "height")
+
+
+def unit_boxes(layouts: Sequence[Layout]) -> UnitBoxes:
+    """The elements of ``layouts`` as :class:`UnitBoxes`. Dividing a unit
+    layout's values by 1 changes no bit, so every layout is divided."""
+    counts = [len(layout.elements) for layout in layouts]
+    total = sum(counts)
+    boxes = np.fromiter(chain.from_iterable(_LTWH(e.bbox) for layout in layouts
+                                            for e in layout.elements),
+                        dtype=np.float64, count=4 * total).reshape(total, 4)
+    scale = np.repeat(np.array([(lay.canvas.width, lay.canvas.height) * 2 for lay in layouts],
+                               dtype=np.float64).reshape(-1, 4), counts, axis=0)
+    ltwh = np.full((len(layouts), max(counts, default=0), 4), np.nan)
+    out = UnitBoxes(ltwh, counts, tuple(e.label for layout in layouts for e in layout.elements))
+    ltwh[out.real] = boxes / scale
+    return out
+
+
+def _rows(values: np.ndarray, mask: np.ndarray) -> list[list[float]]:
+    """Each row's masked values, in order; rows run along axis 0."""
+    flat = values[mask].tolist()
+    ends = np.cumsum(mask.sum(axis=tuple(range(1, mask.ndim)))).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def alignments(boxes: UnitBoxes) -> list[float]:
+    """Mean nearest-anchor gap of each layout: 0 when every element shares
+    an anchor line.
 
     For each element, take the minimum absolute difference between any of
     its six anchors (left, x-center, right, top, y-center, bottom) and the
-    same anchor of any other element; average over elements. A
-    single-element layout is perfectly aligned by definition.
+    same anchor of any other element; average over elements with
+    ``math.fsum``. A NaN gap (from infinite coordinates) is never the
+    minimum. A single-element layout is perfectly aligned by definition; an
+    empty one raises EmptyLayout.
     """
-    lay = normalize(layout)
-    if not lay.elements:
+    if 0 in boxes.counts:
         raise EmptyLayout("alignment is undefined for an empty layout")
-    if len(lay.elements) == 1:
-        return 0.0
-    anchor_rows = [_anchors(e.bbox) for e in lay.elements]
-    gaps = []
-    for i, mine in enumerate(anchor_rows):
-        best = math.inf
-        for j, other in enumerate(anchor_rows):
-            if i == j:
-                continue
-            for k in range(6):
-                gap = abs(mine[k] - other[k])
-                if gap < best:
-                    best = gap
-        gaps.append(best)
-    return math.fsum(gaps) / len(gaps)
+    left, top, width, height = np.moveaxis(boxes.ltwh, 2, 0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        anchors = np.stack((left, left + width / 2.0, left + width,
+                            top, top + height / 2.0, top + height), axis=2)
+        gaps = np.abs(anchors[:, :, None, :] - anchors[:, None, :, :])
+    n = gaps.shape[1]
+    gaps[:, np.arange(n), np.arange(n)] = np.inf
+    # fmin passes NaN over, as a scan keeping ``gap < best`` does; the
+    # padding is NaN too.
+    best = np.fmin.reduce(gaps.reshape(len(gaps), n, 6 * n), axis=2)
+    return [0.0 if count == 1 else math.fsum(row) / count
+            for row, count in zip(_rows(best, boxes.real), boxes.counts)]
+
+
+def overlaps(boxes: UnitBoxes, exclude_labels: Iterable[str] = ()) -> list[float]:
+    """Total pairwise intersection area over total element area, per layout,
+    each a ``math.fsum``.
+
+    Elements whose label is excluded take part in neither the pairs nor the
+    denominator. Zero or one participating element, or a denominator that
+    is not positive, gives 0. A pair's extent along an axis is
+    ``min(ends) - max(starts)`` with Python's ``min`` and ``max`` argument
+    order, earlier element first, so NaN coordinates give what a loop over
+    the pairs gives.
+    """
+    keep = boxes.real
+    excluded = set(exclude_labels)
+    if excluded:
+        keep[keep] = np.fromiter((label not in excluded for label in boxes.labels),
+                                 dtype=bool, count=len(boxes.labels))
+    left, top, width, height = np.moveaxis(boxes.ltwh, 2, 0)
+
+    def extent(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+        end = start + size
+        s_i, s_j, e_i, e_j = start[:, :, None], start[:, None, :], end[:, :, None], end[:, None, :]
+        return np.where(e_j < e_i, e_j, e_i) - np.where(s_j > s_i, s_j, s_i)
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        w, h = extent(left, width), extent(top, height)
+        inter = np.where((w <= 0.0) | (h <= 0.0), 0.0, w * h)
+        areas = width * height
+    pairs = keep[:, :, None] & keep[:, None, :] & np.triu(np.ones(w.shape[1:], dtype=bool), 1)
+    out = []
+    for area_row, inter_row, count in zip(_rows(areas, keep), _rows(inter, pairs),
+                                          keep.sum(axis=1).tolist()):
+        denom = math.fsum(area_row) if count >= 2 else 0.0
+        out.append(0.0 if denom <= 0.0 else math.fsum(inter_row) / denom)
+    return out
+
+
+def alignment(layout: Layout) -> float:
+    """:func:`alignments` of one layout."""
+    return alignments(unit_boxes([layout]))[0]
 
 
 def overlap(layout: Layout, exclude_labels: Iterable[str] = ()) -> float:
-    """Total pairwise intersection area over total element area.
-
-    Elements whose label is excluded take part in neither the pairs nor the
-    denominator. Zero or one participating element gives 0.
-    """
-    lay = normalize(layout)
-    excluded = set(exclude_labels)
-    boxes = [e.bbox for e in lay.elements if e.label not in excluded]
-    if len(boxes) < 2:
-        return 0.0
-    denom = math.fsum(b.area for b in boxes)
-    if denom <= 0.0:
-        return 0.0
-    inter = math.fsum(
-        boxes[i].intersection_area(boxes[j])
-        for i in range(len(boxes))
-        for j in range(i + 1, len(boxes))
-    )
-    return inter / denom
+    """:func:`overlaps` of one layout."""
+    return overlaps(unit_boxes([layout]), exclude_labels)[0]
 
 
 def _iou(a: BBox, b: BBox) -> float:
@@ -324,9 +389,10 @@ def layout_samples(layout: Layout, reference: Layout | None = None,
     raster, and readability a gradient raster and a text element.
     """
     samples = {}
+    boxes = unit_boxes([layout])
     if layout.elements:
-        samples["align"] = alignment(layout)
-    samples["overlap"] = overlap(layout, exclude_overlap_labels)
+        samples["align"] = alignments(boxes)[0]
+    samples["overlap"] = overlaps(boxes, exclude_overlap_labels)[0]
     samples["val"] = validate_layout(layout).fraction
     for name, metric in (("und_l", underlay_loose), ("und_s", underlay_strict)):
         if (value := metric(layout)) is not None:

@@ -45,11 +45,12 @@ from .dataset import (
 from .errors import ConfigError, InvalidPayload, LayoutLoomError, NoViableCandidate, SchemaError
 from .gateway import BackendConfig, ExtractionFailure, Gateway, extract_layout
 from .metrics import (
-    alignment,
+    alignments,
     family_metrics,
     layout_samples,
-    overlap,
+    overlaps,
     population_report,
+    unit_boxes,
     write_metrics_tsv,
 )
 from .model import Canvas, Layout, denormalize, label_counts, normalize
@@ -210,9 +211,9 @@ def rank_candidates(candidates: Sequence[Layout], constraint: ConstraintSpec,
     if not candidates:
         raise NoViableCandidate("no parseable candidates to rank")
     weights = weights or RankerWeights()
-    normalized = [normalize(c) for c in candidates]
-    align_norm = _minmax([alignment(c) for c in normalized])
-    overlap_norm = _minmax([overlap(c) for c in normalized])
+    boxes = unit_boxes(candidates)
+    align_norm = _minmax(alignments(boxes))
+    overlap_norm = _minmax(overlaps(boxes))
     sat = [constraint_satisfaction(c, constraint) for c in candidates]
     scores = [
         -weights.w_align * a - weights.w_overlap * o + weights.w_constraint * s

@@ -5,10 +5,12 @@ five-item content-aware replay fixture used by pipeline and acceptance tests.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from layoutloom.dataset import (
     DatasetManifest,
@@ -20,7 +22,8 @@ from layoutloom.dataset import (
     save_raster,
     write_jsonl,
 )
-from layoutloom.model import BBox, Canvas, Element, Layout
+from layoutloom.errors import EmptyLayout
+from layoutloom.model import BBox, Canvas, Element, Layout, normalize
 from layoutloom.pipeline import run_task
 from layoutloom.retrieval import RetrievalIndex, build_index, save_index
 
@@ -80,6 +83,64 @@ def make_index(entries, vocabulary=VOCAB):
             labels[row, col] = label_id[e.label]
             coords[row, col] = (e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
     return RetrievalIndex(vocabulary, [entry_id for entry_id, _ in entries], labels, coords)
+
+
+@st.composite
+def _messy_value(draw, scale, low, high):
+    unit = draw(st.one_of(st.floats(low, high), st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    return draw(st.sampled_from([unit * scale, float(round(unit * scale))]))
+
+
+@st.composite
+def messy_layouts(draw, min_elements=1, max_elements=25, vocabulary=VOCAB):
+    """Layouts whose boxes repeat, have zero width or height, or lie partly or
+    wholly off the canvas; box values are whole or fractional, on the unit
+    canvas or a pixel one."""
+    width, height = draw(st.sampled_from([(1, 1), (513, 750), (400, 300), (7, 3)]))
+    box = st.tuples(_messy_value(width, -0.5, 1.5), _messy_value(height, -0.5, 1.5),
+                    _messy_value(width, 0.0, 1.2), _messy_value(height, 0.0, 1.2))
+    distinct = draw(st.lists(st.tuples(st.sampled_from(vocabulary), box),
+                             min_size=1, max_size=max_elements))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1),
+                          min_size=min_elements, max_size=max_elements))
+    return Layout(id="", canvas=Canvas(width, height),
+                  elements=tuple(Element(distinct[i][0], BBox(*distinct[i][1])) for i in picks))
+
+
+def scalar_alignment(layout):
+    """metrics.alignment as a loop over element pairs, before it was batched."""
+    lay = normalize(layout)
+    if not lay.elements:
+        raise EmptyLayout("alignment is undefined for an empty layout")
+    if len(lay.elements) == 1:
+        return 0.0
+    rows = [(b.left, b.cx, b.right, b.top, b.cy, b.bottom) for b in (e.bbox for e in lay.elements)]
+    gaps = []
+    for i, mine in enumerate(rows):
+        best = math.inf
+        for j, other in enumerate(rows):
+            if i == j:
+                continue
+            for k in range(6):
+                gap = abs(mine[k] - other[k])
+                if gap < best:
+                    best = gap
+        gaps.append(best)
+    return math.fsum(gaps) / len(gaps)
+
+
+def scalar_overlap(layout, exclude_labels=()):
+    """metrics.overlap as a loop over element pairs, before it was batched."""
+    lay = normalize(layout)
+    boxes = [e.bbox for e in lay.elements if e.label not in set(exclude_labels)]
+    if len(boxes) < 2:
+        return 0.0
+    denom = math.fsum(b.area for b in boxes)
+    if denom <= 0.0:
+        return 0.0
+    inter = math.fsum(boxes[i].intersection_area(boxes[j])
+                      for i in range(len(boxes)) for j in range(i + 1, len(boxes)))
+    return inter / denom
 
 
 # --- scripted offline backend ------------------------------------------------

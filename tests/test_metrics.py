@@ -14,20 +14,29 @@ from layoutloom.metrics import (
     CONTENT_AWARE_COLUMNS,
     MetricReport,
     alignment,
+    alignments,
     layout_samples,
     max_iou,
     occlusion,
     overlap,
+    overlaps,
     population_report,
     readability,
     size_reasonableness,
     underlay_loose,
     underlay_strict,
+    unit_boxes,
     utilization,
 )
 from layoutloom.model import BBox, Canvas, Element, Layout, normalize, validate_layout
 
-from conftest import make_layout, random_normalized_layout
+from conftest import (
+    make_layout,
+    messy_layouts,
+    random_normalized_layout,
+    scalar_alignment,
+    scalar_overlap,
+)
 
 
 def unit_layout(boxes, labels=None, layout_id="m"):
@@ -438,3 +447,42 @@ class TestSampleParity:
             {k: float(v).hex() for k, v in expected_values.items()}
         assert report.applicability == expected.applicability
         assert report.population_size == expected.population_size
+
+
+# --- batched alignment and overlap against the scalar loops they replaced ---
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _outcome(metric, *args):
+    try:
+        return float(metric(*args)).hex()
+    except (ValueError, OverflowError, EmptyLayout) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(messy_layouts(), min_size=1, max_size=8),
+       st.sampled_from(((), ("underlay",), ("text", "logo"))))
+def test_batched_metrics_equal_the_scalar_loops(layouts, exclude):
+    boxes = unit_boxes(layouts)
+    assert _bits(alignments(boxes)) == _bits(scalar_alignment(lay) for lay in layouts)
+    assert _bits(overlaps(boxes)) == _bits(scalar_overlap(lay) for lay in layouts)
+    assert _bits(overlaps(boxes, exclude)) == \
+        _bits(scalar_overlap(lay, exclude) for lay in layouts)
+
+
+_ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, 1e308]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(("text", "underlay")),
+                          st.tuples(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT)),
+                max_size=5),
+       st.sampled_from(((1, 1), (400, 300))))
+def test_metrics_of_non_finite_boxes_equal_the_scalar_loops(elements, canvas):
+    layout = Layout("", Canvas(*canvas), tuple(Element(lab, BBox(*b)) for lab, b in elements))
+    assert _outcome(alignment, layout) == _outcome(scalar_alignment, layout)
+    for exclude in ((), ("underlay",)):
+        assert _outcome(overlap, layout, exclude) == _outcome(scalar_overlap, layout, exclude)

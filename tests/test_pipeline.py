@@ -11,11 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layoutloom.dataset import DatasetManifest, ingest, layout_to_record, record_to_layout
 from layoutloom.errors import ConfigError, InvalidPayload, NoViableCandidate, SchemaError
 from layoutloom.gateway import BackendConfig, Gateway
-from layoutloom.model import BBox, Canvas, Element, Layout, to_html
+from layoutloom.model import BBox, Canvas, Element, Layout, normalize, to_html
 from layoutloom.pipeline import (
     CandidateRecord,
     CoarseFragment,
@@ -36,7 +38,14 @@ from layoutloom.pipeline import (
 from layoutloom.prompts import ConstraintSpec, build_stage_prompt
 from layoutloom.retrieval import build_index
 
-from conftest import make_layout, random_normalized_layout, scripted_llm
+from conftest import (
+    make_layout,
+    messy_layouts,
+    random_normalized_layout,
+    scalar_alignment,
+    scalar_overlap,
+    scripted_llm,
+)
 
 MANIFEST = DatasetManifest(name="mini", task_kind="content_aware",
                            vocabulary=("text", "logo", "underlay"))
@@ -318,6 +327,34 @@ def test_parsed_candidates_rank_as_their_record_round_trip():
                 assert constraint_satisfaction(y, constraint) == old
                 checked += old not in (0.0, 1.0)
     assert checked > 50  # partial satisfaction, not only the trivial ends
+
+
+def _rank_oracle(candidates, constraint, weights):
+    """rank_candidates as it was before the batched metrics: every candidate
+    normalized, then scored by the scalar alignment and overlap loops."""
+    def minmax(column):
+        lo, hi = min(column), max(column)
+        return [0.0] * len(column) if hi <= lo else [(x - lo) / (hi - lo) for x in column]
+
+    normalized = [normalize(c) for c in candidates]
+    align_norm = minmax([scalar_alignment(c) for c in normalized])
+    overlap_norm = minmax([scalar_overlap(c) for c in normalized])
+    sat = [constraint_satisfaction(c, constraint) for c in candidates]
+    scores = [-weights.w_align * a - weights.w_overlap * o + weights.w_constraint * s
+              for a, o, s in zip(align_norm, overlap_norm, sat)]
+    return max(range(len(scores)), key=lambda i: (scores[i], -i)), scores
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(messy_layouts(vocabulary=PARITY_VOCAB), min_size=1, max_size=20),
+       st.sampled_from(EVERY_KIND),
+       st.sampled_from([RankerWeights(), RankerWeights(0.0, 0.5, 2.0), RankerWeights(3, 1, 0)]))
+def test_rank_candidates_picks_and_scores_as_the_scalar_ranker(candidates, constraint, weights):
+    best, scores = rank_candidates(candidates, constraint, weights)
+    want_best, want_scores = _rank_oracle(candidates, constraint, weights)
+    assert best == want_best
+    assert [s.hex() for s in scores] == [s.hex() for s in want_scores]
+
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
