@@ -187,28 +187,27 @@ def validate_layout(layout: Layout, min_area_ratio: float = 0.001) -> Validation
     return ValidationReport(flags=flags, fraction=fraction)
 
 
+_ELEMENT_DIV = '<div class="%s" style="left:%dpx; top:%dpx; width:%dpx; height:%dpx"></div>\n'
+
+
+def html_snippet(width: int, height: int,
+                 elements: Iterable[tuple[str, float, float, float, float]]) -> HtmlSnippet:
+    """The canonical snippet of a ``width`` x ``height`` canvas and its
+    ``(label, x, y, w, h)`` elements, each coordinate a whole number."""
+    return (f'<html><body>\n<div class="canvas" style="width:{width}px; height:{height}px">'
+            f'</div>\n{"".join(_ELEMENT_DIV % element for element in elements)}</body></html>')
+
+
 def to_html(layout: Layout) -> HtmlSnippet:
     """Serialize a layout to the canonical snippet grammar.
 
     Coordinates are emitted as integer pixels of the layout's own canvas
     (round half-up).
     """
-    parts = [
-        "<html><body>",
-        f'<div class="canvas" style="width:{layout.canvas.width}px; '
-        f'height:{layout.canvas.height}px"></div>',
-    ]
-    for e in layout.elements:
-        x = round_half_up(e.bbox.left)
-        y = round_half_up(e.bbox.top)
-        w = round_half_up(e.bbox.width)
-        h = round_half_up(e.bbox.height)
-        parts.append(
-            f'<div class="{e.label}" style="left:{x}px; top:{y}px; '
-            f'width:{w}px; height:{h}px"></div>'
-        )
-    parts.append("</body></html>")
-    return "\n".join(parts)
+    return html_snippet(layout.canvas.width, layout.canvas.height, (
+        (e.label, round_half_up(e.bbox.left), round_half_up(e.bbox.top),
+         round_half_up(e.bbox.width), round_half_up(e.bbox.height))
+        for e in layout.elements))
 
 
 _DIV_RE = re.compile(r"<div\b([^>]*?)/?>", re.IGNORECASE | re.DOTALL)

@@ -53,7 +53,7 @@ from .metrics import (
     unit_boxes,
     write_metrics_tsv,
 )
-from .model import Canvas, Layout, denormalize, label_counts, normalize
+from .model import Canvas, Layout, label_counts, normalize
 from .prompts import (
     ConstraintSpec,
     PromptBundle,
@@ -313,24 +313,30 @@ def _select_exemplars(query: Layout | None, index: RetrievalIndex, k: int,
     return picked, f"random(seed={cfg.seed})"
 
 
-def _exemplar_layouts(index: RetrievalIndex, ids: Sequence[str],
-                      canvas: Canvas) -> list[Layout]:
-    return [
-        denormalize(index.entry_layout(index.positions[eid]), canvas.width, canvas.height)
-        for eid in ids
-    ]
+def _exemplar_html(index: RetrievalIndex, ids: Sequence[str], canvas: Canvas,
+                   rendered: dict[tuple[str, Canvas], str]) -> list[str]:
+    """Each exemplar's snippet on ``canvas``. ``rendered`` holds one item's
+    snippets by (id, canvas), so the stage prompts reuse the coarse prompt's
+    when the coarse layout keeps the canvas it was drafted on."""
+    missing = [eid for eid in ids if (eid, canvas) not in rendered]
+    if missing:
+        snippets = index.entries_html([index.positions[eid] for eid in missing], canvas)
+        rendered.update(((eid, canvas), html) for eid, html in zip(missing, snippets))
+    return [rendered[eid, canvas] for eid in ids]
 
 
 def generate_coarse(constraint: ConstraintSpec, index: RetrievalIndex,
                     cfg: PipelineConfig, gateway: Gateway,
                     stats: AreaStats | None = None, query: Layout | None = None,
-                    run_id: str = "") -> tuple[Layout, CoarseFragment]:
-    """Retrieve exemplars, fan out n candidates, rank, and return the best."""
+                    run_id: str = "", rendered: dict | None = None
+                    ) -> tuple[Layout, CoarseFragment]:
+    """Retrieve exemplars, fan out n candidates, rank, and return the best.
+    ``rendered`` collects the item's exemplar snippets for ``refine_cot``."""
     vocabulary = index.vocabulary
     query_lay = _query_layout(constraint, stats, query)
     canvas = _target_canvas(constraint, query)
     exemplar_ids, source = _select_exemplars(query_lay, index, cfg.k_coarse, cfg, run_id)
-    exemplars = _exemplar_layouts(index, exemplar_ids, canvas)
+    exemplars = _exemplar_html(index, exemplar_ids, canvas, {} if rendered is None else rendered)
     bundle = build_coarse_prompt(exemplars, constraint, vocabulary=vocabulary)
 
     records: list[CandidateRecord] = []
@@ -377,18 +383,21 @@ def generate_coarse(constraint: ConstraintSpec, index: RetrievalIndex,
 
 def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex,
                cfg: PipelineConfig, gateway: Gateway, coarse_fragment: CoarseFragment,
-               run_id: str = "") -> tuple[RefinementTrace, Layout]:
+               run_id: str = "", rendered: dict | None = None
+               ) -> tuple[RefinementTrace, Layout]:
     """Sequential staged refinement with one retry per stage, then fallback.
 
     Exemplars (k_refine of them) are fixed once per item: the head of the
-    coarse exemplar ranking. Without CoT no stage runs and the coarse layout
-    is final. Returns the trace and the final layout, which ``trace.final``
-    records.
+    coarse exemplar ranking, on the coarse layout's canvas; ``rendered``
+    holds the snippets ``generate_coarse`` wrote. Without CoT no stage runs
+    and the coarse layout is final. Returns the trace and the final layout,
+    which ``trace.final`` records.
     """
     stage_count = cfg.stages if cfg.use_cot else 0
     vocabulary = index.vocabulary
     exemplar_ids = coarse_fragment.exemplar_ids[:cfg.k_refine]
-    exemplars = _exemplar_layouts(index, exemplar_ids, coarse.canvas)
+    exemplars = _exemplar_html(index, exemplar_ids, coarse.canvas,
+                               {} if rendered is None else rendered)
 
     current = coarse
     stages: list[StageRecord] = []
@@ -616,10 +625,13 @@ def _run_item(record: Mapping[str, Any], *, task_family: str, index: RetrievalIn
         trace_path = traces_dir / _trace_name(item_id)
         constraint = constraint_from_record(record, task_family)
         item_layout = record_to_layout(record)
+        rendered: dict[tuple[str, Canvas], str] = {}
         coarse, fragment = generate_coarse(constraint, index, cfg, gateway, stats=stats,
-                                           query=item_layout, run_id=item_id)
+                                           query=item_layout, run_id=item_id,
+                                           rendered=rendered)
         trace, final = refine_cot(coarse, constraint, index, cfg, gateway,
-                                  coarse_fragment=fragment, run_id=item_id)
+                                  coarse_fragment=fragment, run_id=item_id,
+                                  rendered=rendered)
         samples = score_layout(final, item_layout, base, exclude_overlap_labels)
         trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
         return _ItemOutcome(payload=trace.final, final=final, samples=samples, error=None,

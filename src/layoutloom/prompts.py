@@ -3,8 +3,8 @@
 Templates live as text assets under ``templates/{family}/{stage}.sys.txt``
 and ``.usr.txt`` with ``{{NAME}}`` placeholders. Rendering is pure: equal
 inputs produce byte-identical bundles, and any placeholder left unresolved
-raises instead of leaking into a prompt. Exemplars are serialized in the
-order given, which callers keep equal to retrieval rank order.
+raises instead of leaking into a prompt. Exemplars come as snippets and are
+joined in the order given, which callers keep equal to retrieval rank order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     UnboundPlaceholder,
     UnknownTemplate,
 )
-from .model import Layout, to_html
+from .model import HtmlSnippet, Layout, to_html
 
 STAGE_NAMES = ("coarse", "1", "2", "3")
 
@@ -285,7 +285,7 @@ class PromptBundle:
     user: str
 
 
-def _bundle(family: str, stage: str, exemplars: Sequence[Layout],
+def _bundle(family: str, stage: str, exemplars: Sequence[HtmlSnippet],
             constraint: ConstraintSpec, vocabulary: Sequence[str],
             **bindings: str) -> PromptBundle:
     """Render the (family, stage) template with the bindings every prompt
@@ -296,7 +296,7 @@ def _bundle(family: str, stage: str, exemplars: Sequence[Layout],
     ordered = list(vocabulary)
     bindings.update({
         "LEN_TOPK": str(len(exemplars)),
-        "TOPK_HTML_STR": "\n\n".join(to_html(layout) for layout in exemplars),
+        "TOPK_HTML_STR": "\n\n".join(exemplars),
         "CONSTRAINT_STR": render_constraint(constraint),
         "VOCABULARY": ", ".join(f"{i + 1}) {label}" for i, label in enumerate(ordered))
                       or "(unspecified)",
@@ -311,15 +311,17 @@ def _bundle(family: str, stage: str, exemplars: Sequence[Layout],
                         user=_render_text(user, bindings))
 
 
-def build_coarse_prompt(exemplars: Sequence[Layout], constraint: ConstraintSpec,
+def build_coarse_prompt(exemplars: Sequence[HtmlSnippet], constraint: ConstraintSpec,
                         vocabulary: Sequence[str]) -> PromptBundle:
-    """Render the coarse-generation prompt from ranked exemplars and a constraint."""
+    """Render the coarse-generation prompt from ranked exemplars, each in the
+    snippet grammar, and a constraint."""
     return _bundle(constraint.family, "coarse", exemplars, constraint, vocabulary)
 
 
-def build_stage_prompt(stage: int, exemplars: Sequence[Layout], current: Layout,
+def build_stage_prompt(stage: int, exemplars: Sequence[HtmlSnippet], current: Layout,
                        constraint: ConstraintSpec, vocabulary: Sequence[str]) -> PromptBundle:
-    """Render the constraint family's refinement prompt for stage 1, 2, or 3.
+    """Render the constraint family's refinement prompt for stage 1, 2, or 3,
+    from exemplars in the snippet grammar.
 
     Stage 1 binds the working layout to {{CURRENT_HTML}}; later stages bind
     it to {{STAGE_{t-1}_HTML}} so the template can name its predecessor.

@@ -37,10 +37,13 @@ a query depends less on how its geometry falls against the index.
 
 Candidates are scored from the index arrays through one cost definition,
 ``_ground_costs``. A query's normalized features are computed once, for
-both bounds and the solves. Solved entries' costs come from a tensor built
-from the index arrays, each center rebuilt as ``(cx - w/2) + w/2`` as
-``entry_layout`` does, so a retrieved similarity is bitwise ``ltsim_score``
-on that layout. The dual bound reads the same rebuilt-center costs.
+both bounds and the solves. An entry's element is the box
+``(cx - w/2, cy - h/2, w, h)``; it is written that way into prompts (see
+``RetrievalIndex.entries_html``). Solved entries' costs come from a tensor
+built from the index arrays, each center rebuilt from that box as
+``(cx - w/2) + w/2``, so a retrieved similarity is bitwise ``ltsim_score``
+on the layout of those boxes. The dual bound reads the same rebuilt-center
+costs.
 
 An index holds what queries read, as padded numpy arrays (see
 ``RetrievalIndex``); ``save_index`` writes them to an ``.npz`` archive, and
@@ -68,7 +71,7 @@ import numpy as np
 
 from .dataset import AreaStats, CanonicalDataset, collector_paused
 from .errors import EmptyIndex, EmptyLayout, EmptySplit, SchemaError, VersionMismatch
-from .model import BBox, Canvas, Element, Layout, normalize
+from .model import BBox, Canvas, Element, HtmlSnippet, Layout, html_snippet, normalize
 from .transport import MAX_ELEMENTS, TransportPlan, solve_exact
 
 logger = logging.getLogger(__name__)
@@ -220,18 +223,24 @@ class RetrievalIndex:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def entry_layout(self, position: int) -> Layout:
-        """Reconstruct the normalized layout stored at an index position."""
-        n = int(self.counts[position])
-        elements = tuple(
-            Element(
-                label=self.vocabulary[label_id],
-                bbox=BBox(cx - w / 2.0, cy - h / 2.0, w, h),
-            )
-            for label_id, (cx, cy, w, h) in zip(self.labels[position, :n].tolist(),
-                                                self.coords[position, :n].tolist())
-        )
-        return Layout(id=self.ids[position], canvas=Canvas(1, 1), elements=elements)
+    def entries_html(self, positions: Sequence[int], canvas: Canvas) -> list[HtmlSnippet]:
+        """The entries at ``positions`` as ``to_html`` writes them on
+        ``canvas``, straight from the arrays: an element's box is
+        ``(cx - w/2, cy - h/2, w, h)``, each value scaled by the canvas side
+        and rounded half-up, ``floor(v * W + 0.5)``, the same IEEE operations
+        as scaling the box with ``denormalize``."""
+        rows = np.asarray(positions, dtype=np.int64)
+        counts = self.counts[rows]
+        n = int(counts.max(initial=0))
+        centers, sizes = self.coords[rows, :n, :2], self.coords[rows, :n, 2:]
+        side = np.array([canvas.width, canvas.height], dtype=np.float64)
+        pixels = np.floor(np.concatenate(((centers - sizes / 2.0) * side, sizes * side), axis=2)
+                          + 0.5).tolist()
+        vocabulary, width, height = self.vocabulary, int(canvas.width), int(canvas.height)
+        return [html_snippet(width, height, ((vocabulary[label], *box) for label, box
+                                             in zip(labels[:count], boxes)))
+                for labels, boxes, count in zip(self.labels[rows, :n].tolist(), pixels,
+                                                 counts.tolist())]
 
 
 def build_index(dataset: CanonicalDataset, split: str,
@@ -423,9 +432,9 @@ def dual_lower_bounds(costs: np.ndarray, counts: np.ndarray,
 def _entry_costs(q_labels: np.ndarray, q_feats: np.ndarray, index: RetrievalIndex,
                  rows: Sequence[int], weights: CostWeights) -> np.ndarray:
     """Ground costs (len(rows), m, n) between a query and the entries at
-    ``rows``, n their largest element count, with centers rebuilt as
-    ``(cx - w/2) + w/2``, as in ``entry_layout``, so each cost is bitwise
-    ``transport_distance``'s."""
+    ``rows``, n their largest element count, with centers rebuilt from each
+    box ``(cx - w/2, cy - h/2, w, h)`` as ``(cx - w/2) + w/2``, so each cost
+    is bitwise ``transport_distance``'s on the layout of those boxes."""
     n = int(index.counts[rows].max(initial=0))
     coords = index.coords[rows, :n]
     half = coords[:, :, 2:] / 2.0

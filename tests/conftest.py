@@ -143,6 +143,17 @@ def scalar_overlap(layout, exclude_labels=()):
     return inter / denom
 
 
+def entry_layout(index, position):
+    """The normalized layout an index entry stores: each element's box is
+    (cx - w/2, cy - h/2, w, h)."""
+    n = int(index.counts[position])
+    elements = tuple(
+        Element(label=index.vocabulary[label_id], bbox=BBox(cx - w / 2.0, cy - h / 2.0, w, h))
+        for label_id, (cx, cy, w, h) in zip(index.labels[position, :n].tolist(),
+                                            index.coords[position, :n].tolist()))
+    return Layout(id=index.ids[position], canvas=Canvas(1, 1), elements=elements)
+
+
 # --- scripted offline backend ------------------------------------------------
 
 _CANVAS_LINE = re.compile(r"canvas size: (\d+) x (\d+) pixels")

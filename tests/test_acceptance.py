@@ -30,6 +30,7 @@ from layoutloom.retrieval import ltsim_score, topk_retrieve
 from layoutloom.transport import solve_exact
 
 from conftest import (
+    entry_layout,
     make_index,
     random_normalized_layout,
     random_pixel_layout,
@@ -124,11 +125,11 @@ def test_criterion_3_retrieval_equals_full_scan():
                for _ in range(50)]
     # half the queries are exact copies of index entries
     copy_positions = [int(rng.integers(0, len(index))) for _ in range(50)]
-    queries += [index.entry_layout(pos) for pos in copy_positions]
+    queries += [entry_layout(index, pos) for pos in copy_positions]
 
     for qi, query in enumerate(queries):
         full_scan = [
-            (index.ids[i], ltsim_score(query, index.entry_layout(i)))
+            (index.ids[i], ltsim_score(query, entry_layout(index, i)))
             for i in range(len(index))
         ]
         full_scan.sort(key=lambda t: (-t[1], t[0]))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from layoutloom.dataset import DatasetManifest, ingest, layout_to_record, record_to_layout
 from layoutloom.errors import ConfigError, InvalidPayload, NoViableCandidate, SchemaError
 from layoutloom.gateway import BackendConfig, Gateway
-from layoutloom.model import BBox, Canvas, Element, Layout, normalize, to_html
+from layoutloom.model import BBox, Canvas, Element, Layout, denormalize, normalize, to_html
 from layoutloom.pipeline import (
     CandidateRecord,
     CoarseFragment,
@@ -39,6 +39,7 @@ from layoutloom.prompts import ConstraintSpec, build_stage_prompt
 from layoutloom.retrieval import build_index
 
 from conftest import (
+    entry_layout,
     make_layout,
     messy_layouts,
     random_normalized_layout,
@@ -612,8 +613,9 @@ class TestRefineCot:
         spec = ConstraintSpec("content_aware",
                               {"canvas": [400, 400], "categories": {"text": 2}})
         # rebuild stage 2's prompt from the trace: exemplars + stage 1 output
-        from layoutloom.pipeline import _exemplar_layouts
-        exemplars = _exemplar_layouts(index, trace.stages[1].exemplar_ids, coarse.canvas)
+        exemplars = [to_html(denormalize(entry_layout(index, index.positions[eid]),
+                                         coarse.canvas.width, coarse.canvas.height))
+                     for eid in trace.stages[1].exemplar_ids]
         previous = record_to_layout(dict(trace.stages[0].parsed, id=""))
         bundle = build_stage_prompt(2, exemplars, previous, spec, vocabulary=index.vocabulary)
         assert bundle_sha256(bundle) == trace.stages[1].prompt_sha256

@@ -28,8 +28,8 @@ VOCAB = ("text", "logo", "title")
 
 def exemplars(n=3):
     return [
-        make_layout(f"ex{i}", (100, 200), [(10 + i, 20, 30, 40), (5, 100 + i, 50, 20)],
-                    ["text", "logo"])
+        to_html(make_layout(f"ex{i}", (100, 200), [(10 + i, 20, 30, 40), (5, 100 + i, 50, 20)],
+                            ["text", "logo"]))
         for i in range(n)
     ]
 
@@ -191,7 +191,7 @@ class TestCoarsePrompt:
         ex = exemplars(10)
         bundle = build_coarse_prompt(ex, CONSTRAINTS["content_aware"], VOCAB)
         assert bundle.user.count('<div class="canvas"') == 10
-        positions = [bundle.user.find(to_html(lay)) for lay in ex]
+        positions = [bundle.user.find(html) for html in ex]
         assert all(p >= 0 for p in positions)
         assert positions == sorted(positions)
         assert "Below are 10 reference layouts" in bundle.user

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from layoutloom import retrieval
 from layoutloom.dataset import AreaStats, CanonicalDataset, DatasetManifest, ingest
 from layoutloom.errors import EmptyIndex, EmptyLayout, SchemaError, VersionMismatch
-from layoutloom.model import BBox, Canvas, Element, Layout, normalize
+from layoutloom.model import BBox, Canvas, Element, Layout, denormalize, normalize, to_html
 from layoutloom.retrieval import (
     CostWeights,
     RetrievalIndex,
@@ -27,7 +27,7 @@ from layoutloom.retrieval import (
     transport_lower_bounds,
 )
 
-from conftest import make_index, make_layout, random_normalized_layout
+from conftest import entry_layout, make_index, make_layout, random_normalized_layout
 
 VOCAB = ("text", "logo", "underlay")
 MANIFEST = DatasetManifest(name="mini", task_kind="content_aware", vocabulary=VOCAB)
@@ -261,12 +261,45 @@ class TestIndex:
         with pytest.raises(SchemaError, match="'a' has 26 elements"):
             load_index(path)
 
-    def test_entry_layout_roundtrip(self):
-        dataset = _mini_dataset()
-        index = build_index(dataset, "train")
-        lay = index.entry_layout(0)
-        assert lay.id == index.ids[0]
-        assert len(lay.elements) == index.counts[0]
+    def test_entries_html_round_half_up(self):
+        # On a 4-pixel side the left edges land on -1.5, -0.5, 0.5 and 1.5 pixels.
+        index = RetrievalIndex(("text", "logo"), ["a"], [[0, 1, 0, 1]],
+                               [[(-0.25, 0.5, 0.25, 0.5), (0.0, 0.5, 0.25, 0.5),
+                                 (0.25, 0.5, 0.25, 0.5), (0.5, 0.5, 0.25, 0.5)]])
+        assert index.entries_html([0], Canvas(4, 2)) == [
+            '<html><body>\n<div class="canvas" style="width:4px; height:2px"></div>\n'
+            '<div class="text" style="left:-1px; top:1px; width:1px; height:1px"></div>\n'
+            '<div class="logo" style="left:0px; top:1px; width:1px; height:1px"></div>\n'
+            '<div class="text" style="left:1px; top:1px; width:1px; height:1px"></div>\n'
+            '<div class="logo" style="left:2px; top:1px; width:1px; height:1px"></div>\n'
+            '</body></html>']
+        assert index.entries_html([], Canvas(4, 2)) == []
+
+
+_EIGHTHS = st.integers(-16, 24).map(lambda k: k / 8)  # lands on .5 on even sides
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.sampled_from(VOCAB),
+                                   st.one_of(_EIGHTHS, st.floats(-1.0, 2.0)),
+                                   st.one_of(_EIGHTHS, st.floats(-1.0, 2.0)),
+                                   st.one_of(_EIGHTHS, st.floats(0.0, 1.5)),
+                                   st.one_of(_EIGHTHS, st.floats(0.0, 1.5))),
+                         min_size=1, max_size=25), min_size=1, max_size=12),
+       st.sampled_from([(4, 8), (2, 2), (513, 750), (1, 1), (7, 3), (400, 300)]),
+       st.data())
+def test_entries_html_is_to_html_of_the_denormalized_entry(entries, canvas, data):
+    n_max = max(len(entry) for entry in entries)
+    labels = np.full((len(entries), n_max), -1)
+    coords = np.zeros((len(entries), n_max, 4))
+    for row, entry in enumerate(entries):
+        for col, (label, *values) in enumerate(entry):
+            labels[row, col] = VOCAB.index(label)
+            coords[row, col] = values
+    index = RetrievalIndex(VOCAB, [f"e{i}" for i in range(len(entries))], labels, coords)
+    positions = data.draw(st.lists(st.integers(0, len(entries) - 1), max_size=12))
+    assert index.entries_html(positions, Canvas(*canvas)) == \
+        [to_html(denormalize(entry_layout(index, pos), *canvas)) for pos in positions]
 
 
 def _two_entries():
@@ -386,7 +419,7 @@ class TestTopK:
     def test_exact_copy_ranks_first(self):
         dataset = _mini_dataset()
         index = build_index(dataset, "train")
-        query = index.entry_layout(3)
+        query = entry_layout(index, 3)
         ranked = topk_retrieve(query, index, 3)
         assert ranked[0][0] == index.ids[3]
         assert ranked[0][1] == 1.0
@@ -400,7 +433,7 @@ class TestTopK:
     def test_exclude_self(self):
         dataset = _mini_dataset()
         index = build_index(dataset, "train")
-        query = index.entry_layout(3)
+        query = entry_layout(index, 3)
         ranked = topk_retrieve(query, index, 3, exclude_self=True)
         assert all(rid != query.id for rid, _ in ranked)
         # An index that holds only the query leaves nothing to return.
@@ -409,7 +442,7 @@ class TestTopK:
     def test_k_larger_than_index(self):
         dataset = _mini_dataset(count=4)
         index = build_index(dataset, "train")
-        query = index.entry_layout(0)
+        query = entry_layout(index, 0)
         assert len(topk_retrieve(query, index, 50)) == len(index)
 
     def test_matches_full_scan_sort(self):
@@ -419,7 +452,7 @@ class TestTopK:
         for _ in range(10):
             query = random_normalized_layout(rng)
             scan = [
-                (index.ids[i], ltsim_score(query, index.entry_layout(i)))
+                (index.ids[i], ltsim_score(query, entry_layout(index, i)))
                 for i in range(len(index))
             ]
             scan.sort(key=lambda t: (-t[1], t[0]))
@@ -456,7 +489,7 @@ def _random_index(rng, size):
 
 def _brute_force(query, index, k, scale=1.0, exclude_self=False):
     scan = [
-        (index.ids[i], ltsim_score(query, index.entry_layout(i), index.weights, scale=scale))
+        (index.ids[i], ltsim_score(query, entry_layout(index, i), index.weights, scale=scale))
         for i in range(len(index))
         if not (exclude_self and index.ids[i] == query.id)
     ]
@@ -520,13 +553,13 @@ class TestGroundCost:
         q = _layout(query)
         costs = _costs(q, index, weights)
         for pos in range(len(index)):
-            reference = _reference_costs(q.elements, index.entry_layout(pos).elements, weights)
+            reference = _reference_costs(q.elements, entry_layout(index, pos).elements, weights)
             assert costs[pos, :, :index.counts[pos]].tobytes() == np.array(reference).tobytes()
 
     def test_copy_of_an_entry_with_an_unstable_center_costs_zero(self):
         cx, w = _unstable_center()
         index = _index_storing([[("text", cx, 0.5, w, 0.25)]])
-        query = index.entry_layout(0)
+        query = entry_layout(index, 0)
         assert query.elements[0].bbox.cx != cx
         assert _costs(query, index, index.weights).tolist() == [[[0.0]]]
         # The stored center would give a positive cost and a similarity below 1.
@@ -557,7 +590,7 @@ class TestLowerBound:
         assert bounds.shape == (len(index),)
         assert dual.shape == (len(index),)
         for pos in range(len(index)):
-            exact = transport_distance(q, index.entry_layout(pos), weights).cost
+            exact = transport_distance(q, entry_layout(index, pos), weights).cost
             assert bounds[pos] <= exact + 1e-12
             assert dual[pos] <= exact + 1e-12
 
@@ -572,7 +605,7 @@ class TestLowerBound:
         index = make_index([(f"e{i:02d}", random_normalized_layout(rng, max_elements=25))
                             for i in range(30)])
         query = random_normalized_layout(rng, max_elements=15)
-        exact = np.array([transport_distance(query, index.entry_layout(pos)).cost
+        exact = np.array([transport_distance(query, entry_layout(index, pos)).cost
                           for pos in range(len(index))])
         first, dual = _bounds(query, index)
         assert np.all(dual <= exact + 1e-12)
@@ -594,7 +627,7 @@ class TestPrunedTopK:
         # four copies of every shape under ids that do not follow position
         index = make_index([(f"id{(7 * i) % 40:02d}", shapes[i % 10]) for i in range(40)])
         for pos in range(10):
-            query = index.entry_layout(pos)
+            query = entry_layout(index, pos)
             for k in (1, 2, 3, 5, 6, 9):
                 assert topk_retrieve(query, index, k) == _brute_force(query, index, k)
 
@@ -609,7 +642,7 @@ class TestPrunedTopK:
         rng = np.random.default_rng(52)
         index = _random_index(rng, 30)
         for pos in (0, 11, 29):
-            query = index.entry_layout(pos)
+            query = entry_layout(index, pos)
             for k in (1, 4, 29, 30):
                 assert topk_retrieve(query, index, k, exclude_self=True) == \
                     _brute_force(query, index, k, exclude_self=True)
@@ -709,7 +742,7 @@ class TestBatchedDualBound:
         rng = np.random.default_rng(seed)
         index, query = _clustered_index(rng)
         if query_kind == "entry":  # an entry under its own id, with its duplicate
-            query = index.entry_layout(int(rng.integers(len(index))))
+            query = entry_layout(index, int(rng.integers(len(index))))
         elif query_kind == "outside":
             query = replace(query, elements=(replace(query.elements[0], label="banner"),)
                             + query.elements[1:])
@@ -724,7 +757,7 @@ class TestBatchedDualBound:
         index = make_index([(f"e{i:02d}", random_normalized_layout(rng, max_elements=12))
                             for i in range(40)])
         query = random_normalized_layout(rng, max_elements=12)
-        exact = np.array([transport_distance(query, index.entry_layout(pos)).cost
+        exact = np.array([transport_distance(query, entry_layout(index, pos)).cost
                           for pos in range(len(index))])
         checkpoints = []
 
@@ -743,7 +776,7 @@ class TestBatchedDualBound:
                             for i in range(60)])
         query = random_normalized_layout(rng, max_elements=12)
         costs = _costs(query, index, index.weights)
-        exact = np.array([transport_distance(query, index.entry_layout(pos)).cost
+        exact = np.array([transport_distance(query, entry_layout(index, pos)).cost
                           for pos in range(len(index))])
         full = dual_lower_bounds(costs, index.counts)
         threshold = float(np.median(full))
@@ -784,7 +817,7 @@ class TestBatchedDualBound:
         k = 4
         expected = _brute_force(query, index, k)
         bounds, _ = _bounds(query, index)
-        head_cost = max(transport_distance(query, index.entry_layout(pos)).cost
+        head_cost = max(transport_distance(query, entry_layout(index, pos)).cost
                         for pos in np.argsort(bounds, kind="stable")[:k].tolist())
         kept_by_head = int((bounds - retrieval.BOUND_SLACK <= head_cost).sum()) - k
         assert kept_by_head > 3 * retrieval.DUAL_BATCH
@@ -811,7 +844,7 @@ class TestBatchedDualBound:
 
         def bound_equals_exact(index):
             bound = float(_bounds(query, index)[0][0])
-            exact = transport_distance(query, index.entry_layout(0)).cost
+            exact = transport_distance(query, entry_layout(index, 0)).cost
             return bound == exact and math.exp(-scale * (bound - retrieval.BOUND_SLACK)) \
                 == math.exp(-scale * exact)
 
