@@ -87,12 +87,36 @@ class BackendConfig:
         return cls(**values)
 
 
+# A request record as compact JSON with sorted keys and non-ASCII text kept.
+_REQUEST_JSON = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+_INDEX = "candidate_index"
+
+
+def transcript_keys(request: Mapping[str, Any], indices: Iterable[Any]) -> list[str]:
+    """The :func:`transcript_key` of ``request`` with its candidate index set
+    to each of ``indices``, in order.
+
+    The keys of a fan-out differ only in the index, so the rest is encoded
+    once: the sorted keys before ``candidate_index``, then the index, then
+    the sorted keys after it, which is where sorting puts the index.
+    """
+    before = _REQUEST_JSON.encode({k: v for k, v in request.items() if k < _INDEX})
+    after = _REQUEST_JSON.encode({k: v for k, v in request.items() if k > _INDEX})
+    head = (before[:-1] + ("," if before != "{}" else "") + f'"{_INDEX}":').encode("utf-8")
+    tail = ("," + after[1:] if after != "{}" else "}").encode("utf-8")
+    return [hashlib.sha256(head + _REQUEST_JSON.encode(index).encode("utf-8") + tail).hexdigest()
+            for index in indices]
+
+
 def transcript_key(request: Mapping[str, Any]) -> str:
     """Stable, platform-independent hash of a request record, ``{system,
     user, model, temperature, candidate_index}``: the SHA-256 of its compact
-    JSON with sorted keys and non-ASCII text kept."""
-    body = json.dumps(request, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+    JSON with sorted keys and non-ASCII text kept. A record that has no
+    ``candidate_index``, or is not an object, which only a transcript written
+    elsewhere can hold, is encoded whole."""
+    if isinstance(request, Mapping) and _INDEX in request:
+        return transcript_keys(request, [request[_INDEX]])[0]
+    return hashlib.sha256(_REQUEST_JSON.encode(request).encode("utf-8")).hexdigest()
 
 
 def _transcript_path(directory: str | Path, key: str) -> Path:
@@ -242,28 +266,30 @@ class Gateway:
         """
         if n < 1:
             raise ValueError("n must be at least 1")
-        requests = [{"system": bundle.system, "user": bundle.user, "model": self.config.model,
-                     "temperature": temperature, "candidate_index": first_index + i}
-                    for i in range(n)]
+        # Each candidate's request record is this plus its candidate_index.
+        shared = {"system": bundle.system, "user": bundle.user, "model": self.config.model,
+                  "temperature": temperature}
+        indices = range(first_index, first_index + n)
         if self.config.mode == "replay":
-            return [read_response(self.config.transcript_dir, transcript_key(request))
-                    for request in requests]
+            return [read_response(self.config.transcript_dir, key)
+                    for key in transcript_keys(shared, indices)]
 
         payload = self._payload(bundle, temperature)
 
-        def fetch(request: dict) -> str:
-            return self._call_with_retry(payload, request["candidate_index"])
+        def fetch(index: int) -> str:
+            return self._call_with_retry(payload, index)
 
         if n == 1:
-            texts = [fetch(requests[0])]
+            texts = [fetch(first_index)]
         else:
             with ThreadPoolExecutor(max_workers=min(self.config.fanout, n)) as pool:
-                texts = list(pool.map(fetch, requests))
+                texts = list(pool.map(fetch, indices))
 
         if self.config.mode == "record":
             stamp = datetime.now(timezone.utc).isoformat()
-            for request, text in zip(requests, texts):
-                write_transcript(self.config.transcript_dir, request, text, stamp)
+            for index, text in zip(indices, texts):
+                write_transcript(self.config.transcript_dir, dict(shared, candidate_index=index),
+                                 text, stamp)
         return texts
 
     def ping(self) -> bool:

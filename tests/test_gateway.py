@@ -1,5 +1,6 @@
 """Transcript keys, record/replay, fan-out ordering, retries, and extraction."""
 
+import hashlib
 import http.client
 import io
 import json
@@ -12,6 +13,8 @@ from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layoutloom.errors import (
     ConfigError,
@@ -29,6 +32,7 @@ from layoutloom.gateway import (
     read_response,
     replay_check,
     transcript_key,
+    transcript_keys,
     write_transcript,
 )
 from layoutloom.model import Canvas
@@ -73,6 +77,50 @@ class TestTranscriptKey:
     def test_unicode_stability(self):
         assert transcript_key(request("sÿs", "üser", "m", 0.0, 0)) == \
             transcript_key(request("sÿs", "üser", "m", 0.0, 0))
+
+
+def _key_oracle(record):
+    body = json.dumps(record, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40) | st.sampled_from(
+    ["", "«one» text box", "é😀\"quoted\"\n\t\\", "\u2028\x00\x7f"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6)
+_INDEX = st.integers(0, 30) | st.integers() | st.just(10)
+
+
+class TestFanOutKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(_TEXT, _TEXT, _TEXT, st.sampled_from([0.7, 0.0, 1.0, 0.1 + 0.2]),
+           st.lists(_INDEX, max_size=12))
+    def test_gateway_records_equal_one_encoding_per_key(self, system, user, model,
+                                                         temperature, indices):
+        shared = {"system": system, "user": user, "model": model, "temperature": temperature}
+        want = [_key_oracle(dict(shared, candidate_index=i)) for i in indices]
+        assert transcript_keys(shared, indices) == want
+        assert [transcript_key(dict(shared, candidate_index=i)) for i in indices] == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from(["a", "build", "candidate", "candidate_indey",
+                                            "candidate_indexx", "model", "zz", "ü", ""]) | _TEXT,
+                           _JSON, max_size=6),
+           st.one_of(st.none(), _INDEX, _JSON))
+    def test_foreign_records_equal_one_encoding(self, record, index):
+        # Keys that sort before and after candidate_index, with or without it.
+        if index is not None:
+            record = dict(record, candidate_index=index)
+        assert transcript_key(record) == _key_oracle(record)
+        rest = {k: v for k, v in record.items() if k != "candidate_index"}
+        assert transcript_keys(rest, [0, 12, index]) == \
+            [_key_oracle(dict(rest, candidate_index=i)) for i in (0, 12, index)]
+
+    @pytest.mark.parametrize("record", [[1, 2], "text", 3.5, None, {}])
+    def test_records_that_are_not_requests_equal_one_encoding(self, record):
+        assert transcript_key(record) == _key_oracle(record)
 
 
 class TestConfig:
