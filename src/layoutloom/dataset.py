@@ -255,7 +255,9 @@ def dumps_indented(value: Any) -> str:
     keys, lists, tuples, scalars, and dataclasses, written as their fields.
 
     json.dumps falls back to its pure-Python encoder whenever it indents;
-    this writes the same text in about a third of its time.
+    this writes the same text in a fraction of its time. Values are told
+    apart by exact type first, and a list of finite floats, such as every
+    bbox, is written in one join.
     """
     out: list[str] = []
     _append_indented(value, "", out)
@@ -263,9 +265,26 @@ def dumps_indented(value: Any) -> str:
 
 
 def _append_indented(value: Any, indent: str, out: list[str]) -> None:
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         out.append(encode_basestring(value))
-    elif value is None or value is True or value is False:
+    elif value is None:
+        out.append("null")
+    elif kind is float and math.isfinite(value):
+        out.append(float.__repr__(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict:
+        _append_fields(value, indent, out)
+    elif (kind is list or kind is tuple) and value and all(type(x) is float for x in value) \
+            and math.isfinite(sum(value)):  # a finite sum: every value is finite
+        inner = indent + "  "
+        out.append(f"[\n{inner}" + f",\n{inner}".join(map(float.__repr__, value))
+                   + f"\n{indent}]")
+    # Everything else as json.dumps tells it apart: by isinstance.
+    elif isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif value is True or value is False:
         out.append(json.dumps(value))
     elif isinstance(value, int):
         out.append(int.__repr__(value))
@@ -284,20 +303,23 @@ def _append_indented(value: Any, indent: str, out: list[str]) -> None:
             _append_indented(item, inner, out)
         out.append("\n" + indent + "]")
     else:
-        fields = value if isinstance(value, dict) else vars(value)
-        if not fields:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        separator = ",\n" + inner
-        out.append("{\n" + inner)
-        for i, key in enumerate(sorted(fields)):
-            if i:
-                out.append(separator)
-            out.append(encode_basestring(key))
-            out.append(": ")
-            _append_indented(fields[key], inner, out)
-        out.append("\n" + indent + "}")
+        _append_fields(value if isinstance(value, dict) else vars(value), indent, out)
+
+
+def _append_fields(fields: dict, indent: str, out: list[str]) -> None:
+    if not fields:
+        out.append("{}")
+        return
+    inner = indent + "  "
+    separator = ",\n" + inner
+    out.append("{\n" + inner)
+    for i, key in enumerate(sorted(fields)):
+        if i:
+            out.append(separator)
+        out.append(encode_basestring(key))
+        out.append(": ")
+        _append_indented(fields[key], inner, out)
+    out.append("\n" + indent + "}")
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
