@@ -170,22 +170,29 @@ class RetrievalIndex:
 
     def __init__(self, vocabulary: Sequence[str], ids: Sequence[str], labels, coords,
                  weights: CostWeights = DEFAULT_WEIGHTS):
-        self.vocabulary, self.ids, self.weights = tuple(vocabulary), tuple(ids), weights
+        self.vocabulary, self.ids = (tuple(s.tolist() if isinstance(s, np.ndarray) else s)
+                                     for s in (vocabulary, ids))
+        self.weights = weights
         # Every string must come back from a numpy unicode array, as an index
         # file stores them: numpy drops trailing NULs, turns numbers into
-        # strings, and keeps other objects in an object array.
+        # strings, and keeps other objects in an object array. Strings read
+        # from one-dimensional unicode arrays, as ``load_index`` passes them,
+        # came back from one already.
         strings = self.vocabulary + self.ids
-        try:
-            stored = np.asarray(strings)
-            kept = stored.dtype.kind == "U" and stored.tolist() == list(strings)
-        except ValueError:  # an element that numpy reads as a sequence
-            kept = False
-        if strings and not kept:
-            bad = next(s for s in strings if not isinstance(s, str) or s.endswith("\0"))
-            raise SchemaError(f"{bad!r} is not a string an index file can hold")
+        read_back = all(isinstance(s, np.ndarray) and s.dtype.kind == "U" and s.ndim == 1
+                        for s in (vocabulary, ids))
+        if strings and not read_back:
+            try:
+                stored = np.asarray(strings)
+                kept = stored.dtype.kind == "U" and stored.tolist() == list(strings)
+            except ValueError:  # an element that numpy reads as a sequence
+                kept = False
+            if not kept:
+                bad = next(s for s in strings if not isinstance(s, str) or s.endswith("\0"))
+                raise SchemaError(f"{bad!r} is not a string an index file can hold")
         if len(set(self.vocabulary)) < len(self.vocabulary):
             raise SchemaError(f"index vocabulary {self.vocabulary} repeats a label")
-        self.positions = {rid: i for i, rid in enumerate(self.ids)}
+        self.positions = dict(zip(self.ids, range(len(self.ids))))
         if len(self.positions) < len(self.ids):
             repeated = next(rid for i, rid in enumerate(self.ids) if self.positions[rid] != i)
             raise SchemaError(f"index repeats id {repeated!r}")
@@ -217,8 +224,10 @@ class RetrievalIndex:
         self.bound_groups = {}
         for n in np.unique(self.counts).tolist():
             positions = np.flatnonzero(self.counts == n)
-            self.bound_groups[n] = (
-                positions, np.sort(self.coords[positions, :n], axis=1).transpose(2, 1, 0).copy())
+            # Sorted along the last axis, which a C-order copy makes contiguous.
+            group = self.coords[positions, :n].transpose(2, 0, 1).copy()
+            group.sort(axis=2)
+            self.bound_groups[n] = positions, group.transpose(0, 2, 1).copy()
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -300,7 +309,7 @@ def load_index(path: str | Path) -> RetrievalIndex:
             with np.load(fh, allow_pickle=False) as data:
                 version = str(data["version"])
                 if version == INDEX_VERSION:
-                    return RetrievalIndex(data["vocabulary"].tolist(), data["ids"].tolist(),
+                    return RetrievalIndex(data["vocabulary"], data["ids"],
                                           data["labels"], data["coords"],
                                           CostWeights(*data["weights"].tolist()))
         except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:

@@ -364,6 +364,32 @@ class TestIndexValidation:
         with pytest.raises(SchemaError, match="not a string"):
             RetrievalIndex(vocabulary, ids, labels, coords)
 
+    def test_strings_from_unicode_arrays_are_kept_as_str(self):
+        labels, coords = _two_entries()
+        index = RetrievalIndex(np.array(VOCAB), np.array(["a", "b"]), labels, coords)
+        assert index.vocabulary == VOCAB and index.ids == ("a", "b")
+        assert all(type(s) is str for s in index.vocabulary + index.ids)
+        assert index.positions == {"a": 0, "b": 1}
+
+    @pytest.mark.parametrize("ids", [
+        np.array([["a"], ["b"]]),                   # not one-dimensional
+        np.array(["a", 7], dtype=object),           # not a unicode array
+        np.array([b"a", b"b"]),                     # bytes
+    ])
+    def test_arrays_that_are_not_flat_unicode_are_still_checked(self, ids):
+        labels, coords = _two_entries()
+        with pytest.raises(SchemaError, match="not a string"):
+            RetrievalIndex(VOCAB, ids, labels, coords)
+
+    def test_bound_groups_hold_each_count_sorted(self):
+        index = build_index(_mini_dataset(), "train")
+        assert sorted(index.bound_groups) == sorted(set(index.counts.tolist()))
+        for n, (positions, group) in index.bound_groups.items():
+            assert positions.tolist() == np.flatnonzero(index.counts == n).tolist()
+            assert group.flags.c_contiguous
+            expected = np.sort(index.coords[positions, :n], axis=1).transpose(2, 1, 0)
+            assert np.array_equal(group, expected)
+
     def test_vocabulary_that_repeats_a_label_is_refused(self):
         labels, coords = _two_entries()
         with pytest.raises(SchemaError, match="repeats a label"):
