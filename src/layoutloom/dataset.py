@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -256,7 +256,8 @@ def dumps_indented(value: Any) -> str:
 
     json.dumps falls back to its pure-Python encoder whenever it indents;
     this writes the same text in a fraction of its time. Values are told
-    apart by exact type first, and a list of finite floats, such as every
+    apart by exact type first, a scalar is written where its container
+    writes its key or separator, and a list of finite floats, such as every
     bbox, is written in one join.
     """
     out: list[str] = []
@@ -264,46 +265,67 @@ def dumps_indented(value: Any) -> str:
     return "".join(out)
 
 
+def _float_text(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+# How json.dumps writes a scalar of each exact type.
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring, int: int.__repr__, float: _float_text,
+    bool: {False: "false", True: "true"}.__getitem__, type(None): lambda _: "null",
+}
+
+
+def _float_list(items: list | tuple, indent: str) -> str | None:
+    """A list of finite floats, written in one join; None for any other list."""
+    if items and all(type(x) is float for x in items) and math.isfinite(sum(items)):
+        # A finite sum: every value is finite, so each is written as repr().
+        inner = indent + "  "
+        return f"[\n{inner}" + f",\n{inner}".join(map(float.__repr__, items)) + f"\n{indent}]"
+    return None
+
+
 def _append_indented(value: Any, indent: str, out: list[str]) -> None:
     kind = type(value)
-    if kind is str:
-        out.append(encode_basestring(value))
-    elif value is None:
-        out.append("null")
-    elif kind is float and math.isfinite(value):
-        out.append(float.__repr__(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        out.append(scalar(value))
     elif kind is dict:
         _append_fields(value, indent, out)
-    elif (kind is list or kind is tuple) and value and all(type(x) is float for x in value) \
-            and math.isfinite(sum(value)):  # a finite sum: every value is finite
-        inner = indent + "  "
-        out.append(f"[\n{inner}" + f",\n{inner}".join(map(float.__repr__, value))
-                   + f"\n{indent}]")
-    # Everything else as json.dumps tells it apart: by isinstance.
+    elif kind is list or kind is tuple:
+        _append_items(value, indent, out)
+    # Subclasses, which json.dumps tells apart by isinstance.
     elif isinstance(value, str):
         out.append(encode_basestring(value))
-    elif value is True or value is False:
-        out.append(json.dumps(value))
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, float):
-        out.append(float.__repr__(value) if math.isfinite(value) else json.dumps(value))
+        out.append(_float_text(value))
     elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        separator = ",\n" + inner
-        out.append("[\n" + inner)
-        for i, item in enumerate(value):
-            if i:
-                out.append(separator)
-            _append_indented(item, inner, out)
-        out.append("\n" + indent + "]")
+        _append_items(value, indent, out)
     else:
         _append_fields(value if isinstance(value, dict) else vars(value), indent, out)
+
+
+def _append_items(items: list | tuple, indent: str, out: list[str]) -> None:
+    text = _float_list(items, indent)
+    if text is not None:
+        out.append(text)
+        return
+    if not items:
+        out.append("[]")
+        return
+    inner = indent + "  "
+    separator = "[\n" + inner
+    for item in items:
+        scalar = _SCALARS.get(type(item))
+        if scalar is not None:
+            out.append(separator + scalar(item))
+        else:
+            out.append(separator)
+            _append_indented(item, inner, out)
+        separator = ",\n" + inner
+    out.append("\n" + indent + "]")
 
 
 def _append_fields(fields: dict, indent: str, out: list[str]) -> None:
@@ -311,14 +333,19 @@ def _append_fields(fields: dict, indent: str, out: list[str]) -> None:
         out.append("{}")
         return
     inner = indent + "  "
-    separator = ",\n" + inner
-    out.append("{\n" + inner)
-    for i, key in enumerate(sorted(fields)):
-        if i:
-            out.append(separator)
-        out.append(encode_basestring(key))
-        out.append(": ")
-        _append_indented(fields[key], inner, out)
+    separator = "{\n" + inner
+    for key in sorted(fields):
+        value = fields[key]
+        kind = type(value)
+        scalar = _SCALARS.get(kind)
+        if scalar is not None:
+            out.append(f"{separator}{encode_basestring(key)}: {scalar(value)}")
+        elif (kind is list or kind is tuple) and (text := _float_list(value, inner)) is not None:
+            out.append(f"{separator}{encode_basestring(key)}: {text}")
+        else:
+            out.append(f"{separator}{encode_basestring(key)}: ")
+            _append_indented(value, inner, out)
+        separator = ",\n" + inner
     out.append("\n" + indent + "}")
 
 

@@ -119,8 +119,9 @@ def transcript_key(request: Mapping[str, Any]) -> str:
     return hashlib.sha256(_REQUEST_JSON.encode(request).encode("utf-8")).hexdigest()
 
 
-def _transcript_path(directory: str | Path, key: str) -> Path:
-    return Path(directory) / f"{key}.json"
+def _transcript_path(directory: str | Path, key: str) -> str:
+    # A plain string: a replayed item opens one transcript per completion.
+    return os.path.join(directory, f"{key}.json")
 
 
 # Creating and renaming files in one directory from several threads at once
@@ -139,7 +140,7 @@ def write_transcript(directory: str | Path, request: Mapping[str, Any], response
     files are written one at a time.
     """
     key = transcript_key(request)
-    path = _transcript_path(directory, key)
+    path = Path(_transcript_path(directory, key))
     text = dumps_indented({"key": key, "request": request, "response_text": response_text,
                            "metadata": {"created_at": created_at}}) + "\n"
     with _FILE_WRITES, replacing(path) as tmp:
@@ -154,7 +155,8 @@ def write_transcript(directory: str | Path, request: Mapping[str, Any], response
 def read_response(directory: str | Path, key: str) -> str:
     """The response text stored under ``key``, or ReplayMiss."""
     try:
-        text = _transcript_path(directory, key).read_text(encoding="utf-8")
+        with open(_transcript_path(directory, key), encoding="utf-8") as fh:
+            text = fh.read()
     except FileNotFoundError:
         raise ReplayMiss(key) from None
     return json.loads(text)["response_text"]

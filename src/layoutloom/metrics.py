@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -58,35 +57,22 @@ class UnitBoxes(NamedTuple):
     counts: list[int]
     labels: tuple[str, ...]
 
-    @property
-    def real(self) -> np.ndarray:
-        return np.arange(self.ltwh.shape[1]) < np.array(self.counts)[:, None]
-
 
 _LTWH = operator.attrgetter("left", "top", "width", "height")
+_PAD = [(math.nan,) * 4]
 
 
 def unit_boxes(layouts: Sequence[Layout]) -> UnitBoxes:
     """The elements of ``layouts`` as :class:`UnitBoxes`. Dividing a unit
     layout's values by 1 changes no bit, so every layout is divided."""
     counts = [len(layout.elements) for layout in layouts]
-    total = sum(counts)
-    boxes = np.fromiter(chain.from_iterable(_LTWH(e.bbox) for layout in layouts
-                                            for e in layout.elements),
-                        dtype=np.float64, count=4 * total).reshape(total, 4)
-    scale = np.repeat(np.array([(lay.canvas.width, lay.canvas.height) * 2 for lay in layouts],
-                               dtype=np.float64).reshape(-1, 4), counts, axis=0)
-    ltwh = np.full((len(layouts), max(counts, default=0), 4), np.nan)
-    out = UnitBoxes(ltwh, counts, tuple(e.label for layout in layouts for e in layout.elements))
-    ltwh[out.real] = boxes / scale
-    return out
-
-
-def _rows(values: np.ndarray, mask: np.ndarray) -> list[list[float]]:
-    """Each row's masked values, in order; rows run along axis 0."""
-    flat = values[mask].tolist()
-    ends = np.cumsum(mask.sum(axis=tuple(range(1, mask.ndim)))).tolist()
-    return [flat[start:end] for start, end in zip([0] + ends, ends)]
+    n = max(counts, default=0)
+    ltwh = np.array([[_LTWH(e.bbox) for e in layout.elements] + _PAD * (n - count)
+                     for layout, count in zip(layouts, counts)],
+                    dtype=np.float64).reshape(len(layouts), n, 4)
+    ltwh /= np.array([(layout.canvas.width, layout.canvas.height) * 2 for layout in layouts],
+                     dtype=np.float64).reshape(-1, 1, 4)
+    return UnitBoxes(ltwh, counts, tuple(e.label for layout in layouts for e in layout.elements))
 
 
 def alignments(boxes: UnitBoxes) -> list[float]:
@@ -102,18 +88,17 @@ def alignments(boxes: UnitBoxes) -> list[float]:
     """
     if 0 in boxes.counts:
         raise EmptyLayout("alignment is undefined for an empty layout")
-    left, top, width, height = np.moveaxis(boxes.ltwh, 2, 0)
+    start, size = boxes.ltwh[:, :, :2], boxes.ltwh[:, :, 2:]
     with np.errstate(invalid="ignore", over="ignore"):
-        anchors = np.stack((left, left + width / 2.0, left + width,
-                            top, top + height / 2.0, top + height), axis=2)
-        gaps = np.abs(anchors[:, :, None, :] - anchors[:, None, :, :])
-    n = gaps.shape[1]
-    gaps[:, np.arange(n), np.arange(n)] = np.inf
+        anchors = np.concatenate((start, start + size / 2.0, start + size), axis=2)
+        gaps = np.abs(anchors[:, :, None] - anchors[:, None])
+    layouts, n = gaps.shape[:2]
+    gaps[:, np.arange(n), np.arange(n)] = np.inf  # an element's own anchors
     # fmin passes NaN over, as a scan keeping ``gap < best`` does; the
     # padding is NaN too.
-    best = np.fmin.reduce(gaps.reshape(len(gaps), n, 6 * n), axis=2)
-    return [0.0 if count == 1 else math.fsum(row) / count
-            for row, count in zip(_rows(best, boxes.real), boxes.counts)]
+    best = np.fmin.reduce(gaps.reshape(layouts, n, 6 * n), axis=2).tolist()
+    return [0.0 if count == 1 else math.fsum(row[:count]) / count
+            for row, count in zip(best, boxes.counts)]
 
 
 def overlaps(boxes: UnitBoxes, exclude_labels: Iterable[str] = ()) -> list[float]:
@@ -127,26 +112,29 @@ def overlaps(boxes: UnitBoxes, exclude_labels: Iterable[str] = ()) -> list[float
     order, earlier element first, so NaN coordinates give what a loop over
     the pairs gives.
     """
-    keep = boxes.real
+    n = boxes.ltwh.shape[1]
+    keep = np.arange(n) < np.array(boxes.counts, dtype=np.int64)[:, None]
     excluded = set(exclude_labels)
     if excluded:
         keep[keep] = np.fromiter((label not in excluded for label in boxes.labels),
                                  dtype=bool, count=len(boxes.labels))
-    left, top, width, height = np.moveaxis(boxes.ltwh, 2, 0)
-
-    def extent(start: np.ndarray, size: np.ndarray) -> np.ndarray:
-        end = start + size
-        s_i, s_j, e_i, e_j = start[:, :, None], start[:, None, :], end[:, :, None], end[:, None, :]
-        return np.where(e_j < e_i, e_j, e_i) - np.where(s_j > s_i, s_j, s_i)
-
+    pairs = keep[:, :, None] & keep[:, None] & (np.arange(n)[:, None] < np.arange(n))
+    start, size = boxes.ltwh[:, :, :2], boxes.ltwh[:, :, 2:]
     with np.errstate(invalid="ignore", over="ignore"):
-        w, h = extent(left, width), extent(top, height)
+        end = start + size
+        # min(end_i, end_j) - max(start_i, start_j) along x and y at once.
+        end_i, end_j, start_i, start_j = end[:, :, None], end[:, None], start[:, :, None], \
+            start[:, None]
+        extent = np.where(end_j < end_i, end_j, end_i) - np.where(start_j > start_i, start_j,
+                                                                   start_i)
+        w, h = extent[..., 0], extent[..., 1]
         inter = np.where((w <= 0.0) | (h <= 0.0), 0.0, w * h)
-        areas = width * height
-    pairs = keep[:, :, None] & keep[:, None, :] & np.triu(np.ones(w.shape[1:], dtype=bool), 1)
+        areas = size[..., 0] * size[..., 1]
+    # Left-out pairs and elements count as exact zeros, which change no fsum.
+    inter_rows = np.where(pairs, inter, 0.0).reshape(len(inter), -1).tolist()
+    area_rows = np.where(keep, areas, 0.0).tolist()
     out = []
-    for area_row, inter_row, count in zip(_rows(areas, keep), _rows(inter, pairs),
-                                          keep.sum(axis=1).tolist()):
+    for area_row, inter_row, count in zip(area_rows, inter_rows, keep.sum(axis=1).tolist()):
         denom = math.fsum(area_row) if count >= 2 else 0.0
         out.append(0.0 if denom <= 0.0 else math.fsum(inter_row) / denom)
     return out

@@ -252,14 +252,14 @@ def parse_html(
     canvas_size: tuple[int, int] | None = None
     elements: list[Element] = []
 
-    for m in _DIV_RE.finditer(snippet):
-        attrs = _attrs(m.group(1))
+    for fragment in _DIV_RE.findall(snippet):
+        attrs = _attrs(fragment)
         classes = attrs.get("class", "").split()
         if not classes:
             continue
-        props = _style_props(attrs.get("style", ""))
         if "canvas" in classes:
             if canvas_size is None:
+                props = _style_props(attrs.get("style", ""))
                 w = round_half_up(props.get("width", 0.0))
                 h = round_half_up(props.get("height", 0.0))
                 if w > 0 and h > 0:
@@ -268,13 +268,13 @@ def parse_html(
         label = next((c for c in classes if c in vocab), None)
         if label is None:
             continue
+        props = _style_props(attrs.get("style", ""))
         width = props.get("width", 0.0)
         height = props.get("height", 0.0)
         if width < 0 or height < 0:
             raise NegativeDimension(f"element {label!r} has negative size {width}x{height}")
-        elements.append(
-            Element(label=label, bbox=BBox(props.get("left", 0.0), props.get("top", 0.0), width, height))
-        )
+        elements.append(Element(label, BBox(props.get("left", 0.0), props.get("top", 0.0),
+                                            width, height)))
 
     if canvas_size is None:
         if fallback_canvas is not None:

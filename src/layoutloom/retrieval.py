@@ -207,13 +207,14 @@ class RetrievalIndex:
         self.counts = (self.labels >= 0).sum(axis=1)
         real = np.arange(self.labels.shape[1]) < self.counts[:, None]
         vocab = len(self.vocabulary)
-        for faulty, what in (
-            (~np.where(real, self.labels < vocab, self.labels == -1).all(axis=1),
+        for fits, what in (
+            (np.where(real, self.labels < vocab, self.labels == -1),
              f"label ids outside [0, {vocab}) or -1 before its last element"),
-            (self.counts == 0, "no elements"),
-            (~np.isfinite(self.coords).all(axis=(1, 2)), "non-finite coordinates"),
+            (self.counts > 0, "no elements"),
+            (np.isfinite(self.coords), "non-finite coordinates"),
         ):
-            if faulty.any():
+            if not fits.all():  # only a faulty index pays for finding the entry
+                faulty = ~fits.reshape(len(fits), -1).all(axis=1)
                 raise SchemaError(f"index entry {self.ids[int(faulty.argmax())]!r} has {what}")
         if len(self.ids):
             _check_size(int(self.counts.max()),
