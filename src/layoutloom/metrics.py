@@ -123,10 +123,8 @@ def overlaps(boxes: UnitBoxes, exclude_labels: Iterable[str] = ()) -> list[float
     with np.errstate(invalid="ignore", over="ignore"):
         end = start + size
         # min(end_i, end_j) - max(start_i, start_j) along x and y at once.
-        end_i, end_j, start_i, start_j = end[:, :, None], end[:, None], start[:, :, None], \
-            start[:, None]
-        extent = np.where(end_j < end_i, end_j, end_i) - np.where(start_j > start_i, start_j,
-                                                                   start_i)
+        s_i, s_j, e_i, e_j = start[:, :, None], start[:, None], end[:, :, None], end[:, None]
+        extent = np.where(e_j < e_i, e_j, e_i) - np.where(s_j > s_i, s_j, s_i)
         w, h = extent[..., 0], extent[..., 1]
         inter = np.where((w <= 0.0) | (h <= 0.0), 0.0, w * h)
         areas = size[..., 0] * size[..., 1]

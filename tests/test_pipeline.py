@@ -552,6 +552,34 @@ class TestGenerateCoarse:
         assert frag_a.exemplar_ids == frag_b.exemplar_ids
 
 
+class TestExemplarSnippets:
+    @pytest.mark.parametrize("drafted_canvas", [(400, 400), (200, 300)])
+    def test_stage_prompts_reuse_coarse_snippets_only_on_the_same_canvas(self, tmp_path,
+                                                                         drafted_canvas):
+        index = _tiny_index()
+        cfg = PipelineConfig(k_coarse=4, k_refine=2, n_candidates=2, stages=1)
+        draft = _html([(40, 40, 100, 60), (40, 150, 100, 60)], ["text", "text"],
+                      canvas=drafted_canvas)
+        gateway = Gateway(BackendConfig(mode="record", model="t", transcript_dir=str(tmp_path),
+                                        retry_backoff=0.0),
+                          transport=_authored_transport({"default": draft}))
+        spec = ConstraintSpec("content_aware", {"canvas": [400, 400], "categories": {"text": 2}})
+        rendered = {}
+        coarse, fragment = generate_coarse(spec, index, cfg, gateway, run_id="x",
+                                           rendered=rendered)
+        assert coarse.canvas == Canvas(*drafted_canvas)
+        trace, _ = refine_cot(coarse, spec, index, cfg, gateway, fragment, run_id="x",
+                              rendered=rendered)
+        ids = fragment.exemplar_ids
+        same = drafted_canvas == (400, 400)
+        assert set(rendered) == {(eid, Canvas(400, 400)) for eid in ids} | (
+            set() if same else {(eid, coarse.canvas) for eid in ids[:2]})
+        exemplars = [to_html(denormalize(entry_layout(index, index.positions[eid]),
+                                         *drafted_canvas)) for eid in ids[:2]]
+        bundle = build_stage_prompt(1, exemplars, coarse, spec, vocabulary=index.vocabulary)
+        assert bundle_sha256(bundle) == trace.stages[0].prompt_sha256
+
+
 class TestRefineCot:
     def _run(self, tmp_path, transport, stages=3):
         index = _tiny_index()
