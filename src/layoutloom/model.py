@@ -216,8 +216,8 @@ _DIV_RE = re.compile(r"<div\b([^>]*?)/?>", re.IGNORECASE | re.DOTALL)
 _ATTR_RE = re.compile(r"""([\w-]+)\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s>'"]+))""")
 # A property's number in the forms float() reads: an optional sign, digits with
 # an optional fraction or a fraction alone, and an optional signed exponent.
-_PROP_RE = re.compile(r"([a-zA-Z-]+)\s*:\s*([+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:e[+-]?\d+)?)\s*(?:px)?",
-                      re.IGNORECASE)
+_PROP_RE = re.compile(
+    r"([a-zA-Z-]+)\s*:\s*([+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:e[+-]?\d+)?)\s*(?:px)?", re.IGNORECASE)
 
 
 def _attrs(fragment: str) -> dict[str, str]:

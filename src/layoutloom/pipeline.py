@@ -314,10 +314,11 @@ def _select_exemplars(query: Layout | None, index: RetrievalIndex, k: int,
 
 
 def _exemplar_html(index: RetrievalIndex, ids: Sequence[str], canvas: Canvas,
-                   rendered: dict[tuple[str, Canvas], str]) -> list[str]:
+                   rendered: dict[tuple[str, Canvas], str] | None) -> list[str]:
     """Each exemplar's snippet on ``canvas``. ``rendered`` holds one item's
     snippets by (id, canvas), so the stage prompts reuse the coarse prompt's
     when the coarse layout keeps the canvas it was drafted on."""
+    rendered = {} if rendered is None else rendered
     missing = [eid for eid in ids if (eid, canvas) not in rendered]
     if missing:
         snippets = index.entries_html([index.positions[eid] for eid in missing], canvas)
@@ -336,7 +337,7 @@ def generate_coarse(constraint: ConstraintSpec, index: RetrievalIndex,
     query_lay = _query_layout(constraint, stats, query)
     canvas = _target_canvas(constraint, query)
     exemplar_ids, source = _select_exemplars(query_lay, index, cfg.k_coarse, cfg, run_id)
-    exemplars = _exemplar_html(index, exemplar_ids, canvas, {} if rendered is None else rendered)
+    exemplars = _exemplar_html(index, exemplar_ids, canvas, rendered)
     bundle = build_coarse_prompt(exemplars, constraint, vocabulary=vocabulary)
 
     records: list[CandidateRecord] = []
@@ -396,8 +397,7 @@ def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex
     stage_count = cfg.stages if cfg.use_cot else 0
     vocabulary = index.vocabulary
     exemplar_ids = coarse_fragment.exemplar_ids[:cfg.k_refine]
-    exemplars = _exemplar_html(index, exemplar_ids, coarse.canvas,
-                               {} if rendered is None else rendered)
+    exemplars = _exemplar_html(index, exemplar_ids, coarse.canvas, rendered)
 
     current = coarse
     stages: list[StageRecord] = []
