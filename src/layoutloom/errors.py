@@ -17,7 +17,8 @@ class ZeroCanvas(LayoutLoomError):
 
 
 class ParseFailure(LayoutLoomError):
-    """No canvas dimensions and no recognizable element divs were found."""
+    """No canvas dimensions and no recognizable element divs were found, or
+    a style number is not finite."""
 
 
 class NegativeDimension(LayoutLoomError):

@@ -226,7 +226,13 @@ def _attrs(fragment: str) -> dict[str, str]:
 
 
 def _style_props(style: str) -> dict[str, float]:
-    return {name.lower(): float(value) for name, value in _PROP_RE.findall(style)}
+    """A style's numeric properties, or ParseFailure naming the first whose
+    number is too large for a float, such as ``left:1e999px``."""
+    props = {name.lower(): float(value) for name, value in _PROP_RE.findall(style)}
+    for name, value in props.items():
+        if not math.isfinite(value):
+            raise ParseFailure(f"style property {name!r} is not a finite number")
+    return props
 
 
 def parse_html(
@@ -245,8 +251,8 @@ def parse_html(
     smallest one that holds every element.
 
     Raises ParseFailure when neither canvas dimensions nor a recognizable
-    element div can be found, and NegativeDimension when a parsed width or
-    height is negative.
+    element div can be found or a style number is not finite, and
+    NegativeDimension when a parsed width or height is negative.
     """
     vocab = set(vocabulary)
     canvas_size: tuple[int, int] | None = None

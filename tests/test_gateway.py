@@ -477,6 +477,13 @@ class TestExtraction:
         assert isinstance(result, ExtractionFailure)
         assert result.reason
 
+    def test_non_finite_box_is_failure_value(self):
+        text = ('<div class="canvas" style="width:50px; height:60px"></div>'
+                '<div class="text" style="left:1e999px; top:2px; width:3px; height:4px"></div>')
+        result = extract_layout(text, VOCAB)
+        assert isinstance(result, ExtractionFailure)
+        assert "'left'" in result.reason
+
     def test_layout_without_elements_is_failure_value(self):
         result = extract_layout('<div class="canvas" style="width:50px; height:60px"></div>',
                                 VOCAB)

@@ -182,6 +182,18 @@ class TestParseHtml:
         with pytest.raises(NegativeDimension):
             parse_html(snippet, VOCAB)
 
+    @pytest.mark.parametrize("canvas, element, prop", [
+        ("100", "left:1e999px; top:0px; width:5px; height:5px", "left"),
+        ("100", "left:0px; top:0px; width:5px; height:-1e400px", "height"),
+        ("100", "left:0px; top:0px; width:5px; height:5px; z-index:1E+999", "z-index"),
+        ("1e999", "left:0px; top:0px; width:5px; height:5px", "width"),
+    ], ids=["left", "negative-height", "unread-property", "canvas-width"])
+    def test_non_finite_style_number_is_a_parse_failure(self, canvas, element, prop):
+        snippet = (f'<div class="canvas" style="width:{canvas}px; height:100px"></div>'
+                   f'<div class="text" style="{element}"></div>')
+        with pytest.raises(ParseFailure, match=f"style property '{prop}'"):
+            parse_html(snippet, VOCAB)
+
     def test_missing_canvas_uses_fallback(self):
         snippet = '<div class="text" style="left:10px; top:10px; width:20px; height:20px"></div>'
         lay = parse_html(snippet, VOCAB, fallback_canvas=Canvas(64, 48))
