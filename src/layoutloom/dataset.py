@@ -21,9 +21,8 @@ import re
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -247,106 +246,6 @@ def collector_paused() -> Iterator[None]:
     finally:
         if was_enabled:
             gc.enable()
-
-
-def dumps_indented(value: Any) -> str:
-    """``json.dumps(value, default=vars, ensure_ascii=False, indent=2,
-    sort_keys=True)`` for what traces and transcripts hold: dicts with str
-    keys, lists, tuples, scalars, and dataclasses, written as their fields.
-
-    json.dumps falls back to its pure-Python encoder whenever it indents;
-    this writes the same text in a fraction of its time. Values are told
-    apart by exact type first, a scalar is written where its container
-    writes its key or separator, and a list of finite floats, such as every
-    bbox, is written in one join.
-    """
-    out: list[str] = []
-    _append_indented(value, "", out)
-    return "".join(out)
-
-
-def _float_text(value: float) -> str:
-    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-
-
-# How json.dumps writes a scalar of each exact type.
-_SCALARS: dict[type, Callable[[Any], str]] = {
-    str: encode_basestring, int: int.__repr__, float: _float_text,
-    bool: {False: "false", True: "true"}.__getitem__, type(None): lambda _: "null",
-}
-
-
-def _float_list(items: list | tuple, indent: str) -> str | None:
-    """A list of finite floats, written in one join; None for any other list."""
-    if items and all(type(x) is float for x in items) and math.isfinite(sum(items)):
-        # A finite sum: every value is finite, so each is written as repr().
-        inner = indent + "  "
-        return f"[\n{inner}" + f",\n{inner}".join(map(float.__repr__, items)) + f"\n{indent}]"
-    return None
-
-
-def _append_indented(value: Any, indent: str, out: list[str]) -> None:
-    kind = type(value)
-    scalar = _SCALARS.get(kind)
-    if scalar is not None:
-        out.append(scalar(value))
-    elif kind is dict:
-        _append_fields(value, indent, out)
-    elif kind is list or kind is tuple:
-        _append_items(value, indent, out)
-    # Subclasses, which json.dumps tells apart by isinstance.
-    elif isinstance(value, str):
-        out.append(encode_basestring(value))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
-    elif isinstance(value, (list, tuple)):
-        _append_items(value, indent, out)
-    else:
-        _append_fields(value if isinstance(value, dict) else vars(value), indent, out)
-
-
-def _append_items(items: list | tuple, indent: str, out: list[str]) -> None:
-    text = _float_list(items, indent)
-    if text is not None:
-        out.append(text)
-        return
-    if not items:
-        out.append("[]")
-        return
-    inner = indent + "  "
-    separator = "[\n" + inner
-    for item in items:
-        scalar = _SCALARS.get(type(item))
-        if scalar is not None:
-            out.append(separator + scalar(item))
-        else:
-            out.append(separator)
-            _append_indented(item, inner, out)
-        separator = ",\n" + inner
-    out.append("\n" + indent + "]")
-
-
-def _append_fields(fields: dict, indent: str, out: list[str]) -> None:
-    if not fields:
-        out.append("{}")
-        return
-    inner = indent + "  "
-    separator = "{\n" + inner
-    for key in sorted(fields):
-        value = fields[key]
-        kind = type(value)
-        scalar = _SCALARS.get(kind)
-        if scalar is not None:
-            out.append(f"{separator}{encode_basestring(key)}: {scalar(value)}")
-        elif (kind is list or kind is tuple) and (text := _float_list(value, inner)) is not None:
-            out.append(f"{separator}{encode_basestring(key)}: {text}")
-        else:
-            out.append(f"{separator}{encode_basestring(key)}: ")
-            _append_indented(value, inner, out)
-        separator = ",\n" + inner
-    out.append("\n" + indent + "}")
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:

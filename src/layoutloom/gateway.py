@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
-from .dataset import dumps_indented, replacing
+from .dataset import replacing
 from .errors import (
     ConfigError,
     CredentialMissing,
@@ -141,8 +141,9 @@ def write_transcript(directory: str | Path, request: Mapping[str, Any], response
     """
     key = transcript_key(request)
     path = Path(_transcript_path(directory, key))
-    text = dumps_indented({"key": key, "request": request, "response_text": response_text,
-                           "metadata": {"created_at": created_at}}) + "\n"
+    text = json.dumps({"key": key, "request": request, "response_text": response_text,
+                       "metadata": {"created_at": created_at}},
+                      ensure_ascii=False, indent=2, sort_keys=True) + "\n"
     with _FILE_WRITES, replacing(path) as tmp:
         try:
             tmp.write_text(text, encoding="utf-8")

@@ -35,7 +35,6 @@ from typing import Any, Mapping, NamedTuple, Sequence
 from .dataset import (
     TASK_KINDS,
     AreaStats,
-    dumps_indented,
     layout_to_record,
     load_area_stats,
     load_raster,
@@ -255,6 +254,11 @@ class StageRecord:
     fallback: bool
 
 
+# Trace files and generated.jsonl lines: one line each, sorted keys, non-ASCII
+# text kept, and a dataclass written as its fields.
+_OUTPUT_JSON = json.JSONEncoder(ensure_ascii=False, sort_keys=True, default=vars)
+
+
 @dataclass
 class RefinementTrace:
     run_id: str
@@ -266,7 +270,7 @@ class RefinementTrace:
     config: dict
 
     def to_json(self) -> str:
-        return dumps_indented(self)
+        return _OUTPUT_JSON.encode(self)
 
 
 def bundle_sha256(bundle: PromptBundle) -> str:
@@ -640,7 +644,7 @@ def _run_item(record: Mapping[str, Any], *, task_family: str, index: RetrievalIn
     except Exception as exc:
         error_payload = {"id": item_id, "error": type(exc).__name__, "message": str(exc)}
         if trace_path is not None:
-            trace_path.write_text(dumps_indented(error_payload) + "\n", encoding="utf-8")
+            trace_path.write_text(_OUTPUT_JSON.encode(error_payload) + "\n", encoding="utf-8")
         return _ItemOutcome(error_payload, None, {}, exc)
 
 
@@ -731,8 +735,7 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
                 if generated is None:
                     generated = files.enter_context(open(
                         run_dir / "generated.jsonl", "w", encoding="utf-8", buffering=1))
-                generated.write(json.dumps(outcome.payload, ensure_ascii=False,
-                                           sort_keys=True) + "\n")
+                generated.write(_OUTPUT_JSON.encode(outcome.payload) + "\n")
                 item_id = outcome.payload["id"]
                 error = outcome.error
                 if error is not None:

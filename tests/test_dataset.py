@@ -6,7 +6,6 @@ import json
 import math
 import re
 import struct
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -22,7 +21,6 @@ from layoutloom.dataset import (
     PUBLAYNET_MANIFEST,
     SaliencyRaster,
     compute_area_stats,
-    dumps_indented,
     export_records,
     ingest,
     layout_to_record,
@@ -585,54 +583,3 @@ class TestRecordCodec:
                 record_to_layout(record)
             with pytest.raises(SchemaError, match=message):
                 ingest([record], PKU_LIKE, strict=False)
-
-
-@dataclass
-class _Point:
-    x: float
-    tags: tuple
-
-
-class _Float(float):
-    pass
-
-
-class _Int(int):
-    pass
-
-
-class _Str(str):
-    pass
-
-
-class _Dict(dict):
-    pass
-
-
-class TestDumpsIndented:
-    @pytest.mark.parametrize("value", [
-        None, True, False, 0, -3, 10**30, 1.5, -0.0, 1e-300, 1e300,
-        float("nan"), float("inf"), float("-inf"), np.float64(0.1),
-        "", "a\"b\\c\n\t\x00 é😀\u2028",
-        [], {}, (), [[]], {"a": {}}, {"k": ("t", 1.0)},
-        [1, [2, (3, "x")], {"z": 1, "a": [None, {}], "é": True}],
-        {"p": _Point(0.5, ("a", 2)), "q": [_Point(1e-9, ())]},
-        [0.5, -0.0, 1e-300, 389.0], (1.5, 2.5), [1e308, 1e308], [1.0, float("inf")],
-        [float("-inf"), float("inf")], [float("nan")], [0.5, np.float64(0.25)], [True, 1.0],
-        [1.0, 2], [_Float(1.5), 2.5], _Str("s"), _Int(7), _Dict(b=[1.0]), [[1.0, 2.0], 3.0],
-    ])
-    def test_matches_json_dumps(self, value):
-        assert dumps_indented(value) == json.dumps(
-            value, default=vars, ensure_ascii=False, indent=2, sort_keys=True)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.recursive(
-        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
-        | st.lists(st.floats(), max_size=5) | st.builds(_Float, st.floats()),
-        lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
-        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
-        | st.builds(_Point, st.floats(), st.tuples(inner)),
-        max_leaves=12))
-    def test_matches_json_dumps_on_any_trace_shape(self, value):
-        assert dumps_indented(value) == json.dumps(
-            value, default=vars, ensure_ascii=False, indent=2, sort_keys=True)

@@ -1,9 +1,16 @@
 """Golden replay: the bytes a replay of the bundled five-item fixture writes.
 
-The digests below were taken from a replay of the fixture before the
-per-item replay work (batched ranking, exemplars rendered from the index
-arrays, fan-out keys) went in. Each of those changes claims to keep every
-output byte, so any byte that moves fails here, not only in a hand check.
+The ``generated.jsonl`` and ``metrics.tsv`` digests were taken from a
+replay of the fixture before the per-item replay work (batched ranking,
+exemplars rendered from the index arrays, fan-out keys) went in. Each of
+those changes claims to keep every output byte, so any byte that moves
+fails here, not only in a hand check.
+
+The trace digests were taken when traces became one line of the stdlib's
+C encoder (sorted keys, non-ASCII text kept, default separators) instead
+of indented JSON; each trace decodes to the same value as before. They
+pin the encoder's bytes, so a Python release that writes any value
+differently fails here.
 
 ``metrics.tsv`` is pinned too: its columns are means over ``math.fsum``,
 numpy sums over raster masks (pairwise, in a fixed order) and ``libm``
@@ -21,15 +28,15 @@ GOLDEN = {
     "metrics.tsv":
         "9880f7be9c664f90f3b598c2e5f7f5ee37b91d8cd8d7ddd781d71e6be176fa24",
     "traces/item0.json":
-        "341f931b9699877d8c8c32510358c532acab582ac005a857b28b5903dd818de1",
+        "b4f119d462887f7e719fad9f38e21e4a7e8d9d9353544e94f34be359646b57b5",
     "traces/item1.json":
-        "5de1d695dc06ed43cc0ffc044bcb95c917f4e9c9bc0f26a0a9c459a4d97f24df",
+        "41abb3aa9ce257d773ae12b30e6dc2f07ca0b55631da81040e5ba713cab71917",
     "traces/item2.json":
-        "efa637bbc37c85f4c34e85258c73c7770dd0f77a1381fbfb6210b8ea60c2454f",
+        "8857102aa300adfb1ebae6509155d4d41f95fb44e3fb18f6ce2149c349285238",
     "traces/item3.json":
-        "26705c0e3330e6f11c99c8dbdca4464492992655b2f0051893a2ff5127c0cd53",
+        "76a42b11f763f5716eae75a26afb0f6ec83716f056f538ee9f5f696452ebc4b6",
     "traces/item4.json":
-        "32d8f4940e15ed72ca67358b8cf7c47e4757c4978b673f06a9a878ce87293f98",
+        "3d3b4282132574cc9ff5b6f52e3f1fd0e512a8cc88e7682c178cc958f995c9be",
 }
 # The SHA-256 of the fixture's transcript keys, sorted, one per line.
 GOLDEN_KEYS = "2486b8c8218e3e38c60fab8c7f3a008f978921028372fdd6ae6c0f0cd4b792c1"

@@ -650,7 +650,7 @@ class TestRefineCot:
 
 
 class TestTraceJson:
-    def test_matches_indented_json_dumps(self):
+    def test_is_one_line_of_json_dumps(self):
         parsed = {"id": "x", "canvas": {"w": 513, "h": 750},
                   "elements": [{"label": "text", "bbox": [1.5, -0.0, 1e-300, 12]}]}
         trace = RefinementTrace(
@@ -672,8 +672,9 @@ class TestTraceJson:
             final=parsed,
             config={"k": 10**30, "use_rag": False, "temperature": 0.7, "none": None},
         )
-        assert trace.to_json() == json.dumps(asdict(trace), ensure_ascii=False, indent=2,
-                                             sort_keys=True)
+        text = trace.to_json()
+        assert text == json.dumps(asdict(trace), ensure_ascii=False, sort_keys=True)
+        assert "\n" not in text
 
 
 class TestConstraintFromRecord:
@@ -945,6 +946,19 @@ class TestRunTask:
             run_task(config)
         assert isinstance(raised.value.__cause__, SchemaError)
         assert not (tmp_path / "run_n" / "generated.jsonl").exists()
+
+    def test_error_trace_is_its_generated_line(self, fixture_env, tmp_path):
+        def transport(payload, idx):
+            if _item_of(payload) == 1:
+                raise OSError("connection reset\nby «peer»")
+            return scripted_llm(payload, idx)
+
+        config = _record_config(fixture_env, tmp_path, _distinct_items(2), fanout=1)
+        run_dir = run_task(config, transport=transport)
+        line = (run_dir / "generated.jsonl").read_text(encoding="utf-8").splitlines()[1]
+        assert (run_dir / "traces" / "it1.json").read_text(encoding="utf-8") == line + "\n"
+        assert json.loads(line) == {"id": "it1", "error": "OSError",
+                                    "message": "connection reset\nby «peer»"}
 
     def test_non_domain_error_costs_only_its_item(self, fixture_env, tmp_path):
         def transport(payload, idx):
