@@ -57,7 +57,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("live", "record", "replay"), default=None,
                    help="override the backend mode")
     p.add_argument("--no-rag", action="store_true", help="seeded random exemplars")
-    p.add_argument("--no-cot", action="store_true", help="skip staged refinement")
+    p.add_argument("--no-cot", action="store_true", help="skip staged refinement, as --stages 0 does")
     p.add_argument("--stages", type=int, default=None, help="number of refinement stages")
 
     p = sub.add_parser("eval", help="compute metrics for generated layouts")
@@ -141,10 +141,10 @@ def _cmd_generate(args) -> int:
         config["seed"] = args.seed
     if args.no_rag:
         config["use_rag"] = False
-    if args.no_cot:
-        config["use_cot"] = False
     if args.stages is not None:
         config["stages"] = args.stages
+    if args.no_cot:
+        config["stages"] = 0
     run_dir = pl.run_task(config)
     print(f"run complete -> {run_dir}")
     return 0

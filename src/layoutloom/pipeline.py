@@ -85,7 +85,6 @@ class PipelineConfig:
     n_candidates: int = 10
     stages: int = 3
     use_rag: bool = True
-    use_cot: bool = True
     seed: int = 0
     coarse_temperature: float = 0.7
     stage_temperature: float = 0.0
@@ -394,18 +393,17 @@ def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex
 
     Exemplars (k_refine of them) are fixed once per item: the head of the
     coarse exemplar ranking, on the coarse layout's canvas; ``rendered``
-    holds the snippets ``generate_coarse`` wrote. Without CoT no stage runs
-    and the coarse layout is final. Returns the trace and the final layout,
+    holds the snippets ``generate_coarse`` wrote. With ``cfg.stages`` 0 no
+    stage runs and the coarse layout is final. Returns the trace and the final layout,
     which ``trace.final`` records.
     """
-    stage_count = cfg.stages if cfg.use_cot else 0
     vocabulary = index.vocabulary
     exemplar_ids = coarse_fragment.exemplar_ids[:cfg.k_refine]
     exemplars = _exemplar_html(index, exemplar_ids, coarse.canvas, rendered)
 
     current = coarse
     stages: list[StageRecord] = []
-    for stage in range(1, stage_count + 1):
+    for stage in range(1, cfg.stages + 1):
         bundle = build_stage_prompt(stage, exemplars, current, constraint,
                                     vocabulary=vocabulary)
         raw_responses = []
@@ -444,9 +442,9 @@ def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex
             "k_coarse": cfg.k_coarse,
             "k_refine": cfg.k_refine,
             "n_candidates": cfg.n_candidates,
-            "stages": stage_count,
+            "stages": cfg.stages,
             "use_rag": cfg.use_rag,
-            "use_cot": stage_count > 0,
+            "use_cot": cfg.stages > 0,
             "seed": cfg.seed,
         },
     )

@@ -334,7 +334,7 @@ def test_criterion_8_ablation_harness(fixture_env, tmp_path):
 
     # --no-cot: coarse result becomes final, no stages recorded (Table-style row "w/ RAG only")
     config = fixture_env["run_config"](tmp_path / "abl_nocot", "replay")
-    config["use_cot"] = False
+    config["stages"] = 0
     run_dir = run_task(config, transport=_no_network)
     trace = json.loads((run_dir / "traces" / "item0.json").read_text())
     assert trace["stages"] == []

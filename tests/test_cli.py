@@ -241,13 +241,13 @@ class TestGenerateCommand:
         assert main(["generate"]) == 1
 
     def test_unknown_config_key_is_one_line(self, fixture_env, tmp_path, capsys):
-        config = dict(fixture_env["run_config"](tmp_path / "cli_run", "replay"), use_cto=False)
+        config = dict(fixture_env["run_config"](tmp_path / "cli_run", "replay"), use_rga=False)
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))
         assert main(["generate", "--config", str(config_path)]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            "error: ConfigError: unknown run config keys: use_cto"]
+            "error: ConfigError: unknown run config keys: use_rga"]
 
     def test_ablation_flags_accepted(self, fixture_env, tmp_path):
         # structural smoke for --no-cot: runs entirely from existing transcripts
@@ -257,6 +257,15 @@ class TestGenerateCommand:
         assert main(["generate", "--config", str(config_path), "--no-cot"]) == 0
         trace = json.loads((tmp_path / "nocot_run" / "traces" / "item0.json").read_text())
         assert trace["stages"] == []
+
+    def test_no_cot_wins_over_stages(self, fixture_env, tmp_path):
+        config = fixture_env["run_config"](tmp_path / "nocot_run", "replay")
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["generate", "--config", str(config_path), "--stages", "2", "--no-cot"]) == 0
+        trace = json.loads((tmp_path / "nocot_run" / "traces" / "item0.json").read_text())
+        assert trace["stages"] == []
+        assert trace["config"]["stages"] == 0 and trace["config"]["use_cot"] is False
 
 
 class TestUsageErrors:

@@ -202,7 +202,6 @@ _CONFIG_VALUES = {
     "n_candidates": (5, 5),
     "stages": (2, 2),
     "use_rag": (False, False),
-    "use_cot": (False, False),
     "seed": (11, 11),
     "coarse_temperature": (0.5, 0.5),
     "stage_temperature": (1, 1.0),
@@ -367,7 +366,7 @@ def test_every_config_field_is_set_from_a_run_config(name):
 
 
 @pytest.mark.parametrize("name, raw", [
-    ("use_cot", "false"),
+    ("use_rag", "false"),
     ("use_rag", 0),
     ("k_coarse", 2.9),
     ("k_refine", 3.0),
@@ -788,8 +787,8 @@ class TestRunTask:
         with pytest.raises(ConfigError):
             run_task({"run_dir": "/tmp/x"})
 
-    # A typo of use_cot, and two keys an earlier run config read.
-    @pytest.mark.parametrize("extra", [{"use_cto": False}, {"metrics": "align"},
+    # A typo of use_rag, and two keys an earlier run config read.
+    @pytest.mark.parametrize("extra", [{"use_rga": False}, {"metrics": "align"},
                                        {"exclude_overlap_labels": "underlay"}])
     def test_unknown_top_level_key_is_refused(self, fixture_env, tmp_path, extra):
         config = dict(fixture_env["run_config"](tmp_path / "run_u", "replay"), **extra)
@@ -797,8 +796,10 @@ class TestRunTask:
             run_task(config)
         assert not (tmp_path / "run_u").exists()
 
-    # Settings an earlier PipelineConfig had, which no run, command or workload set.
-    @pytest.mark.parametrize("key, value", [("similarity_scale", 1.0), ("exclude_self", True),
+    # Settings an earlier PipelineConfig had: use_cot, whose false is stages 0,
+    # and three that no run, command or workload set.
+    @pytest.mark.parametrize("key, value", [("use_cot", False), ("use_cot", True),
+                                            ("similarity_scale", 1.0), ("exclude_self", True),
                                             ("default_canvas", [512, 512])])
     def test_deleted_setting_is_refused(self, fixture_env, tmp_path, key, value):
         config = dict(fixture_env["run_config"](tmp_path / "run_u", "replay"), **{key: value})
@@ -808,8 +809,8 @@ class TestRunTask:
 
     def test_every_unknown_key_is_named(self, fixture_env, tmp_path):
         config = dict(fixture_env["run_config"](tmp_path / "run_u", "replay"),
-                      use_cto=False, metrics="align")
-        with pytest.raises(ConfigError, match="unknown run config keys: metrics, use_cto$"):
+                      use_rga=False, metrics="align")
+        with pytest.raises(ConfigError, match="unknown run config keys: metrics, use_rga$"):
             run_task(config)
 
     @pytest.mark.parametrize("backend, named", [
@@ -846,14 +847,14 @@ class TestRunTask:
 
     def test_no_cot_trace_has_the_cot_config_keys(self, fixture_env, tmp_path):
         configs = {}
-        for use_cot in (True, False):
-            config = fixture_env["run_config"](tmp_path / f"run_cot_{use_cot}", "replay")
-            config["use_cot"] = use_cot
+        for stages in (3, 0):
+            config = fixture_env["run_config"](tmp_path / f"run_stages_{stages}", "replay")
+            config["stages"] = stages
             trace = json.loads((run_task(config) / "traces" / "item0.json").read_text())
-            configs[use_cot] = trace["config"]
-        assert set(configs[False]) == set(configs[True])
-        assert configs[True]["use_cot"] is True and configs[True]["stages"] == 3
-        assert configs[False]["use_cot"] is False and configs[False]["stages"] == 0
+            configs[stages] = trace["config"]
+        assert set(configs[0]) == set(configs[3])
+        assert configs[3]["use_cot"] is True and configs[3]["stages"] == 3
+        assert configs[0]["use_cot"] is False and configs[0]["stages"] == 0
 
     def test_inline_items_replay_whatever_their_key_order(self, fixture_env, tmp_path):
         # The recorded test.jsonl has its keys sorted; the inline items list
