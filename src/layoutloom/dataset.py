@@ -397,8 +397,14 @@ def load_raster(path: str | Path) -> SaliencyRaster:
     return SaliencyRaster(width=width, height=height, values=grid / float(maxval))
 
 
-def save_raster(raster: SaliencyRaster, path: str | Path) -> None:
-    """Write an 8-bit binary PGM. Exact for rasters loaded from 8-bit files."""
+def pgm_bytes(raster: SaliencyRaster) -> bytes:
+    """The raster as an 8-bit binary PGM, each intensity rounded to the
+    nearest of 256 levels, halves to even. Exact for rasters loaded from
+    8-bit files."""
     header = f"P5\n{raster.width} {raster.height}\n255\n".encode("ascii")
-    pixels = np.rint(raster.values * 255.0).astype(np.uint8).tobytes()
-    Path(path).write_bytes(header + pixels)
+    return header + np.rint(raster.values * 255.0).astype(np.uint8).tobytes()
+
+
+def save_raster(raster: SaliencyRaster, path: str | Path) -> None:
+    """Write ``pgm_bytes(raster)`` to ``path``."""
+    Path(path).write_bytes(pgm_bytes(raster))

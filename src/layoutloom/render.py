@@ -6,7 +6,7 @@ import base64
 import hashlib
 from xml.sax.saxutils import escape, quoteattr
 
-from .dataset import SaliencyRaster
+from .dataset import SaliencyRaster, pgm_bytes
 from .model import Layout, denormalize
 
 # Fixed palette; labels hash into it so colors are stable across runs.
@@ -50,9 +50,7 @@ def render_svg(layout: Layout, background: SaliencyRaster | None = None) -> str:
         f'fill="#ffffff" stroke="#000000" stroke-width="1"/>',
     ]
     if background is not None:
-        header = f"P5\n{background.width} {background.height}\n255\n".encode("ascii")
-        pixels = bytes(int(round(v * 255.0)) for v in background.values.ravel().tolist())
-        data = base64.b64encode(header + pixels).decode("ascii")
+        data = base64.b64encode(pgm_bytes(background)).decode("ascii")
         parts.append(
             f'<image x="0" y="0" width="{width}" height="{height}" '
             f'href="data:image/x-portable-graymap;base64,{data}"/>'

@@ -1,10 +1,13 @@
 """SVG output: determinism, structure, well-formedness."""
 
+import base64
+import hashlib
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from layoutloom.dataset import SaliencyRaster
+from layoutloom.dataset import SaliencyRaster, save_raster
 from layoutloom.model import normalize
 from layoutloom.render import FALLBACK_SIZE, label_color, render_svg
 
@@ -65,6 +68,18 @@ class TestRenderSvg:
         assert "data:image/x-portable-graymap;base64," not in plain
         assert "data:image/x-portable-graymap;base64," in with_bg
         ET.fromstring(with_bg)
+
+    def test_background_bytes_are_pinned(self, tmp_path):
+        # Intensities k/510 put every other pixel on a rounding half. The
+        # digest is of the SVG that per-pixel round() wrote before the
+        # embedded image came from the raster writer.
+        raster = SaliencyRaster(30, 17, (np.arange(510) / 510.0).reshape(17, 30))
+        svg = render_svg(make_layout("a", (40, 40), [(0, 0, 10, 10)]), raster)
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == \
+            "941f0259a2bdaf6635229d2f74f497ff8ffd11208363d6cc3015433932376801"
+        save_raster(raster, tmp_path / "bg.pgm")
+        embedded = re.search(r"base64,([^\"]*)\"", svg).group(1)
+        assert base64.b64decode(embedded) == (tmp_path / "bg.pgm").read_bytes()
 
     def test_label_text_escaping(self):
         lay = make_layout("a", (100, 100), [(0, 0, 10, 10)], ["a<b&c"])
