@@ -57,7 +57,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("live", "record", "replay"), default=None,
                    help="override the backend mode")
     p.add_argument("--no-rag", action="store_true", help="seeded random exemplars")
-    p.add_argument("--no-cot", action="store_true", help="skip staged refinement, as --stages 0 does")
+    p.add_argument("--no-cot", action="store_true",
+                   help="skip staged refinement, as --stages 0 does")
     p.add_argument("--stages", type=int, default=None, help="number of refinement stages")
 
     p = sub.add_parser("eval", help="compute metrics for generated layouts")

@@ -394,8 +394,8 @@ def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex
     Exemplars (k_refine of them) are fixed once per item: the head of the
     coarse exemplar ranking, on the coarse layout's canvas; ``rendered``
     holds the snippets ``generate_coarse`` wrote. With ``cfg.stages`` 0 no
-    stage runs and the coarse layout is final. Returns the trace and the final layout,
-    which ``trace.final`` records.
+    stage runs and the coarse layout is final. Returns the trace and the
+    final layout, which ``trace.final`` records.
     """
     vocabulary = index.vocabulary
     exemplar_ids = coarse_fragment.exemplar_ids[:cfg.k_refine]
