@@ -249,20 +249,13 @@ class TestGenerateCommand:
         assert captured.err.splitlines() == [
             "error: ConfigError: unknown run config keys: use_rga"]
 
-    def test_ablation_flags_accepted(self, fixture_env, tmp_path):
-        # structural smoke for --no-cot: runs entirely from existing transcripts
+    # --no-cot is stages 0, also next to --stages N; runs from existing transcripts.
+    @pytest.mark.parametrize("flags", [["--no-cot"], ["--stages", "2", "--no-cot"]])
+    def test_ablation_flags_accepted(self, fixture_env, tmp_path, flags):
         config = fixture_env["run_config"](tmp_path / "nocot_run", "replay")
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))
-        assert main(["generate", "--config", str(config_path), "--no-cot"]) == 0
-        trace = json.loads((tmp_path / "nocot_run" / "traces" / "item0.json").read_text())
-        assert trace["stages"] == []
-
-    def test_no_cot_wins_over_stages(self, fixture_env, tmp_path):
-        config = fixture_env["run_config"](tmp_path / "nocot_run", "replay")
-        config_path = tmp_path / "run.json"
-        config_path.write_text(json.dumps(config))
-        assert main(["generate", "--config", str(config_path), "--stages", "2", "--no-cot"]) == 0
+        assert main(["generate", "--config", str(config_path), *flags]) == 0
         trace = json.loads((tmp_path / "nocot_run" / "traces" / "item0.json").read_text())
         assert trace["stages"] == []
         assert trace["config"]["stages"] == 0 and trace["config"]["use_cot"] is False
