@@ -6,7 +6,7 @@ import logging
 import re
 import threading
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -648,7 +648,72 @@ class TestRefineCot:
         assert bundle_sha256(bundle) == trace.stages[1].prompt_sha256
 
 
+@dataclass
+class _Point:
+    x: float
+    tags: tuple
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+def _trace_with(value) -> RefinementTrace:
+    return RefinementTrace(
+        run_id="r", constraint_kind="content_aware", constraint_digest="d" * 64,
+        coarse=CoarseFragment(exemplar_ids=[], exemplar_source="ltsim",
+                              template_id=("a", "coarse"), candidates=[], chosen_index=0),
+        stages=[], final={}, config={"value": value})
+
+
+def _assert_one_line_that_decodes_back(value):
+    trace = _trace_with(value)
+    text = trace.to_json()
+    assert text == json.dumps(asdict(trace), ensure_ascii=False, sort_keys=True)
+    assert "\n" not in text and "\r" not in text
+    # the decoded value re-encodes to the same line, so NaN and -0.0 compare equal
+    decoded = json.loads(text)
+    assert json.dumps(decoded, ensure_ascii=False, sort_keys=True) == text
+
+
 class TestTraceJson:
+    @pytest.mark.parametrize("value", [
+        None, True, False, 0, -3, 10**30, 1.5, -0.0, 1e-300, 1e300,
+        float("nan"), float("inf"), float("-inf"), np.float64(0.1),
+        "", "a\"b\\c\n\t\x00\r é😀\u2028",
+        [], {}, (), [[]], {"a": {}}, {"k": ("t", 1.0)},
+        [1, [2, (3, "x")], {"z": 1, "a": [None, {}], "é": True}],
+        {"p": _Point(0.5, ("a", 2)), "q": [_Point(1e-9, ())]},
+        [0.5, -0.0, 1e-300, 389.0], (1.5, 2.5), [1e308, 1e308], [1.0, float("inf")],
+        [float("-inf"), float("inf")], [float("nan")], [0.5, np.float64(0.25)], [True, 1.0],
+        [1.0, 2], [_Float(1.5), 2.5], _Str("s"), _Int(7), _Dict(b=[1.0]), [[1.0, 2.0], 3.0],
+    ])
+    def test_hard_value_is_one_line_that_decodes_back(self, value):
+        _assert_one_line_that_decodes_back(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+        | st.lists(st.floats(), max_size=5) | st.builds(_Float, st.floats()),
+        lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+        | st.builds(_Point, st.floats(), st.tuples(inner)),
+        max_leaves=12))
+    def test_any_trace_shape_is_one_line_that_decodes_back(self, value):
+        _assert_one_line_that_decodes_back(value)
+
     def test_is_one_line_of_json_dumps(self):
         parsed = {"id": "x", "canvas": {"w": 513, "h": 750},
                   "elements": [{"label": "text", "bbox": [1.5, -0.0, 1e-300, 12]}]}
