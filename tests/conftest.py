@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from layoutloom.dataset import (
     DatasetManifest,
@@ -26,6 +27,7 @@ from layoutloom.errors import EmptyLayout
 from layoutloom.model import BBox, Canvas, Element, Layout, normalize
 from layoutloom.pipeline import run_task
 from layoutloom.retrieval import RetrievalIndex, build_index, save_index
+from layoutloom.transport import TransportPlan
 
 CANVAS_W, CANVAS_H = 513, 750
 VOCAB = ("text", "logo", "underlay")
@@ -152,6 +154,22 @@ def entry_layout(index, position):
         for label_id, (cx, cy, w, h) in zip(index.labels[position, :n].tolist(),
                                             index.coords[position, :n].tolist()))
     return Layout(id=index.ids[position], canvas=Canvas(1, 1), elements=elements)
+
+
+def expansion_solve(cost):
+    """transport.solve_exact as it was before the transportation simplex:
+    one assignment on the cost matrix with every row repeated lcm(m, n)/m
+    times and every column lcm(m, n)/n times, folded back into whole-unit
+    flows. Exact, and O(lcm(m, n)**3)."""
+    c = np.asarray(cost, dtype=np.float64)
+    m, n = c.shape
+    unit = math.lcm(m, n)
+    rep_r, rep_c = unit // m, unit // n
+    rows, cols = linear_sum_assignment(np.repeat(np.repeat(c, rep_r, axis=0), rep_c, axis=1))
+    flow = np.bincount(rows // rep_r * n + cols // rep_c, minlength=m * n).reshape(m, n)
+    mass = flow / float(unit)
+    used = flow > 0
+    return TransportPlan(mass=mass, cost=math.fsum((mass[used] * c[used]).tolist()))
 
 
 # --- scripted offline backend ------------------------------------------------

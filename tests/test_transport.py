@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from conftest import expansion_solve
 from layoutloom.errors import EmptyLayout
 from layoutloom.transport import solve_exact
 
@@ -79,8 +82,8 @@ class TestExactSolver:
             m = int(rng.integers(1, 7))
             n = int(rng.integers(1, 7))
             plan = solve_exact(rng.random((m, n)))
-            assert np.abs(plan.row_sums() - 1.0 / m).max() < 1e-9
-            assert np.abs(plan.col_sums() - 1.0 / n).max() < 1e-9
+            assert np.abs(plan.mass.sum(axis=1) - 1.0 / m).max() < 1e-9
+            assert np.abs(plan.mass.sum(axis=0) - 1.0 / n).max() < 1e-9
             assert plan.mass.min() >= 0.0
 
     def test_cost_equals_plan_dot_cost(self):
@@ -119,8 +122,8 @@ class TestExactSolver:
             cost = rng.random((m, n))
             plan = solve_exact(cost)
             assert abs(plan.cost - linprog_min(cost)) <= 1e-9, (m, n)
-            assert np.abs(plan.row_sums() - 1.0 / m).max() <= 1e-9
-            assert np.abs(plan.col_sums() - 1.0 / n).max() <= 1e-9
+            assert np.abs(plan.mass.sum(axis=1) - 1.0 / m).max() <= 1e-9
+            assert np.abs(plan.mass.sum(axis=0) - 1.0 / n).max() <= 1e-9
             assert plan.mass.min() >= 0.0
             assert solve_exact(cost.tolist()).cost == plan.cost
 
@@ -128,3 +131,67 @@ class TestExactSolver:
     def test_oversized_rejected(self, shape):
         with pytest.raises(ValueError, match="at most 25 x 25"):
             solve_exact(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_cost_rejected(self, shape, bad):
+        cost = np.zeros(shape)
+        cost[1, 0] = bad
+        with pytest.raises(ValueError, match="finite costs"):
+            solve_exact(cost)
+
+
+# Shapes with m != n up to 25 x 25, always including the largest expansions
+# the old solver faced and the thinnest matrices.
+_RECTANGLES = st.one_of(
+    st.sampled_from([(24, 25), (23, 25), (25, 1), (25, 24), (1, 25)]),
+    st.tuples(st.integers(1, 25), st.integers(1, 25)).filter(lambda s: s[0] != s[1]))
+
+
+def _whole_units(plan, m, n):
+    """The plan's flows in units of 1/lcm(m, n), checked to be whole, non-negative
+    and to meet both marginals exactly."""
+    unit = math.lcm(m, n)
+    flow = np.rint(plan.mass * unit)
+    assert np.array_equal(flow / unit, plan.mass)
+    assert flow.min() >= 0
+    assert (flow.sum(axis=1) == unit // m).all()
+    assert (flow.sum(axis=0) == unit // n).all()
+    return flow
+
+
+@st.composite
+def _tied_costs(draw):
+    """Cost matrices whose optimum is rarely unique: repeated rows or columns,
+    values in {0, 0.5, 1}, or one value everywhere, at scales 1e-6, 1 and 1e6."""
+    m, n = draw(_RECTANGLES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["rows", "columns", "quantized", "constant"]))
+    if family == "rows":
+        cost = rng.random((m, n))[rng.integers(0, m, size=m)]
+    elif family == "columns":
+        cost = rng.random((m, n))[:, rng.integers(0, n, size=n)]
+    elif family == "quantized":
+        cost = rng.choice([0.0, 0.5, 1.0], size=(m, n))
+    else:
+        cost = np.full((m, n), rng.random())
+    return cost * draw(st.sampled_from([1e-6, 1.0, 1e6]))
+
+
+class TestAgainstExpansion:
+    """m != n against the lcm(m, n)**2 assignment the simplex replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_RECTANGLES, st.integers(0, 2**32 - 1))
+    def test_generic_costs_give_the_same_plan(self, shape, seed):
+        cost = np.random.default_rng(seed).random(shape)
+        plan, oracle = solve_exact(cost), expansion_solve(cost)
+        assert plan.cost == oracle.cost
+        assert np.array_equal(_whole_units(plan, *shape), _whole_units(oracle, *shape))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tied_costs())
+    def test_tied_costs_stay_within_one_ulp(self, cost):
+        plan, oracle = solve_exact(cost), expansion_solve(cost)
+        _whole_units(plan, *cost.shape)
+        assert abs(plan.cost - oracle.cost) <= math.ulp(oracle.cost)
