@@ -376,11 +376,11 @@ DUAL_CHECKPOINTS = (3, 6, 12, 20)
 
 def _smooth_max(x: np.ndarray, eps: float, axis: int) -> np.ndarray:
     """eps * log(sum(exp(x / eps))) along ``axis``; overwrites ``x``."""
-    top = x.max(axis=axis)
-    x -= np.expand_dims(top, axis)
+    top = x.max(axis=axis, keepdims=True)
+    x -= top
     x *= 1.0 / eps
     np.exp(x, out=x)
-    return top + eps * np.log(x.sum(axis=axis))
+    return top.squeeze(axis) + eps * np.log(x.sum(axis=axis))
 
 
 def _feasible_dual(costs: np.ndarray, f: np.ndarray, real: np.ndarray,
