@@ -47,8 +47,10 @@ from .errors import EmptyLayout
 MAX_ELEMENTS = 25
 
 # A cell prices in when its reduced cost is below -OPTIMALITY_TOL times the
-# matrix's largest cost magnitude (at least 1): potentials summed along a
-# tree path of at most 2 * MAX_ELEMENTS cells carry rounding far below it.
+# matrix's largest cost magnitude: potentials summed along a tree path of at
+# most 2 * MAX_ELEMENTS cells carry rounding far below it. The bound scales
+# with the costs both ways; an absolute floor would stop short of the optimum
+# on costs of order 1e-6.
 OPTIMALITY_TOL = 1e-12
 
 
@@ -91,7 +93,7 @@ def _transport_simplex(c: np.ndarray, supply: int, demand: int) -> np.ndarray:
     m, n = c.shape
     order = np.argsort(c, axis=None, kind="stable")
     costs = c.tolist()
-    tol = OPTIMALITY_TOL * max(1.0, -float(c.flat[order[0]]), float(c.flat[order[-1]]))
+    tol = OPTIMALITY_TOL * max(-float(c.flat[order[0]]), float(c.flat[order[-1]]))
 
     # Greedy start in cost order: each cell takes what its row and column
     # have left, which empties one of them, so the cells form a forest.

@@ -191,7 +191,10 @@ class TestAgainstExpansion:
 
     @settings(max_examples=150, deadline=None)
     @given(_tied_costs())
-    def test_tied_costs_stay_within_one_ulp(self, cost):
+    def test_tied_costs_stay_within_rounding(self, cost):
         plan, oracle = solve_exact(cost), expansion_solve(cost)
         _whole_units(plan, *cost.shape)
-        assert abs(plan.cost - oracle.cost) <= math.ulp(oracle.cost)
+        # Both plans are optimal, so their exact costs tie. Each cell's
+        # mass * cost is rounded twice (relative error below 2**-52) and each
+        # fsum once (half an ulp), which bounds the gap between the two.
+        assert abs(plan.cost - oracle.cost) <= 2.0**-51 * oracle.cost + math.ulp(oracle.cost)
