@@ -159,8 +159,8 @@ def _cmd_eval(args) -> int:
     references = {}
     if args.dataset:
         base = Path(args.dataset).parent
-        references = {ref.id: ref for ref in map(ds.record_to_layout,
-                                                 ds.read_jsonl(args.dataset))}
+        references = {ds.record_to_layout(record).id: record
+                      for record in ds.read_jsonl(args.dataset)}
     samples = []
     for layout in generated:
         reference = references.get(layout.id)

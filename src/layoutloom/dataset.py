@@ -6,23 +6,29 @@ The interchange format is JSON Lines, one layout record per line:
      "elements": [{"label": str, "bbox": [left, top, width, height]}],
      "saliency": path?, "gradient": path?, "text": str?, "constraints": {}?}
 
-bbox values are pixels with a left-top origin. Saliency and gradient maps
-are binary PGM (P5) files, 8-bit by default with 16-bit accepted; they are
-ingested, never computed.
+bbox values are finite pixels with a left-top origin. Saliency and
+gradient maps are binary PGM (P5) files, 8-bit by default with 16-bit
+accepted; they are ingested, never computed.
+
+``_read_record`` is the one reader of records: ``record_to_layout`` wraps
+what it reads in a Layout, and ``ingest`` appends it to the columns of a
+CanonicalDataset, so set-up builds no object per element.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import os
 import re
 import uuid
+from array import array
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Container, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -37,7 +43,7 @@ from .model import BBox, Canvas, Element, Layout
 
 TASK_KINDS = ("content_aware", "constraint_explicit", "text_to_layout")
 
-# Record keys that ride along in Layout.task_meta.
+# Record keys that export writes back as read.
 _META_KEYS = ("split", "saliency", "gradient", "text", "constraints")
 
 
@@ -104,38 +110,49 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CanonicalDataset:
-    """Validated layouts keyed by id in ingestion order, with split
-    membership. Each layout is in its record's canvas pixels, as read."""
+    """A validated corpus as columns in ingestion order. Per record: its id,
+    its split (``""`` without one), its canvas ``(w, h)``, its element count
+    and its ``_META_KEYS`` that are not None. Per element, record after
+    record: its position in the vocabulary and its float64
+    ``(left, top, width, height)`` in canvas pixels, each value as read."""
 
     manifest: DatasetManifest
-    layouts: dict[str, Layout] = field(default_factory=dict)
+    ids: list[str]
+    splits: list[str]
+    canvases: list[tuple[int, int]]
+    counts: np.ndarray
+    meta: list[dict[str, Any]]
+    labels: np.ndarray
+    boxes: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.layouts)
-
-    def __iter__(self) -> Iterator[Layout]:
-        return iter(self.layouts.values())
-
-    def split_of(self, layout_id: str) -> str:
-        return str(self.layouts[layout_id].task_meta.get("split", ""))
-
-    def by_split(self, split: str) -> list[Layout]:
-        return [layout for lid, layout in self.layouts.items() if self.split_of(lid) == split]
+        return len(self.ids)
 
     def split_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for lid in self.layouts:
-            split = self.split_of(lid)
-            counts[split] = counts.get(split, 0) + 1
-        return counts
+        return dict(Counter(self.splits))
+
+    def split_elements(self, split: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ascending positions of the records in ``split``, and their
+        elements' labels and boxes on the unit canvas: each box value
+        divided by its canvas side, ``x / W`` as ``normalize`` divides."""
+        in_split = np.array([s == split for s in self.splits], dtype=bool)
+        sides = np.array(self.canvases, dtype=np.float64).reshape(-1, 2)[in_split]
+        in_split_elements = np.repeat(in_split, self.counts)
+        unit = self.boxes[in_split_elements]
+        # Each box as [[left, top], [width, height]], divided in place by (W, H).
+        unit.reshape(-1, 2, 2)[...] /= np.repeat(sides, self.counts[in_split], axis=0)[:, None]
+        return np.flatnonzero(in_split), self.labels[in_split_elements], unit
 
 
-def _read_record(record: Mapping[str, Any], vocab: frozenset[str] | None) -> Layout:
-    """The one reader of interchange records: a pixel-space Layout, each box
-    value as ``float(value)``. The canvas ``w`` and ``h`` must be JSON
-    integers, and every label must be in ``vocab`` when one is given."""
+def _read_record(record: Mapping[str, Any], vocab: Container[str] | None
+                 ) -> tuple[str, Canvas, list[tuple[str, float, float, float, float]], dict]:
+    """The one reader of interchange records: the id, the canvas, each
+    element as ``(label, left, top, width, height)`` with each box value
+    ``float(value)``, and the ``_META_KEYS`` that are not None. The canvas
+    ``w`` and ``h`` must be JSON integers, ``elements`` a list, each box
+    value finite, and each label in ``vocab`` when one is given."""
     if not isinstance(record, Mapping):
         raise SchemaError(f"record must be an object, got {type(record).__name__}")
     try:
@@ -148,104 +165,104 @@ def _read_record(record: Mapping[str, Any], vocab: frozenset[str] | None) -> Lay
         raise SchemaError(f"record {rid!r} canvas must have integer w and h, got {canvas_obj!r}")
     canvas = Canvas(*size)
 
+    raw_elements = record.get("elements", [])
+    if not isinstance(raw_elements, list):
+        raise SchemaError(f"record {rid!r} elements must be a list, got {raw_elements!r}")
     elements = []
-    for raw in record.get("elements", []):
+    for raw in raw_elements:
         try:
             label = str(raw["label"])
             left, top, width, height = map(float, raw["bbox"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed element in record {rid!r}: {exc}") from exc
+        if not (isfinite(left) and isfinite(top) and isfinite(width) and isfinite(height)):
+            raise SchemaError(f"record {rid!r} has a bbox value that is not a finite number: "
+                              f"{raw['bbox']!r}")
         if vocab is not None and label not in vocab:
             raise VocabularyError(f"record {rid!r} uses label {label!r} outside the vocabulary")
-        elements.append(Element(label, BBox(left, top, width, height)))
-
-    meta = {k: record[k] for k in _META_KEYS if record.get(k) is not None}
-    return Layout(id=rid, canvas=canvas, elements=tuple(elements), task_meta=meta)
+        elements.append((label, left, top, width, height))
+    return rid, canvas, elements, {k: record[k] for k in _META_KEYS if record.get(k) is not None}
 
 
 def record_to_layout(record: Mapping[str, Any],
                      vocabulary: Iterable[str] | None = None) -> Layout:
     """Build a pixel-space Layout from one interchange record."""
     vocab = frozenset(vocabulary) if vocabulary is not None else None
-    return _read_record(record, vocab)
+    rid, canvas, elements, _ = _read_record(record, vocab)
+    return Layout(id=rid, canvas=canvas,
+                  elements=tuple(Element(label, BBox(*box)) for label, *box in elements))
 
 
 def layout_to_record(layout: Layout) -> dict[str, Any]:
-    """Inverse of record_to_layout, in the layout's own canvas coordinates."""
-    record: dict[str, Any] = {
+    """Inverse of record_to_layout, in the layout's own canvas coordinates;
+    a record's other keys, such as its split, are not part of a layout."""
+    return {
         "id": layout.id,
         "canvas": {"w": layout.canvas.width, "h": layout.canvas.height},
         "elements": [{"label": e.label,
                       "bbox": [e.bbox.left, e.bbox.top, e.bbox.width, e.bbox.height]}
                      for e in layout.elements],
     }
-    for key in _META_KEYS:
-        value = layout.task_meta.get(key)
-        if value is not None:
-            record[key] = value
-    return record
 
 
 def ingest(records: Iterable[Mapping[str, Any]], manifest: DatasetManifest,
            strict: bool = True, check_counts: bool = False) -> CanonicalDataset:
-    """Validate a record stream into a CanonicalDataset of the layouts
-    ``record_to_layout`` reads, in pixel space; export writes each box value
-    back as read.
+    """Validate a record stream into a CanonicalDataset, each record as
+    ``_read_record`` reads it. Records with labels outside the vocabulary
+    raise VocabularyError in strict mode and are skipped otherwise. With
+    ``check_counts`` the observed per-split counts must match the manifest's
+    declared sizes."""
+    label_ids = {label: i for i, label in enumerate(manifest.vocabulary)}
+    ids: dict[str, None] = {}  # in order, and a set to find a repeated id
+    canvases: list[tuple[int, int]] = []
+    meta: list[dict[str, Any]] = []
+    counts, labels, boxes = array("q"), array("q"), array("d")
+    for record in records:
+        try:
+            rid, canvas, elements, record_meta = _read_record(record, label_ids)
+        except VocabularyError:
+            if strict:
+                raise
+            continue
+        if rid in ids:
+            raise SchemaError(f"duplicate layout id {rid!r}")
+        ids[rid] = None
+        canvases.append((canvas.width, canvas.height))
+        counts.append(len(elements))
+        meta.append(record_meta)
+        for label, left, top, width, height in elements:
+            labels.append(label_ids[label])
+            boxes.extend((left, top, width, height))
 
-    Records with labels outside the vocabulary raise VocabularyError in
-    strict mode and are skipped otherwise. With ``check_counts`` the observed
-    per-split counts must match the manifest's declared sizes.
-    """
-    dataset = CanonicalDataset(manifest=manifest)
-    vocab = frozenset(manifest.vocabulary)
-    with collector_paused():
-        for record in records:
-            try:
-                layout = _read_record(record, vocab)
-            except VocabularyError:
-                if strict:
-                    raise
-                continue
-            if layout.id in dataset.layouts:
-                raise SchemaError(f"duplicate layout id {layout.id!r}")
-            dataset.layouts[layout.id] = layout
-
+    dataset = CanonicalDataset(
+        manifest=manifest, ids=list(ids),
+        splits=[str(m.get("split", "")) for m in meta],
+        canvases=canvases, counts=np.frombuffer(counts, dtype=np.int64), meta=meta,
+        labels=np.frombuffer(labels, dtype=np.int64),
+        boxes=np.frombuffer(boxes, dtype=np.float64).reshape(-1, 4))
     if check_counts and manifest.split_sizes:
         observed = dataset.split_counts()
         for split, expected in manifest.split_sizes.items():
             got = observed.get(split, 0)
             if got != expected:
-                raise SchemaError(
-                    f"split {split!r} has {got} layouts, manifest declares {expected}"
-                )
+                raise SchemaError(f"split {split!r} has {got} layouts, "
+                                  f"manifest declares {expected}")
     return dataset
 
 
 def export_records(dataset: CanonicalDataset) -> Iterator[dict[str, Any]]:
-    """Yield each layout's interchange record in dataset order, built as it
-    is read, so ``write_jsonl(export_records(dataset), path)`` never holds a
-    second copy of the corpus."""
-    for layout in dataset.layouts.values():
-        yield layout_to_record(layout)
-
-
-@contextmanager
-def collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector for a bulk build, and restore its
-    previous state on the way out, also when the build raises.
-
-    A corpus is tens of thousands of small objects, none in a reference
-    cycle, so reference counting frees all it needs to; with the collector
-    on, building them triggers collection after collection, and each full
-    one walks every live object, the corpus included.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+    """Yield each record as the interchange format writes it, in dataset
+    order, built as it is read, so ``write_jsonl(export_records(dataset),
+    path)`` never holds a second copy of the corpus."""
+    vocabulary = dataset.manifest.vocabulary
+    start = 0
+    for rid, (w, h), stop, meta in zip(dataset.ids, dataset.canvases,
+                                       np.cumsum(dataset.counts).tolist(), dataset.meta):
+        elements = zip(dataset.labels[start:stop].tolist(), dataset.boxes[start:stop].tolist())
+        yield {"id": rid, "canvas": {"w": w, "h": h},
+               "elements": [{"label": vocabulary[label], "bbox": box} for label, box in elements],
+               **meta}
+        start = stop
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
@@ -313,15 +330,14 @@ class AreaStats:
 def compute_area_stats(dataset: CanonicalDataset, split: str) -> AreaStats:
     """Mean of ``(width / W) * (height / H)`` per label over a split, each
     element's area on the unit canvas."""
-    layouts = dataset.by_split(split)
-    if not layouts:
+    rows, labels, unit = dataset.split_elements(split)
+    if not len(rows):
         raise EmptySplit(f"split {split!r} has no layouts")
-    areas: dict[str, list[float]] = {}
-    for layout in layouts:
-        w, h = float(layout.canvas.width), float(layout.canvas.height)
-        for e in layout.elements:
-            areas.setdefault(e.label, []).append((e.bbox.width / w) * (e.bbox.height / h))
-    means = {label: math.fsum(values) / len(values) for label, values in sorted(areas.items())}
+    areas = unit[:, 2] * unit[:, 3]
+    vocabulary = dataset.manifest.vocabulary
+    by_label = {vocabulary[i]: areas[labels == i] for i in np.unique(labels).tolist()}
+    means = {label: math.fsum(values.tolist()) / len(values)
+             for label, values in sorted(by_label.items())}
     return AreaStats(means=means)
 
 

@@ -21,17 +21,16 @@ language model may wrap around that grammar (prose, code fences, reordered
 style properties, missing wrapper tags).
 
 Element order is significant and preserved through every operation; the
-layout ``id`` and ``task_meta`` are not representable in the snippet
-grammar, so callers that need round-trip identity pass the id explicitly and
-keep metadata out of band.
+layout ``id`` is not representable in the snippet grammar, so callers that
+need round-trip identity pass the id explicitly.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import NegativeDimension, ParseFailure, ZeroCanvas
 
@@ -114,7 +113,6 @@ class Layout:
     id: str
     canvas: Canvas
     elements: tuple[Element, ...] = ()
-    task_meta: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.elements, tuple):
@@ -148,8 +146,7 @@ def normalize(layout: Layout) -> Layout:
                               e.bbox.width / w, e.bbox.height / h))
         for e in layout.elements
     )
-    return Layout(id=layout.id, canvas=Canvas(1, 1), elements=elements,
-                  task_meta=layout.task_meta)
+    return Layout(id=layout.id, canvas=Canvas(1, 1), elements=elements)
 
 
 def denormalize(layout: Layout, width: int, height: int) -> Layout:
@@ -164,8 +161,7 @@ def denormalize(layout: Layout, width: int, height: int) -> Layout:
                               e.bbox.width * w, e.bbox.height * h))
         for e in layout.elements
     )
-    return Layout(id=layout.id, canvas=Canvas(int(width), int(height)), elements=elements,
-                  task_meta=layout.task_meta)
+    return Layout(id=layout.id, canvas=Canvas(int(width), int(height)), elements=elements)
 
 
 _UNIT = BBox(0.0, 0.0, 1.0, 1.0)

@@ -60,16 +60,14 @@ import functools
 import json
 import logging
 import math
-import operator
 import zipfile
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import AreaStats, CanonicalDataset, collector_paused
+from .dataset import AreaStats, CanonicalDataset
 from .errors import EmptyIndex, EmptyLayout, EmptySplit, SchemaError, VersionMismatch
 from .model import BBox, Canvas, Element, HtmlSnippet, Layout, html_snippet, normalize
 from .transport import MAX_ELEMENTS, TransportPlan, solve_exact
@@ -257,39 +255,27 @@ def build_index(dataset: CanonicalDataset, split: str,
                 weights: CostWeights = DEFAULT_WEIGHTS) -> RetrievalIndex:
     """Index one split's layouts on the unit canvas, each box value divided
     by its canvas (``normalize``, bit for bit); empty layouts are skipped."""
-    layouts = dataset.by_split(split)
-    if not layouts:
+    rows, element_labels, unit = dataset.split_elements(split)
+    if not len(rows):
         raise EmptySplit(f"split {split!r} has no layouts to index")
-    label_ids = {label: i for i, label in enumerate(dataset.manifest.vocabulary)}
-    kept = []
-    for layout in layouts:
-        if not layout.elements:
-            logger.warning("skipping layout %r: no elements to index", layout.id)
-            continue
-        kept.append(layout)
-    if len(kept) < len(layouts):
+    counts = dataset.counts[rows]
+    if not counts.any():
+        raise EmptySplit(f"split {split!r} has no layouts with elements to index")
+    for row in rows[counts == 0].tolist():
+        logger.warning("skipping layout %r: no elements to index", dataset.ids[row])
+    if not counts.all():
         logger.warning("index over split %r skipped %d empty layouts",
-                       split, len(layouts) - len(kept))
-    with collector_paused():
-        counts = np.array([len(layout.elements) for layout in kept], dtype=np.int64)
-        real = np.arange(counts.max(initial=0)) < counts[:, None]
-        total = int(counts.sum())
-        labels = np.full(real.shape, -1, dtype=np.int64)
-        labels[real] = np.fromiter((label_ids[e.label] for layout in kept
-                                    for e in layout.elements), dtype=np.int64, count=total)
-        # Each box is read once. numpy's x / W is normalize's, and its
-        # left + width / 2.0 is BBox.cx, bit for bit.
-        ltwh = operator.attrgetter("left", "top", "width", "height")
-        left, top, width, height = np.fromiter(
-            chain.from_iterable(ltwh(e.bbox) for layout in kept for e in layout.elements),
-            dtype=np.float64, count=4 * total).reshape(-1, 4).T
-        w, h = np.repeat(np.array([(layout.canvas.width, layout.canvas.height)
-                                   for layout in kept], dtype=np.float64), counts, axis=0).T
-        left, top, width, height = left / w, top / h, width / w, height / h
-        coords = np.zeros(real.shape + (4,))
-        coords[real] = np.stack((left + width / 2.0, top + height / 2.0, width, height), axis=1)
-        return RetrievalIndex(dataset.manifest.vocabulary, [layout.id for layout in kept],
-                              labels, coords, weights)
+                       split, len(rows) - np.count_nonzero(counts))
+    kept, counts = rows[counts > 0], counts[counts > 0]
+    real = np.arange(counts.max()) < counts[:, None]
+    labels = np.full(real.shape, -1, dtype=np.int64)
+    labels[real] = element_labels
+    # numpy's left + width / 2.0 is BBox.cx, bit for bit.
+    left, top, width, height = unit.T
+    coords = np.zeros(real.shape + (4,))
+    coords[real] = np.stack((left + width / 2.0, top + height / 2.0, width, height), axis=1)
+    return RetrievalIndex(dataset.manifest.vocabulary, [dataset.ids[row] for row in kept.tolist()],
+                          labels, coords, weights)
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:

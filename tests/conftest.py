@@ -18,12 +18,14 @@ from layoutloom.dataset import (
     SaliencyRaster,
     compute_area_stats,
     ingest,
+    layout_to_record,
+    record_to_layout,
     save_area_stats,
     save_manifest,
     save_raster,
     write_jsonl,
 )
-from layoutloom.errors import EmptyLayout
+from layoutloom.errors import EmptyLayout, SchemaError, VocabularyError
 from layoutloom.model import BBox, Canvas, Element, Layout, normalize
 from layoutloom.pipeline import run_task
 from layoutloom.retrieval import RetrievalIndex, build_index, save_index
@@ -33,14 +35,13 @@ CANVAS_W, CANVAS_H = 513, 750
 VOCAB = ("text", "logo", "underlay")
 
 
-def make_layout(layout_id, canvas, boxes, labels=None, meta=None):
+def make_layout(layout_id, canvas, boxes, labels=None):
     """boxes: iterable of (left, top, width, height); labels default to 'text'."""
     labels = labels or ["text"] * len(boxes)
     elements = tuple(
         Element(label=lab, bbox=BBox(*box)) for lab, box in zip(labels, boxes)
     )
-    return Layout(id=layout_id, canvas=Canvas(*canvas), elements=elements,
-                  task_meta=dict(meta or {}))
+    return Layout(id=layout_id, canvas=Canvas(*canvas), elements=elements)
 
 
 def random_pixel_layout(rng, layout_id="", max_elements=8, vocabulary=("text", "logo", "underlay")):
@@ -170,6 +171,62 @@ def expansion_solve(cost):
     mass = flow / float(unit)
     used = flow > 0
     return TransportPlan(mass=mass, cost=math.fsum((mass[used] * c[used]).tolist()))
+
+
+# --- the object path: a corpus as one Layout per record -----------------------
+#
+# Ingest once built a Layout, an Element and a BBox for every element, and
+# export, the area statistics and the index read those objects. The columnar
+# corpus must give the same records, statistics and index arrays; these
+# functions are that path, kept as its oracle.
+
+META_KEYS = ("split", "saliency", "gradient", "text", "constraints")
+
+
+def object_path_ingest(records, manifest, strict=True):
+    """The ``(record, layout)`` pairs ingest keeps, in order, each layout by
+    ``record_to_layout``; raises what ingest raises."""
+    kept, seen = [], set()
+    for record in records:
+        try:
+            layout = record_to_layout(record, manifest.vocabulary)
+        except VocabularyError:
+            if strict:
+                raise
+            continue
+        if layout.id in seen:
+            raise SchemaError(f"duplicate layout id {layout.id!r}")
+        seen.add(layout.id)
+        kept.append((record, layout))
+    return kept
+
+
+def object_path_export(kept):
+    """Each kept layout as an interchange record with its record's metadata."""
+    return [dict(layout_to_record(layout),
+                 **{key: record[key] for key in META_KEYS if record.get(key) is not None})
+            for record, layout in kept]
+
+
+def object_path_split(kept, split):
+    """The layouts of the kept records in ``split``; a record without one is in ""."""
+    return [layout for record, layout in kept
+            if ("" if record.get("split") is None else str(record["split"])) == split]
+
+
+def object_path_area_means(layouts):
+    """Per label, the ``fsum`` mean of the element areas of the normalized layouts."""
+    areas = {}
+    for layout in layouts:
+        for e in normalize(layout).elements:
+            areas.setdefault(e.label, []).append(e.bbox.area)
+    return {label: math.fsum(v) / len(v) for label, v in sorted(areas.items())}
+
+
+def object_path_index(layouts, vocabulary):
+    """The index of the non-empty layouts, each normalized."""
+    return make_index([(layout.id, normalize(layout)) for layout in layouts if layout.elements],
+                      vocabulary)
 
 
 # --- scripted offline backend ------------------------------------------------

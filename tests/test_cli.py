@@ -81,6 +81,17 @@ class TestIndexAndRetrieve:
         assert lines[0].startswith("r00\t1.000000")
 
 
+    def test_build_over_a_split_of_empty_layouts_is_one_error_line(self, workspace, capsys):
+        empty = [dict(record, elements=[]) for record in _records(2)]
+        write_jsonl(empty, workspace / "empty.jsonl")
+        capsys.readouterr()
+        assert main(["index", "build", "--manifest", str(workspace / "manifest.json"),
+                     "--records", str(workspace / "empty.jsonl"),
+                     "--out", str(workspace / "index.json")]) == 1
+        assert capsys.readouterr().err == \
+            "error: EmptySplit: split 'train' has no layouts with elements to index\n"
+        assert not (workspace / "index.json").exists()
+
     @pytest.mark.parametrize("content, error", [
         (None, "FileNotFoundError"),
         ('{"id": "r00"}\n{"id": "r01"}\n', "SchemaError"),

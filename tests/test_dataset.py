@@ -1,7 +1,6 @@
 """Ingestion, interchange round-trips, area statistics, PGM rasters, and
 indented JSON."""
 
-import gc
 import json
 import math
 import re
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 
 from layoutloom.dataset import (
     AreaStats,
-    CanonicalDataset,
     DatasetManifest,
     PKU_MANIFEST,
     PUBLAYNET_MANIFEST,
@@ -43,9 +41,17 @@ from layoutloom.errors import (
     VocabularyError,
     ZeroCanvas,
 )
-from layoutloom.model import BBox, Canvas, Element, Layout, normalize
+from layoutloom.model import BBox, Canvas, normalize
 from layoutloom.retrieval import build_index
-from layoutloom.transport import MAX_ELEMENTS
+
+from conftest import (
+    META_KEYS,
+    object_path_area_means,
+    object_path_export,
+    object_path_index,
+    object_path_ingest,
+    object_path_split,
+)
 
 PKU_LIKE = DatasetManifest(name="mini", task_kind="content_aware",
                            vocabulary=("text", "logo", "underlay"))
@@ -99,11 +105,13 @@ class TestIngest:
     def test_layouts_in_pixels_and_keyed(self):
         record = _record("a", [{"label": "text", "bbox": [10, 20, 30, 40]}])
         dataset = ingest([record], PKU_LIKE)
-        lay = dataset.layouts["a"]
+        [exported] = export_records(dataset)
+        lay = record_to_layout(exported)
         assert lay == record_to_layout(record)
         assert lay.canvas == Canvas(100, 200)
         assert lay.elements[0].bbox == BBox(10.0, 20.0, 30.0, 40.0)
-        assert dataset.split_of("a") == "train"
+        assert dataset.ids == ["a"]
+        assert dataset.split_counts() == {"train": 1}
 
     def test_unknown_label_strict(self):
         record = _record("a", [{"label": "banner", "bbox": [0, 0, 10, 10]}])
@@ -116,7 +124,7 @@ class TestIngest:
             _record("b", [{"label": "text", "bbox": [0, 0, 10, 10]}]),
         ]
         dataset = ingest(records, PKU_LIKE, strict=False)
-        assert list(dataset.layouts) == ["b"]
+        assert dataset.ids == ["b"]
 
     def test_duplicate_id(self):
         records = [_record("a", []), _record("a", [])]
@@ -139,10 +147,9 @@ class TestIngest:
 
     def test_unlabeled_test_posters(self):
         record = _record("p", [], split="test", saliency="maps/p.pgm")
-        dataset = ingest([record], PKU_LIKE)
-        lay = dataset.layouts["p"]
-        assert lay.elements == ()
-        assert lay.task_meta["saliency"] == "maps/p.pgm"
+        [exported] = export_records(ingest([record], PKU_LIKE))
+        assert exported["elements"] == []
+        assert exported["saliency"] == "maps/p.pgm"
 
     def test_export_is_loss_free(self, tmp_path):
         records = [
@@ -177,10 +184,12 @@ class TestIngest:
 # scaled each value back. Ingest now keeps each value as read, and the index
 # and the area statistics divide where they read it. A separate record
 # reader and normalize-first computations are the reference: ingest must
-# give the same layouts, floats bit for bit, and the same errors, and the
-# index and the statistics must hold the bits that ``normalize`` gives.
+# export the same records, floats bit for bit, and raise the same errors,
+# and the index and the statistics must hold the bits that ``normalize``
+# gives.
 
-def _reference_record_to_layout(record, vocabulary=None):
+def _reference_read(record, vocabulary=None):
+    """A record as export writes it back, read by a reader of its own."""
     if not isinstance(record, Mapping):
         raise SchemaError(f"record must be an object, got {type(record).__name__}")
     try:
@@ -192,33 +201,37 @@ def _reference_record_to_layout(record, vocabulary=None):
     if isinstance(w, bool) or isinstance(h, bool) or not isinstance(w, int) \
             or not isinstance(h, int):
         raise SchemaError(f"record {rid!r} canvas must have integer w and h, got {canvas_obj!r}")
-    canvas = Canvas(w, h)
+    Canvas(w, h)
     vocab = set(vocabulary) if vocabulary is not None else None
+    raw_elements = record.get("elements", [])
+    if not isinstance(raw_elements, list):
+        raise SchemaError(f"record {rid!r} elements must be a list, got {raw_elements!r}")
     elements = []
-    for raw in record.get("elements", []):
+    for raw in raw_elements:
         try:
             label = str(raw["label"])
-            left, top, width, height = (float(v) for v in raw["bbox"])
+            box = [float(v) for v in raw["bbox"]]
+            left, top, width, height = box
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed element in record {rid!r}: {exc}") from exc
+        if any(math.isinf(v) or math.isnan(v) for v in box):
+            raise SchemaError(f"record {rid!r} has a bbox value that is not a finite number: "
+                              f"{raw['bbox']!r}")
         if vocab is not None and label not in vocab:
             raise VocabularyError(f"record {rid!r} uses label {label!r} outside the vocabulary")
-        elements.append(Element(label=label, bbox=BBox(left, top, width, height)))
-    meta = {k: record[k] for k in ("split", "saliency", "gradient", "text", "constraints")
-            if record.get(k) is not None}
-    return Layout(id=rid, canvas=canvas, elements=tuple(elements), task_meta=meta)
+        elements.append({"label": label, "bbox": box})
+    meta = {k: record[k] for k in META_KEYS if record.get(k) is not None}
+    return {"id": rid, "canvas": {"w": w, "h": h}, "elements": elements, **meta}
 
 
 def _reference_ingest(records, manifest, strict=True):
     layouts = []
     for record in records:
         try:
-            layout = _reference_record_to_layout(record, manifest.vocabulary)
+            layouts.append(_reference_read(record, manifest.vocabulary))
         except VocabularyError:
             if strict:
                 raise
-            continue
-        layouts.append(layout)
     return layouts
 
 
@@ -228,9 +241,14 @@ def _as_read(record):
                                   for e in record["elements"]])
 
 
-def _bits(layout):
-    """Everything a layout holds, with each float as its bytes."""
-    return (layout.id, layout.canvas, list(layout.task_meta.items()),
+def _bits(record):
+    """Everything an exported record holds, with each float as its bytes."""
+    return (record["id"], record["canvas"], [(k, record[k]) for k in META_KEYS if k in record],
+            [(e["label"], struct.pack("<4d", *e["bbox"])) for e in record["elements"]])
+
+
+def _layout_bits(layout):
+    return (layout.id, layout.canvas,
             [(e.label, struct.pack("<4d", e.bbox.left, e.bbox.top, e.bbox.width,
                                    e.bbox.height)) for e in layout.elements])
 
@@ -272,16 +290,18 @@ def _records(draw, elements=_elements, canvases=_canvases):
     return records
 
 
-# Elements that may be malformed or carry a label outside the vocabulary,
-# and canvases that may be empty, to check which error comes first.
-_faulty_elements = st.lists(st.one_of(
+# Elements that may be malformed, not finite, not a list or carry a label
+# outside the vocabulary, and canvases that may be empty, to check which
+# error comes first.
+_faulty_elements = st.one_of(st.lists(st.one_of(
     st.fixed_dictionaries({
         "label": st.sampled_from(PKU_LIKE.vocabulary + ("banner",)),
         "bbox": st.one_of(st.lists(_coords, min_size=3, max_size=5),
-                          st.just("abcd"), st.just(7), st.just([1, None, 3, 4])),
+                          st.just("abcd"), st.just(7), st.just([1, None, 3, 4]),
+                          st.just([1, float("nan"), 3, 4]), st.just([-math.inf, 0, 1, 1])),
     }),
     st.just({"bbox": [0, 0, 1, 1]}),
-), max_size=6)
+), max_size=6), st.sampled_from([None, 7, True]))
 _faulty_canvases = st.one_of(_canvases, st.tuples(st.integers(0, 3), st.integers(0, 3)),
                              st.just(("640.5", "480")), st.just(("640", 480)),
                              st.just((640.0, 480)), st.just((True, 480)))
@@ -291,9 +311,11 @@ class TestPixelSpaceParity:
     @settings(max_examples=100, deadline=None)
     @given(_records())
     def test_ingest_equals_record_to_layout(self, records):
-        got = [_bits(lay) for lay in ingest(records, PKU_LIKE)]
-        assert got == [_bits(lay) for lay in _reference_ingest(records, PKU_LIKE)]
-        assert got == [_bits(record_to_layout(r, PKU_LIKE.vocabulary)) for r in records]
+        exported = list(export_records(ingest(records, PKU_LIKE)))
+        assert [_bits(r) for r in exported] == \
+            [_bits(r) for r in _reference_ingest(records, PKU_LIKE)]
+        assert [_layout_bits(record_to_layout(r)) for r in exported] == \
+            [_layout_bits(record_to_layout(r, PKU_LIKE.vocabulary)) for r in records]
 
     @settings(max_examples=100, deadline=None)
     @given(_records())
@@ -309,8 +331,8 @@ class TestPixelSpaceParity:
         corpus = ingest([dict(r, split="train") for r in records], PKU_LIKE)
         index = build_index(corpus, "train")
         assert list(index.ids) == [r["id"] for r in records]
-        for row, rid in enumerate(index.ids):
-            unit = normalize(corpus.layouts[rid])
+        for row, record in enumerate(records):
+            unit = normalize(record_to_layout(record))
             expected = np.array([(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
                                  for e in unit.elements])
             assert index.coords[row, :len(unit.elements)].tobytes() == expected.tobytes()
@@ -320,8 +342,8 @@ class TestPixelSpaceParity:
     def test_area_stats_equal_the_normalize_first_means(self, records):
         corpus = ingest([dict(r, split="train") for r in records], PKU_LIKE)
         areas = {}
-        for layout in corpus:
-            for e in normalize(layout).elements:
+        for record in records:
+            for e in normalize(record_to_layout(record)).elements:
                 areas.setdefault(e.label, []).append(e.bbox.area)
         expected = {label: math.fsum(v) / len(v) for label, v in sorted(areas.items())}
         got = compute_area_stats(corpus, "train").means
@@ -332,8 +354,9 @@ class TestPixelSpaceParity:
     @settings(max_examples=200, deadline=None)
     @given(_records(elements=_faulty_elements, canvases=_faulty_canvases), st.booleans())
     def test_errors_keep_their_type_message_and_order(self, records, strict):
-        got = _outcome(lambda: [_bits(lay) for lay in ingest(records, PKU_LIKE, strict=strict)])
-        expected = _outcome(lambda: [_bits(lay) for lay in
+        got = _outcome(lambda: [_bits(r) for r in
+                                export_records(ingest(records, PKU_LIKE, strict=strict))])
+        expected = _outcome(lambda: [_bits(r) for r in
                                      _reference_ingest(records, PKU_LIKE, strict=strict)])
         assert got == expected
 
@@ -349,7 +372,7 @@ class TestPixelSpaceParity:
                                  {"label": "banner", "bbox": [0, 0, 1, 1]},
                                  {"label": "text", "bbox": [1, 2, 3]}]),
                    _record("b", [{"label": "logo", "bbox": [0, 0, 5, 5]}])]
-        assert list(ingest(records, PKU_LIKE, strict=False).layouts) == ["b"]
+        assert ingest(records, PKU_LIKE, strict=False).ids == ["b"]
         with pytest.raises(VocabularyError, match="'banner'"):
             ingest(records, PKU_LIKE)
 
@@ -360,10 +383,56 @@ class TestPixelSpaceParity:
 
     def test_unit_canvas_comes_back_unchanged(self):
         record = _record("a", [{"label": "text", "bbox": [3, 0.25, 0.5, 7]}], canvas=(1, 1))
-        layout = ingest([record], PKU_LIKE).layouts["a"]
-        assert layout == record_to_layout(record)
         assert list(export_records(ingest([record], PKU_LIKE))) == [
             dict(record, elements=[{"label": "text", "bbox": [3.0, 0.25, 0.5, 7.0]}])]
+
+
+# Labels outside the vocabulary one time in ten, so lenient ingest skips
+# records and strict ingest refuses them; layouts may be empty.
+_mixed_elements = st.lists(st.fixed_dictionaries({
+    "label": st.sampled_from(PKU_LIKE.vocabulary * 3 + ("banner",)),
+    "bbox": st.lists(_coords, min_size=4, max_size=4),
+}), max_size=6)
+
+
+def _packed(means):
+    return list(means), [struct.pack("<d", v) for v in means.values()]
+
+
+class TestColumnsEqualTheObjectPath:
+    @settings(max_examples=150, deadline=None)
+    @given(_records(elements=_mixed_elements), st.booleans())
+    def test_export_area_means_and_index_arrays(self, records, strict):
+        try:
+            kept = object_path_ingest(records, PKU_LIKE, strict)
+        except LayoutLoomError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                ingest(records, PKU_LIKE, strict=strict)
+            return
+        corpus = ingest(records, PKU_LIKE, strict=strict)
+        assert [json.dumps(r, sort_keys=True) for r in export_records(corpus)] == \
+            [json.dumps(r, sort_keys=True) for r in object_path_export(kept)]
+        for split in ("train", "test", ""):
+            layouts = object_path_split(kept, split)
+            if not layouts:
+                with pytest.raises(EmptySplit):
+                    compute_area_stats(corpus, split)
+                with pytest.raises(EmptySplit):
+                    build_index(corpus, split)
+                continue
+            assert _packed(compute_area_stats(corpus, split).means) == \
+                _packed(object_path_area_means(layouts))
+            if not any(layout.elements for layout in layouts):
+                with pytest.raises(EmptySplit, match="no layouts with elements"):
+                    build_index(corpus, split)
+                continue
+            index = build_index(corpus, split)
+            oracle = object_path_index(layouts, PKU_LIKE.vocabulary)
+            assert index.ids == oracle.ids
+            for name in ("labels", "coords"):
+                got, expected = getattr(index, name), getattr(oracle, name)
+                assert (got.dtype, got.shape, got.tobytes()) == \
+                    (expected.dtype, expected.shape, expected.tobytes())
 
 
 class TestStreamingExport:
@@ -379,7 +448,7 @@ class TestStreamingExport:
         path = tmp_path_factory.mktemp("export") / "out.jsonl"
         write_jsonl(export_records(corpus), path)
         expected = "".join(json.dumps(r, sort_keys=True) + "\n"
-                           for r in [layout_to_record(lay) for lay in corpus])
+                           for r in export_records(corpus))
         assert path.read_bytes() == expected.encode("utf-8")
 
     def test_a_failing_record_leaves_the_previous_file(self, tmp_path):
@@ -396,46 +465,6 @@ class TestStreamingExport:
             write_jsonl(records(), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["dataset.jsonl"]
-
-
-@pytest.fixture
-def collector_state():
-    """Restore the cyclic collector's state after a test that changes it."""
-    was_enabled = gc.isenabled()
-    yield
-    (gc.enable if was_enabled else gc.disable)()
-
-
-def _too_large_for_an_index():
-    layout = Layout("big", Canvas(1, 1),
-                    tuple(Element("text", BBox(0.0, 0.0, 0.1, 0.1))
-                          for _ in range(MAX_ELEMENTS + 1)),
-                    task_meta={"split": "train"})
-    return CanonicalDataset(PKU_LIKE, {"big": layout})
-
-
-class TestBulkBuildsKeepTheCollectorState:
-    @pytest.mark.usefixtures("collector_state")
-    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-    @pytest.mark.parametrize("build, error", [
-        (lambda: ingest([_record("a", [{"label": "text", "bbox": [0, 0, 5, 5]}])],
-                        PKU_LIKE), None),
-        (lambda: ingest([_record("a", []), _record("a", [])], PKU_LIKE), SchemaError),
-        (lambda: ingest([_record("a", [{"label": "banner", "bbox": [0, 0, 5, 5]}])],
-                        PKU_LIKE), VocabularyError),
-        (lambda: build_index(ingest([_record("a", [{"label": "text", "bbox": [0, 0, 5, 5]}])],
-                                    PKU_LIKE), "train"), None),
-        (lambda: build_index(_too_large_for_an_index(), "train"), SchemaError),
-    ], ids=["ingest", "ingest-schema-error", "ingest-vocabulary-error", "build-index",
-            "build-index-schema-error"])
-    def test_state_is_restored(self, enabled, build, error):
-        (gc.enable if enabled else gc.disable)()
-        if error is None:
-            build()
-        else:
-            with pytest.raises(error):
-                build()
-        assert gc.isenabled() is enabled
 
 
 class TestAreaStats:
@@ -565,12 +594,36 @@ class TestRecordCodec:
         record = _record("a", [{"label": "text", "bbox": [1.0, 2.0, 3.0, 4.0]}],
                          text="desc", saliency="s.pgm")
         layout = record_to_layout(record)
-        assert layout_to_record(layout) == record
+        assert layout_to_record(layout) == {key: record[key] for key in ("id", "canvas", "elements")}
 
     def test_vocab_filter(self):
         record = _record("a", [{"label": "nope", "bbox": [0, 0, 1, 1]}])
         with pytest.raises(VocabularyError):
             record_to_layout(record, vocabulary=("text",))
+
+    @pytest.mark.parametrize("elements", [None, 7, 2.5, True])
+    def test_elements_that_are_not_a_list_are_refused(self, elements):
+        record = _record("a", elements)
+        message = re.escape(f"record 'a' elements must be a list, got {elements!r}")
+        with pytest.raises(SchemaError, match=message):
+            record_to_layout(record)
+        with pytest.raises(SchemaError, match=message):
+            ingest([record], PKU_LIKE, strict=False)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_box_values_that_are_not_finite_are_refused(self, tmp_path, text):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"id": "a", "split": "train", "canvas": {"w": 10, "h": 10}, '
+                        '"elements": [{"label": "text", "bbox": [0, 0, 5, 5]}, '
+                        f'{{"label": "text", "bbox": [1, 2, {text}, 4]}}]}}\n',
+                        encoding="utf-8")
+        [record] = read_jsonl(path)
+        message = re.escape("record 'a' has a bbox value that is not a finite number: "
+                            f"[1, 2, {float(text)!r}, 4]")
+        with pytest.raises(SchemaError, match=message):
+            record_to_layout(record)
+        with pytest.raises(SchemaError, match=message):
+            ingest([record], PKU_LIKE, strict=False)
 
     @pytest.mark.parametrize("w", [100.7, 100.0, "100", True, None])
     def test_canvas_that_is_not_integers_is_refused(self, w):

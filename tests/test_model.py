@@ -33,7 +33,6 @@ class TestNormalize:
         norm = normalize(lay)
         assert norm.elements[0].bbox == BBox(0.25, 0.25, 0.5, 0.5)
         assert norm.canvas == Canvas(1, 1)
-        assert norm.task_meta == lay.task_meta
 
     def test_unit_canvas_is_identity(self):
         lay = make_layout("a", (1, 1), [(0.2, 0.3, 0.4, 0.1)])
@@ -168,7 +167,6 @@ class TestParseHtml:
         )
         lay = parse_html(snippet, VOCAB)
         assert [e.label for e in lay.elements] == ["text"]
-        assert lay.task_meta == {}
 
     def test_parse_failure_on_garbage(self):
         with pytest.raises(ParseFailure):

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from layoutloom import retrieval
-from layoutloom.dataset import AreaStats, CanonicalDataset, DatasetManifest, ingest
+from layoutloom.dataset import AreaStats, DatasetManifest, ingest, record_to_layout
 from layoutloom.errors import EmptyIndex, EmptyLayout, SchemaError, VersionMismatch
 from layoutloom.model import BBox, Canvas, Element, Layout, denormalize, normalize, to_html
 from layoutloom.retrieval import (
@@ -205,13 +205,11 @@ class TestIndex:
                                        *[st.floats(-1e6, 1e6, allow_nan=False)] * 4),
                              max_size=25), min_size=1, max_size=6).filter(any))
     def test_build_stores_each_box_as_bbox_reads_it(self, layouts):
-        dataset = CanonicalDataset(manifest=MANIFEST)
-        for i, boxes in enumerate(layouts):
-            dataset.layouts[f"r{i}"] = Layout(
-                id=f"r{i}", canvas=Canvas(1, 1), task_meta={"split": "train"},
-                elements=tuple(_element(*box) for box in boxes))
-        index = build_index(dataset, "train")
-        kept = [dataset.layouts[rid] for rid in index.ids]
+        records = [{"id": f"r{i}", "split": "train", "canvas": {"w": 1, "h": 1},
+                    "elements": [{"label": label, "bbox": box} for label, *box in boxes]}
+                   for i, boxes in enumerate(layouts)]
+        index = build_index(ingest(records, MANIFEST), "train")
+        kept = [layout for layout in map(record_to_layout, records) if layout.elements]
         assert list(index.ids) == [f"r{i}" for i, boxes in enumerate(layouts) if boxes]
         for row, layout in enumerate(kept):
             n = len(layout.elements)
@@ -894,7 +892,6 @@ class TestPseudoLayout:
         assert text_box.width == pytest.approx(0.3, abs=1e-12)
         assert text_box.cx == pytest.approx(0.5, abs=1e-12)
         assert lay.canvas == Canvas(1, 1)
-        assert lay.task_meta == {}
 
     def test_default_area_without_stats(self):
         lay = pseudo_layout({"underlay": 1})
