@@ -8,12 +8,9 @@ from .model import (
     Element,
     HtmlSnippet,
     Layout,
-    ValidationReport,
     denormalize,
-    normalize,
     parse_html,
     to_html,
-    validate_layout,
 )
 from .dataset import (
     AreaStats,

@@ -136,7 +136,7 @@ class CanonicalDataset:
     def split_elements(self, split: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ascending positions of the records in ``split``, and their
         elements' labels and boxes on the unit canvas: each box value
-        divided by its canvas side, ``x / W`` as ``normalize`` divides."""
+        divided by its canvas side, ``x / W`` as ``model.unit_boxes`` divides."""
         in_split = np.array([s == split for s in self.splits], dtype=bool)
         sides = np.array(self.canvases, dtype=np.float64).reshape(-1, 2)[in_split]
         in_split_elements = np.repeat(in_split, self.counts)

@@ -1,11 +1,12 @@
 """Quantitative layout evaluation.
 
 Graphic metrics (alignment, overlap, maximum IoU, underlay effectiveness,
-validity) are defined on normalized coordinates and therefore invariant to
-canvas pixel scale; every function normalizes its inputs, so pixel-space and
-normalized layouts give identical values. Content metrics (occlusion,
-utilization, readability) read ingested saliency/gradient rasters with pixel
-membership decided by the pixel center. The size-reasonableness score
+validity) are defined on unit coordinates and therefore invariant to canvas
+pixel scale: every metric reads the arrays of ``model.unit_boxes``, so
+pixel-space and unit-canvas layouts give identical values. The intersection
+area of two boxes has one definition, ``_intersections``. Content metrics
+(occlusion, utilization, readability) read ingested saliency/gradient rasters
+with pixel membership decided by the pixel center. The size-reasonableness score
 compares per-label mean areas against training-set references inside a
 log-symmetric tolerance band:
 
@@ -22,10 +23,9 @@ do not depend on element order.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -37,42 +37,34 @@ from .errors import (
     MissingLabelStats,
     ZeroTrainingArea,
 )
-from .model import BBox, Layout, normalize, validate_layout
+from .model import Layout, UnitBoxes, unit_boxes
 
 DEFAULT_TOLERANCE_RATIO = 1.1
+
+# The unit canvas as a box, and the least share of it a valid element covers.
+_UNIT = np.array([0.0, 0.0, 1.0, 1.0])
+MIN_AREA_RATIO = 0.001
 
 
 # --- graphic metrics --------------------------------------------------------
 
-class UnitBoxes(NamedTuple):
-    """Layouts' elements on the unit canvas, padded to the longest layout.
-
-    ``ltwh`` (L, n, 4) holds each element's left, top, width and height,
-    each ``x / W`` as :func:`normalize` computes it, and NaN past a layout's
-    last element; ``counts`` the element counts and ``labels`` every
-    element's label, layout after layout.
-    """
-
-    ltwh: np.ndarray
-    counts: list[int]
-    labels: tuple[str, ...]
-
-
-_LTWH = operator.attrgetter("left", "top", "width", "height")
-_PAD = [(math.nan,) * 4]
+def _intersections(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection areas of the (left, top, width, height) boxes ``a`` and
+    ``b`` (..., 4), broadcast together; 0 where they do not meet. An extent
+    is ``min(ends) - max(starts)`` with Python's ``min`` and ``max`` argument
+    order, ``a`` first, so NaN coordinates give what a loop gives."""
+    start_a, start_b = a[..., :2], b[..., :2]
+    with np.errstate(invalid="ignore", over="ignore"):
+        end_a, end_b = start_a + a[..., 2:], start_b + b[..., 2:]
+        extent = (np.where(end_b < end_a, end_b, end_a)
+                  - np.where(start_b > start_a, start_b, start_a))
+        w, h = extent[..., 0], extent[..., 1]
+        return np.where((w <= 0.0) | (h <= 0.0), 0.0, w * h)
 
 
-def unit_boxes(layouts: Sequence[Layout]) -> UnitBoxes:
-    """The elements of ``layouts`` as :class:`UnitBoxes`. Dividing a unit
-    layout's values by 1 changes no bit, so every layout is divided."""
-    counts = [len(layout.elements) for layout in layouts]
-    n = max(counts, default=0)
-    ltwh = np.array([[_LTWH(e.bbox) for e in layout.elements] + _PAD * (n - count)
-                     for layout, count in zip(layouts, counts)],
-                    dtype=np.float64).reshape(len(layouts), n, 4)
-    ltwh /= np.array([(layout.canvas.width, layout.canvas.height) * 2 for layout in layouts],
-                     dtype=np.float64).reshape(-1, 1, 4)
-    return UnitBoxes(ltwh, counts, tuple(e.label for layout in layouts for e in layout.elements))
+def _areas(ltwh: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore", over="ignore"):
+        return ltwh[..., 2] * ltwh[..., 3]
 
 
 def alignments(boxes: UnitBoxes) -> list[float]:
@@ -107,10 +99,8 @@ def overlaps(boxes: UnitBoxes, exclude_labels: Iterable[str] = ()) -> list[float
 
     Elements whose label is excluded take part in neither the pairs nor the
     denominator. Zero or one participating element, or a denominator that
-    is not positive, gives 0. A pair's extent along an axis is
-    ``min(ends) - max(starts)`` with Python's ``min`` and ``max`` argument
-    order, earlier element first, so NaN coordinates give what a loop over
-    the pairs gives.
+    is not positive, gives 0. A pair's intersection is
+    :func:`_intersections` of the earlier element and the later one.
     """
     n = boxes.ltwh.shape[1]
     keep = np.arange(n) < np.array(boxes.counts, dtype=np.int64)[:, None]
@@ -119,15 +109,8 @@ def overlaps(boxes: UnitBoxes, exclude_labels: Iterable[str] = ()) -> list[float
         keep[keep] = np.fromiter((label not in excluded for label in boxes.labels),
                                  dtype=bool, count=len(boxes.labels))
     pairs = keep[:, :, None] & keep[:, None] & (np.arange(n)[:, None] < np.arange(n))
-    start, size = boxes.ltwh[:, :, :2], boxes.ltwh[:, :, 2:]
-    with np.errstate(invalid="ignore", over="ignore"):
-        end = start + size
-        # min(end_i, end_j) - max(start_i, start_j) along x and y at once.
-        s_i, s_j, e_i, e_j = start[:, :, None], start[:, None], end[:, :, None], end[:, None]
-        extent = np.where(e_j < e_i, e_j, e_i) - np.where(s_j > s_i, s_j, s_i)
-        w, h = extent[..., 0], extent[..., 1]
-        inter = np.where((w <= 0.0) | (h <= 0.0), 0.0, w * h)
-        areas = size[..., 0] * size[..., 1]
+    inter = _intersections(boxes.ltwh[:, :, None], boxes.ltwh[:, None])
+    areas = _areas(boxes.ltwh)
     # Left-out pairs and elements count as exact zeros, which change no fsum.
     inter_rows = np.where(pairs, inter, 0.0).reshape(len(inter), -1).tolist()
     area_rows = np.where(keep, areas, 0.0).tolist()
@@ -136,6 +119,18 @@ def overlaps(boxes: UnitBoxes, exclude_labels: Iterable[str] = ()) -> list[float
         denom = math.fsum(area_row) if count >= 2 else 0.0
         out.append(0.0 if denom <= 0.0 else math.fsum(inter_row) / denom)
     return out
+
+
+def validities(boxes: UnitBoxes) -> list[float]:
+    """Share of valid elements in each layout; 1 for an empty layout.
+
+    An element is valid when its area is at least ``MIN_AREA_RATIO`` of the
+    canvas and it meets the unit canvas in a positive area.
+    """
+    # Padding is NaN, so it is never valid.
+    valid = (_areas(boxes.ltwh) >= MIN_AREA_RATIO) & (_intersections(boxes.ltwh, _UNIT) > 0.0)
+    return [k / count if count else 1.0
+            for k, count in zip(valid.sum(axis=1).tolist(), boxes.counts)]
 
 
 def alignment(layout: Layout) -> float:
@@ -148,14 +143,6 @@ def overlap(layout: Layout, exclude_labels: Iterable[str] = ()) -> float:
     return overlaps(unit_boxes([layout]), exclude_labels)[0]
 
 
-def _iou(a: BBox, b: BBox) -> float:
-    inter = a.intersection_area(b)
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def max_iou(generated: Layout, reference: Layout) -> float:
     """Mean IoU under the best label-preserving one-to-one matching.
 
@@ -166,73 +153,78 @@ def max_iou(generated: Layout, reference: Layout) -> float:
     """
     if not generated.elements or not reference.elements:
         raise EmptyLayout("maximum IoU needs two non-empty layouts")
-    gen, ref = normalize(generated), normalize(reference)
-    by_label_gen: dict[str, list[BBox]] = {}
-    by_label_ref: dict[str, list[BBox]] = {}
-    for e in gen.elements:
-        by_label_gen.setdefault(e.label, []).append(e.bbox)
-    for e in ref.elements:
-        by_label_ref.setdefault(e.label, []).append(e.bbox)
+    boxes = unit_boxes([generated, reference])
+    gen = boxes.ltwh[0, :len(generated.elements), None]
+    ref = boxes.ltwh[1, :len(reference.elements)]
+    inter = _intersections(gen, ref)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        union = _areas(gen) + _areas(ref) - inter
+        iou = np.where(union <= 0.0, 0.0, inter / union)
+    gen_labels, ref_labels = generated.labels(), reference.labels()
 
     total = 0.0
     slots = 0
-    for label in sorted(set(by_label_gen) | set(by_label_ref)):
-        g = by_label_gen.get(label, [])
-        r = by_label_ref.get(label, [])
+    for label in sorted(set(gen_labels) | set(ref_labels)):
+        g = [i for i, other in enumerate(gen_labels) if other == label]
+        r = [j for j, other in enumerate(ref_labels) if other == label]
         slots += max(len(g), len(r))
         if not g or not r:
             continue
-        scores = np.array([[_iou(gb, rb) for rb in r] for gb in g])
+        scores = iou[np.ix_(g, r)]
         rows, cols = linear_sum_assignment(scores, maximize=True)
-        total += math.fsum(float(scores[i, j]) for i, j in zip(rows, cols))
+        total += math.fsum(scores[rows, cols].tolist())
     return total / slots
+
+
+def _underlays(layout: Layout, underlay_label: str) -> tuple[np.ndarray, np.ndarray]:
+    """The unit boxes of the layout's underlays and of its other elements."""
+    ltwh = unit_boxes([layout]).ltwh[0]
+    is_under = np.array([e.label == underlay_label for e in layout.elements], dtype=bool)
+    return ltwh[is_under], ltwh[~is_under]
 
 
 def underlay_loose(layout: Layout, underlay_label: str = "underlay") -> float | None:
     """Mean best coverage ratio of content by each underlay; None without underlays."""
-    lay = normalize(layout)
-    unders = [e.bbox for e in lay.elements if e.label == underlay_label]
-    content = [e.bbox for e in lay.elements if e.label != underlay_label]
-    if not unders:
+    unders, content = _underlays(layout, underlay_label)
+    if not len(unders):
         return None
-    scores = []
-    for u in unders:
-        best = 0.0
-        for c in content:
-            if c.area <= 0.0:
-                continue
-            best = max(best, c.intersection_area(u) / c.area)
-        scores.append(best)
-    return math.fsum(scores) / len(scores)
+    areas = _areas(content)[:, None]
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        ratios = np.where(areas <= 0.0, 0.0, _intersections(content[:, None], unders) / areas)
+    # A NaN ratio is never the best, as in a loop keeping ``ratio > best``.
+    best = np.fmax.reduce(ratios, axis=0, initial=0.0)
+    return math.fsum(best.tolist()) / len(best)
 
 
 def underlay_strict(layout: Layout, underlay_label: str = "underlay") -> float | None:
     """Fraction of underlays fully containing at least one content element."""
-    lay = normalize(layout)
-    unders = [e.bbox for e in lay.elements if e.label == underlay_label]
-    content = [e.bbox for e in lay.elements if e.label != underlay_label]
-    if not unders:
+    unders, content = _underlays(layout, underlay_label)
+    if not len(unders):
         return None
-    hits = sum(1 for u in unders if any(u.contains(c) for c in content))
-    return hits / len(unders)
+    u_start, c_start = unders[:, None, :2], content[:, :2]
+    with np.errstate(invalid="ignore", over="ignore"):
+        u_end, c_end = u_start + unders[:, None, 2:], c_start + content[:, 2:]
+    contains = ((u_start <= c_start) & (u_end >= c_end)).all(axis=2)
+    return int(np.count_nonzero(contains.any(axis=1))) / len(unders)
 
 
 # --- content metrics --------------------------------------------------------
 
 def _coverage_mask(layout: Layout, width: int, height: int,
                    labels: Iterable[str] | None = None) -> np.ndarray:
-    """Boolean pixel grid; a pixel is covered when its center falls in a box."""
-    lay = normalize(layout)
-    wanted = set(labels) if labels is not None else None
+    """Boolean pixel grid; a pixel is covered when its center falls in a box.
+    Edges are clamped to the grid before they become integers."""
+    ltwh = unit_boxes([layout]).ltwh[0]
+    if labels is not None:
+        wanted = set(labels)
+        ltwh = ltwh[np.array([e.label in wanted for e in layout.elements], dtype=bool)]
+    side = np.array([width, height] * 2, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        edges = np.concatenate((ltwh[:, :2], ltwh[:, :2] + ltwh[:, 2:]), axis=1)
+        bounds = np.ceil(np.clip(edges * side - 0.5, 0.0, side))
     mask = np.zeros((height, width), dtype=bool)
-    for e in lay.elements:
-        if wanted is not None and e.label not in wanted:
-            continue
-        b = e.bbox
-        x0 = max(0, math.ceil(b.left * width - 0.5))
-        x1 = min(width, math.ceil(b.right * width - 0.5))
-        y0 = max(0, math.ceil(b.top * height - 0.5))
-        y1 = min(height, math.ceil(b.bottom * height - 0.5))
+    for x0, y0, x1, y1 in bounds.tolist():
+        x0, y0, x1, y1 = int(x0), int(y0), int(x1), int(y1)
         if x1 > x0 and y1 > y0:
             mask[y0:y1, x0:x1] = True
     return mask
@@ -300,11 +292,11 @@ def size_reasonableness(population: Sequence[Layout], stats: AreaStats,
     if not population:
         raise EmptyLayout("size reasonableness needs a non-empty population")
     tau = math.log(tolerance_ratio)
+    boxes = unit_boxes(population)
+    real = np.arange(boxes.ltwh.shape[1]) < np.array(boxes.counts)[:, None]
     areas: dict[str, list[float]] = {}
-    for layout in population:
-        lay = normalize(layout)
-        for e in lay.elements:
-            areas.setdefault(e.label, []).append(e.bbox.area)
+    for label, area in zip(boxes.labels, _areas(boxes.ltwh)[real].tolist()):
+        areas.setdefault(label, []).append(area)
 
     ratios: dict[str, float] = {}
     deviations: dict[str, float] = {}
@@ -379,7 +371,7 @@ def layout_samples(layout: Layout, reference: Layout | None = None,
     if layout.elements:
         samples["align"] = alignments(boxes)[0]
     samples["overlap"] = overlaps(boxes, exclude_overlap_labels)[0]
-    samples["val"] = validate_layout(layout).fraction
+    samples["val"] = validities(boxes)[0]
     for name, metric in (("und_l", underlay_loose), ("und_s", underlay_strict)):
         if (value := metric(layout)) is not None:
             samples[name] = value
@@ -401,7 +393,8 @@ def population_report(generated: Sequence[Layout], samples: Sequence[Mapping[str
     ``samples[i]`` holds ``layout_samples`` of ``generated[i]``. Each
     per-layout metric is the mean over the layouts that have a sample for it;
     a metric no layout has carries its skip reason. Size reasonableness is
-    scored over the non-empty layouts. ``metrics`` limits the report to
+    scored over the non-empty layouts, and skipped when one of their labels
+    has no positive training-set area. ``metrics`` limits the report to
     those names.
     """
     wanted = set(metrics) if metrics is not None else None
@@ -419,11 +412,16 @@ def population_report(generated: Sequence[Layout], samples: Sequence[Mapping[str
 
     if wanted is None or "r_e" in wanted:
         non_empty = [lay for lay in generated if lay.elements]
-        if stats is not None and non_empty:
-            values["r_e"] = size_reasonableness(non_empty, stats).value
-            notes["r_e"] = "computed"
-        else:
+        if stats is None or not non_empty:
             notes["r_e"] = "skipped(no_area_stats)" if stats is None else "skipped(no_elements)"
+        else:
+            try:
+                values["r_e"] = size_reasonableness(non_empty, stats).value
+                notes["r_e"] = "computed"
+            except MissingLabelStats:
+                notes["r_e"] = "skipped(missing_label_stats)"
+            except ZeroTrainingArea:
+                notes["r_e"] = "skipped(zero_training_area)"
 
     return MetricReport(values=values, applicability=notes,
                         population_size=len(generated))

@@ -1,11 +1,11 @@
-"""Canonical layout types, normalization, validation, and HTML serialization.
+"""Canonical layout types, unit coordinates, and HTML serialization.
 
 A Layout is an ordered set of labeled rectangles on a fixed canvas, and its
 bbox fields are always in that canvas's coordinates: pixels of a W x H
-canvas, or fractions of the 1x1 unit canvas that :func:`normalize` returns.
-A unit-canvas layout remembers no pixel size; :func:`denormalize` is told
-the canvas to scale it to. Unit coordinates are computed where they are
-read: by the metrics, the ranker and retrieval.
+canvas, or fractions of the 1x1 unit canvas. A unit-canvas layout remembers
+no pixel size; :func:`denormalize` is told the canvas to scale it to.
+:func:`unit_boxes` is the one conversion from a canvas to unit coordinates,
+each value ``x / W``: the metrics, the ranker and retrieval read its arrays.
 
 The HTML snippet grammar emitted by :func:`to_html` is canonical and
 byte-stable:
@@ -28,9 +28,12 @@ need round-trip identity pass the id explicitly.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import NegativeDimension, ParseFailure, ZeroCanvas
 
@@ -61,31 +64,8 @@ class BBox:
         return self.top + self.height
 
     @property
-    def cx(self) -> float:
-        return self.left + self.width / 2.0
-
-    @property
-    def cy(self) -> float:
-        return self.top + self.height / 2.0
-
-    @property
     def area(self) -> float:
         return self.width * self.height
-
-    def intersection_area(self, other: "BBox") -> float:
-        w = min(self.right, other.right) - max(self.left, other.left)
-        h = min(self.bottom, other.bottom) - max(self.top, other.top)
-        if w <= 0.0 or h <= 0.0:
-            return 0.0
-        return w * h
-
-    def contains(self, other: "BBox") -> bool:
-        return (
-            self.left <= other.left
-            and self.top <= other.top
-            and self.right >= other.right
-            and self.bottom >= other.bottom
-        )
 
 
 @dataclass(frozen=True)
@@ -126,27 +106,35 @@ class Layout:
         return tuple(e.label for e in self.elements)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    flags: tuple[bool, ...]
-    fraction: float
+class UnitBoxes(NamedTuple):
+    """Layouts' elements on the unit canvas, padded to the longest layout.
 
-
-def normalize(layout: Layout) -> Layout:
-    """Rescale all bbox fields into the unit square, each as ``x / W``.
-
-    Idempotent: a layout whose canvas is already 1x1 is returned unchanged.
+    ``ltwh`` (L, n, 4) holds each element's left, top, width and height,
+    each ``x / W`` of its layout's canvas, and NaN past a layout's last
+    element; ``counts`` the element counts and ``labels`` every element's
+    label, layout after layout.
     """
-    if layout.is_normalized:
-        return layout
-    w = float(layout.canvas.width)
-    h = float(layout.canvas.height)
-    elements = tuple(
-        Element(e.label, BBox(e.bbox.left / w, e.bbox.top / h,
-                              e.bbox.width / w, e.bbox.height / h))
-        for e in layout.elements
-    )
-    return Layout(id=layout.id, canvas=Canvas(1, 1), elements=elements)
+
+    ltwh: np.ndarray
+    counts: list[int]
+    labels: tuple[str, ...]
+
+
+_LTWH = operator.attrgetter("left", "top", "width", "height")
+_PAD = [(math.nan,) * 4]
+
+
+def unit_boxes(layouts: Sequence[Layout]) -> UnitBoxes:
+    """The elements of ``layouts`` as :class:`UnitBoxes`. Dividing a unit
+    layout's values by 1 changes no bit, so every layout is divided."""
+    counts = [len(layout.elements) for layout in layouts]
+    n = max(counts, default=0)
+    ltwh = np.array([[_LTWH(e.bbox) for e in layout.elements] + _PAD * (n - count)
+                     for layout, count in zip(layouts, counts)],
+                    dtype=np.float64).reshape(len(layouts), n, 4)
+    ltwh /= np.array([(layout.canvas.width, layout.canvas.height) * 2 for layout in layouts],
+                     dtype=np.float64).reshape(-1, 1, 4)
+    return UnitBoxes(ltwh, counts, tuple(e.label for layout in layouts for e in layout.elements))
 
 
 def denormalize(layout: Layout, width: int, height: int) -> Layout:
@@ -162,25 +150,6 @@ def denormalize(layout: Layout, width: int, height: int) -> Layout:
         for e in layout.elements
     )
     return Layout(id=layout.id, canvas=Canvas(int(width), int(height)), elements=elements)
-
-
-_UNIT = BBox(0.0, 0.0, 1.0, 1.0)
-
-
-def validate_layout(layout: Layout, min_area_ratio: float = 0.001) -> ValidationReport:
-    """Flag each element as valid when it has enough area and touches the canvas.
-
-    An element is valid iff its area is at least ``min_area_ratio`` of the
-    canvas and its intersection with the unit canvas has positive area. The
-    layout must be normalized. An empty layout is vacuously all-valid.
-    """
-    lay = normalize(layout)
-    flags = tuple(
-        e.bbox.area >= min_area_ratio and e.bbox.intersection_area(_UNIT) > 0.0
-        for e in lay.elements
-    )
-    fraction = sum(flags) / len(flags) if flags else 1.0
-    return ValidationReport(flags=flags, fraction=fraction)
 
 
 _ELEMENT_DIV = '<div class="%s" style="left:%dpx; top:%dpx; width:%dpx; height:%dpx"></div>\n'

@@ -49,10 +49,9 @@ from .metrics import (
     layout_samples,
     overlaps,
     population_report,
-    unit_boxes,
     write_metrics_tsv,
 )
-from .model import Canvas, Layout, label_counts, normalize
+from .model import Canvas, Layout, label_counts, unit_boxes
 from .prompts import (
     ConstraintSpec,
     PromptBundle,
@@ -102,31 +101,34 @@ def _within_ratio(actual: float, target: float, tolerance: float) -> bool:
     return abs(actual - target) <= tolerance * target
 
 
-def _relation_holds(rel: str, a, b) -> bool:
+def _relation_holds(rel: str, a: Sequence[float], b: Sequence[float]) -> bool:
+    """Whether (left, top, width, height) boxes ``a`` and ``b`` hold ``rel``."""
+    (a_left, a_top, a_width, a_height), (b_left, b_top, b_width, b_height) = a, b
+    a_area, b_area = a_width * a_height, b_width * b_height
     if rel == "above":
-        return a.bottom <= b.top
+        return a_top + a_height <= b_top
     if rel == "below":
-        return a.top >= b.bottom
+        return a_top >= b_top + b_height
     if rel == "left-of":
-        return a.right <= b.left
+        return a_left + a_width <= b_left
     if rel == "right-of":
-        return a.left >= b.right
+        return a_left >= b_left + b_width
     if rel == "larger":
-        return a.area > b.area
+        return a_area > b_area
     if rel == "smaller":
-        return a.area < b.area
+        return a_area < b_area
     if rel == "equal":
-        bigger = max(a.area, b.area)
-        return bigger == 0 or abs(a.area - b.area) <= 0.1 * bigger
+        bigger = max(a_area, b_area)
+        return bigger == 0 or abs(a_area - b_area) <= 0.1 * bigger
     return False
 
 
-def _match_slots(candidate: Layout, labels: Sequence[str]) -> list:
+def _match_slots(candidate: Layout, boxes: Sequence, labels: Sequence[str]) -> list:
     """Map the i-th constraint slot of each label to the i-th candidate element
-    with that label; None when the candidate runs out."""
+    with that label, as its entry of ``boxes``; None when the candidate runs out."""
     pools: dict[str, list] = {}
-    for e in candidate.elements:
-        pools.setdefault(e.label, []).append(e.bbox)
+    for e, box in zip(candidate.elements, boxes):
+        pools.setdefault(e.label, []).append(box)
     taken: dict[str, int] = {}
     out = []
     for label in labels:
@@ -160,24 +162,25 @@ def constraint_satisfaction(candidate: Layout, constraint: ConstraintSpec) -> fl
         canvas = constraint.payload.get("canvas") or (candidate.canvas.width,
                                                       candidate.canvas.height)
         items = constraint.payload["elements"]
-        slots = _match_slots(normalize(candidate), [item["label"] for item in items])
+        slots = _match_slots(candidate, unit_boxes([candidate]).ltwh[0].tolist(),
+                             [item["label"] for item in items])
         for item, box in zip(items, slots):
             clauses.append(
                 box is not None
-                and _within_ratio(box.width, float(item["width"]) / float(canvas[0]), 0.1)
-                and _within_ratio(box.height, float(item["height"]) / float(canvas[1]), 0.1)
+                and _within_ratio(box[2], float(item["width"]) / float(canvas[0]), 0.1)
+                and _within_ratio(box[3], float(item["height"]) / float(canvas[1]), 0.1)
             )
 
     if kind == "gen_r":
         labels = list(constraint.payload["elements"])
-        slots = _match_slots(normalize(candidate), labels)
+        slots = _match_slots(candidate, unit_boxes([candidate]).ltwh[0].tolist(), labels)
         for si, rel, oi in constraint.payload.get("relations", []):
             a, b = slots[si], slots[oi]
             clauses.append(a is not None and b is not None and _relation_holds(rel, a, b))
 
     if kind == "completion":
         given = constraint.given_layout
-        slots = _match_slots(candidate, given.labels())
+        slots = _match_slots(candidate, [e.bbox for e in candidate.elements], given.labels())
         for e, box in zip(given.elements, slots):
             clauses.append(
                 box is not None
@@ -307,7 +310,7 @@ def _target_canvas(constraint: ConstraintSpec, item: Layout | None) -> Canvas:
 
 def _select_exemplars(query: Layout | None, index: RetrievalIndex, k: int,
                       cfg: PipelineConfig, run_id: str) -> tuple[list[str], str]:
-    if cfg.use_rag and query is not None:
+    if query is not None:
         ranked = topk_retrieve(query, index, k, exclude_self=True)
         return [rid for rid, _ in ranked], "ltsim"
     rng = random.Random(f"{cfg.seed}:{run_id}")
@@ -337,7 +340,7 @@ def generate_coarse(constraint: ConstraintSpec, index: RetrievalIndex,
     """Retrieve exemplars, fan out n candidates, rank, and return the best.
     ``rendered`` collects the item's exemplar snippets for ``refine_cot``."""
     vocabulary = index.vocabulary
-    query_lay = _query_layout(constraint, stats, query)
+    query_lay = _query_layout(constraint, stats, query) if cfg.use_rag else None
     canvas = _target_canvas(constraint, query)
     exemplar_ids, source = _select_exemplars(query_lay, index, cfg.k_coarse, cfg, run_id)
     exemplars = _exemplar_html(index, exemplar_ids, canvas, rendered)
@@ -738,10 +741,10 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
                 error = outcome.error
                 if error is not None:
                     failures += 1
-                    # A domain error's message says what went wrong; any other
-                    # error also gets its traceback.
+                    # A domain error's or an unreadable file's message says what
+                    # went wrong; any other error also gets its traceback.
                     run_logger.error("item %s: %s: %s", item_id, type(error).__name__, error,
-                                     exc_info=None if isinstance(error, LayoutLoomError)
+                                     exc_info=None if isinstance(error, (LayoutLoomError, OSError))
                                      else error)
                     continue
                 finals.append(outcome.final)

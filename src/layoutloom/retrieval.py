@@ -69,7 +69,7 @@ import numpy as np
 
 from .dataset import AreaStats, CanonicalDataset
 from .errors import EmptyIndex, EmptyLayout, EmptySplit, SchemaError, VersionMismatch
-from .model import BBox, Canvas, Element, HtmlSnippet, Layout, html_snippet, normalize
+from .model import BBox, Canvas, Element, HtmlSnippet, Layout, html_snippet, unit_boxes
 from .transport import MAX_ELEMENTS, TransportPlan, solve_exact
 
 logger = logging.getLogger(__name__)
@@ -104,11 +104,14 @@ DEFAULT_WEIGHTS = CostWeights()
 
 
 def _features(layout: Layout, vocabulary: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Label ids in ``vocabulary`` (else -2) and cx, cy, w, h of a layout's normalized elements."""
+    """Label ids in ``vocabulary`` (else -2) and cx, cy, w, h of a layout's
+    elements on the unit canvas, each center ``left + width / 2.0``."""
     label_ids = {label: i for i, label in enumerate(vocabulary)}
-    elements = normalize(layout).elements
-    return (np.array([label_ids.get(e.label, -2) for e in elements]),
-            np.array([(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height) for e in elements]))
+    ltwh = unit_boxes([layout]).ltwh[0]
+    with np.errstate(over="ignore"):
+        centers = ltwh[:, :2] + ltwh[:, 2:] / 2.0
+    return (np.array([label_ids.get(e.label, -2) for e in layout.elements]),
+            np.concatenate((centers, ltwh[:, 2:]), axis=1))
 
 
 def _ground_costs(q_labels: np.ndarray, q_feats: np.ndarray, labels: np.ndarray,
@@ -254,7 +257,7 @@ class RetrievalIndex:
 def build_index(dataset: CanonicalDataset, split: str,
                 weights: CostWeights = DEFAULT_WEIGHTS) -> RetrievalIndex:
     """Index one split's layouts on the unit canvas, each box value divided
-    by its canvas (``normalize``, bit for bit); empty layouts are skipped."""
+    by its canvas (``unit_boxes``, bit for bit); empty layouts are skipped."""
     rows, element_labels, unit = dataset.split_elements(split)
     if not len(rows):
         raise EmptySplit(f"split {split!r} has no layouts to index")
@@ -270,7 +273,7 @@ def build_index(dataset: CanonicalDataset, split: str,
     real = np.arange(counts.max()) < counts[:, None]
     labels = np.full(real.shape, -1, dtype=np.int64)
     labels[real] = element_labels
-    # numpy's left + width / 2.0 is BBox.cx, bit for bit.
+    # Each center is left + width / 2.0, as _features computes it.
     left, top, width, height = unit.T
     coords = np.zeros(real.shape + (4,))
     coords[real] = np.stack((left + width / 2.0, top + height / 2.0, width, height), axis=1)
@@ -518,9 +521,11 @@ def pseudo_layout(categories: Mapping[str, int], stats: AreaStats | None = None)
     Each required category contributes square boxes centered on the unit
     canvas, sized so their area equals the label's training-set mean (or
     ``PSEUDO_DEFAULT_AREA`` when the statistics do not have the label).
+    More than ``MAX_ELEMENTS`` boxes raise SchemaError before any is built.
     """
     if not categories:
         raise EmptyLayout("cannot build a pseudo layout from zero categories")
+    _check_size(sum(max(1, int(count)) for count in categories.values()), "retrieval query")
     elements = []
     for label, count in categories.items():
         area = PSEUDO_DEFAULT_AREA

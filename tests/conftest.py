@@ -25,8 +25,16 @@ from layoutloom.dataset import (
     save_raster,
     write_jsonl,
 )
-from layoutloom.errors import EmptyLayout, SchemaError, VocabularyError
-from layoutloom.model import BBox, Canvas, Element, Layout, normalize
+from layoutloom.errors import (
+    DimensionMismatch,
+    EmptyLayout,
+    MissingLabelStats,
+    SchemaError,
+    VocabularyError,
+    ZeroTrainingArea,
+)
+from layoutloom.metrics import ReScore
+from layoutloom.model import BBox, Canvas, Element, Layout, label_counts
 from layoutloom.pipeline import run_task
 from layoutloom.retrieval import RetrievalIndex, build_index, save_index
 from layoutloom.transport import TransportPlan
@@ -74,6 +82,11 @@ def random_normalized_layout(rng, layout_id="", max_elements=3,
     return Layout(id=layout_id, canvas=Canvas(1, 1), elements=tuple(elements))
 
 
+def center(box):
+    """A box's center, each coordinate ``left + width / 2.0``."""
+    return box.left + box.width / 2.0, box.top + box.height / 2.0
+
+
 def make_index(entries, vocabulary=VOCAB):
     """RetrievalIndex over (id, normalized layout) pairs, each layout's
     elements in order and padded with -1 labels to the largest layout."""
@@ -84,7 +97,7 @@ def make_index(entries, vocabulary=VOCAB):
     for row, (_, layout) in enumerate(entries):
         for col, e in enumerate(layout.elements):
             labels[row, col] = label_id[e.label]
-            coords[row, col] = (e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
+            coords[row, col] = (*center(e.bbox), e.bbox.width, e.bbox.height)
     return RetrievalIndex(vocabulary, [entry_id for entry_id, _ in entries], labels, coords)
 
 
@@ -110,6 +123,276 @@ def messy_layouts(draw, min_elements=1, max_elements=25, vocabulary=VOCAB):
                   elements=tuple(Element(distinct[i][0], BBox(*distinct[i][1])) for i in picks))
 
 
+# --- the object path for unit coordinates: a normalized Layout copy ----------
+#
+# The metrics, the ranker's constraint check and retrieval's features once
+# read a copy of each layout rescaled into the unit square, one Element and
+# one BBox per element, with BBox methods for intersection and containment.
+# The readers of ``unit_boxes`` must give the same values bit for bit, except
+# where this path raised OverflowError; these functions are that path, kept
+# as its oracle.
+
+def normalize(layout):
+    """The layout rescaled into the unit square, each value ``x / W``;
+    a layout already on the unit canvas is returned unchanged."""
+    if layout.is_normalized:
+        return layout
+    w = float(layout.canvas.width)
+    h = float(layout.canvas.height)
+    elements = tuple(
+        Element(e.label, BBox(e.bbox.left / w, e.bbox.top / h,
+                              e.bbox.width / w, e.bbox.height / h))
+        for e in layout.elements
+    )
+    return Layout(id=layout.id, canvas=Canvas(1, 1), elements=elements)
+
+
+def intersection_area(a, b):
+    w = min(a.right, b.right) - max(a.left, b.left)
+    h = min(a.bottom, b.bottom) - max(a.top, b.top)
+    if w <= 0.0 or h <= 0.0:
+        return 0.0
+    return w * h
+
+
+def contains(outer, inner):
+    return (outer.left <= inner.left and outer.top <= inner.top
+            and outer.right >= inner.right and outer.bottom >= inner.bottom)
+
+
+_UNIT = BBox(0.0, 0.0, 1.0, 1.0)
+
+
+def object_path_validity(layout, min_area_ratio=0.001):
+    """Share of elements with enough area that meet the unit canvas."""
+    flags = [e.bbox.area >= min_area_ratio and intersection_area(e.bbox, _UNIT) > 0.0
+             for e in normalize(layout).elements]
+    return sum(flags) / len(flags) if flags else 1.0
+
+
+def _iou(a, b):
+    inter = intersection_area(a, b)
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def object_path_max_iou(generated, reference):
+    if not generated.elements or not reference.elements:
+        raise EmptyLayout("maximum IoU needs two non-empty layouts")
+    by_label_gen, by_label_ref = {}, {}
+    for e in normalize(generated).elements:
+        by_label_gen.setdefault(e.label, []).append(e.bbox)
+    for e in normalize(reference).elements:
+        by_label_ref.setdefault(e.label, []).append(e.bbox)
+    total = 0.0
+    slots = 0
+    for label in sorted(set(by_label_gen) | set(by_label_ref)):
+        g = by_label_gen.get(label, [])
+        r = by_label_ref.get(label, [])
+        slots += max(len(g), len(r))
+        if not g or not r:
+            continue
+        scores = np.array([[_iou(gb, rb) for rb in r] for gb in g])
+        rows, cols = linear_sum_assignment(scores, maximize=True)
+        total += math.fsum(float(scores[i, j]) for i, j in zip(rows, cols))
+    return total / slots
+
+
+def _underlays_and_content(layout, underlay_label):
+    lay = normalize(layout)
+    return ([e.bbox for e in lay.elements if e.label == underlay_label],
+            [e.bbox for e in lay.elements if e.label != underlay_label])
+
+
+def object_path_underlay_loose(layout, underlay_label="underlay"):
+    unders, content = _underlays_and_content(layout, underlay_label)
+    if not unders:
+        return None
+    scores = []
+    for u in unders:
+        best = 0.0
+        for c in content:
+            if c.area <= 0.0:
+                continue
+            best = max(best, intersection_area(c, u) / c.area)
+        scores.append(best)
+    return math.fsum(scores) / len(scores)
+
+
+def object_path_underlay_strict(layout, underlay_label="underlay"):
+    unders, content = _underlays_and_content(layout, underlay_label)
+    if not unders:
+        return None
+    return sum(1 for u in unders if any(contains(u, c) for c in content)) / len(unders)
+
+
+def object_path_coverage_mask(layout, width, height, labels=None):
+    wanted = set(labels) if labels is not None else None
+    mask = np.zeros((height, width), dtype=bool)
+    for e in normalize(layout).elements:
+        if wanted is not None and e.label not in wanted:
+            continue
+        b = e.bbox
+        x0 = max(0, math.ceil(b.left * width - 0.5))
+        x1 = min(width, math.ceil(b.right * width - 0.5))
+        y0 = max(0, math.ceil(b.top * height - 0.5))
+        y1 = min(height, math.ceil(b.bottom * height - 0.5))
+        if x1 > x0 and y1 > y0:
+            mask[y0:y1, x0:x1] = True
+    return mask
+
+
+def _check_raster(raster):
+    if raster.width <= 0 or raster.height <= 0 or raster.values.size == 0:
+        raise DimensionMismatch("raster has no pixels")
+
+
+def object_path_samples(layout, reference=None, saliency=None, gradient=None,
+                        exclude_overlap_labels=()):
+    """``metrics.layout_samples`` on the object path."""
+    samples = {}
+    if layout.elements:
+        samples["align"] = scalar_alignment(layout)
+    samples["overlap"] = scalar_overlap(layout, exclude_overlap_labels)
+    samples["val"] = object_path_validity(layout)
+    for name, metric in (("und_l", object_path_underlay_loose),
+                         ("und_s", object_path_underlay_strict)):
+        if (value := metric(layout)) is not None:
+            samples[name] = value
+    if layout.elements and reference is not None and reference.elements:
+        samples["miou"] = object_path_max_iou(layout, reference)
+    if saliency is not None:
+        _check_raster(saliency)
+        mask = object_path_coverage_mask(layout, saliency.width, saliency.height)
+        covered = int(mask.sum())
+        samples["occ"] = 0.0 if covered == 0 else \
+            float(saliency.values[mask].sum() / covered)
+        nonsalient = 1.0 - saliency.values
+        denom = float(nonsalient.sum())
+        samples["uti"] = 0.0 if denom <= 0.0 or not mask.any() else \
+            float(nonsalient[mask].sum() / denom)
+    if gradient is not None:
+        _check_raster(gradient)
+    if gradient is not None and any(e.label == "text" for e in layout.elements):
+        mask = object_path_coverage_mask(layout, gradient.width, gradient.height, ["text"])
+        covered = int(mask.sum())
+        samples["rea"] = 0.0 if covered == 0 else \
+            float(gradient.values[mask].sum() / covered)
+    return samples
+
+
+def object_path_size_reasonableness(population, stats, tolerance_ratio=1.1):
+    if not population:
+        raise EmptyLayout("size reasonableness needs a non-empty population")
+    tau = math.log(tolerance_ratio)
+    areas = {}
+    for layout in population:
+        for e in normalize(layout).elements:
+            areas.setdefault(e.label, []).append(e.bbox.area)
+    ratios, deviations, scores, excesses = {}, {}, {}, []
+    for label in sorted(areas):
+        if label not in stats:
+            raise MissingLabelStats(f"no training-set area for label {label!r}")
+        reference = stats[label]
+        if reference <= 0.0:
+            raise ZeroTrainingArea(f"training-set mean area for {label!r} is zero")
+        mean_area = math.fsum(areas[label]) / len(areas[label])
+        ratio = mean_area / reference
+        deviation = abs(math.log(ratio)) if ratio > 0.0 else math.inf
+        excess = max(0.0, deviation - tau)
+        ratios[label] = ratio
+        deviations[label] = deviation
+        scores[label] = math.exp(-excess)
+        excesses.append(excess)
+    rms = math.sqrt(math.fsum(x * x for x in excesses) / len(excesses))
+    return ReScore(ratios=ratios, deviations=deviations, scores=scores, value=math.exp(-rms))
+
+
+def object_path_features(layout, vocabulary):
+    """``retrieval._features`` on the object path."""
+    label_ids = {label: i for i, label in enumerate(vocabulary)}
+    elements = normalize(layout).elements
+    return (np.array([label_ids.get(e.label, -2) for e in elements]),
+            np.array([(*center(e.bbox), e.bbox.width, e.bbox.height) for e in elements]))
+
+
+def object_path_match_slots(candidate, labels):
+    """The i-th candidate box of each label for the i-th slot of that label."""
+    pools, taken, out = {}, {}, []
+    for e in candidate.elements:
+        pools.setdefault(e.label, []).append(e.bbox)
+    for label in labels:
+        idx = taken.get(label, 0)
+        pool = pools.get(label, [])
+        out.append(pool[idx] if idx < len(pool) else None)
+        taken[label] = idx + 1
+    return out
+
+
+def object_path_relation_holds(rel, a, b):
+    if rel == "above":
+        return a.bottom <= b.top
+    if rel == "below":
+        return a.top >= b.bottom
+    if rel == "left-of":
+        return a.right <= b.left
+    if rel == "right-of":
+        return a.left >= b.right
+    if rel == "larger":
+        return a.area > b.area
+    if rel == "smaller":
+        return a.area < b.area
+    if rel == "equal":
+        bigger = max(a.area, b.area)
+        return bigger == 0 or abs(a.area - b.area) <= 0.1 * bigger
+    return False
+
+
+def _within_ratio(actual, target, tolerance):
+    return abs(actual - target) <= tolerance * target
+
+
+def object_path_constraint_satisfaction(candidate, constraint):
+    """``pipeline.constraint_satisfaction`` on the object path."""
+    kind = constraint.kind
+    counts = label_counts(candidate)
+    clauses = []
+    if kind in ("gen_t", "gen_ts", "gen_r"):
+        for label, want in constraint.categories().items():
+            clauses.append(counts.get(label, 0) == want)
+    if kind == "gen_ts":
+        canvas = constraint.payload.get("canvas") or (candidate.canvas.width,
+                                                      candidate.canvas.height)
+        items = constraint.payload["elements"]
+        slots = object_path_match_slots(normalize(candidate), [item["label"] for item in items])
+        for item, box in zip(items, slots):
+            clauses.append(
+                box is not None
+                and _within_ratio(box.width, float(item["width"]) / float(canvas[0]), 0.1)
+                and _within_ratio(box.height, float(item["height"]) / float(canvas[1]), 0.1))
+    if kind == "gen_r":
+        slots = object_path_match_slots(normalize(candidate), list(constraint.payload["elements"]))
+        for si, rel, oi in constraint.payload.get("relations", []):
+            a, b = slots[si], slots[oi]
+            clauses.append(a is not None and b is not None
+                           and object_path_relation_holds(rel, a, b))
+    if kind == "completion":
+        given = constraint.given_layout
+        slots = object_path_match_slots(candidate, given.labels())
+        for e, box in zip(given.elements, slots):
+            clauses.append(box is not None
+                           and abs(box.left - e.bbox.left) <= 1.0
+                           and abs(box.top - e.bbox.top) <= 1.0
+                           and abs(box.width - e.bbox.width) <= 1.0
+                           and abs(box.height - e.bbox.height) <= 1.0)
+    if kind in ("content_aware", "text_to_layout"):
+        for label, want in constraint.categories().items():
+            clauses.append(counts.get(label, 0) >= want)
+    return sum(clauses) / len(clauses) if clauses else 1.0
+
+
 def scalar_alignment(layout):
     """metrics.alignment as a loop over element pairs, before it was batched."""
     lay = normalize(layout)
@@ -117,7 +400,8 @@ def scalar_alignment(layout):
         raise EmptyLayout("alignment is undefined for an empty layout")
     if len(lay.elements) == 1:
         return 0.0
-    rows = [(b.left, b.cx, b.right, b.top, b.cy, b.bottom) for b in (e.bbox for e in lay.elements)]
+    rows = [(b.left, center(b)[0], b.right, b.top, center(b)[1], b.bottom)
+            for b in (e.bbox for e in lay.elements)]
     gaps = []
     for i, mine in enumerate(rows):
         best = math.inf
@@ -141,7 +425,7 @@ def scalar_overlap(layout, exclude_labels=()):
     denom = math.fsum(b.area for b in boxes)
     if denom <= 0.0:
         return 0.0
-    inter = math.fsum(boxes[i].intersection_area(boxes[j])
+    inter = math.fsum(intersection_area(boxes[i], boxes[j])
                       for i in range(len(boxes)) for j in range(i + 1, len(boxes)))
     return inter / denom
 

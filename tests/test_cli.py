@@ -200,6 +200,14 @@ class TestEvalCommand:
                      "--task", "content_aware", "--out", str(tmp_path / "eval.tsv")]) == 0
         assert (tmp_path / "eval.tsv").read_bytes() == (run_dir / "metrics.tsv").read_bytes()
 
+    def test_labels_without_stats_skip_r_e(self, workspace, capsys):
+        write_jsonl(_records(), workspace / "generated.jsonl")
+        (workspace / "stats.json").write_text('{"text": 0.08}\n', encoding="utf-8")
+        assert main(["eval", "--generated", str(workspace / "generated.jsonl"),
+                     "--stats", str(workspace / "stats.json"), "--task", "content_aware"]) == 0
+        lines = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines()[1:])
+        assert lines["r_e"] == "skipped(missing_label_stats)"
+
 
 class TestRenderCommand:
     def test_writes_svg(self, workspace, capsys):

@@ -41,11 +41,13 @@ from layoutloom.errors import (
     VocabularyError,
     ZeroCanvas,
 )
-from layoutloom.model import BBox, Canvas, normalize
+from layoutloom.model import BBox, Canvas
 from layoutloom.retrieval import build_index
 
 from conftest import (
     META_KEYS,
+    center,
+    normalize,
     object_path_area_means,
     object_path_export,
     object_path_index,
@@ -333,7 +335,7 @@ class TestPixelSpaceParity:
         assert list(index.ids) == [r["id"] for r in records]
         for row, record in enumerate(records):
             unit = normalize(record_to_layout(record))
-            expected = np.array([(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
+            expected = np.array([(*center(e.bbox), e.bbox.width, e.bbox.height)
                                  for e in unit.elements])
             assert index.coords[row, :len(unit.elements)].tobytes() == expected.tobytes()
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layoutloom.dataset import AreaStats, SaliencyRaster
-from layoutloom.errors import EmptyLayout, MissingLabelStats, ZeroTrainingArea
+from layoutloom import retrieval
+from layoutloom.dataset import AreaStats, SaliencyRaster, layout_to_record
+from layoutloom.errors import EmptyLayout, InvalidPayload, MissingLabelStats, ZeroTrainingArea
 from layoutloom.metrics import (
     CONTENT_AWARE_COLUMNS,
     MetricReport,
@@ -25,15 +26,27 @@ from layoutloom.metrics import (
     size_reasonableness,
     underlay_loose,
     underlay_strict,
-    unit_boxes,
     utilization,
+    validities,
 )
-from layoutloom.model import BBox, Canvas, Element, Layout, normalize, validate_layout
+from layoutloom.model import BBox, Canvas, Element, Layout, parse_html, unit_boxes
+from layoutloom.pipeline import constraint_satisfaction
+from layoutloom.prompts import ConstraintSpec
 
 from conftest import (
+    VOCAB,
+    intersection_area,
     make_layout,
     messy_layouts,
+    normalize,
+    object_path_constraint_satisfaction,
+    object_path_features,
+    object_path_max_iou,
+    object_path_samples,
+    object_path_size_reasonableness,
+    object_path_validity,
     random_normalized_layout,
+    random_pixel_layout,
     scalar_alignment,
     scalar_overlap,
 )
@@ -105,6 +118,33 @@ class TestOverlap:
         assert overlap(px) == pytest.approx(overlap(normalize(px)), abs=1e-15)
 
 
+class TestValidity:
+    def test_all_valid(self):
+        lay = make_layout("a", (100, 100), [(10, 10, 40, 40), (60, 60, 30, 30)])
+        assert validities(unit_boxes([lay])) == [1.0]
+
+    def test_zero_width_element(self):
+        lay = make_layout("a", (100, 100), [(10, 10, 40, 40), (60, 60, 0, 30)])
+        assert validities(unit_boxes([lay])) == [0.5]
+
+    def test_fully_outside_canvas(self):
+        lay = unit_layout([(1.5, 0.2, 0.3, 0.3)])
+        assert validities(unit_boxes([lay])) == [0.0]
+
+    def test_area_at_the_threshold_is_valid(self):
+        lay = make_layout("a", (1000, 1000), [(0, 0, 1000, 1), (0, 10, 999, 1)])
+        assert validities(unit_boxes([lay])) == [0.5]
+
+    def test_empty_layout_is_vacuously_valid(self):
+        assert validities(unit_boxes([unit_layout([]), unit_layout([(0.0, 0.0, 0.5, 0.5)])])) \
+            == [1.0, 1.0]
+
+    def test_fraction_bounds(self):
+        rng = np.random.default_rng(3)
+        layouts = [random_pixel_layout(rng) for _ in range(50)]
+        assert all(0.0 <= v <= 1.0 for v in validities(unit_boxes(layouts)))
+
+
 class TestMaxIoU:
     def test_identity(self):
         lay = unit_layout([(0.1, 0.1, 0.3, 0.3), (0.5, 0.5, 0.2, 0.2)], ["text", "logo"])
@@ -138,7 +178,7 @@ class TestMaxIoU:
         def oracle(a, b):
             # brute force over per-label permutations
             def iou(x, y):
-                inter = x.intersection_area(y)
+                inter = intersection_area(x, y)
                 union = x.area + y.area - inter
                 return inter / union if union > 0 else 0.0
 
@@ -234,6 +274,21 @@ class TestContentMetrics:
         lay = unit_layout([(0.0, 0.0, 0.5, 0.5)], ["logo"])
         assert readability(lay, raster) is None
 
+    @pytest.mark.parametrize("style, covered", [
+        # The right edge, 2e306 of the canvas, is past the largest float in
+        # raster pixels.
+        ("left:1e308px; top:0px; width:1e308px; height:50px", 0.0),
+        # The top edge is -inf in raster pixels and the bottom is past it.
+        ("left:0px; top:-1.7e308px; width:100px; height:1.79e308px", 1.0),
+    ])
+    def test_parsed_boxes_beyond_the_largest_float_in_pixels(self, style, covered):
+        layout = parse_html('<div class="canvas" style="width:100px; height:100px"></div>'
+                            f'<div class="text" style="{style}"></div>', ["text"])
+        raster = SaliencyRaster(103, 150, np.full((150, 103), 0.5))
+        samples = layout_samples(layout, saliency=raster, gradient=raster)
+        assert (samples["occ"], samples["uti"], samples["rea"]) == \
+            (0.5 * covered, covered, 0.5 * covered)
+
 
 class TestSizeReasonableness:
     def test_perfect_ratios(self):
@@ -312,6 +367,19 @@ class TestPopulationReport:
                                    [layout_samples(with_u), layout_samples(without)])
         assert report.values["und_l"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("means, reason", [
+        ({"text": 0.05}, "missing_label_stats"),
+        ({"text": 0.05, "logo": 0.0}, "zero_training_area"),
+    ])
+    def test_r_e_without_a_usable_training_area_is_skipped(self, means, reason):
+        population = [unit_layout([(0.1, 0.1, 0.2, 0.2), (0.5, 0.5, 0.2, 0.2)],
+                                  ["text", "logo"])]
+        report = population_report(population, [layout_samples(lay) for lay in population],
+                                   AreaStats(means=means))
+        assert report.applicability["r_e"] == f"skipped({reason})"
+        assert "r_e" not in report.values
+        assert report.values["val"] == 1.0
+
     def test_miou_identity_population(self):
         lays = [unit_layout([(0.1, 0.1, 0.2, 0.2)], ["text"], layout_id=f"l{i}")
                 for i in range(3)]
@@ -350,7 +418,7 @@ def _reference_population_report(generated, references=None, stats=None, salienc
         values["overlap"] = mean([overlap(lay, exclude_overlap_labels) for lay in generated]) \
             if generated else 0.0
         notes["overlap"] = "computed" if generated else "skipped(empty_population)"
-    put("val", [validate_layout(lay, min_area_ratio).fraction for lay in generated],
+    put("val", [object_path_validity(lay, min_area_ratio) for lay in generated],
         "empty_population")
     und_l = [v for lay in generated if (v := underlay_loose(lay, underlay_label)) is not None]
     und_s = [v for lay in generated if (v := underlay_strict(lay, underlay_label)) is not None]
@@ -486,3 +554,98 @@ def test_metrics_of_non_finite_boxes_equal_the_scalar_loops(elements, canvas):
     assert _outcome(alignment, layout) == _outcome(scalar_alignment, layout)
     for exclude in ((), ("underlay",)):
         assert _outcome(overlap, layout, exclude) == _outcome(scalar_overlap, layout, exclude)
+
+
+# --- unit_boxes readers against the normalized-copy object path ---------------
+
+# Values past which box edges overflow in pixels, and the smallest subnormal.
+_EXTREMES = (1e300, 1.7e308, 5e-324)
+
+
+@st.composite
+def _layouts_with_extremes(draw):
+    """``messy_layouts`` with some box values replaced by extremes: a left or
+    top of either sign, a width or height of the positive ones."""
+    layout = draw(messy_layouts(max_elements=8))
+    elements = []
+    for e in layout.elements:
+        box = []
+        for k, value in enumerate((e.bbox.left, e.bbox.top, e.bbox.width, e.bbox.height)):
+            if draw(st.integers(0, 5)) == 0:
+                value = draw(st.sampled_from(_EXTREMES))
+                if k < 2 and draw(st.booleans()):
+                    value = -value
+            box.append(value)
+        elements.append(Element(e.label, BBox(*box)))
+    return Layout(layout.id, layout.canvas, tuple(elements))
+
+
+_PARITY_RNG = np.random.default_rng(41)
+_PARITY_RASTERS = [None] + [SaliencyRaster(w, h, _PARITY_RNG.random((h, w)))
+                            for w, h in ((1, 1), (103, 150), (5, 3))]
+_PARITY_STATS = AreaStats(means={"text": 0.05, "logo": 0.02, "underlay": 0.1})
+_PARITY_CONSTRAINTS = [
+    ConstraintSpec("gen_t", {"categories": {"text": 2, "logo": 1}}),
+    ConstraintSpec("gen_ts", {"canvas": [400, 300], "elements": [
+        {"label": "text", "width": 150, "height": 40},
+        {"label": "logo", "width": 200.5, "height": 60},
+        {"label": "text", "width": 40, "height": 30}]}),
+    ConstraintSpec("gen_ts", {"elements": [{"label": "underlay", "width": 0.5,
+                                            "height": 0.25}]}),
+    ConstraintSpec("gen_r", {"elements": ["text", "logo", "text", "underlay"], "relations": [
+        [0, "above", 1], [1, "below", 0], [0, "left-of", 2], [2, "right-of", 0],
+        [1, "larger", 3], [3, "smaller", 1], [0, "equal", 2]]}),
+    ConstraintSpec("content_aware", {"canvas": [400, 300],
+                                     "categories": {"text": 1, "underlay": 1}}),
+]
+
+
+def _repr_or_error(function, *args):
+    try:
+        return repr(function(*args))
+    except (ValueError, OverflowError, EmptyLayout, MissingLabelStats,
+            ZeroTrainingArea) as exc:
+        return type(exc).__name__
+
+
+def _features_bits(layout):
+    labels, feats = retrieval._features(layout, VOCAB)
+    want_labels, want_feats = object_path_features(layout, VOCAB)
+    return ((labels.dtype, labels.shape, labels.tobytes()),
+            (feats.dtype, feats.shape, feats.tobytes())), \
+        ((want_labels.dtype, want_labels.shape, want_labels.tobytes()),
+         (want_feats.dtype, want_feats.shape, want_feats.tobytes()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_layouts_with_extremes(), _layouts_with_extremes(),
+       st.sampled_from(_PARITY_RASTERS), st.sampled_from(_PARITY_RASTERS),
+       st.sampled_from(((), ("underlay",))))
+def test_unit_boxes_readers_equal_the_object_path(layout, reference, saliency, gradient,
+                                                  exclude):
+    """Every reader of ``unit_boxes`` gives the object path's value, bit for
+    bit, or raises what it raised; where the object path overflowed only in
+    the coverage mask, the samples now have values."""
+    want = _repr_or_error(object_path_samples, layout, reference, saliency, gradient, exclude)
+    got = _repr_or_error(layout_samples, layout, reference, saliency, gradient, exclude)
+    if want == "OverflowError" and not _repr_or_error(
+            object_path_samples, layout, reference, None, None, exclude) == "OverflowError":
+        assert got.startswith("{")
+    else:
+        assert got == want
+    assert _repr_or_error(max_iou, layout, reference) == \
+        _repr_or_error(object_path_max_iou, layout, reference)
+    for population in ([layout], [layout, reference]):
+        assert _repr_or_error(size_reasonableness, population, _PARITY_STATS) == \
+            _repr_or_error(object_path_size_reasonableness, population, _PARITY_STATS)
+    got_features, want_features = _features_bits(layout)
+    assert got_features == want_features
+    constraints = list(_PARITY_CONSTRAINTS)
+    try:
+        constraints.append(ConstraintSpec("completion",
+                                          {"layout": layout_to_record(reference)}))
+    except InvalidPayload:
+        pass
+    for constraint in constraints:
+        assert repr(constraint_satisfaction(layout, constraint)) == \
+            repr(object_path_constraint_satisfaction(layout, constraint))

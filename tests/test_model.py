@@ -1,4 +1,4 @@
-"""Layout types, normalization, validation, and snippet serialization."""
+"""Layout types, unit coordinates, and snippet serialization."""
 
 import re
 
@@ -12,14 +12,11 @@ from layoutloom.errors import NegativeDimension, ParseFailure, ZeroCanvas
 from layoutloom.model import (
     BBox,
     Canvas,
-    Element,
-    Layout,
     denormalize,
-    normalize,
     parse_html,
     round_half_up,
     to_html,
-    validate_layout,
+    unit_boxes,
 )
 
 from conftest import make_layout, random_pixel_layout
@@ -27,26 +24,27 @@ from conftest import make_layout, random_pixel_layout
 VOCAB = ["text", "logo", "underlay"]
 
 
-class TestNormalize:
+class TestUnitBoxes:
     def test_divides_by_canvas_dimensions(self):
         lay = make_layout("a", (200, 100), [(50, 25, 100, 50)])
-        norm = normalize(lay)
-        assert norm.elements[0].bbox == BBox(0.25, 0.25, 0.5, 0.5)
-        assert norm.canvas == Canvas(1, 1)
+        assert unit_boxes([lay]).ltwh.tolist() == [[[0.25, 0.25, 0.5, 0.5]]]
 
     def test_unit_canvas_is_identity(self):
         lay = make_layout("a", (1, 1), [(0.2, 0.3, 0.4, 0.1)])
-        assert normalize(lay) == lay
+        assert unit_boxes([lay]).ltwh.tolist() == [[[0.2, 0.3, 0.4, 0.1]]]
 
     def test_full_canvas_box(self):
         lay = make_layout("a", (513, 750), [(0, 0, 513, 750)])
-        norm = normalize(lay)
-        assert norm.elements[0].bbox == BBox(0.0, 0.0, 1.0, 1.0)
+        assert unit_boxes([lay]).ltwh.tolist() == [[[0.0, 0.0, 1.0, 1.0]]]
 
-    def test_idempotent(self):
-        lay = make_layout("a", (640, 480), [(10, 20, 30, 40), (5, 5, 600, 400)])
-        once = normalize(lay)
-        assert normalize(once) == once
+    def test_pads_to_the_longest_layout(self):
+        a = make_layout("a", (10, 20), [(1, 2, 3, 4), (5, 6, 7, 8)], ["text", "logo"])
+        b = make_layout("b", (1, 1), [])
+        boxes = unit_boxes([a, b])
+        assert boxes.ltwh.shape == (2, 2, 4)
+        assert np.isnan(boxes.ltwh[1]).all()
+        assert boxes.counts == [2, 0]
+        assert boxes.labels == ("text", "logo")
 
     def test_zero_canvas_rejected(self):
         with pytest.raises(ZeroCanvas):
@@ -55,39 +53,12 @@ class TestNormalize:
             Canvas(100, 0)
 
     def test_denormalize_inverts(self):
-        lay = make_layout("a", (200, 100), [(50, 25, 100, 50)])
-        assert denormalize(normalize(lay), 200, 100) == lay
+        lay = make_layout("a", (1, 1), [(0.25, 0.25, 0.5, 0.5)])
+        assert denormalize(lay, 200, 100) == make_layout("a", (200, 100), [(50, 25, 100, 50)])
 
     def test_denormalize_leaves_a_pixel_layout(self):
         lay = make_layout("a", (200, 100), [(50, 25, 100, 50)])
         assert denormalize(lay, 400, 300) is lay
-
-
-class TestValidate:
-    def test_all_valid(self):
-        lay = normalize(make_layout("a", (100, 100), [(10, 10, 40, 40), (60, 60, 30, 30)]))
-        report = validate_layout(lay)
-        assert report.flags == (True, True)
-        assert report.fraction == 1.0
-
-    def test_zero_width_element(self):
-        lay = normalize(make_layout("a", (100, 100), [(10, 10, 40, 40), (60, 60, 0, 30)]))
-        report = validate_layout(lay)
-        assert report.flags == (True, False)
-        assert report.fraction == 0.5
-
-    def test_fully_outside_canvas(self):
-        lay = Layout("a", Canvas(1, 1),
-                     (Element("text", BBox(1.5, 0.2, 0.3, 0.3)),))
-        report = validate_layout(lay)
-        assert report.flags == (False,)
-
-    def test_fraction_bounds(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            lay = normalize(random_pixel_layout(rng))
-            frac = validate_layout(lay).fraction
-            assert 0.0 <= frac <= 1.0
 
 
 class TestToHtml:
@@ -110,14 +81,15 @@ class TestToHtml:
         assert to_html(lay) == to_html(lay)
 
     def test_unit_canvas_layout_is_written_on_its_own_canvas(self):
-        lay = make_layout("a", (200, 100), [(50, 25, 100, 50)])
-        assert to_html(normalize(lay)) == (
+        unit = make_layout("a", (1, 1), [(0.25, 0.25, 0.5, 0.5)])
+        assert to_html(unit) == (
             "<html><body>\n"
             '<div class="canvas" style="width:1px; height:1px"></div>\n'
             '<div class="text" style="left:0px; top:0px; width:1px; height:1px"></div>\n'
             "</body></html>"
         )
-        assert to_html(denormalize(normalize(lay), 200, 100)) == to_html(lay)
+        assert to_html(denormalize(unit, 200, 100)) == \
+            to_html(make_layout("a", (200, 100), [(50, 25, 100, 50)]))
 
     def test_rounding_half_up(self):
         assert round_half_up(2.5) == 3
@@ -238,15 +210,6 @@ def test_roundtrip_property(seed):
     rng = np.random.default_rng(seed)
     lay = random_pixel_layout(rng, layout_id="rt")
     assert parse_html(to_html(lay), VOCAB, layout_id="rt") == lay
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_normalize_idempotent_property(seed):
-    rng = np.random.default_rng(seed)
-    lay = random_pixel_layout(rng)
-    once = normalize(lay)
-    assert normalize(once) == once
 
 
 # --- attribute and style scanning against the finditer loops they replaced ---

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from layoutloom.dataset import DatasetManifest, ingest, layout_to_record, record_to_layout
 from layoutloom.errors import ConfigError, InvalidPayload, NoViableCandidate, SchemaError
 from layoutloom.gateway import BackendConfig, Gateway
-from layoutloom.model import BBox, Canvas, Element, Layout, denormalize, normalize, to_html
+from layoutloom.model import BBox, Canvas, Element, Layout, denormalize, to_html
+from layoutloom import pipeline
 from layoutloom.pipeline import (
     CandidateRecord,
     CoarseFragment,
@@ -42,6 +43,9 @@ from conftest import (
     entry_layout,
     make_layout,
     messy_layouts,
+    normalize,
+    object_path_match_slots,
+    object_path_relation_holds,
     random_normalized_layout,
     scalar_alignment,
     scalar_overlap,
@@ -237,8 +241,8 @@ def _old_constraint_satisfaction(candidate, constraint):
     layouts: the given layout parsed per call, a locked-element filter, and
     a normalized candidate scaled back to pixels (the candidates are parsed
     pixel-space layouts, so it was the candidate itself)."""
-    from layoutloom.model import label_counts, normalize
-    from layoutloom.pipeline import _match_slots, _relation_holds, _within_ratio
+    from layoutloom.model import label_counts
+    from layoutloom.pipeline import _within_ratio
     kind, payload = constraint.kind, constraint.payload
     counts = label_counts(candidate)
     clauses = []
@@ -247,7 +251,8 @@ def _old_constraint_satisfaction(candidate, constraint):
                     for label, want in constraint.categories().items()]
     if kind == "gen_ts":
         canvas = payload.get("canvas") or (candidate.canvas.width, candidate.canvas.height)
-        slots = _match_slots(normalize(candidate), [it["label"] for it in payload["elements"]])
+        slots = object_path_match_slots(normalize(candidate),
+                                        [it["label"] for it in payload["elements"]])
         for item, box in zip(payload["elements"], slots):
             clauses.append(box is not None
                            and _within_ratio(box.width, float(item["width"]) / float(canvas[0]),
@@ -255,16 +260,17 @@ def _old_constraint_satisfaction(candidate, constraint):
                            and _within_ratio(box.height,
                                              float(item["height"]) / float(canvas[1]), 0.1))
     if kind == "gen_r":
-        slots = _match_slots(normalize(candidate), list(payload["elements"]))
+        slots = object_path_match_slots(normalize(candidate), list(payload["elements"]))
         for si, rel, oi in payload.get("relations", []):
             a, b = slots[int(si)], slots[int(oi)]
-            clauses.append(a is not None and b is not None and _relation_holds(rel, a, b))
+            clauses.append(a is not None and b is not None
+                           and object_path_relation_holds(rel, a, b))
     if kind in ("completion", "refinement"):
         given = record_to_layout(dict(payload["layout"], id=""))
         fixed = [e for e in given.elements if getattr(e, "locked", False)] or (
             list(given.elements) if kind == "completion" else [])
         if fixed:
-            slots = _match_slots(candidate, [e.label for e in fixed])
+            slots = object_path_match_slots(candidate, [e.label for e in fixed])
             for e, box in zip(fixed, slots):
                 clauses.append(box is not None
                                and abs(box.left - e.bbox.left) <= 1.0
@@ -549,6 +555,21 @@ class TestGenerateCoarse:
         assert frag_a.exemplar_source == "random(seed=9)"
         _, frag_b = generate_coarse(spec, index, cfg, gateway, run_id="abl")
         assert frag_a.exemplar_ids == frag_b.exemplar_ids
+
+    def test_no_rag_builds_no_query(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a query was built without retrieval")
+
+        monkeypatch.setattr(pipeline, "pseudo_layout", refuse)
+        spec = ConstraintSpec("content_aware",
+                              {"canvas": [400, 400], "categories": {"text": 1}})
+        cfg = PipelineConfig(k_coarse=2, n_candidates=1, use_rag=False)
+        gateway = self._gateway(
+            tmp_path,
+            _authored_transport({"default": _html([(10, 10, 100, 50)], ["text"])}),
+        )
+        _, fragment = generate_coarse(spec, _tiny_index(), cfg, gateway, run_id="q")
+        assert fragment.exemplar_source == "random(seed=0)"
 
 
 class TestExemplarSnippets:
@@ -1029,7 +1050,7 @@ class TestRunTask:
     def test_non_domain_error_costs_only_its_item(self, fixture_env, tmp_path):
         def transport(payload, idx):
             if _item_of(payload) == 1:
-                raise OSError("connection reset")
+                raise RuntimeError("connection reset")
             return scripted_llm(payload, idx)
 
         config = _record_config(fixture_env, tmp_path, _distinct_items(3), fanout=1)
@@ -1038,12 +1059,12 @@ class TestRunTask:
                  (run_dir / "generated.jsonl").read_text().splitlines()]
         assert [l["id"] for l in lines] == ["it0", "it1", "it2"]
         assert "error" not in lines[0] and "error" not in lines[2]
-        assert lines[1]["error"] == "OSError"
+        assert lines[1]["error"] == "RuntimeError"
         assert lines[1]["message"] == "connection reset"
-        assert json.loads((run_dir / "traces" / "it1.json").read_text())["error"] == "OSError"
+        assert json.loads((run_dir / "traces" / "it1.json").read_text())["error"] == "RuntimeError"
         assert (run_dir / "metrics.tsv").exists()
         log = (run_dir / "run.log").read_text()
-        assert "item it1: OSError: connection reset" in log
+        assert "item it1: RuntimeError: connection reset" in log
         assert "Traceback" in log
 
     def test_a_run_whose_every_item_fails_scores_no_overlap(self, fixture_env, tmp_path):
@@ -1164,6 +1185,37 @@ class TestRunTask:
         log = (run_dir / "run.log").read_text()
         assert "item bad: InvalidPayload: gen_ts element" in log
         assert "Traceback" not in log
+
+    def test_unreadable_raster_is_one_log_line(self, fixture_env, tmp_path):
+        items = _distinct_items(2)
+        items[0]["saliency"] = "rasters/missing.pgm"
+        config = _record_config(fixture_env, tmp_path, items, fanout=1)
+        run_dir = run_task(config, transport=scripted_llm)
+        lines = [json.loads(l) for l in
+                 (run_dir / "generated.jsonl").read_text().splitlines()]
+        assert lines[0]["error"] == "FileNotFoundError"
+        assert "error" not in lines[1]
+        log = (run_dir / "run.log").read_text()
+        assert "item it0: FileNotFoundError: [Errno 2] No such file or directory" in log
+        assert "Traceback" not in log
+        assert "run ends: 1 ok, 1 failed" in log
+
+    @pytest.mark.parametrize("means, reason", [
+        ({"text": 0.05}, "missing_label_stats"),
+        ({"text": 0.05, "logo": 0.02, "underlay": 0.0}, "zero_training_area"),
+    ])
+    def test_labels_without_a_training_area_skip_r_e(self, fixture_env, tmp_path, means,
+                                                     reason):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(means), encoding="utf-8")
+        config = _record_config(fixture_env, tmp_path, fixture_env["items"], fanout=1)
+        config["stats"] = str(stats)
+        run_dir = run_task(config, transport=scripted_llm)
+        header, values = (run_dir / "metrics.tsv").read_text().splitlines()
+        row = dict(zip(header.split("\t"), values.split("\t")))
+        assert row["r_e"] == f"skipped({reason})"
+        assert row["val"] == "1.000000"
+        assert "run ends: 5 ok, 0 failed" in (run_dir / "run.log").read_text()
 
     def test_malformed_canvas_costs_only_its_item(self, fixture_env, tmp_path):
         bad = {"id": "bad", "canvas": [513, 750], "elements": [],

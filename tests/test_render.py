@@ -8,7 +8,6 @@ import xml.etree.ElementTree as ET
 import numpy as np
 
 from layoutloom.dataset import SaliencyRaster, save_raster
-from layoutloom.model import normalize
 from layoutloom.render import FALLBACK_SIZE, label_color, render_svg
 
 from conftest import make_layout
@@ -44,7 +43,7 @@ class TestRenderSvg:
         ET.fromstring(render_svg(lay))  # raises on malformed output
 
     def test_unit_canvas_layout_is_drawn_at_the_fallback_size(self):
-        lay = normalize(make_layout("a", (200, 100), [(50, 25, 100, 50)]))
+        lay = make_layout("a", (1, 1), [(0.25, 0.25, 0.5, 0.5)])
         root = ET.fromstring(render_svg(lay))
         assert root.get("viewBox") == "0 0 {} {}".format(*FALLBACK_SIZE)
         box = _rects(render_svg(lay))[1]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from layoutloom import retrieval
 from layoutloom.dataset import AreaStats, DatasetManifest, ingest, record_to_layout
 from layoutloom.errors import EmptyIndex, EmptyLayout, SchemaError, VersionMismatch
-from layoutloom.model import BBox, Canvas, Element, Layout, denormalize, normalize, to_html
+from layoutloom.model import BBox, Canvas, Element, Layout, denormalize, to_html
 from layoutloom.retrieval import (
     CostWeights,
     RetrievalIndex,
@@ -27,7 +27,14 @@ from layoutloom.retrieval import (
     transport_lower_bounds,
 )
 
-from conftest import entry_layout, make_index, make_layout, random_normalized_layout
+from conftest import (
+    center,
+    entry_layout,
+    make_index,
+    make_layout,
+    normalize,
+    random_normalized_layout,
+)
 
 VOCAB = ("text", "logo", "underlay")
 MANIFEST = DatasetManifest(name="mini", task_kind="content_aware", vocabulary=VOCAB)
@@ -40,8 +47,8 @@ def _element(label, left, top, w, h):
 def _reference_costs(a, b, weights):
     """The ground cost of every (a, b) element pair, written out in plain
     Python floats: the definition the numpy costs must equal bit for bit."""
-    fa = [(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height, e.label) for e in a]
-    fb = [(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height, e.label) for e in b]
+    fa = [(*center(e.bbox), e.bbox.width, e.bbox.height, e.label) for e in a]
+    fb = [(*center(e.bbox), e.bbox.width, e.bbox.height, e.label) for e in b]
     wg, wl = weights.w_geo, weights.w_label
     return [
         [
@@ -213,7 +220,7 @@ class TestIndex:
         assert list(index.ids) == [f"r{i}" for i, boxes in enumerate(layouts) if boxes]
         for row, layout in enumerate(kept):
             n = len(layout.elements)
-            expected = np.array([(e.bbox.cx, e.bbox.cy, e.bbox.width, e.bbox.height)
+            expected = np.array([(*center(e.bbox), e.bbox.width, e.bbox.height)
                                  for e in layout.elements])
             assert index.coords[row, :n].tobytes() == expected.tobytes()
             assert not index.coords[row, n:].any()
@@ -584,7 +591,7 @@ class TestGroundCost:
         cx, w = _unstable_center()
         index = _index_storing([[("text", cx, 0.5, w, 0.25)]])
         query = entry_layout(index, 0)
-        assert query.elements[0].bbox.cx != cx
+        assert center(query.elements[0].bbox)[0] != cx
         assert _costs(query, index, index.weights).tolist() == [[[0.0]]]
         # The stored center would give a positive cost and a similarity below 1.
         q_labels, q_feats = retrieval._features(query, index.vocabulary)
@@ -890,7 +897,7 @@ class TestPseudoLayout:
         assert len(lay.elements) == 3
         text_box = lay.elements[0].bbox
         assert text_box.width == pytest.approx(0.3, abs=1e-12)
-        assert text_box.cx == pytest.approx(0.5, abs=1e-12)
+        assert center(text_box)[0] == pytest.approx(0.5, abs=1e-12)
         assert lay.canvas == Canvas(1, 1)
 
     def test_default_area_without_stats(self):
@@ -900,3 +907,8 @@ class TestPseudoLayout:
     def test_empty_categories_rejected(self):
         with pytest.raises(EmptyLayout):
             pseudo_layout({})
+
+    def test_more_elements_than_a_query_holds_are_refused_up_front(self):
+        with pytest.raises(SchemaError, match=r"^retrieval query has 26 elements; transport "
+                                              r"similarity supports at most 25$"):
+            pseudo_layout({"text": 20, "logo": 6})
