@@ -39,17 +39,16 @@ from .retrieval import (
 from .metrics import (
     MetricReport,
     ReScore,
-    alignment,
+    alignments,
     layout_samples,
     max_iou,
-    occlusion,
-    overlap,
+    occlusion_utilization,
+    overlaps,
     population_report,
     readability,
     size_reasonableness,
-    underlay_loose,
-    underlay_strict,
-    utilization,
+    underlay_effectiveness,
+    validities,
 )
 from .prompts import (
     ConstraintSpec,

@@ -159,13 +159,15 @@ def _cmd_eval(args) -> int:
     references = {}
     if args.dataset:
         base = Path(args.dataset).parent
-        references = {ds.record_to_layout(record).id: record
-                      for record in ds.read_jsonl(args.dataset)}
+        for record in ds.read_jsonl(args.dataset):
+            reference = ds.record_to_layout(record)
+            references[reference.id] = reference, record
     samples = []
     for layout in generated:
-        reference = references.get(layout.id)
-        samples.append(mx.layout_samples(layout, exclude_overlap_labels=exclude)
-                       if reference is None else pl.score_layout(layout, reference, base, exclude))
+        if layout.id in references:
+            samples.append(pl.score_layout(layout, *references[layout.id], base, exclude))
+        else:
+            samples.append(mx.layout_samples(layout, exclude_overlap_labels=exclude))
     stats = ds.load_area_stats(args.stats) if args.stats else None
     report = mx.population_report(generated, samples, stats=stats, metrics=metric_names)
     if metric_names:

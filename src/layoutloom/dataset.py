@@ -6,9 +6,10 @@ The interchange format is JSON Lines, one layout record per line:
      "elements": [{"label": str, "bbox": [left, top, width, height]}],
      "saliency": path?, "gradient": path?, "text": str?, "constraints": {}?}
 
-bbox values are finite pixels with a left-top origin. Saliency and
-gradient maps are binary PGM (P5) files, 8-bit by default with 16-bit
-accepted; they are ingested, never computed.
+bbox values are pixels with a left-top origin. Canvas sides and bbox
+values are at most ``model.MAX_PIXEL`` from 0. Saliency and gradient maps
+are binary PGM (P5) files, 8-bit by default with 16-bit accepted; they are
+ingested, never computed.
 
 ``_read_record`` is the one reader of records: ``record_to_layout`` wraps
 what it reads in a Layout, and ``ingest`` appends it to the columns of a
@@ -39,7 +40,7 @@ from .errors import (
     SchemaError,
     VocabularyError,
 )
-from .model import BBox, Canvas, Element, Layout
+from .model import MAX_PIXEL, BBox, Canvas, Element, Layout
 
 TASK_KINDS = ("content_aware", "constraint_explicit", "text_to_layout")
 
@@ -152,7 +153,8 @@ def _read_record(record: Mapping[str, Any], vocab: Container[str] | None
     element as ``(label, left, top, width, height)`` with each box value
     ``float(value)``, and the ``_META_KEYS`` that are not None. The canvas
     ``w`` and ``h`` must be JSON integers, ``elements`` a list, each box
-    value finite, and each label in ``vocab`` when one is given."""
+    value finite, every canvas side and box value at most ``MAX_PIXEL`` from
+    0, and each label in ``vocab`` when one is given."""
     if not isinstance(record, Mapping):
         raise SchemaError(f"record must be an object, got {type(record).__name__}")
     try:
@@ -163,6 +165,8 @@ def _read_record(record: Mapping[str, Any], vocab: Container[str] | None
         raise SchemaError(f"malformed record: {exc}") from exc
     if not all(type(v) is int for v in size):
         raise SchemaError(f"record {rid!r} canvas must have integer w and h, got {canvas_obj!r}")
+    if max(size) > MAX_PIXEL:
+        raise SchemaError(f"record {rid!r} canvas w and h must be at most {MAX_PIXEL:.0f} pixels")
     canvas = Canvas(*size)
 
     raw_elements = record.get("elements", [])
@@ -173,10 +177,15 @@ def _read_record(record: Mapping[str, Any], vocab: Container[str] | None
         try:
             label = str(raw["label"])
             left, top, width, height = map(float, raw["bbox"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed element in record {rid!r}: {exc}") from exc
-        if not (isfinite(left) and isfinite(top) and isfinite(width) and isfinite(height)):
-            raise SchemaError(f"record {rid!r} has a bbox value that is not a finite number: "
+        # NaN and inf fail these comparisons too.
+        if not (abs(left) <= MAX_PIXEL and abs(top) <= MAX_PIXEL
+                and abs(width) <= MAX_PIXEL and abs(height) <= MAX_PIXEL):
+            if not (isfinite(left) and isfinite(top) and isfinite(width) and isfinite(height)):
+                raise SchemaError(f"record {rid!r} has a bbox value that is not a finite "
+                                  f"number: {raw['bbox']!r}")
+            raise SchemaError(f"record {rid!r} has a bbox value past {MAX_PIXEL:.0f} pixels: "
                               f"{raw['bbox']!r}")
         if vocab is not None and label not in vocab:
             raise VocabularyError(f"record {rid!r} uses label {label!r} outside the vocabulary")
@@ -273,7 +282,7 @@ def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer past Python's digit limit
                 raise SchemaError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise SchemaError(f"{path}:{line_no}: a record must be an object, "

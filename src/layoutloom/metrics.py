@@ -2,11 +2,15 @@
 
 Graphic metrics (alignment, overlap, maximum IoU, underlay effectiveness,
 validity) are defined on unit coordinates and therefore invariant to canvas
-pixel scale: every metric reads the arrays of ``model.unit_boxes``, so
-pixel-space and unit-canvas layouts give identical values. The intersection
-area of two boxes has one definition, ``_intersections``. Content metrics
-(occlusion, utilization, readability) read ingested saliency/gradient rasters
-with pixel membership decided by the pixel center. The size-reasonableness score
+pixel scale, so pixel-space and unit-canvas layouts give identical values.
+Only the entry points, ``layout_samples``, ``size_reasonableness`` and
+``population_report``, take a Layout and convert it with
+``model.unit_boxes``; every other metric reads the ``UnitBoxes`` it is
+handed, so ``layout_samples`` converts a layout once and its reference once.
+The intersection area of two boxes has one definition, ``_intersections``.
+Content metrics (occlusion, utilization, readability) read ingested
+saliency/gradient rasters with pixel membership decided by the pixel center;
+occlusion and utilization share one coverage mask. The size-reasonableness score
 compares per-label mean areas against training-set references inside a
 log-symmetric tolerance band:
 
@@ -133,34 +137,23 @@ def validities(boxes: UnitBoxes) -> list[float]:
             for k, count in zip(valid.sum(axis=1).tolist(), boxes.counts)]
 
 
-def alignment(layout: Layout) -> float:
-    """:func:`alignments` of one layout."""
-    return alignments(unit_boxes([layout]))[0]
-
-
-def overlap(layout: Layout, exclude_labels: Iterable[str] = ()) -> float:
-    """:func:`overlaps` of one layout."""
-    return overlaps(unit_boxes([layout]), exclude_labels)[0]
-
-
-def max_iou(generated: Layout, reference: Layout) -> float:
-    """Mean IoU under the best label-preserving one-to-one matching.
+def max_iou(generated: UnitBoxes, reference: UnitBoxes) -> float:
+    """Mean IoU of two one-layout boxes under the best label-preserving
+    one-to-one matching.
 
     Within each label the pairing maximizes total IoU (assignment problem);
     elements without a partner contribute 0. The denominator counts
     max(generated, reference) occurrences per label, which makes the metric
     symmetric and equal to 1 only for an exact label-preserving bijection.
     """
-    if not generated.elements or not reference.elements:
+    if not generated.labels or not reference.labels:
         raise EmptyLayout("maximum IoU needs two non-empty layouts")
-    boxes = unit_boxes([generated, reference])
-    gen = boxes.ltwh[0, :len(generated.elements), None]
-    ref = boxes.ltwh[1, :len(reference.elements)]
+    gen, ref = generated.ltwh[0, :, None], reference.ltwh[0]
     inter = _intersections(gen, ref)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         union = _areas(gen) + _areas(ref) - inter
         iou = np.where(union <= 0.0, 0.0, inter / union)
-    gen_labels, ref_labels = generated.labels(), reference.labels()
+    gen_labels, ref_labels = generated.labels, reference.labels
 
     total = 0.0
     slots = 0
@@ -176,16 +169,16 @@ def max_iou(generated: Layout, reference: Layout) -> float:
     return total / slots
 
 
-def _underlays(layout: Layout, underlay_label: str) -> tuple[np.ndarray, np.ndarray]:
-    """The unit boxes of the layout's underlays and of its other elements."""
-    ltwh = unit_boxes([layout]).ltwh[0]
-    is_under = np.array([e.label == underlay_label for e in layout.elements], dtype=bool)
-    return ltwh[is_under], ltwh[~is_under]
+def underlay_effectiveness(boxes: UnitBoxes) -> tuple[float, float] | None:
+    """Loose and strict underlay effectiveness of one layout's boxes; None
+    without an underlay.
 
-
-def underlay_loose(layout: Layout, underlay_label: str = "underlay") -> float | None:
-    """Mean best coverage ratio of content by each underlay; None without underlays."""
-    unders, content = _underlays(layout, underlay_label)
+    Loose is the mean, over underlays, of the best share of a content
+    element's area that the underlay covers; strict is the fraction of
+    underlays that fully contain at least one content element.
+    """
+    is_under = np.array([label == "underlay" for label in boxes.labels], dtype=bool)
+    unders, content = boxes.ltwh[0, is_under], boxes.ltwh[0, ~is_under]
     if not len(unders):
         return None
     areas = _areas(content)[:, None]
@@ -193,31 +186,21 @@ def underlay_loose(layout: Layout, underlay_label: str = "underlay") -> float | 
         ratios = np.where(areas <= 0.0, 0.0, _intersections(content[:, None], unders) / areas)
     # A NaN ratio is never the best, as in a loop keeping ``ratio > best``.
     best = np.fmax.reduce(ratios, axis=0, initial=0.0)
-    return math.fsum(best.tolist()) / len(best)
-
-
-def underlay_strict(layout: Layout, underlay_label: str = "underlay") -> float | None:
-    """Fraction of underlays fully containing at least one content element."""
-    unders, content = _underlays(layout, underlay_label)
-    if not len(unders):
-        return None
     u_start, c_start = unders[:, None, :2], content[:, :2]
     with np.errstate(invalid="ignore", over="ignore"):
         u_end, c_end = u_start + unders[:, None, 2:], c_start + content[:, 2:]
     contains = ((u_start <= c_start) & (u_end >= c_end)).all(axis=2)
-    return int(np.count_nonzero(contains.any(axis=1))) / len(unders)
+    return (math.fsum(best.tolist()) / len(best),
+            int(np.count_nonzero(contains.any(axis=1))) / len(unders))
 
 
 # --- content metrics --------------------------------------------------------
 
-def _coverage_mask(layout: Layout, width: int, height: int,
-                   labels: Iterable[str] | None = None) -> np.ndarray:
-    """Boolean pixel grid; a pixel is covered when its center falls in a box.
-    Edges are clamped to the grid before they become integers."""
-    ltwh = unit_boxes([layout]).ltwh[0]
-    if labels is not None:
-        wanted = set(labels)
-        ltwh = ltwh[np.array([e.label in wanted for e in layout.elements], dtype=bool)]
+def _coverage_mask(ltwh: np.ndarray, raster: SaliencyRaster) -> np.ndarray:
+    """The raster's boolean pixel grid; a pixel is covered when its center
+    falls in one of the unit boxes ``ltwh`` (n, 4). Edges are clamped to the
+    grid before they become integers."""
+    width, height = raster.width, raster.height
     side = np.array([width, height] * 2, dtype=np.float64)
     with np.errstate(invalid="ignore", over="ignore"):
         edges = np.concatenate((ltwh[:, :2], ltwh[:, :2] + ltwh[:, 2:]), axis=1)
@@ -235,39 +218,34 @@ def _check_raster(raster: SaliencyRaster) -> None:
         raise DimensionMismatch("raster has no pixels")
 
 
-def occlusion(layout: Layout, saliency: SaliencyRaster) -> float:
-    """Mean saliency under the layout's elements; 0 when nothing is covered."""
-    _check_raster(saliency)
-    mask = _coverage_mask(layout, saliency.width, saliency.height)
+def _mean_under(mask: np.ndarray, raster: SaliencyRaster) -> float:
+    """Mean raster value over the covered pixels; 0 when none is covered."""
     covered = int(mask.sum())
     if covered == 0:
         return 0.0
-    return float(saliency.values[mask].sum() / covered)
+    return float(raster.values[mask].sum() / covered)
 
 
-def utilization(layout: Layout, saliency: SaliencyRaster) -> float:
-    """Share of the non-salient mass that the layout covers."""
+def occlusion_utilization(boxes: UnitBoxes, saliency: SaliencyRaster) -> tuple[float, float]:
+    """Occlusion and utilization of one layout's boxes: the mean saliency
+    under its elements, 0 when nothing is covered, and the share of the
+    non-salient mass that they cover."""
     _check_raster(saliency)
-    mask = _coverage_mask(layout, saliency.width, saliency.height)
+    mask = _coverage_mask(boxes.ltwh[0], saliency)
     nonsalient = 1.0 - saliency.values
     denom = float(nonsalient.sum())
-    if denom <= 0.0 or not mask.any():
-        return 0.0
-    return float(nonsalient[mask].sum() / denom)
+    utilization = 0.0 if denom <= 0.0 or not mask.any() else \
+        float(nonsalient[mask].sum() / denom)
+    return _mean_under(mask, saliency), utilization
 
 
-def readability(layout: Layout, gradient: SaliencyRaster,
-                text_labels: Iterable[str] = ("text",)) -> float | None:
-    """Mean gradient intensity under text elements; None without text."""
+def readability(boxes: UnitBoxes, gradient: SaliencyRaster) -> float | None:
+    """Mean gradient intensity under one layout's text elements; None without text."""
     _check_raster(gradient)
-    wanted = set(text_labels)
-    if not any(e.label in wanted for e in layout.elements):
+    is_text = np.array([label == "text" for label in boxes.labels], dtype=bool)
+    if not is_text.any():
         return None
-    mask = _coverage_mask(layout, gradient.width, gradient.height, labels=wanted)
-    covered = int(mask.sum())
-    if covered == 0:
-        return 0.0
-    return float(gradient.values[mask].sum() / covered)
+    return _mean_under(_coverage_mask(boxes.ltwh[0, is_text], gradient), gradient)
 
 
 # --- size reasonableness ----------------------------------------------------
@@ -364,7 +342,8 @@ def layout_samples(layout: Layout, reference: Layout | None = None,
 
     Alignment needs elements, maximum IoU a non-empty layout and reference,
     underlay effectiveness an underlay, occlusion and utilization a saliency
-    raster, and readability a gradient raster and a text element.
+    raster, and readability a gradient raster and a text element. The layout
+    and the reference are each converted to unit boxes once.
     """
     samples = {}
     boxes = unit_boxes([layout])
@@ -372,15 +351,13 @@ def layout_samples(layout: Layout, reference: Layout | None = None,
         samples["align"] = alignments(boxes)[0]
     samples["overlap"] = overlaps(boxes, exclude_overlap_labels)[0]
     samples["val"] = validities(boxes)[0]
-    for name, metric in (("und_l", underlay_loose), ("und_s", underlay_strict)):
-        if (value := metric(layout)) is not None:
-            samples[name] = value
+    if (underlay := underlay_effectiveness(boxes)) is not None:
+        samples["und_l"], samples["und_s"] = underlay
     if layout.elements and reference is not None and reference.elements:
-        samples["miou"] = max_iou(layout, reference)
+        samples["miou"] = max_iou(boxes, unit_boxes([reference]))
     if saliency is not None:
-        samples["occ"] = occlusion(layout, saliency)
-        samples["uti"] = utilization(layout, saliency)
-    if gradient is not None and (value := readability(layout, gradient)) is not None:
+        samples["occ"], samples["uti"] = occlusion_utilization(boxes, saliency)
+    if gradient is not None and (value := readability(boxes, gradient)) is not None:
         samples["rea"] = value
     return samples
 

@@ -40,6 +40,12 @@ from .errors import NegativeDimension, ParseFailure, ZeroCanvas
 # The snippet grammar is plain text; an alias keeps signatures readable.
 HtmlSnippet = str
 
+# The largest magnitude of a pixel value read from a record, a response or a
+# constraint: far above any real canvas, and small enough that every metric's
+# sums of unit-canvas areas and anchors stay finite. A float, because box
+# values are floats and a float compares with a float fastest.
+MAX_PIXEL = 1e7
+
 
 def round_half_up(value: float) -> int:
     """Round to the nearest integer with halves going up (2.5 -> 3, -2.5 -> -2)."""
@@ -192,11 +198,14 @@ def _attrs(fragment: str) -> dict[str, str]:
 
 def _style_props(style: str) -> dict[str, float]:
     """A style's numeric properties, or ParseFailure naming the first whose
-    number is too large for a float, such as ``left:1e999px``."""
+    number is too large for a float, such as ``left:1e999px``, or past
+    ``MAX_PIXEL`` pixels from 0."""
     props = {name.lower(): float(value) for name, value in _PROP_RE.findall(style)}
     for name, value in props.items():
         if not math.isfinite(value):
             raise ParseFailure(f"style property {name!r} is not a finite number")
+        if abs(value) > MAX_PIXEL:
+            raise ParseFailure(f"style property {name!r} is past {MAX_PIXEL:.0f} pixels")
     return props
 
 
@@ -216,7 +225,8 @@ def parse_html(
     smallest one that holds every element.
 
     Raises ParseFailure when neither canvas dimensions nor a recognizable
-    element div can be found or a style number is not finite, and
+    element div can be found or a style number is not finite or is past
+    ``MAX_PIXEL``, and
     NegativeDimension when a parsed width or height is negative.
     """
     vocab = set(vocabulary)

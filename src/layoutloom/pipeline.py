@@ -595,15 +595,15 @@ def _trace_name(item_id: str) -> str:
     return name
 
 
-def score_layout(layout: Layout, record: Mapping[str, Any], base: Path,
+def score_layout(layout: Layout, reference: Layout, record: Mapping[str, Any], base: Path,
                  exclude_overlap_labels: Sequence[str]) -> dict[str, float]:
-    """``layout``'s metric samples against a dataset record: its layout is
-    the reference, and its saliency and gradient rasters, read relative to
+    """``layout``'s metric samples against a dataset record: ``reference``,
+    the record's layout as the caller already parsed it, is the reference,
+    and the record's saliency and gradient rasters, read relative to
     ``base``, are the content."""
     saliency, gradient = (load_raster(base / record[key]) if record.get(key) else None
                           for key in ("saliency", "gradient"))
-    return layout_samples(layout, record_to_layout(record), saliency, gradient,
-                          exclude_overlap_labels)
+    return layout_samples(layout, reference, saliency, gradient, exclude_overlap_labels)
 
 
 class _ItemOutcome(NamedTuple):
@@ -637,7 +637,7 @@ def _run_item(record: Mapping[str, Any], *, task_family: str, index: RetrievalIn
         trace, final = refine_cot(coarse, constraint, index, cfg, gateway,
                                   coarse_fragment=fragment, run_id=item_id,
                                   rendered=rendered)
-        samples = score_layout(final, record, base, exclude_overlap_labels)
+        samples = score_layout(final, item_layout, record, base, exclude_overlap_labels)
         trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
         return _ItemOutcome(payload=trace.final, final=final, samples=samples, error=None,
                             coarse_retried=len(fragment.candidates) > cfg.n_candidates,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from .errors import (
     UnboundPlaceholder,
     UnknownTemplate,
 )
-from .model import HtmlSnippet, Layout, to_html
+from .model import MAX_PIXEL, HtmlSnippet, Layout, to_html
 
 STAGE_NAMES = ("coarse", "1", "2", "3")
 
@@ -84,8 +83,9 @@ def _is_int(value: Any) -> bool:
 
 
 def _is_size(value: Any) -> bool:
+    """A positive number of at most ``MAX_PIXEL``; NaN and inf are neither."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value) and value > 0
+        and 0 < value <= MAX_PIXEL
 
 
 def _check_categories(value: Any, kind: str) -> None:
@@ -99,8 +99,9 @@ def _check_categories(value: Any, kind: str) -> None:
 
 def _check_canvas(value: Any, kind: str) -> None:
     if not (_is_list(value) and len(value) == 2
-            and all(_is_int(v) and v > 0 for v in value)):
-        raise InvalidPayload(f"{kind} canvas must be [width, height] > 0, got {value!r}")
+            and all(_is_int(v) and 0 < v <= MAX_PIXEL for v in value)):
+        raise InvalidPayload(f"{kind} canvas must be [width, height], each in 1..{MAX_PIXEL:.0f}, "
+                             f"got {value!r}")
 
 
 def _given_layout(value: Any, kind: str) -> Layout:
@@ -145,7 +146,8 @@ class ConstraintSpec:
                 if not (isinstance(item["label"], str)
                         and _is_size(item["width"]) and _is_size(item["height"])):
                     raise InvalidPayload(f"gen_ts element {dict(item)!r} needs a string "
-                                         "label and a positive width and height")
+                                         "label and a width and height in (0, "
+                                         f"{MAX_PIXEL:.0f}]")
             if payload.get("canvas"):
                 _check_canvas(payload["canvas"], kind)
         elif kind == "gen_r":

@@ -17,13 +17,13 @@ import pytest
 
 from layoutloom.dataset import AreaStats
 from layoutloom.metrics import (
-    alignment,
+    alignments,
     max_iou,
-    overlap,
+    overlaps,
     size_reasonableness,
-    underlay_loose,
+    underlay_effectiveness,
 )
-from layoutloom.model import BBox, Canvas, Element, Layout, parse_html, to_html
+from layoutloom.model import BBox, Canvas, Element, Layout, parse_html, to_html, unit_boxes
 from layoutloom.pipeline import RankerWeights, rank_candidates, run_task
 from layoutloom.prompts import ConstraintSpec
 from layoutloom.retrieval import ltsim_score, topk_retrieve
@@ -145,19 +145,19 @@ def test_criterion_4_metric_hand_cases():
     budget = Budget(1.0)
 
     pair = unit_layout([(0.0, 0.0, 0.5, 0.5), (0.25, 0.25, 0.5, 0.5)])
-    assert abs(overlap(pair) - 0.125) <= 1e-12
+    assert abs(overlaps(unit_boxes([pair]))[0] - 0.125) <= 1e-12
 
     a = unit_layout([(0.0, 0.0, 0.5, 0.5)])
     b = unit_layout([(0.25, 0.25, 0.5, 0.5)])
-    assert abs(max_iou(a, b) - 1.0 / 7.0) <= 1e-12
+    assert abs(max_iou(unit_boxes([a]), unit_boxes([b])) - 1.0 / 7.0) <= 1e-12
 
     column = unit_layout([(0.2, 0.1, 0.3, 0.1), (0.2, 0.3, 0.5, 0.1),
                           (0.2, 0.5, 0.2, 0.2), (0.2, 0.8, 0.4, 0.1)])
-    assert alignment(column) == 0.0
+    assert alignments(unit_boxes([column])) == [0.0]
 
     half = unit_layout([(0.0, 0.0, 0.5, 0.5), (0.4, 0.1, 0.2, 0.2)],
                        ["underlay", "text"])
-    assert abs(underlay_loose(half) - 0.5) <= 1e-12
+    assert abs(underlay_effectiveness(unit_boxes([half]))[0] - 0.5) <= 1e-12
 
     budget.check()
 

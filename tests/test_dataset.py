@@ -41,7 +41,7 @@ from layoutloom.errors import (
     VocabularyError,
     ZeroCanvas,
 )
-from layoutloom.model import BBox, Canvas
+from layoutloom.model import MAX_PIXEL, BBox, Canvas
 from layoutloom.retrieval import build_index
 
 from conftest import (
@@ -626,6 +626,55 @@ class TestRecordCodec:
             record_to_layout(record)
         with pytest.raises(SchemaError, match=message):
             ingest([record], PKU_LIKE, strict=False)
+
+    @pytest.mark.parametrize("value", [MAX_PIXEL + 1, -1e300, 2.5e7])
+    def test_box_values_past_the_pixel_bound_are_refused(self, value):
+        record = _record("a", [{"label": "text", "bbox": [0, 0, 5, 5]},
+                               {"label": "text", "bbox": [1, value, 3, 4]}])
+        message = re.escape(f"record 'a' has a bbox value past {MAX_PIXEL:.0f} pixels: "
+                            f"[1, {value!r}, 3, 4]")
+        with pytest.raises(SchemaError, match=message):
+            record_to_layout(record)
+        with pytest.raises(SchemaError, match=message):
+            ingest([record], PKU_LIKE, strict=False)
+
+    def test_box_value_past_float_range_is_refused(self):
+        record = _record("a", [{"label": "text", "bbox": [0, 0, 10**400, 5]}])
+        message = "malformed element in record 'a': int too large to convert to float"
+        with pytest.raises(SchemaError, match=message):
+            record_to_layout(record)
+        with pytest.raises(SchemaError, match=message):
+            ingest([record], PKU_LIKE, strict=False)
+
+    @pytest.mark.parametrize("canvas", [(int(MAX_PIXEL) + 1, 200), (100, 10**400)])
+    def test_canvas_past_the_pixel_bound_is_refused(self, tmp_path, canvas):
+        path = tmp_path / "records.jsonl"
+        write_jsonl([_record("big", [{"label": "text", "bbox": [0, 0, 5, 5]}],
+                             canvas=canvas)], path)
+        [record] = read_jsonl(path)
+        message = re.escape(f"record 'big' canvas w and h must be at most {MAX_PIXEL:.0f} pixels")
+        with pytest.raises(SchemaError, match=message):
+            record_to_layout(record)
+        # Ingest used to keep such a canvas, and set-up then failed in
+        # compute_area_stats with "int too large to convert to float".
+        with pytest.raises(SchemaError, match=message):
+            ingest([record], PKU_LIKE, strict=False)
+
+    def test_integer_past_the_digit_limit_is_refused(self, tmp_path):
+        # json.loads raises ValueError, not JSONDecodeError, for an integer of
+        # more than 4,300 digits; where it has no such limit, the bound refuses it.
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"id": "big", "split": "train", "canvas": {"w": 1' + "0" * 5000
+                        + ', "h": 200}, "elements": []}\n', encoding="utf-8")
+        with pytest.raises(SchemaError):
+            ingest(read_jsonl(path), PKU_LIKE)
+
+    def test_canvas_and_box_values_at_the_pixel_bound_are_read(self):
+        record = _record("a", [{"label": "text", "bbox": [-MAX_PIXEL, 0, MAX_PIXEL, 5]}],
+                         canvas=(int(MAX_PIXEL), 1))
+        layout = record_to_layout(record)
+        assert layout.canvas == Canvas(int(MAX_PIXEL), 1)
+        assert layout.elements[0].bbox == BBox(-MAX_PIXEL, 0.0, MAX_PIXEL, 5.0)
 
     @pytest.mark.parametrize("w", [100.7, 100.0, "100", True, None])
     def test_canvas_that_is_not_integers_is_refused(self, w):

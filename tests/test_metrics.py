@@ -8,28 +8,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layoutloom import retrieval
+from layoutloom import metrics, retrieval
 from layoutloom.dataset import AreaStats, SaliencyRaster, layout_to_record
-from layoutloom.errors import EmptyLayout, InvalidPayload, MissingLabelStats, ZeroTrainingArea
+from layoutloom.errors import (
+    DimensionMismatch,
+    EmptyLayout,
+    InvalidPayload,
+    MissingLabelStats,
+    ZeroTrainingArea,
+)
 from layoutloom.metrics import (
     CONTENT_AWARE_COLUMNS,
     MetricReport,
-    alignment,
     alignments,
     layout_samples,
     max_iou,
-    occlusion,
-    overlap,
+    occlusion_utilization,
     overlaps,
     population_report,
     readability,
     size_reasonableness,
-    underlay_loose,
-    underlay_strict,
-    utilization,
+    underlay_effectiveness,
     validities,
 )
-from layoutloom.model import BBox, Canvas, Element, Layout, parse_html, unit_boxes
+from layoutloom.model import BBox, Canvas, Element, Layout, unit_boxes
 from layoutloom.pipeline import constraint_satisfaction
 from layoutloom.prompts import ConstraintSpec
 
@@ -58,13 +60,17 @@ def unit_layout(boxes, labels=None, layout_id="m"):
                   tuple(Element(lab, BBox(*b)) for lab, b in zip(labels, boxes)))
 
 
+def miou(generated, reference):
+    return max_iou(unit_boxes([generated]), unit_boxes([reference]))
+
+
 class TestAlignment:
     def test_single_element(self):
-        assert alignment(unit_layout([(0.1, 0.1, 0.3, 0.3)])) == 0.0
+        assert alignments(unit_boxes([unit_layout([(0.1, 0.1, 0.3, 0.3)])])) == [0.0]
 
     def test_shared_left_edge(self):
         lay = unit_layout([(0.2, 0.1, 0.3, 0.1), (0.2, 0.4, 0.5, 0.2), (0.2, 0.7, 0.1, 0.1)])
-        assert alignment(lay) == 0.0
+        assert alignments(unit_boxes([lay])) == [0.0]
 
     def test_two_elements_hand_enumeration(self):
         a = (0.10, 0.10, 0.20, 0.20)
@@ -77,45 +83,47 @@ class TestAlignment:
 
         gaps = [abs(x - y) for x, y in zip(anchors(a), anchors(b))]
         expected = min(gaps)  # both elements see the same nearest anchor gap
-        assert alignment(lay) == pytest.approx(expected, abs=1e-12)
+        assert alignments(unit_boxes([lay])) == [pytest.approx(expected, abs=1e-12)]
         assert expected == pytest.approx(0.02, abs=1e-12)
 
     def test_empty_layout(self):
         with pytest.raises(EmptyLayout):
-            alignment(unit_layout([]))
+            alignments(unit_boxes([unit_layout([])]))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(17)
         lay = random_normalized_layout(rng, max_elements=5)
         flipped = Layout(lay.id, lay.canvas, tuple(reversed(lay.elements)))
-        assert alignment(lay) == pytest.approx(alignment(flipped), abs=1e-12)
+        forward, backward = alignments(unit_boxes([lay, flipped]))
+        assert forward == pytest.approx(backward, abs=1e-12)
 
 
 class TestOverlap:
     def test_disjoint(self):
         lay = unit_layout([(0.0, 0.0, 0.2, 0.2), (0.5, 0.5, 0.2, 0.2)])
-        assert overlap(lay) == 0.0
+        assert overlaps(unit_boxes([lay])) == [0.0]
 
     def test_identical_boxes(self):
         lay = unit_layout([(0.1, 0.1, 0.3, 0.2), (0.1, 0.1, 0.3, 0.2)])
-        assert overlap(lay) == pytest.approx(0.5, abs=1e-12)
+        assert overlaps(unit_boxes([lay])) == [pytest.approx(0.5, abs=1e-12)]
 
     def test_hand_geometry(self):
         lay = unit_layout([(0.0, 0.0, 0.5, 0.5), (0.25, 0.25, 0.5, 0.5)])
-        assert overlap(lay) == pytest.approx(0.125, abs=1e-12)
+        assert overlaps(unit_boxes([lay])) == [pytest.approx(0.125, abs=1e-12)]
 
     def test_exclusion(self):
         lay = unit_layout([(0.0, 0.0, 0.5, 0.5), (0.25, 0.25, 0.5, 0.5)],
                           ["text", "underlay"])
-        assert overlap(lay, exclude_labels={"underlay"}) == 0.0
+        assert overlaps(unit_boxes([lay]), exclude_labels={"underlay"}) == [0.0]
 
     def test_zero_or_one_element(self):
-        assert overlap(unit_layout([])) == 0.0
-        assert overlap(unit_layout([(0.1, 0.1, 0.5, 0.5)])) == 0.0
+        assert overlaps(unit_boxes([unit_layout([])])) == [0.0]
+        assert overlaps(unit_boxes([unit_layout([(0.1, 0.1, 0.5, 0.5)])])) == [0.0]
 
     def test_scale_invariance(self):
         px = make_layout("p", (200, 400), [(0, 0, 100, 200), (50, 100, 100, 200)])
-        assert overlap(px) == pytest.approx(overlap(normalize(px)), abs=1e-15)
+        pixels, unit = overlaps(unit_boxes([px, normalize(px)]))
+        assert pixels == pytest.approx(unit, abs=1e-15)
 
 
 class TestValidity:
@@ -148,29 +156,29 @@ class TestValidity:
 class TestMaxIoU:
     def test_identity(self):
         lay = unit_layout([(0.1, 0.1, 0.3, 0.3), (0.5, 0.5, 0.2, 0.2)], ["text", "logo"])
-        assert max_iou(lay, lay) == pytest.approx(1.0, abs=1e-12)
+        assert miou(lay, lay) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_same_label(self):
         a = unit_layout([(0.0, 0.0, 0.2, 0.2)])
         b = unit_layout([(0.6, 0.6, 0.2, 0.2)])
-        assert max_iou(a, b) == 0.0
+        assert miou(a, b) == 0.0
 
     def test_hand_geometry(self):
         a = unit_layout([(0.0, 0.0, 0.5, 0.5)])
         b = unit_layout([(0.25, 0.25, 0.5, 0.5)])
-        assert max_iou(a, b) == pytest.approx(1.0 / 7.0, abs=1e-12)
+        assert miou(a, b) == pytest.approx(1.0 / 7.0, abs=1e-12)
 
     def test_label_preserving(self):
         a = unit_layout([(0.1, 0.1, 0.3, 0.3)], ["text"])
         b = unit_layout([(0.1, 0.1, 0.3, 0.3)], ["logo"])
-        assert max_iou(a, b) == 0.0
+        assert miou(a, b) == 0.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(18)
         for _ in range(20):
             a = random_normalized_layout(rng, max_elements=4)
             b = random_normalized_layout(rng, max_elements=4)
-            assert max_iou(a, b) == pytest.approx(max_iou(b, a), abs=1e-12)
+            assert miou(a, b) == pytest.approx(miou(b, a), abs=1e-12)
 
     def test_matches_permutation_oracle(self):
         rng = np.random.default_rng(19)
@@ -201,57 +209,54 @@ class TestMaxIoU:
         for _ in range(30):
             a = random_normalized_layout(rng, max_elements=4)
             b = random_normalized_layout(rng, max_elements=4)
-            assert max_iou(a, b) == pytest.approx(oracle(a, b), abs=1e-9)
+            assert miou(a, b) == pytest.approx(oracle(a, b), abs=1e-9)
 
 
 class TestUnderlay:
     def test_full_containment(self):
         lay = unit_layout([(0.1, 0.1, 0.4, 0.4), (0.2, 0.2, 0.1, 0.1)],
                           ["underlay", "text"])
-        assert underlay_loose(lay) == pytest.approx(1.0, abs=1e-12)
-        assert underlay_strict(lay) == 1.0
+        assert underlay_effectiveness(unit_boxes([lay])) == (pytest.approx(1.0, abs=1e-12), 1.0)
 
     def test_disjoint_underlay(self):
         lay = unit_layout([(0.6, 0.6, 0.3, 0.3), (0.0, 0.0, 0.1, 0.1)],
                           ["underlay", "text"])
-        assert underlay_loose(lay) == 0.0
-        assert underlay_strict(lay) == 0.0
+        assert underlay_effectiveness(unit_boxes([lay])) == (0.0, 0.0)
 
     def test_half_contained(self):
         # text box 0.2 wide, half inside the underlay
         lay = unit_layout([(0.0, 0.0, 0.5, 0.5), (0.4, 0.1, 0.2, 0.2)],
                           ["underlay", "text"])
-        assert underlay_loose(lay) == pytest.approx(0.5, abs=1e-12)
-        assert underlay_strict(lay) == 0.0
+        assert underlay_effectiveness(unit_boxes([lay])) == (pytest.approx(0.5, abs=1e-12), 0.0)
 
     def test_no_underlay_skipped(self):
         lay = unit_layout([(0.1, 0.1, 0.2, 0.2)], ["text"])
-        assert underlay_loose(lay) is None
-        assert underlay_strict(lay) is None
+        assert underlay_effectiveness(unit_boxes([lay])) is None
 
 
 class TestContentMetrics:
     def test_zero_saliency(self):
         raster = SaliencyRaster(4, 4, np.zeros((4, 4)))
         lay = unit_layout([(0.0, 0.0, 0.5, 0.5)])
-        assert occlusion(lay, raster) == 0.0
+        assert occlusion_utilization(unit_boxes([lay]), raster)[0] == 0.0
 
     def test_constant_saliency(self):
         raster = SaliencyRaster(8, 8, np.full((8, 8), 0.3))
         lay = unit_layout([(0.25, 0.25, 0.5, 0.5)])
-        assert occlusion(lay, raster) == pytest.approx(0.3, abs=1e-12)
+        assert occlusion_utilization(unit_boxes([lay]), raster)[0] == \
+            pytest.approx(0.3, abs=1e-12)
 
     def test_full_coverage_utilization(self):
         rng = np.random.default_rng(20)
         raster = SaliencyRaster(6, 6, rng.random((6, 6)) * 0.9)
         lay = unit_layout([(0.0, 0.0, 1.0, 1.0)])
-        assert utilization(lay, raster) == pytest.approx(1.0, abs=1e-12)
+        assert occlusion_utilization(unit_boxes([lay]), raster)[1] == \
+            pytest.approx(1.0, abs=1e-12)
 
     def test_empty_coverage(self):
         raster = SaliencyRaster(4, 4, np.full((4, 4), 0.5))
         lay = unit_layout([(0.0, 0.0, 0.0, 0.0)])
-        assert occlusion(lay, raster) == 0.0
-        assert utilization(lay, raster) == 0.0
+        assert occlusion_utilization(unit_boxes([lay]), raster) == (0.0, 0.0)
 
     def test_known_pixel_window(self):
         values = np.arange(16, dtype=np.float64).reshape(4, 4) / 16.0
@@ -259,7 +264,8 @@ class TestContentMetrics:
         # box covering only the left half: pixel columns 0..1
         lay = unit_layout([(0.0, 0.0, 0.5, 1.0)])
         expected = values[:, :2].mean()
-        assert occlusion(lay, raster) == pytest.approx(expected, abs=1e-12)
+        assert occlusion_utilization(unit_boxes([lay]), raster)[0] == \
+            pytest.approx(expected, abs=1e-12)
 
     def test_readability_text_only(self):
         values = np.zeros((4, 4))
@@ -267,27 +273,61 @@ class TestContentMetrics:
         raster = SaliencyRaster(4, 4, values)
         lay = unit_layout([(0.5, 0.0, 0.5, 1.0), (0.0, 0.0, 0.5, 1.0)],
                           ["text", "logo"])
-        assert readability(lay, raster) == pytest.approx(1.0, abs=1e-12)
+        assert readability(unit_boxes([lay]), raster) == pytest.approx(1.0, abs=1e-12)
 
     def test_readability_skipped_without_text(self):
         raster = SaliencyRaster(4, 4, np.zeros((4, 4)))
         lay = unit_layout([(0.0, 0.0, 0.5, 0.5)], ["logo"])
-        assert readability(lay, raster) is None
+        assert readability(unit_boxes([lay]), raster) is None
 
-    @pytest.mark.parametrize("style, covered", [
+    @pytest.mark.parametrize("box, covered", [
         # The right edge, 2e306 of the canvas, is past the largest float in
         # raster pixels.
-        ("left:1e308px; top:0px; width:1e308px; height:50px", 0.0),
+        ((1e308, 0.0, 1e308, 50.0), 0.0),
         # The top edge is -inf in raster pixels and the bottom is past it.
-        ("left:0px; top:-1.7e308px; width:100px; height:1.79e308px", 1.0),
+        ((0.0, -1.7e308, 100.0, 1.79e308), 1.0),
     ])
-    def test_parsed_boxes_beyond_the_largest_float_in_pixels(self, style, covered):
-        layout = parse_html('<div class="canvas" style="width:100px; height:100px"></div>'
-                            f'<div class="text" style="{style}"></div>', ["text"])
+    def test_boxes_beyond_the_largest_float_in_pixels(self, box, covered):
+        layout = Layout("", Canvas(100, 100), (Element("text", BBox(*box)),))
         raster = SaliencyRaster(103, 150, np.full((150, 103), 0.5))
         samples = layout_samples(layout, saliency=raster, gradient=raster)
         assert (samples["occ"], samples["uti"], samples["rea"]) == \
             (0.5 * covered, covered, 0.5 * covered)
+
+
+class TestLayoutSamples:
+    def test_one_conversion_per_layout_and_one_mask_per_raster(self, monkeypatch):
+        calls = {"unit_boxes": 0, "_coverage_mask": 0}
+
+        def counted(name):
+            function = getattr(metrics, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(metrics, name, counted(name))
+        labels = ["text", "logo", "underlay", "text", "logo", "text", "underlay", "logo"]
+        layout = make_layout("a", (400, 300), [(40 * i, 30 * i, 120, 60) for i in range(8)],
+                             labels)
+        reference = make_layout("a", (400, 300), [(35 * i, 25 * i, 90, 80) for i in range(5)],
+                                labels[:5])
+        raster = SaliencyRaster(103, 150, np.full((150, 103), 0.5))
+        samples = layout_samples(layout, reference, raster, raster, ("underlay",))
+        assert sorted(samples) == sorted(CONTENT_AWARE_COLUMNS[:-1] + ("miou",))
+        # The layout and its reference once each; the saliency mask and the
+        # text-only gradient mask.
+        assert calls == {"unit_boxes": 2, "_coverage_mask": 2}
+
+    @pytest.mark.parametrize("labels", [["text"], ["logo"], []])
+    def test_a_raster_without_pixels_is_refused(self, labels):
+        layout = unit_layout([(0.1, 0.1, 0.2, 0.2)] * len(labels), labels)
+        empty = SaliencyRaster(0, 0, np.zeros((0, 0)))
+        for rasters in ({"saliency": empty}, {"gradient": empty}):
+            with pytest.raises(DimensionMismatch, match="raster has no pixels"):
+                layout_samples(layout, **rasters)
 
 
 class TestSizeReasonableness:
@@ -389,7 +429,6 @@ class TestPopulationReport:
 
 def _reference_population_report(generated, references=None, stats=None, saliency=None,
                                  gradient=None, exclude_overlap_labels=(),
-                                 underlay_label="underlay", text_labels=("text",),
                                  min_area_ratio=0.001, metrics=None):
     """The population report as it was computed over id-keyed maps of
     references and rasters; parity reference for layout_samples plus
@@ -413,24 +452,24 @@ def _reference_population_report(generated, references=None, stats=None, salienc
             notes[name] = f"skipped({why_empty})"
 
     non_empty = [lay for lay in generated if lay.elements]
-    put("align", [alignment(lay) for lay in non_empty], "no_elements")
+    put("align", [alignments(unit_boxes([lay]))[0] for lay in non_empty], "no_elements")
     if include("overlap"):
-        values["overlap"] = mean([overlap(lay, exclude_overlap_labels) for lay in generated]) \
-            if generated else 0.0
+        values["overlap"] = mean([overlaps(unit_boxes([lay]), exclude_overlap_labels)[0]
+                                  for lay in generated]) if generated else 0.0
         notes["overlap"] = "computed" if generated else "skipped(empty_population)"
     put("val", [object_path_validity(lay, min_area_ratio) for lay in generated],
         "empty_population")
-    und_l = [v for lay in generated if (v := underlay_loose(lay, underlay_label)) is not None]
-    und_s = [v for lay in generated if (v := underlay_strict(lay, underlay_label)) is not None]
-    put("und_l", und_l, "no_underlay")
-    put("und_s", und_s, "no_underlay")
+    underlays = [v for lay in generated
+                 if (v := underlay_effectiveness(unit_boxes([lay]))) is not None]
+    put("und_l", [loose for loose, _ in underlays], "no_underlay")
+    put("und_s", [strict for _, strict in underlays], "no_underlay")
     if include("miou"):
         pairs = []
         if references:
             for lay in non_empty:
                 ref = references.get(lay.id)
                 if ref is not None and ref.elements:
-                    pairs.append(max_iou(lay, ref))
+                    pairs.append(miou(lay, ref))
         put("miou", pairs, "no_references")
     if include("occ") or include("uti"):
         occ_samples, uti_samples = [], []
@@ -438,8 +477,9 @@ def _reference_population_report(generated, references=None, stats=None, salienc
             for lay in generated:
                 raster = saliency.get(lay.id)
                 if raster is not None:
-                    occ_samples.append(occlusion(lay, raster))
-                    uti_samples.append(utilization(lay, raster))
+                    occ, uti = occlusion_utilization(unit_boxes([lay]), raster)
+                    occ_samples.append(occ)
+                    uti_samples.append(uti)
         put("occ", occ_samples, "no_saliency")
         put("uti", uti_samples, "no_saliency")
     if include("rea"):
@@ -448,7 +488,7 @@ def _reference_population_report(generated, references=None, stats=None, salienc
             for lay in generated:
                 raster = gradient.get(lay.id)
                 if raster is not None:
-                    value = readability(lay, raster, text_labels)
+                    value = readability(unit_boxes([lay]), raster)
                     if value is not None:
                         rea_samples.append(value)
         put("rea", rea_samples, "no_gradient")
@@ -551,9 +591,11 @@ _ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.n
        st.sampled_from(((1, 1), (400, 300))))
 def test_metrics_of_non_finite_boxes_equal_the_scalar_loops(elements, canvas):
     layout = Layout("", Canvas(*canvas), tuple(Element(lab, BBox(*b)) for lab, b in elements))
-    assert _outcome(alignment, layout) == _outcome(scalar_alignment, layout)
+    assert _outcome(lambda lay: alignments(unit_boxes([lay]))[0], layout) == \
+        _outcome(scalar_alignment, layout)
     for exclude in ((), ("underlay",)):
-        assert _outcome(overlap, layout, exclude) == _outcome(scalar_overlap, layout, exclude)
+        assert _outcome(lambda lay: overlaps(unit_boxes([lay]), exclude)[0], layout) == \
+            _outcome(scalar_overlap, layout, exclude)
 
 
 # --- unit_boxes readers against the normalized-copy object path ---------------
@@ -633,7 +675,7 @@ def test_unit_boxes_readers_equal_the_object_path(layout, reference, saliency, g
         assert got.startswith("{")
     else:
         assert got == want
-    assert _repr_or_error(max_iou, layout, reference) == \
+    assert _repr_or_error(miou, layout, reference) == \
         _repr_or_error(object_path_max_iou, layout, reference)
     for population in ([layout], [layout, reference]):
         assert _repr_or_error(size_reasonableness, population, _PARITY_STATS) == \

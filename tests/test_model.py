@@ -1,5 +1,6 @@
 """Layout types, unit coordinates, and snippet serialization."""
 
+import math
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from layoutloom import model
 from layoutloom.errors import NegativeDimension, ParseFailure, ZeroCanvas
 from layoutloom.model import (
+    MAX_PIXEL,
     BBox,
     Canvas,
     denormalize,
@@ -164,6 +166,27 @@ class TestParseHtml:
         with pytest.raises(ParseFailure, match=f"style property '{prop}'"):
             parse_html(snippet, VOCAB)
 
+    @pytest.mark.parametrize("canvas, element, prop", [
+        # Two of these used to reach layout_samples, whose overlap sum
+        # overflowed: "OverflowError: intermediate overflow in fsum".
+        ("100", "left:0px; top:0px; width:1.7e308px; height:10000px", "width"),
+        ("100", "left:-2e7px; top:0px; width:5px; height:5px", "left"),
+        ("1e300", "left:0px; top:0px; width:5px; height:5px", "width"),
+        ("100", f"left:0px; top:{MAX_PIXEL + 1}px; width:5px; height:5px", "top"),
+    ], ids=["huge-width", "far-left", "huge-canvas", "just-past"])
+    def test_style_number_past_the_pixel_bound_is_a_parse_failure(self, canvas, element, prop):
+        snippet = (f'<div class="canvas" style="width:{canvas}px; height:100px"></div>'
+                   f'<div class="text" style="{element}"></div>' * 2)
+        with pytest.raises(ParseFailure, match=f"style property '{prop}' is past"):
+            parse_html(snippet, VOCAB)
+
+    def test_style_number_at_the_pixel_bound_is_read(self):
+        snippet = ('<div class="canvas" style="width:100px; height:100px"></div>'
+                   f'<div class="text" style="left:-{MAX_PIXEL}px; top:0px; '
+                   f'width:{MAX_PIXEL}px; height:5px"></div>')
+        [element] = parse_html(snippet, VOCAB).elements
+        assert element.bbox == BBox(-MAX_PIXEL, 0.0, MAX_PIXEL, 5.0)
+
     def test_missing_canvas_uses_fallback(self):
         snippet = '<div class="text" style="left:10px; top:10px; width:20px; height:20px"></div>'
         lay = parse_html(snippet, VOCAB, fallback_canvas=Canvas(64, 48))
@@ -228,7 +251,20 @@ def _attrs_oracle(fragment):
 
 
 def _style_props_oracle(style):
-    return {m.group(1).lower(): float(m.group(2)) for m in model._PROP_RE.finditer(style)}
+    props = {m.group(1).lower(): float(m.group(2)) for m in model._PROP_RE.finditer(style)}
+    for name, value in props.items():
+        if not math.isfinite(value) or abs(value) > MAX_PIXEL:
+            raise ParseFailure(f"style property {name!r} is out of range")
+    return props
+
+
+def _style_props_outcome(function, style):
+    """The properties ``function`` reads from ``style`` in order, or the
+    property its ParseFailure names."""
+    try:
+        return list(function(style).items())
+    except ParseFailure as exc:
+        return str(exc).split(" is ")[0]
 
 
 _MARKUP = st.text(alphabet="aClsty-_= \t\"':;.5+e0x/<>", max_size=60)
@@ -251,5 +287,5 @@ def test_attrs_equal_the_finditer_loop(fragment):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_MARKUP, _STYLE_TOKENS))
 def test_style_props_equal_the_finditer_loop(style):
-    got, want = model._style_props(style), _style_props_oracle(style)
-    assert list(got.items()) == list(want.items())
+    assert _style_props_outcome(model._style_props, style) == \
+        _style_props_outcome(_style_props_oracle, style)

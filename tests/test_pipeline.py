@@ -848,6 +848,17 @@ class TestRunTask:
             ("occ", "rea", "uti", "align", "und_l", "und_s", "overlap", "val", "r_e"))
         assert (run_dir / "run.log").exists()
 
+    def test_each_item_record_is_parsed_once(self, fixture_env, tmp_path, monkeypatch):
+        parsed = []
+
+        def counted(record, *args):
+            parsed.append(record["id"])
+            return record_to_layout(record, *args)
+
+        monkeypatch.setattr(pipeline, "record_to_layout", counted)
+        run_task(fixture_env["run_config"](tmp_path / "run_p", "replay"))
+        assert parsed == [item["id"] for item in fixture_env["items"]]
+
     def test_replay_is_deterministic(self, fixture_env, tmp_path):
         config_a = fixture_env["run_config"](tmp_path / "run_a", "replay")
         config_b = fixture_env["run_config"](tmp_path / "run_b", "replay")

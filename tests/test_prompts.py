@@ -10,7 +10,7 @@ from layoutloom.errors import (
     UnboundPlaceholder,
     UnknownTemplate,
 )
-from layoutloom.model import to_html
+from layoutloom.model import MAX_PIXEL, to_html
 from layoutloom.prompts import (
     ConstraintSpec,
     STAGE_NAMES,
@@ -146,6 +146,10 @@ class TestConstraintSpec:
         ("gen_ts", {"elements": [{"label": 7, "width": 30, "height": 3}]}),
         ("gen_ts", {"elements": [{"label": "text", "width": 30, "height": 3}],
                     "canvas": [0, 300]}),
+        ("gen_ts", {"elements": [{"label": "text", "width": 1e300, "height": 3}]}),
+        ("gen_ts", {"elements": [{"label": "text", "width": 30, "height": 10**400}]}),
+        ("gen_ts", {"elements": [{"label": "text", "width": 30, "height": 3}],
+                    "canvas": [int(MAX_PIXEL) + 1, 300]}),
         ("gen_r", {"elements": "text"}),
         ("gen_r", {"elements": [["text"]]}),
         ("gen_r", {"elements": ["text", "title"], "relations": [[0, "above"]]}),
@@ -154,11 +158,14 @@ class TestConstraintSpec:
         ("gen_r", {"elements": ["text", "title"], "relations": {"0": "above"}}),
         ("completion", {"layout": {"canvas": {"w": 0, "h": 10}, "elements": []}}),
         ("completion", {"layout": {"canvas": [10, 10], "elements": []}}),
+        ("completion", {"layout": {"canvas": {"w": 10**400, "h": 10}, "elements": []}}),
         ("completion", {"layout": {"canvas": {"w": 10, "h": 10}, "elements": 5}}),
         ("refinement", {"layout": {"canvas": {"w": 10, "h": 10},
                                    "elements": [{"label": "text"}]}}),
         ("content_aware", {"canvas": 5, "categories": {"text": 1}}),
         ("content_aware", {"canvas": [513, "750"], "categories": {"text": 1}}),
+        ("content_aware", {"canvas": [513, 10**400], "categories": {"text": 1}}),
+        ("text_to_layout", {"text": "a form", "canvas": [360, int(MAX_PIXEL) + 1]}),
         ("text_to_layout", {"text": "a form", "canvas": [360]}),
         ("text_to_layout", {"text": "a form", "categories": {"text": "2"}}),
     ])
