@@ -26,7 +26,6 @@ from .dataset import (
 )
 from .transport import TransportPlan, solve_exact
 from .retrieval import (
-    CostWeights,
     RetrievalIndex,
     build_index,
     load_index,

@@ -37,6 +37,7 @@ from .errors import (
     ParseFailure,
     ReplayMiss,
     RequestRejected,
+    SchemaError,
     TransportError,
 )
 from .model import Canvas, Layout, parse_html
@@ -154,13 +155,21 @@ def write_transcript(directory: str | Path, request: Mapping[str, Any], response
 
 
 def read_response(directory: str | Path, key: str) -> str:
-    """The response text stored under ``key``, or ReplayMiss."""
+    """The response text stored under ``key``; ReplayMiss when there is no
+    transcript, and SchemaError naming the file when it is not UTF-8 JSON
+    with a ``response_text`` string."""
+    path = _transcript_path(directory, key)
     try:
-        with open(_transcript_path(directory, key), encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8") as fh:
+            response = json.loads(fh.read())["response_text"]
     except FileNotFoundError:
         raise ReplayMiss(key) from None
-    return json.loads(text)["response_text"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SchemaError(f"transcript {path} is not JSON with a response_text string "
+                          f"({type(exc).__name__}: {exc})") from exc
+    if not isinstance(response, str):
+        raise SchemaError(f"transcript {path} is not JSON with a response_text string")
+    return response
 
 
 def _retry_after(value: str | None) -> float | None:
@@ -332,7 +341,9 @@ def replay_check(transcript_dir: str | Path) -> list[str]:
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
             derived = transcript_key(data["request"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8, and an
+        # integer past Python's digit limit.
+        except (ValueError, KeyError, TypeError) as exc:
             problems.append(f"{path.name}: unreadable transcript ({exc})")
             continue
         if derived != data.get("key") or path.stem != derived:

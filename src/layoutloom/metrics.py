@@ -11,8 +11,8 @@ The intersection area of two boxes has one definition, ``_intersections``.
 Content metrics (occlusion, utilization, readability) read ingested
 saliency/gradient rasters with pixel membership decided by the pixel center;
 occlusion and utilization share one coverage mask. The size-reasonableness score
-compares per-label mean areas against training-set references inside a
-log-symmetric tolerance band:
+compares per-label mean areas against training-set references inside the
+fixed log-symmetric tolerance band of ``DEFAULT_TOLERANCE_RATIO`` = 1.1:
 
     r_i = mean_area_i / train_mean_area_i
     d_i = |ln r_i|,  tau = ln(1.1)
@@ -260,8 +260,7 @@ class ReScore:
     value: float
 
 
-def size_reasonableness(population: Sequence[Layout], stats: AreaStats,
-                        tolerance_ratio: float = DEFAULT_TOLERANCE_RATIO) -> ReScore:
+def size_reasonableness(population: Sequence[Layout], stats: AreaStats) -> ReScore:
     """Aggregate size-reasonableness of a generated population.
 
     See the module docstring for the formula. Every label occurring in the
@@ -269,7 +268,7 @@ def size_reasonableness(population: Sequence[Layout], stats: AreaStats,
     """
     if not population:
         raise EmptyLayout("size reasonableness needs a non-empty population")
-    tau = math.log(tolerance_ratio)
+    tau = math.log(DEFAULT_TOLERANCE_RATIO)
     boxes = unit_boxes(population)
     real = np.arange(boxes.ltwh.shape[1]) < np.array(boxes.counts)[:, None]
     areas: dict[str, list[float]] = {}

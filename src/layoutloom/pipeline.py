@@ -456,8 +456,10 @@ def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex
 
 # --- full task runs ---------------------------------------------------------
 
-def constraint_from_record(record: Mapping[str, Any], task_family: str) -> ConstraintSpec:
-    """Build the item constraint from an interchange record.
+def constraint_from_record(record: Mapping[str, Any],
+                           task_family: str) -> tuple[ConstraintSpec, Layout | None]:
+    """Build the item constraint from an interchange record, and return it
+    with the record's layout when building it parsed the record, else None.
 
     An explicit ``constraints`` object wins; otherwise content-aware items
     fall back to their own element categories, and text items to their text.
@@ -477,9 +479,10 @@ def constraint_from_record(record: Mapping[str, Any], task_family: str) -> Const
         raise InvalidPayload(f"record {rid!r} canvas must be an object of integer w and h, "
                              f"got {canvas!r}")
     if "kind" in raw:
-        return ConstraintSpec(kind=str(raw["kind"]), payload=raw.get("payload", {}))
+        return ConstraintSpec(kind=str(raw["kind"]), payload=raw.get("payload", {})), None
     if task_family == "content_aware":
         payload: dict[str, Any] = {"canvas": canvas_pair}
+        layout = None
         if "categories" in raw:
             payload["categories"] = raw["categories"]
         else:
@@ -491,21 +494,21 @@ def constraint_from_record(record: Mapping[str, Any], task_family: str) -> Const
         for key in ("saliency", "gradient"):
             if record.get(key):
                 payload[key] = record[key]
-        return ConstraintSpec(kind="content_aware", payload=payload)
+        return ConstraintSpec(kind="content_aware", payload=payload), layout
     if task_family == "text_to_layout":
         payload = {"text": str(record.get("text", ""))}
         if canvas_pair[0] > 0:
             payload["canvas"] = canvas_pair
         if "categories" in raw:
             payload["categories"] = raw["categories"]
-        return ConstraintSpec(kind="text_to_layout", payload=payload)
+        return ConstraintSpec(kind="text_to_layout", payload=payload), None
     # Constraint-explicit without an explicit spec: treat the record's own
     # label multiset as a Gen-T style type constraint.
     layout = record_to_layout(record)
     counts = label_counts(layout)
     if not counts:
         raise ConfigError(f"record {rid!r} yields no type constraint")
-    return ConstraintSpec(kind="gen_t", payload={"categories": counts})
+    return ConstraintSpec(kind="gen_t", payload={"categories": counts}), layout
 
 
 # The top-level run-config keys: PipelineConfig's fields and these.
@@ -628,8 +631,9 @@ def _run_item(record: Mapping[str, Any], *, task_family: str, index: RetrievalIn
     trace_path = None
     try:
         trace_path = traces_dir / _trace_name(item_id)
-        constraint = constraint_from_record(record, task_family)
-        item_layout = record_to_layout(record)
+        constraint, item_layout = constraint_from_record(record, task_family)
+        if item_layout is None:
+            item_layout = record_to_layout(record)
         rendered: dict[tuple[str, Canvas], str] = {}
         coarse, fragment = generate_coarse(constraint, index, cfg, gateway, stats=stats,
                                            query=item_layout, run_id=item_id,

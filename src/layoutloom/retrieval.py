@@ -1,24 +1,26 @@
 """Transport-based layout similarity and top-K exemplar retrieval.
 
-The dissimilarity between two layouts is the minimal transport cost between
-their element sets under uniform marginals, with the per-pair ground cost
+The dissimilarity between two layouts is LTSim's: the minimal transport cost
+between their element sets under uniform marginals, with the per-pair ground
+cost
 
-    mu(e, f) = w_geo * (|dcx| + |dcy| + |dw| + |dh|) / 4 + w_label * [label differs]
+    mu(e, f) = W_GEO * (|dcx| + |dcy| + |dw| + |dh|) / 4 + W_LABEL * [label differs]
 
-computed on normalized coordinates (centers and extents). Similarity is
-exp(-scale * distance), so identical layouts score exactly 1.
+computed on normalized coordinates (centers and extents), with the fixed
+weights W_GEO = W_LABEL = 0.5. Similarity is exp(-distance), so identical
+layouts score exactly 1.
 
 Retrieval is exact but does not solve every entry. A lower bound on each
 entry's transport cost comes from one pass over the index arrays:
 
-    LB = w_label * TV(label histograms) + w_geo * sum_coord W1(coord) / 4
+    LB = W_LABEL * TV(label histograms) + W_GEO * sum_coord W1(coord) / 4
 
 Any plan moves at least the total-variation mass between different labels,
 and the L1 cost separates by coordinate, so each coordinate costs at least
 its 1-D Wasserstein-1 distance, which has a closed form from sorted values.
 TV is one expression over the index's histogram array, and W1 one per
 element count. The first k entries in (bound, position) order are solved
-exactly. The entries whose bound similarity exp(-scale * (LB - BOUND_SLACK))
+exactly. The entries whose bound similarity exp(BOUND_SLACK - LB)
 is not strictly below the k-th similarity then get a second, tighter bound:
 a feasible dual of the transport problem, from entropic potentials made
 feasible by a c-transform. It is computed in batches of ``DUAL_BATCH``
@@ -61,7 +63,6 @@ import json
 import logging
 import math
 import zipfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -86,21 +87,10 @@ BOUND_SLACK = 1e-12
 PSEUDO_DEFAULT_AREA = 0.05
 
 
-@dataclass(frozen=True)
-class CostWeights:
-    """Relative weight of the geometric and label-mismatch cost terms."""
-
-    w_geo: float = 0.5
-    w_label: float = 0.5
-
-    def __post_init__(self):
-        if self.w_geo < 0 or self.w_label < 0:
-            raise ValueError("cost weights must be non-negative")
-        if abs(self.w_geo + self.w_label - 1.0) > 1e-9:
-            raise ValueError("cost weights must sum to 1")
-
-
-DEFAULT_WEIGHTS = CostWeights()
+# The weights of the geometric and label-mismatch terms of the ground cost.
+# An index file stores them, and ``load_index`` refuses any others.
+W_GEO = 0.5
+W_LABEL = 0.5
 
 
 def _features(layout: Layout, vocabulary: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +105,7 @@ def _features(layout: Layout, vocabulary: Sequence[str]) -> tuple[np.ndarray, np
 
 
 def _ground_costs(q_labels: np.ndarray, q_feats: np.ndarray, labels: np.ndarray,
-                  feats: np.ndarray, weights: CostWeights) -> np.ndarray:
+                  feats: np.ndarray) -> np.ndarray:
     """The ground cost (..., m, n) between query elements, given as label ids
     (m,) and features (m, 4), and entry elements, given as label ids (..., n)
     and features (..., n, 4) over leading batch axes. The one definition of
@@ -123,26 +113,21 @@ def _ground_costs(q_labels: np.ndarray, q_feats: np.ndarray, labels: np.ndarray,
     geo = np.abs(q_feats[:, None, 0] - feats[..., None, :, 0])
     for c in (1, 2, 3):
         geo += np.abs(q_feats[:, None, c] - feats[..., None, :, c])
-    return weights.w_geo * (geo / 4.0) + np.where(
-        q_labels[:, None] == labels[..., None, :], 0.0, weights.w_label)
+    return W_GEO * (geo / 4.0) + np.where(
+        q_labels[:, None] == labels[..., None, :], 0.0, W_LABEL)
 
 
-def transport_distance(a: Layout, b: Layout,
-                       weights: CostWeights = DEFAULT_WEIGHTS) -> TransportPlan:
+def transport_distance(a: Layout, b: Layout) -> TransportPlan:
     """Minimal transport cost between two non-empty layouts, solved exactly."""
     if not a.elements or not b.elements:
         raise EmptyLayout("transport distance is undefined for empty layouts")
     vocabulary = list({e.label for e in a.elements + b.elements})
-    return solve_exact(_ground_costs(*_features(a, vocabulary), *_features(b, vocabulary),
-                                     weights))
+    return solve_exact(_ground_costs(*_features(a, vocabulary), *_features(b, vocabulary)))
 
 
-def ltsim_score(a: Layout, b: Layout, weights: CostWeights = DEFAULT_WEIGHTS,
-                scale: float = 1.0) -> float:
-    """Similarity exp(-scale * distance) in (0, 1]; 1 iff distance is 0."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    return math.exp(-scale * transport_distance(a, b, weights).cost)
+def ltsim_score(a: Layout, b: Layout) -> float:
+    """Similarity exp(-distance) in (0, 1]; 1 iff distance is 0."""
+    return math.exp(-transport_distance(a, b).cost)
 
 
 def _check_size(count: int, what: str) -> None:
@@ -169,11 +154,9 @@ class RetrievalIndex:
     repeat one. ``positions`` maps each id to its row.
     """
 
-    def __init__(self, vocabulary: Sequence[str], ids: Sequence[str], labels, coords,
-                 weights: CostWeights = DEFAULT_WEIGHTS):
+    def __init__(self, vocabulary: Sequence[str], ids: Sequence[str], labels, coords):
         self.vocabulary, self.ids = (tuple(s.tolist() if isinstance(s, np.ndarray) else s)
                                      for s in (vocabulary, ids))
-        self.weights = weights
         # Every string must come back from a numpy unicode array, as an index
         # file stores them: numpy drops trailing NULs, turns numbers into
         # strings, and keeps other objects in an object array. Strings read
@@ -254,8 +237,7 @@ class RetrievalIndex:
                                                  counts.tolist())]
 
 
-def build_index(dataset: CanonicalDataset, split: str,
-                weights: CostWeights = DEFAULT_WEIGHTS) -> RetrievalIndex:
+def build_index(dataset: CanonicalDataset, split: str) -> RetrievalIndex:
     """Index one split's layouts on the unit canvas, each box value divided
     by its canvas (``unit_boxes``, bit for bit); empty layouts are skipped."""
     rows, element_labels, unit = dataset.split_elements(split)
@@ -278,7 +260,7 @@ def build_index(dataset: CanonicalDataset, split: str,
     coords = np.zeros(real.shape + (4,))
     coords[real] = np.stack((left + width / 2.0, top + height / 2.0, width, height), axis=1)
     return RetrievalIndex(dataset.manifest.vocabulary, [dataset.ids[row] for row in kept.tolist()],
-                          labels, coords, weights)
+                          labels, coords)
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:
@@ -287,21 +269,26 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
     with open(path, "wb") as fh:
         np.savez(fh, version=INDEX_VERSION, vocabulary=index.vocabulary, ids=index.ids,
                  labels=index.labels, coords=index.coords,
-                 weights=[index.weights.w_geo, index.weights.w_label])
+                 weights=[W_GEO, W_LABEL])
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
     """Read an index that ``save_index`` wrote, through the validating
-    constructor. A file that is not one raises SchemaError; another format
-    version, such as a JSON index of version 1, raises VersionMismatch."""
+    constructor. A file that is not one, or whose cost weights are not
+    ``[W_GEO, W_LABEL]``, raises SchemaError; another format version, such
+    as a JSON index of version 1, raises VersionMismatch."""
     with open(path, "rb") as fh:
         try:
             with np.load(fh, allow_pickle=False) as data:
                 version = str(data["version"])
                 if version == INDEX_VERSION:
+                    weights = data["weights"].tolist()
+                    if weights != [W_GEO, W_LABEL]:
+                        raise SchemaError(f"index {path} has cost weights {weights!r}, not "
+                                          f"{[W_GEO, W_LABEL]!r}; rebuild it with "
+                                          f"`layoutloom index build`")
                     return RetrievalIndex(data["vocabulary"], data["ids"],
-                                          data["labels"], data["coords"],
-                                          CostWeights(*data["weights"].tolist()))
+                                          data["labels"], data["coords"])
         except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             fh.seek(0)
             try:
@@ -327,12 +314,12 @@ def _quantile_segments(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return segments
 
 
-def transport_lower_bounds(q_labels: np.ndarray, q_feats: np.ndarray, index: RetrievalIndex,
-                           weights: CostWeights) -> np.ndarray:
+def transport_lower_bounds(q_labels: np.ndarray, q_feats: np.ndarray,
+                           index: RetrievalIndex) -> np.ndarray:
     """A lower bound on the transport cost between a non-empty query, given
     by its ``_features``, and every index position, without ``BOUND_SLACK``.
 
-    The bound is ``w_label * TV + w_geo * sum_coord W1 / 4`` (see the module
+    The bound is ``W_LABEL * TV + W_GEO * sum_coord W1 / 4`` (see the module
     docstring). Query labels outside the index vocabulary count fully as
     mismatched mass.
     """
@@ -347,7 +334,7 @@ def transport_lower_bounds(q_labels: np.ndarray, q_feats: np.ndarray, index: Ret
         qi, ei, length = _quantile_segments(m, n)
         gaps = coords[:, ei] - q_coords[:, qi, None]
         w1[positions] = length @ np.abs(gaps, out=gaps).sum(axis=0)
-    return weights.w_label * tv + weights.w_geo * (w1 / 4.0)
+    return W_LABEL * tv + W_GEO * (w1 / 4.0)
 
 
 # Temperatures of the entropic dual ascent in ``dual_lower_bounds``, largest
@@ -429,7 +416,7 @@ def dual_lower_bounds(costs: np.ndarray, counts: np.ndarray,
 
 
 def _entry_costs(q_labels: np.ndarray, q_feats: np.ndarray, index: RetrievalIndex,
-                 rows: Sequence[int], weights: CostWeights) -> np.ndarray:
+                 rows: Sequence[int]) -> np.ndarray:
     """Ground costs (len(rows), m, n) between a query and the entries at
     ``rows``, n their largest element count, with centers rebuilt from each
     box ``(cx - w/2, cy - h/2, w, h)`` as ``(cx - w/2) + w/2``, so each cost
@@ -438,10 +425,10 @@ def _entry_costs(q_labels: np.ndarray, q_feats: np.ndarray, index: RetrievalInde
     coords = index.coords[rows, :n]
     half = coords[:, :, 2:] / 2.0
     feats = np.concatenate(((coords[:, :, :2] - half) + half, coords[:, :, 2:]), axis=2)
-    return _ground_costs(q_labels, q_feats, index.labels[rows, :n], feats, weights)
+    return _ground_costs(q_labels, q_feats, index.labels[rows, :n], feats)
 
 
-def topk_retrieve(query: Layout, index: RetrievalIndex, k: int, scale: float = 1.0,
+def topk_retrieve(query: Layout, index: RetrievalIndex, k: int,
                   exclude_self: bool = False) -> list[tuple[str, float]]:
     """The k index entries most similar to the query, descending.
 
@@ -452,32 +439,29 @@ def topk_retrieve(query: Layout, index: RetrievalIndex, k: int, scale: float = 1
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
     if not len(index):
         raise EmptyIndex("cannot retrieve from an empty index")
     if not query.elements:
         raise EmptyLayout("retrieval query has no elements")
     _check_size(len(query.elements), "retrieval query")
-    w = index.weights
     q_labels, q_feats = _features(query, index.vocabulary)
-    bounds = transport_lower_bounds(q_labels, q_feats, index, w)
+    bounds = transport_lower_bounds(q_labels, q_feats, index)
     pool = np.arange(len(index))
     if exclude_self and query.id in index.positions:
         pool = np.delete(pool, index.positions[query.id])
     best: list[tuple[float, str]] = []  # (-similarity, id), ascending
 
     def ruled_out(bound: float) -> bool:
-        return math.exp(-scale * (bound - BOUND_SLACK)) < -best[-1][0]
+        return math.exp(BOUND_SLACK - bound) < -best[-1][0]
 
     def surely_ruled_out(bound: np.ndarray) -> np.ndarray:
         # np.exp may differ from math.exp in the last bits; a margin of a few
         # units in the last place keeps every entry that ruled_out keeps.
         kth = -best[-1][0]
-        return np.exp(-scale * (bound - BOUND_SLACK)) < kth - 4 * np.spacing(kth)
+        return np.exp(BOUND_SLACK - bound) < kth - 4 * np.spacing(kth)
 
     def solve(pos: int, cost: np.ndarray) -> None:
-        sim = math.exp(-scale * solve_exact(cost[:, :index.counts[pos]]).cost)
+        sim = math.exp(-solve_exact(cost[:, :index.counts[pos]]).cost)
         bisect.insort(best, (-sim, index.ids[pos]))
         del best[k:]
 
@@ -488,7 +472,7 @@ def topk_retrieve(query: Layout, index: RetrievalIndex, k: int, scale: float = 1
     if k < len(pool):
         within = np.flatnonzero(pool_bounds <= np.partition(pool_bounds, k - 1)[k - 1])
         head = pool[within[np.argsort(pool_bounds[within], kind="stable")[:k]]]
-    for pos, cost in zip(head.tolist(), _entry_costs(q_labels, q_feats, index, head, w)):
+    for pos, cost in zip(head.tolist(), _entry_costs(q_labels, q_feats, index, head)):
         solve(pos, cost)
     if len(head) == len(pool):
         return [(rid, -neg) for neg, rid in best]
@@ -505,7 +489,7 @@ def topk_retrieve(query: Layout, index: RetrievalIndex, k: int, scale: float = 1
             break
         batch = rest[start:start + DUAL_BATCH]
         batch = batch[~surely_ruled_out(bounds[batch])]
-        costs = _entry_costs(q_labels, q_feats, index, batch, w)
+        costs = _entry_costs(q_labels, q_feats, index, batch)
         tighter = np.maximum(bounds[batch],
                              dual_lower_bounds(costs, index.counts[batch], surely_ruled_out))
         for i in np.argsort(tighter, kind="stable").tolist():

@@ -4,6 +4,7 @@ import hashlib
 import http.client
 import io
 import json
+import re
 import sys
 import threading
 import time
@@ -21,6 +22,7 @@ from layoutloom.errors import (
     CredentialMissing,
     ReplayMiss,
     RequestRejected,
+    SchemaError,
     TransportError,
 )
 from layoutloom.gateway import (
@@ -202,6 +204,29 @@ class TestRecordReplay:
         path.write_text(json.dumps(data))
         problems = replay_check(tmp_path)
         assert len(problems) == 1
+
+    def test_replay_check_lists_transcripts_it_cannot_decode(self, tmp_path):
+        cfg = BackendConfig(mode="record", model="m", transcript_dir=str(tmp_path))
+        Gateway(cfg, transport=echo_transport).complete(BUNDLE, n=1, temperature=0.2)
+        good = next(tmp_path.glob("*.json"))
+        # An integer past Python's 4,300-digit limit, and bytes that are not UTF-8.
+        (tmp_path / "a_long_int.json").write_text(
+            '{"key": "k", "request": {"candidate_index": ' + "9" * 5001 + "}}")
+        (tmp_path / "b_latin1.json").write_bytes(b'{"key": "\xe9"}')
+        problems = replay_check(tmp_path)
+        assert [p.split(":")[0] for p in problems] == ["a_long_int.json", "b_latin1.json"]
+        assert all(": unreadable transcript (" in p for p in problems)
+        assert good.name not in " ".join(problems)
+
+    @pytest.mark.parametrize("content", [
+        b"{not json", b"[1]", b'{"key": "k"}', b'{"response_text": 3}',
+        b'{"response_text": "\xe9"}',
+    ])
+    def test_read_response_refuses_a_bad_transcript(self, tmp_path, content):
+        (tmp_path / "k.json").write_bytes(content)
+        with pytest.raises(SchemaError, match=re.escape(f"transcript {tmp_path / 'k.json'} "
+                                                        f"is not JSON with a response_text")):
+            read_response(tmp_path, "k")
 
     def test_first_index_salts_keys(self, tmp_path):
         cfg = BackendConfig(mode="record", model="m", transcript_dir=str(tmp_path))

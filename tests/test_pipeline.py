@@ -445,9 +445,9 @@ class TestProtocolDefaults:
             PipelineConfig(stages=stages)
 
     def test_cost_weight_defaults(self):
-        from layoutloom.retrieval import DEFAULT_WEIGHTS
-        assert DEFAULT_WEIGHTS.w_geo == 0.5
-        assert DEFAULT_WEIGHTS.w_label == 0.5
+        from layoutloom.retrieval import W_GEO, W_LABEL
+        assert W_GEO == 0.5
+        assert W_LABEL == 0.5
 
     def test_size_tolerance_default(self):
         from layoutloom.metrics import DEFAULT_TOLERANCE_RATIO
@@ -766,7 +766,7 @@ class TestConstraintFromRecord:
     def test_content_aware_from_categories(self):
         record = {"id": "x", "canvas": {"w": 100, "h": 200}, "elements": [],
                   "constraints": {"categories": {"text": 2}}, "saliency": "s.pgm"}
-        spec = constraint_from_record(record, "content_aware")
+        spec, _ = constraint_from_record(record, "content_aware")
         assert spec.kind == "content_aware"
         assert spec.payload["categories"] == {"text": 2}
         assert spec.payload["canvas"] == [100, 200]
@@ -776,21 +776,21 @@ class TestConstraintFromRecord:
         record = {"id": "x", "canvas": {"w": 100, "h": 200},
                   "elements": [{"label": "text", "bbox": [0, 0, 10, 10]},
                                {"label": "text", "bbox": [0, 20, 10, 10]}]}
-        spec = constraint_from_record(record, "content_aware")
+        spec, _ = constraint_from_record(record, "content_aware")
         assert spec.payload["categories"] == {"text": 2}
 
     def test_explicit_constraint_object_wins(self):
         record = {"id": "x", "canvas": {"w": 100, "h": 100}, "elements": [],
                   "constraints": {"kind": "gen_t",
                                   "payload": {"categories": {"title": 1}}}}
-        spec = constraint_from_record(record, "constraint_explicit")
+        spec, _ = constraint_from_record(record, "constraint_explicit")
         assert spec.kind == "gen_t"
         assert spec.payload["categories"] == {"title": 1}
 
     def test_text_task(self):
         record = {"id": "x", "canvas": {"w": 360, "h": 640}, "elements": [],
                   "text": "a signup screen"}
-        spec = constraint_from_record(record, "text_to_layout")
+        spec, _ = constraint_from_record(record, "text_to_layout")
         assert spec.kind == "text_to_layout"
         assert spec.payload["text"] == "a signup screen"
 
@@ -858,6 +858,16 @@ class TestRunTask:
         monkeypatch.setattr(pipeline, "record_to_layout", counted)
         run_task(fixture_env["run_config"](tmp_path / "run_p", "replay"))
         assert parsed == [item["id"] for item in fixture_env["items"]]
+        # Without categories, the constraint comes from the parsed layout.
+        parsed.clear()
+        elements = [{"label": label, "bbox": box} for label, box in (
+            ("text", [10, 10, 200, 50]), ("text", [10, 80, 200, 50]),
+            ("logo", [300, 10, 100, 100]), ("underlay", [0, 0, 513, 300]))]
+        items = [dict(item, constraints={}, elements=elements) for item in fixture_env["items"]]
+        config = _record_config(fixture_env, tmp_path, items, fanout=1)
+        run_dir = run_task(config, transport=scripted_llm)
+        assert parsed == [item["id"] for item in fixture_env["items"]]
+        assert "run ends: 5 ok, 0 failed" in (run_dir / "run.log").read_text()
 
     def test_replay_is_deterministic(self, fixture_env, tmp_path):
         config_a = fixture_env["run_config"](tmp_path / "run_a", "replay")
@@ -1208,6 +1218,29 @@ class TestRunTask:
         assert "error" not in lines[1]
         log = (run_dir / "run.log").read_text()
         assert "item it0: FileNotFoundError: [Errno 2] No such file or directory" in log
+        assert "Traceback" not in log
+        assert "run ends: 1 ok, 1 failed" in log
+
+    def test_unreadable_transcript_is_one_log_line(self, fixture_env, tmp_path):
+        items = _distinct_items(2)
+        config = _record_config(fixture_env, tmp_path, items[1:], fanout=1)
+        run_task(config, transport=scripted_llm)
+        transcripts = Path(config["backend"]["transcript_dir"])
+        of_it1 = set(transcripts.iterdir())
+        run_task(dict(config, items=items, run_dir=str(tmp_path / "run_both")),
+                 transport=scripted_llm)
+        of_it0 = sorted(set(transcripts.iterdir()) - of_it1)
+        for path in of_it0:
+            path.write_text("{not json", encoding="utf-8")
+        run_dir = run_task(dict(config, items=items, run_dir=str(tmp_path / "run_replay"),
+                                backend=dict(config["backend"], mode="replay")))
+        lines = [json.loads(l) for l in
+                 (run_dir / "generated.jsonl").read_text().splitlines()]
+        assert lines[0]["error"] == "SchemaError"
+        assert "error" not in lines[1]
+        log = (run_dir / "run.log").read_text()
+        assert "item it0: SchemaError: transcript " in log
+        assert any(f"transcript {path} is not JSON" in log for path in of_it0)
         assert "Traceback" not in log
         assert "run ends: 1 ok, 1 failed" in log
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,6 @@ from layoutloom.dataset import AreaStats, DatasetManifest, ingest, record_to_lay
 from layoutloom.errors import EmptyIndex, EmptyLayout, SchemaError, VersionMismatch
 from layoutloom.model import BBox, Canvas, Element, Layout, denormalize, to_html
 from layoutloom.retrieval import (
-    CostWeights,
     RetrievalIndex,
     build_index,
     dual_lower_bounds,
@@ -44,29 +44,28 @@ def _element(label, left, top, w, h):
     return Element(label=label, bbox=BBox(left, top, w, h))
 
 
-def _reference_costs(a, b, weights):
+def _reference_costs(a, b):
     """The ground cost of every (a, b) element pair, written out in plain
     Python floats: the definition the numpy costs must equal bit for bit."""
     fa = [(*center(e.bbox), e.bbox.width, e.bbox.height, e.label) for e in a]
     fb = [(*center(e.bbox), e.bbox.width, e.bbox.height, e.label) for e in b]
-    wg, wl = weights.w_geo, weights.w_label
     return [
         [
-            wg * ((abs(acx - bcx) + abs(acy - bcy)
-                   + abs(aw - bw) + abs(ah - bh)) / 4.0)
-            + (0.0 if alab == blab else wl)
+            0.5 * ((abs(acx - bcx) + abs(acy - bcy)
+                    + abs(aw - bw) + abs(ah - bh)) / 4.0)
+            + (0.0 if alab == blab else 0.5)
             for bcx, bcy, bw, bh, blab in fb
         ]
         for acx, acy, aw, ah, alab in fa
     ]
 
 
-def _element_cost(e, f, weights=CostWeights()):
+def _element_cost(e, f):
     """A 1x1 transport moves all the mass along its one pair, so it costs
     exactly the ground cost of the two elements."""
     def one(element):
         return Layout(id="", canvas=Canvas(1, 1), elements=(element,))
-    return transport_distance(one(e), one(f), weights).cost
+    return transport_distance(one(e), one(f)).cost
 
 
 class TestElementCost:
@@ -93,18 +92,10 @@ class TestElementCost:
 
     def test_equals_the_reference_cost(self):
         rng = np.random.default_rng(5)
-        for weights in (CostWeights(), CostWeights(w_geo=0.8, w_label=0.2)):
-            for _ in range(50):
-                a = _element(str(rng.choice(["text", "logo"])), *rng.uniform(0, 0.5, 4))
-                b = _element(str(rng.choice(["text", "banner"])), *rng.uniform(0, 0.5, 4))
-                assert _element_cost(a, b, weights) == \
-                    _reference_costs([a], [b], weights)[0][0]
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            CostWeights(w_geo=0.7, w_label=0.5)
-        with pytest.raises(ValueError):
-            CostWeights(w_geo=-0.5, w_label=1.5)
+        for _ in range(100):
+            a = _element(str(rng.choice(["text", "logo"])), *rng.uniform(0, 0.5, 4))
+            b = _element(str(rng.choice(["text", "banner"])), *rng.uniform(0, 0.5, 4))
+            assert _element_cost(a, b) == _reference_costs([a], [b])[0][0]
 
 
 class TestTransportDistance:
@@ -152,14 +143,6 @@ class TestSimilarity:
         a = make_layout("a", (1, 1), [(0.1, 0.2, 0.3, 0.4)], ["text"])
         b = make_layout("b", (1, 1), [(0.1, 0.2, 0.3, 0.4)], ["logo"])
         assert ltsim_score(a, b) == pytest.approx(math.exp(-0.5), abs=1e-12)
-
-    def test_scale_doubles_log_similarity(self):
-        rng = np.random.default_rng(9)
-        a = random_normalized_layout(rng)
-        b = random_normalized_layout(rng)
-        s1 = ltsim_score(a, b, scale=1.0)
-        s2 = ltsim_score(a, b, scale=2.0)
-        assert math.log(s2) == pytest.approx(2 * math.log(s1), rel=1e-9, abs=1e-12)
 
     def test_monotone_in_distance(self):
         base = make_layout("q", (1, 1), [(0.1, 0.1, 0.2, 0.2)], ["text"])
@@ -233,8 +216,7 @@ class TestIndex:
         path = tmp_path / "index.json"
         save_index(index, path)
         again = load_index(path)
-        assert (again.vocabulary, again.ids, again.weights) == \
-            (index.vocabulary, index.ids, index.weights)
+        assert (again.vocabulary, again.ids) == (index.vocabulary, index.ids)
         for name in ("labels", "coords", "counts"):
             assert np.array_equal(getattr(again, name), getattr(index, name))
         rng = np.random.default_rng(6)
@@ -249,6 +231,17 @@ class TestIndex:
         save_index(index, path)
         _rewrite(path, version=np.array("0"))
         with pytest.raises(VersionMismatch):
+            load_index(path)
+
+    @pytest.mark.parametrize("weights", [[0.8, 0.2], [0.5], [0.5, 0.5, 0.0], [np.nan, 0.5]])
+    def test_other_cost_weights_are_refused(self, tmp_path, weights):
+        # An index written with other weights would be scored at 0.5/0.5.
+        path = tmp_path / "index.json"
+        save_index(build_index(_mini_dataset(), "train"), path)
+        with np.load(path) as data:
+            assert data["weights"].tolist() == [0.5, 0.5]
+        _rewrite(path, weights=np.array(weights))
+        with pytest.raises(SchemaError, match=f"^index {re.escape(str(path))} has cost weights"):
             load_index(path)
 
     def test_oversized_layout_rejected(self, tmp_path):
@@ -518,9 +511,9 @@ def _random_index(rng, size):
                        for i in range(size)])
 
 
-def _brute_force(query, index, k, scale=1.0, exclude_self=False):
+def _brute_force(query, index, k, exclude_self=False):
     scan = [
-        (index.ids[i], ltsim_score(query, entry_layout(index, i), index.weights, scale=scale))
+        (index.ids[i], ltsim_score(query, entry_layout(index, i)))
         for i in range(len(index))
         if not (exclude_self and index.ids[i] == query.id)
     ]
@@ -532,9 +525,6 @@ _coord = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 _feature = st.tuples(st.sampled_from(VOCAB + ("banner", "headline")),
                      _coord, _coord, _coord, _coord)
 _features = st.lists(_feature, min_size=1, max_size=25)
-_weights = st.sampled_from([CostWeights(), CostWeights(w_geo=0.8, w_label=0.2),
-                            CostWeights(w_geo=1.0, w_label=0.0),
-                            CostWeights(w_geo=0.0, w_label=1.0)])
 
 
 def _layout(elements):
@@ -568,23 +558,22 @@ def _unstable_center():
                 if (cx - w / 2.0) + w / 2.0 != cx)
 
 
-def _costs(query, index, weights):
+def _costs(query, index):
     """The cost tensor ``topk_retrieve`` solves from, for every entry."""
     return retrieval._entry_costs(*retrieval._features(query, index.vocabulary), index,
-                                  list(range(len(index))), weights)
+                                  list(range(len(index))))
 
 
 class TestGroundCost:
     @settings(max_examples=60, deadline=None)
-    @given(query=_features, entries=st.lists(_features, min_size=1, max_size=4),
-           weights=_weights)
-    def test_entry_costs_equal_the_reference_bit_for_bit(self, query, entries, weights):
+    @given(query=_features, entries=st.lists(_features, min_size=1, max_size=4))
+    def test_entry_costs_equal_the_reference_bit_for_bit(self, query, entries):
         cx, w = _unstable_center()
         index = _index_storing(_in_vocabulary(entries) + [[("logo", cx, 0.5, w, 0.2)]])
         q = _layout(query)
-        costs = _costs(q, index, weights)
+        costs = _costs(q, index)
         for pos in range(len(index)):
-            reference = _reference_costs(q.elements, entry_layout(index, pos).elements, weights)
+            reference = _reference_costs(q.elements, entry_layout(index, pos).elements)
             assert costs[pos, :, :index.counts[pos]].tobytes() == np.array(reference).tobytes()
 
     def test_copy_of_an_entry_with_an_unstable_center_costs_zero(self):
@@ -592,44 +581,50 @@ class TestGroundCost:
         index = _index_storing([[("text", cx, 0.5, w, 0.25)]])
         query = entry_layout(index, 0)
         assert center(query.elements[0].bbox)[0] != cx
-        assert _costs(query, index, index.weights).tolist() == [[[0.0]]]
+        assert _costs(query, index).tolist() == [[[0.0]]]
         # The stored center would give a positive cost and a similarity below 1.
         q_labels, q_feats = retrieval._features(query, index.vocabulary)
-        assert retrieval._ground_costs(q_labels, q_feats, index.labels, index.coords,
-                                       index.weights)[0, 0, 0] > 0.0
+        assert retrieval._ground_costs(q_labels, q_feats, index.labels,
+                                       index.coords)[0, 0, 0] > 0.0
         assert topk_retrieve(query, index, 1) == [("e0", 1.0)]
 
 
-def _bounds(query, index, weights=None):
+def _bounds(query, index):
     """The first and the dual lower bound of every entry, from the arrays
     ``topk_retrieve`` computes them from."""
-    w = weights or index.weights
     q_labels, q_feats = retrieval._features(query, index.vocabulary)
-    return (transport_lower_bounds(q_labels, q_feats, index, w),
-            dual_lower_bounds(_costs(query, index, w), index.counts))
+    return (transport_lower_bounds(q_labels, q_feats, index),
+            dual_lower_bounds(_costs(query, index), index.counts))
 
 
 class TestLowerBound:
     @settings(max_examples=80, deadline=None)
-    @given(query=_features, entries=st.lists(_features, min_size=1, max_size=4),
-           weights=_weights)
-    def test_never_exceeds_exact_cost(self, query, entries, weights):
+    @given(query=_features, entries=st.lists(_features, min_size=1, max_size=4))
+    def test_never_exceeds_exact_cost(self, query, entries):
         index = make_index([(f"e{i}", _layout(elements))
                             for i, elements in enumerate(_in_vocabulary(entries))])
         q = _layout(query)
-        bounds, dual = _bounds(q, index, weights)
+        bounds, dual = _bounds(q, index)
         assert bounds.shape == (len(index),)
         assert dual.shape == (len(index),)
         for pos in range(len(index)):
-            exact = transport_distance(q, entry_layout(index, pos), weights).cost
+            exact = transport_distance(q, entry_layout(index, pos)).cost
             assert bounds[pos] <= exact + 1e-12
             assert dual[pos] <= exact + 1e-12
 
     def test_outside_labels_count_as_mismatched(self):
-        index = _random_index(np.random.default_rng(40), 5)
-        query = _layout([("banner", 0.1, 0.1, 0.2, 0.2), ("headline", 0.3, 0.3, 0.2, 0.2)])
-        bounds, _ = _bounds(query, index, CostWeights(w_geo=0.0, w_label=1.0))
-        assert bounds.tolist() == [1.0] * len(index)
+        # A query with an entry's geometry and only labels outside the
+        # vocabulary: the W1 term of that entry is 0, its TV term 1.
+        rng = np.random.default_rng(40)
+        layouts = [random_normalized_layout(rng, max_elements=6) for _ in range(5)]
+        index = make_index([(f"e{i}", layout) for i, layout in enumerate(layouts)])
+        for pos, layout in enumerate(layouts):
+            query = replace(layout, elements=tuple(
+                replace(e, label=("banner", "headline")[i % 2])
+                for i, e in enumerate(layout.elements)))
+            bounds, _ = _bounds(query, index)
+            assert bounds[pos] == 0.5
+            assert np.all(bounds >= 0.5)
 
     def test_dual_bound_is_close_to_exact(self):
         rng = np.random.default_rng(42)
@@ -678,15 +673,19 @@ class TestPrunedTopK:
                 assert topk_retrieve(query, index, k, exclude_self=True) == \
                     _brute_force(query, index, k, exclude_self=True)
 
-    def test_scale_other_than_one(self):
+    def test_similarities_that_underflow_tie_by_id(self):
+        # A query 1e4 away costs over 745 against every entry, so every
+        # similarity underflows to 0.0 and ids alone order the ties.
         rng = np.random.default_rng(53)
         index = _random_index(rng, 40)
         for _ in range(5):
             query = random_normalized_layout(rng, max_elements=6)
-            # 1e4 underflows every similarity to 0.0, so ids alone order the ties
-            for scale in (0.25, 3.0, 900.0, 1e4):
-                assert topk_retrieve(query, index, 4, scale=scale) == \
-                    _brute_force(query, index, 4, scale=scale)
+            query = replace(query, elements=tuple(
+                replace(e, bbox=replace(e.bbox, left=e.bbox.left + 1e4)) for e in query.elements))
+            for k in (1, 4, 40):
+                expected = _brute_force(query, index, k)
+                assert [sim for _, sim in expected] == [0.0] * k
+                assert topk_retrieve(query, index, k) == expected
 
     def test_query_label_outside_vocabulary(self):
         rng = np.random.default_rng(54)
@@ -755,21 +754,19 @@ def _clustered_index(rng, size=240, m=6, jitter=0.08):
     return make_index([(ids[i], shapes[i % len(shapes)]) for i in range(size)]), jittered("q")
 
 
-def _first_bound_survivors(query, index, kth_similarity, scale):
+def _first_bound_survivors(query, index, kth_similarity):
     """Entries whose first-bound similarity is not below the true k-th
     similarity, which is at least the one the first k solves set."""
     bounds, _ = _bounds(query, index)
-    kept = np.exp(-scale * (bounds - retrieval.BOUND_SLACK)) >= kth_similarity
+    kept = np.exp(retrieval.BOUND_SLACK - bounds) >= kth_similarity
     return int(kept.sum())
 
 
 class TestBatchedDualBound:
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
-           scale=st.sampled_from([1e-4, 0.25, 1.0, 900.0, 1e4]),
-           exclude_self=st.booleans(),
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12), exclude_self=st.booleans(),
            query_kind=st.sampled_from(["near", "entry", "outside"]))
-    def test_equals_full_scan_across_batches(self, seed, k, scale, exclude_self, query_kind):
+    def test_equals_full_scan_across_batches(self, seed, k, exclude_self, query_kind):
         rng = np.random.default_rng(seed)
         index, query = _clustered_index(rng)
         if query_kind == "entry":  # an entry under its own id, with its duplicate
@@ -777,11 +774,10 @@ class TestBatchedDualBound:
         elif query_kind == "outside":
             query = replace(query, elements=(replace(query.elements[0], label="banner"),)
                             + query.elements[1:])
-        expected = _brute_force(query, index, k, scale, exclude_self)
-        survivors = _first_bound_survivors(query, index, expected[-1][1], scale) - k
+        expected = _brute_force(query, index, k, exclude_self)
+        survivors = _first_bound_survivors(query, index, expected[-1][1]) - k
         assume(survivors > 2 * retrieval.DUAL_BATCH)
-        assert topk_retrieve(query, index, k, scale=scale, exclude_self=exclude_self) \
-            == expected
+        assert topk_retrieve(query, index, k, exclude_self=exclude_self) == expected
 
     def test_checkpoint_bounds_never_exceed_exact_cost(self):
         rng = np.random.default_rng(60)
@@ -796,7 +792,7 @@ class TestBatchedDualBound:
             checkpoints.append(bound.copy())
             return np.zeros(len(bound), dtype=bool)
 
-        dual_lower_bounds(_costs(query, index, index.weights), index.counts, keep_all)
+        dual_lower_bounds(_costs(query, index), index.counts, keep_all)
         assert len(checkpoints) == len(retrieval.DUAL_CHECKPOINTS)
         for bound in checkpoints:
             assert np.all(bound <= exact + 1e-12)
@@ -806,7 +802,7 @@ class TestBatchedDualBound:
         index = make_index([(f"e{i:02d}", random_normalized_layout(rng, max_elements=12))
                             for i in range(60)])
         query = random_normalized_layout(rng, max_elements=12)
-        costs = _costs(query, index, index.weights)
+        costs = _costs(query, index)
         exact = np.array([transport_distance(query, entry_layout(index, pos)).cost
                           for pos in range(len(index))])
         full = dual_lower_bounds(costs, index.counts)
@@ -824,7 +820,7 @@ class TestBatchedDualBound:
         rng = np.random.default_rng(62)
         index = _random_index(rng, 30)
         query = random_normalized_layout(rng, max_elements=6)
-        costs = _costs(query, index, index.weights)
+        costs = _costs(query, index)
         bound = dual_lower_bounds(costs, index.counts)
         assert bound.shape == (len(index),)
         assert np.all(np.isfinite(bound))
@@ -860,15 +856,15 @@ class TestBatchedDualBound:
         assert 0 < len(batches) < kept_by_head // retrieval.DUAL_BATCH
 
     def test_vector_prefilter_tolerates_np_exp_below_math_exp(self, monkeypatch):
-        # One-element entries tie with the query's copies at a cost whose
-        # bound similarity at scale 1e-4 equals the exact one; the head holds
-        # the copy at the first position, and a lower id waits outside it.
-        scale = 1e-4
+        # One-element entries tie with the query's copies at a cost near 720,
+        # where similarities are subnormal and BOUND_SLACK leaves the bound
+        # similarity equal to the exact one; the head holds the copy at the
+        # first position, and a lower id waits outside it.
         query = _layout([("text", 0.1, 0.2, 0.2, 0.2)])
-        far = [("logo", 0.7, 0.7, 0.1, 0.1)]
+        far = [("logo", 6000.0, 6000.0, 0.1, 0.1)]
 
         def tied(offset):
-            near = [("text", 0.2 + offset, 0.3, 0.2, 0.2)]
+            near = [("text", 2880.2 + offset, 2880.3, 0.2, 0.2)]
             stored = _index_storing([near, far, near, far, near])
             return RetrievalIndex(VOCAB, ["e3", "e0", "e1", "e4", "e2"],
                                   stored.labels, stored.coords)
@@ -876,8 +872,8 @@ class TestBatchedDualBound:
         def bound_equals_exact(index):
             bound = float(_bounds(query, index)[0][0])
             exact = transport_distance(query, entry_layout(index, 0)).cost
-            return bound == exact and math.exp(-scale * (bound - retrieval.BOUND_SLACK)) \
-                == math.exp(-scale * exact)
+            return bound == exact and math.exp(retrieval.BOUND_SLACK - bound) \
+                == math.exp(-exact) > 0.0
 
         index = next(index for index in map(tied, np.linspace(0.01, 0.3, 300).tolist())
                      if bound_equals_exact(index))
@@ -885,9 +881,9 @@ class TestBatchedDualBound:
         real = np.exp
         monkeypatch.setattr(np, "exp", lambda x, *a, **kw: np.nextafter(
             real(x, *a, **kw), -np.inf, **kw))
-        expected = _brute_force(query, index, 1, scale=scale)
+        expected = _brute_force(query, index, 1)
         assert expected[0][0] == "e1"
-        assert topk_retrieve(query, index, 1, scale=scale) == expected
+        assert topk_retrieve(query, index, 1) == expected
 
 
 class TestPseudoLayout:
