@@ -341,9 +341,9 @@ def replay_check(transcript_dir: str | Path) -> list[str]:
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
             derived = transcript_key(data["request"])
-        # ValueError covers malformed JSON, bytes that are not UTF-8, and an
-        # integer past Python's digit limit.
         except (ValueError, KeyError, TypeError) as exc:
+            # ValueError covers malformed JSON, bytes that are not UTF-8 and
+            # an integer past Python's digit limit.
             problems.append(f"{path.name}: unreadable transcript ({exc})")
             continue
         if derived != data.get("key") or path.stem != derived:
