@@ -644,6 +644,23 @@ class TestRefineCot:
         assert len(trace.stages[1].raw_responses) == 2  # one retry happened
         assert _no_id(trace.final) == _no_id(trace.stages[2].parsed)
 
+    def test_stage_retry_that_parses(self, tmp_path):
+        clean = _html([(40, 30, 150, 60), (40, 150, 150, 60)], ["text", "text"])
+        responses = {"needing refinement": lambda idx: clean if idx else "junk",
+                     "default": clean}
+        trace, _ = self._run(tmp_path, _authored_transport(responses))
+        first = trace.stages[0]
+        assert first.raw_responses == ["junk", clean]
+        assert first.fallback is False
+        assert first.parsed["id"] == "r1:stage1"
+        assert [s.fallback for s in trace.stages] == [False, False, False]
+        requests = [json.loads(path.read_text(encoding="utf-8"))["request"]
+                    for path in tmp_path.glob("*.json")]
+        stage1 = sorted((r["candidate_index"], r["temperature"]) for r in requests
+                        if "needing refinement" in r["user"])
+        assert stage1 == [(0, 0.0), (1, 0.0)]
+        assert all(type(t) is float for _, t in stage1)
+
     def test_all_stages_fail_keeps_coarse(self, tmp_path):
         trace, coarse = self._run(tmp_path, _authored_transport({"default": "junk"}))
         assert all(s.fallback for s in trace.stages)
