@@ -76,6 +76,8 @@ class BackendConfig:
             raise ConfigError(f"{self.mode} mode requires transcript_dir")
         if self.fanout < 1:
             raise ConfigError("fanout must be at least 1")
+        if self.retry_limit < 0:
+            raise ConfigError("retry_limit must be at least 0")
 
     @classmethod
     def from_env(cls, **overrides) -> "BackendConfig":

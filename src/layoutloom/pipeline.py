@@ -9,9 +9,14 @@ Candidate ranking scores each parseable coarse candidate as
 where norm is min-max over the candidate set (a constant column contributes
 0) and satisfaction is the fraction of constraint clauses the candidate
 meets. The argmax is therefore invariant under positive scaling of the
-weights. Refinement runs one completion per stage at temperature 0 with one
-retry, then falls back to the previous stage's layout, so a run can never
-lose a successfully generated coarse layout.
+weights.
+
+Coarse drafts and refinement stages draw their completions one way: n
+responses (n_candidates drafts, one per stage), each parsed leniently, and n
+fresh ones when none of the first n parses. Drafts are sampled at
+COARSE_TEMPERATURE and stages at STAGE_TEMPERATURE. A stage whose retry does
+not parse either keeps the previous stage's layout, so a run can never lose
+a successfully generated coarse layout.
 
 Runs are reproducible: in replay mode two executions over the same
 transcripts produce byte-identical traces, generated JSONL, and metric
@@ -30,7 +35,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .dataset import (
     TASK_KINDS,
@@ -62,6 +67,8 @@ from .prompts import (
 from .retrieval import RetrievalIndex, load_index, pseudo_layout, topk_retrieve
 
 DEFAULT_CANVAS = (512, 512)
+COARSE_TEMPERATURE = 0.7
+STAGE_TEMPERATURE = 0.0
 
 
 @dataclass(frozen=True)
@@ -85,13 +92,14 @@ class PipelineConfig:
     stages: int = 3
     use_rag: bool = True
     seed: int = 0
-    coarse_temperature: float = 0.7
-    stage_temperature: float = 0.0
     ranker: RankerWeights = field(default_factory=RankerWeights)
 
     def __post_init__(self):
         if self.stages not in (0, 1, 2, 3):
             raise ConfigError("stages must be between 0 and 3")
+        for name in ("k_coarse", "k_refine", "n_candidates"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
 
 
 # --- constraint satisfaction ------------------------------------------------
@@ -319,54 +327,49 @@ def _select_exemplars(query: Layout | None, index: RetrievalIndex, k: int,
     return picked, f"random(seed={cfg.seed})"
 
 
-def _exemplar_html(index: RetrievalIndex, ids: Sequence[str], canvas: Canvas,
-                   rendered: dict[tuple[str, Canvas], str] | None) -> list[str]:
-    """Each exemplar's snippet on ``canvas``. ``rendered`` holds one item's
-    snippets by (id, canvas), so the stage prompts reuse the coarse prompt's
-    when the coarse layout keeps the canvas it was drafted on."""
-    rendered = {} if rendered is None else rendered
-    missing = [eid for eid in ids if (eid, canvas) not in rendered]
-    if missing:
-        snippets = index.entries_html([index.positions[eid] for eid in missing], canvas)
-        rendered.update(((eid, canvas), html) for eid, html in zip(missing, snippets))
-    return [rendered[eid, canvas] for eid in ids]
+def _draw(gateway: Gateway, bundle: PromptBundle, n: int, temperature: float,
+          vocabulary: Sequence[str], canvas: Canvas, layout_id: Callable[[int], str]
+          ) -> list[tuple[int, str, Layout | ExtractionFailure]]:
+    """Draw n responses to ``bundle`` and extract a layout from each; when
+    none parses, draw n fresh ones, candidate indices n to 2n-1. Returns
+    (candidate index, response, extraction) in index order. ``canvas`` is
+    the extraction's fallback canvas; ``layout_id(i)`` names candidate i."""
+    draws = []
+    for first_index in (0, n):
+        texts = gateway.complete(bundle, n=n, temperature=temperature,
+                                 first_index=first_index)
+        draws += [(idx, text, extract_layout(text, vocabulary, fallback_canvas=canvas,
+                                             layout_id=layout_id(idx)))
+                  for idx, text in enumerate(texts, start=first_index)]
+        if not all(isinstance(extracted, ExtractionFailure) for _, _, extracted in draws):
+            break
+    return draws
 
 
 def generate_coarse(constraint: ConstraintSpec, index: RetrievalIndex,
                     cfg: PipelineConfig, gateway: Gateway,
                     stats: AreaStats | None = None, query: Layout | None = None,
-                    run_id: str = "", rendered: dict | None = None
-                    ) -> tuple[Layout, CoarseFragment]:
-    """Retrieve exemplars, fan out n candidates, rank, and return the best.
-    ``rendered`` collects the item's exemplar snippets for ``refine_cot``."""
+                    run_id: str = "") -> tuple[Layout, CoarseFragment]:
+    """Retrieve exemplars, draw n candidates, rank, and return the best."""
     vocabulary = index.vocabulary
     query_lay = _query_layout(constraint, stats, query) if cfg.use_rag else None
     canvas = _target_canvas(constraint, query)
     exemplar_ids, source = _select_exemplars(query_lay, index, cfg.k_coarse, cfg, run_id)
-    exemplars = _exemplar_html(index, exemplar_ids, canvas, rendered)
+    exemplars = index.entries_html([index.positions[eid] for eid in exemplar_ids], canvas)
     bundle = build_coarse_prompt(exemplars, constraint, vocabulary=vocabulary)
 
     records: list[CandidateRecord] = []
     viable: list[tuple[CandidateRecord, Layout]] = []
-
-    def fan_out(first_index: int) -> None:
-        texts = gateway.complete(bundle, n=cfg.n_candidates,
-                                 temperature=cfg.coarse_temperature,
-                                 first_index=first_index)
-        for idx, text in enumerate(texts, start=first_index):
-            extracted = extract_layout(text, vocabulary, fallback_canvas=canvas,
-                                       layout_id=f"{run_id}:coarse:{idx}")
-            if isinstance(extracted, ExtractionFailure):
-                records.append(CandidateRecord(index=idx, raw_text=text, parsed=None,
-                                               failure_reason=extracted.reason))
-            else:
-                records.append(CandidateRecord(index=idx, raw_text=text,
-                                               parsed=layout_to_record(extracted)))
-                viable.append((records[-1], extracted))
-
-    fan_out(0)
-    if not viable:  # retry once with fresh candidates
-        fan_out(cfg.n_candidates)
+    for idx, text, extracted in _draw(gateway, bundle, cfg.n_candidates, COARSE_TEMPERATURE,
+                                      vocabulary, canvas,
+                                      lambda i: f"{run_id}:coarse:{i}"):
+        if isinstance(extracted, ExtractionFailure):
+            records.append(CandidateRecord(index=idx, raw_text=text, parsed=None,
+                                           failure_reason=extracted.reason))
+        else:
+            records.append(CandidateRecord(index=idx, raw_text=text,
+                                           parsed=layout_to_record(extracted)))
+            viable.append((records[-1], extracted))
     if not viable:
         raise NoViableCandidate(f"run {run_id!r}: every coarse candidate failed extraction")
 
@@ -390,43 +393,34 @@ def generate_coarse(constraint: ConstraintSpec, index: RetrievalIndex,
 
 def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex,
                cfg: PipelineConfig, gateway: Gateway, coarse_fragment: CoarseFragment,
-               run_id: str = "", rendered: dict | None = None
-               ) -> tuple[RefinementTrace, Layout]:
+               run_id: str = "") -> tuple[RefinementTrace, Layout]:
     """Sequential staged refinement with one retry per stage, then fallback.
 
     Exemplars (k_refine of them) are fixed once per item: the head of the
-    coarse exemplar ranking, on the coarse layout's canvas; ``rendered``
-    holds the snippets ``generate_coarse`` wrote. With ``cfg.stages`` 0 no
-    stage runs and the coarse layout is final. Returns the trace and the
-    final layout, which ``trace.final`` records.
+    coarse exemplar ranking, on the coarse layout's canvas. With
+    ``cfg.stages`` 0 no stage runs and the coarse layout is final. Returns
+    the trace and the final layout, which ``trace.final`` records.
     """
     vocabulary = index.vocabulary
     exemplar_ids = coarse_fragment.exemplar_ids[:cfg.k_refine]
-    exemplars = _exemplar_html(index, exemplar_ids, coarse.canvas, rendered)
+    exemplars = index.entries_html([index.positions[eid] for eid in exemplar_ids],
+                                   coarse.canvas)
 
     current = coarse
     stages: list[StageRecord] = []
     for stage in range(1, cfg.stages + 1):
         bundle = build_stage_prompt(stage, exemplars, current, constraint,
                                     vocabulary=vocabulary)
-        raw_responses = []
-        parsed_layout: Layout | None = None
-        for attempt in range(2):
-            text = gateway.complete(bundle, n=1, temperature=cfg.stage_temperature,
-                                    first_index=attempt)[0]
-            raw_responses.append(text)
-            extracted = extract_layout(text, vocabulary, fallback_canvas=current.canvas,
-                                       layout_id=f"{run_id}:stage{stage}")
-            if not isinstance(extracted, ExtractionFailure):
-                parsed_layout = extracted
-                break
-        fallback = parsed_layout is None
+        draws = _draw(gateway, bundle, 1, STAGE_TEMPERATURE, vocabulary, current.canvas,
+                      lambda i: f"{run_id}:stage{stage}")
+        parsed_layout = draws[-1][2]
+        fallback = isinstance(parsed_layout, ExtractionFailure)
         stages.append(StageRecord(
             stage=stage,
             template_id=(constraint.family, str(stage)),
             exemplar_ids=list(exemplar_ids),
             prompt_sha256=bundle_sha256(bundle),
-            raw_responses=raw_responses,
+            raw_responses=[text for _, text, _ in draws],
             parsed=None if fallback else layout_to_record(parsed_layout),
             fallback=fallback,
         ))
@@ -491,9 +485,6 @@ def constraint_from_record(record: Mapping[str, Any],
             if not counts:
                 raise ConfigError(f"record {rid!r} has no categories and no elements")
             payload["categories"] = counts
-        for key in ("saliency", "gradient"):
-            if record.get(key):
-                payload[key] = record[key]
         return ConstraintSpec(kind="content_aware", payload=payload), layout
     if task_family == "text_to_layout":
         payload = {"text": str(record.get("text", ""))}
@@ -634,13 +625,10 @@ def _run_item(record: Mapping[str, Any], *, task_family: str, index: RetrievalIn
         constraint, item_layout = constraint_from_record(record, task_family)
         if item_layout is None:
             item_layout = record_to_layout(record)
-        rendered: dict[tuple[str, Canvas], str] = {}
         coarse, fragment = generate_coarse(constraint, index, cfg, gateway, stats=stats,
-                                           query=item_layout, run_id=item_id,
-                                           rendered=rendered)
+                                           query=item_layout, run_id=item_id)
         trace, final = refine_cot(coarse, constraint, index, cfg, gateway,
-                                  coarse_fragment=fragment, run_id=item_id,
-                                  rendered=rendered)
+                                  coarse_fragment=fragment, run_id=item_id)
         samples = score_layout(final, item_layout, record, base, exclude_overlap_labels)
         trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
         return _ItemOutcome(payload=trace.final, final=final, samples=samples, error=None,

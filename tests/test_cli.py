@@ -268,6 +268,15 @@ class TestGenerateCommand:
         assert captured.err.splitlines() == [
             "error: ConfigError: unknown run config keys: use_rga"]
 
+    def test_count_below_one_is_one_line(self, fixture_env, tmp_path, capsys):
+        config = dict(fixture_env["run_config"](tmp_path / "cli_run", "replay"), k_coarse=0)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["generate", "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: ConfigError: k_coarse must be at least 1"]
+        assert not (tmp_path / "cli_run" / "generated.jsonl").exists()
+
     # --no-cot is stages 0, also next to --stages N; runs from existing transcripts.
     @pytest.mark.parametrize("flags", [["--no-cot"], ["--stages", "2", "--no-cot"]])
     def test_ablation_flags_accepted(self, fixture_env, tmp_path, flags):

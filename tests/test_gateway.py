@@ -138,6 +138,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             BackendConfig(mode="live", fanout=0)
 
+    def test_retry_limit_must_not_be_negative(self):
+        with pytest.raises(ConfigError, match="^retry_limit must be at least 0$"):
+            BackendConfig(mode="live", retry_limit=-1)
+
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("LAYOUTLOOM_ENDPOINT", "https://example.test/v1/chat")
         monkeypatch.setenv("LAYOUTLOOM_MODEL", "m1")

@@ -207,8 +207,6 @@ _CONFIG_VALUES = {
     "stages": (2, 2),
     "use_rag": (False, False),
     "seed": (11, 11),
-    "coarse_temperature": (0.5, 0.5),
-    "stage_temperature": (1, 1.0),
     "ranker": ({"w_align": 2.0}, RankerWeights(w_align=2.0)),
 }
 
@@ -378,7 +376,6 @@ def test_every_config_field_is_set_from_a_run_config(name):
     ("k_refine", 3.0),
     ("n_candidates", "7"),
     ("seed", True),
-    ("coarse_temperature", "0.5"),
     ("ranker", {"w_align": "2"}),
     ("ranker", {"w_allign": 2.0}),
     ("ranker", [1.0, 1.0, 1.0]),
@@ -443,6 +440,16 @@ class TestProtocolDefaults:
     def test_stages_out_of_range_through_the_python_api(self, stages):
         with pytest.raises(ConfigError, match="stages must be between 0 and 3"):
             PipelineConfig(stages=stages)
+
+    @pytest.mark.parametrize("name", ["k_coarse", "k_refine", "n_candidates"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_counts_below_one_through_the_python_api(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be at least 1$"):
+            PipelineConfig(**{name: value})
+
+    def test_sampling_temperatures(self):
+        assert pipeline.COARSE_TEMPERATURE == 0.7
+        assert pipeline.STAGE_TEMPERATURE == 0.0
 
     def test_cost_weight_defaults(self):
         from layoutloom.retrieval import W_GEO, W_LABEL
@@ -574,8 +581,7 @@ class TestGenerateCoarse:
 
 class TestExemplarSnippets:
     @pytest.mark.parametrize("drafted_canvas", [(400, 400), (200, 300)])
-    def test_stage_prompts_reuse_coarse_snippets_only_on_the_same_canvas(self, tmp_path,
-                                                                         drafted_canvas):
+    def test_stage_prompt_exemplars_are_on_the_coarse_canvas(self, tmp_path, drafted_canvas):
         index = _tiny_index()
         cfg = PipelineConfig(k_coarse=4, k_refine=2, n_candidates=2, stages=1)
         draft = _html([(40, 40, 100, 60), (40, 150, 100, 60)], ["text", "text"],
@@ -584,16 +590,10 @@ class TestExemplarSnippets:
                                         retry_backoff=0.0),
                           transport=_authored_transport({"default": draft}))
         spec = ConstraintSpec("content_aware", {"canvas": [400, 400], "categories": {"text": 2}})
-        rendered = {}
-        coarse, fragment = generate_coarse(spec, index, cfg, gateway, run_id="x",
-                                           rendered=rendered)
+        coarse, fragment = generate_coarse(spec, index, cfg, gateway, run_id="x")
         assert coarse.canvas == Canvas(*drafted_canvas)
-        trace, _ = refine_cot(coarse, spec, index, cfg, gateway, fragment, run_id="x",
-                              rendered=rendered)
+        trace, _ = refine_cot(coarse, spec, index, cfg, gateway, fragment, run_id="x")
         ids = fragment.exemplar_ids
-        same = drafted_canvas == (400, 400)
-        assert set(rendered) == {(eid, Canvas(400, 400)) for eid in ids} | (
-            set() if same else {(eid, coarse.canvas) for eid in ids[:2]})
         exemplars = [to_html(denormalize(entry_layout(index, index.positions[eid]),
                                          *drafted_canvas)) for eid in ids[:2]]
         bundle = build_stage_prompt(1, exemplars, coarse, spec, vocabulary=index.vocabulary)
@@ -787,7 +787,7 @@ class TestConstraintFromRecord:
         assert spec.kind == "content_aware"
         assert spec.payload["categories"] == {"text": 2}
         assert spec.payload["canvas"] == [100, 200]
-        assert spec.payload["saliency"] == "s.pgm"
+        assert set(spec.payload) == {"canvas", "categories"}
 
     def test_content_aware_from_elements(self):
         record = {"id": "x", "canvas": {"w": 100, "h": 200},
@@ -921,15 +921,44 @@ class TestRunTask:
         assert not (tmp_path / "run_u").exists()
 
     # Settings an earlier PipelineConfig had: use_cot, whose false is stages 0,
-    # and three that no run, command or workload set.
+    # and five that no run, command or workload set.
     @pytest.mark.parametrize("key, value", [("use_cot", False), ("use_cot", True),
                                             ("similarity_scale", 1.0), ("exclude_self", True),
-                                            ("default_canvas", [512, 512])])
+                                            ("default_canvas", [512, 512]),
+                                            ("coarse_temperature", 0.7),
+                                            ("stage_temperature", 0.0)])
     def test_deleted_setting_is_refused(self, fixture_env, tmp_path, key, value):
         config = dict(fixture_env["run_config"](tmp_path / "run_u", "replay"), **{key: value})
         with pytest.raises(ConfigError, match=f"unknown run config keys: {key}$"):
             run_task(config)
         assert not (tmp_path / "run_u").exists()
+
+    # Counts no run can use, k_refine 0 also where no stage would read it.
+    @pytest.mark.parametrize("change, message", [
+        ({"k_coarse": 0}, "k_coarse must be at least 1"),
+        ({"k_coarse": -3}, "k_coarse must be at least 1"),
+        ({"n_candidates": 0}, "n_candidates must be at least 1"),
+        ({"k_refine": 0}, "k_refine must be at least 1"),
+        ({"k_refine": -1}, "k_refine must be at least 1"),
+        ({"k_refine": 0, "stages": 0}, "k_refine must be at least 1"),
+        ({"backend": {"retry_limit": -1}}, "retry_limit must be at least 0"),
+    ])
+    def test_count_that_cannot_work_is_refused_before_any_item(self, fixture_env, tmp_path,
+                                                                 change, message):
+        config = fixture_env["run_config"](tmp_path / "run_c", "record")
+        config["backend"] = dict(config["backend"], transcript_dir=str(tmp_path / "t"),
+                                 **change.get("backend", {}))
+        config.update((key, value) for key, value in change.items() if key != "backend")
+        calls = []
+
+        def transport(payload, idx):
+            calls.append(idx)
+            return scripted_llm(payload, idx)
+
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_task(config, transport=transport)
+        assert calls == []
+        assert not (tmp_path / "run_c" / "generated.jsonl").exists()
 
     def test_every_unknown_key_is_named(self, fixture_env, tmp_path):
         config = dict(fixture_env["run_config"](tmp_path / "run_u", "replay"),
