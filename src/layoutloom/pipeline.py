@@ -413,7 +413,7 @@ def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex
                                     vocabulary=vocabulary)
         draws = _draw(gateway, bundle, 1, STAGE_TEMPERATURE, vocabulary, current.canvas,
                       lambda i: f"{run_id}:stage{stage}")
-        parsed_layout = draws[-1][2]
+        parsed_layout = draws[-1][2]  # one draw a round: only the last can parse
         fallback = isinstance(parsed_layout, ExtractionFailure)
         stages.append(StageRecord(
             stage=stage,
