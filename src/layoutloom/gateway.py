@@ -78,6 +78,10 @@ class BackendConfig:
             raise ConfigError("fanout must be at least 1")
         if self.retry_limit < 0:
             raise ConfigError("retry_limit must be at least 0")
+        if not self.timeout > 0:  # NaN too: urlopen refuses it outside the retry path
+            raise ConfigError("timeout must be greater than 0")
+        if self.max_tokens < 1:
+            raise ConfigError("max_tokens must be at least 1")
 
     @classmethod
     def from_env(cls, **overrides) -> "BackendConfig":
@@ -132,17 +136,16 @@ def _transcript_path(directory: str | Path, key: str) -> str:
 _FILE_WRITES = threading.Lock()
 
 
-def write_transcript(directory: str | Path, request: Mapping[str, Any], response_text: str,
-                     created_at: str) -> Path:
-    """Store ``request`` and its response under the request's key. The
-    write is atomic: a temp file of its own, then a rename (see
-    ``dataset.replacing``).
+def write_transcript(directory: str | Path, key: str, request: Mapping[str, Any],
+                     response_text: str, created_at: str) -> Path:
+    """Store ``request`` and its response under ``key``, the request's
+    :func:`transcript_key`. The write is atomic: a temp file of its own, then
+    a rename (see ``dataset.replacing``).
 
     Concurrent items with equal prompts write the same key; each writer's
     temp name is unique, and the last rename wins. Within one process the
     files are written one at a time.
     """
-    key = transcript_key(request)
     path = Path(_transcript_path(directory, key))
     text = json.dumps({"key": key, "request": request, "response_text": response_text,
                        "metadata": {"created_at": created_at}},
@@ -301,9 +304,9 @@ class Gateway:
 
         if self.config.mode == "record":
             stamp = datetime.now(timezone.utc).isoformat()
-            for index, text in zip(indices, texts):
-                write_transcript(self.config.transcript_dir, dict(shared, candidate_index=index),
-                                 text, stamp)
+            for index, key, text in zip(indices, transcript_keys(shared, indices), texts):
+                write_transcript(self.config.transcript_dir, key,
+                                 dict(shared, candidate_index=index), text, stamp)
         return texts
 
     def ping(self) -> bool:

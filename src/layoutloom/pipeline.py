@@ -9,7 +9,7 @@ Candidate ranking scores each parseable coarse candidate as
 where norm is min-max over the candidate set (a constant column contributes
 0) and satisfaction is the fraction of constraint clauses the candidate
 meets. The argmax is therefore invariant under positive scaling of the
-weights.
+weights. Coarse drafts are ranked at the default, equal weights.
 
 Coarse drafts and refinement stages draw their completions one way: n
 responses (n_candidates drafts, one per stage), each parsed leniently, and n
@@ -32,7 +32,7 @@ import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
@@ -92,7 +92,6 @@ class PipelineConfig:
     stages: int = 3
     use_rag: bool = True
     seed: int = 0
-    ranker: RankerWeights = field(default_factory=RankerWeights)
 
     def __post_init__(self):
         if self.stages not in (0, 1, 2, 3):
@@ -373,7 +372,7 @@ def generate_coarse(constraint: ConstraintSpec, index: RetrievalIndex,
     if not viable:
         raise NoViableCandidate(f"run {run_id!r}: every coarse candidate failed extraction")
 
-    best_pos, scores = rank_candidates([lay for _, lay in viable], constraint, cfg.ranker)
+    best_pos, scores = rank_candidates([lay for _, lay in viable], constraint)
     for (record, _), score in zip(viable, scores):
         record.score = score
     chosen_record, chosen_layout = viable[best_pos]
@@ -502,9 +501,9 @@ def constraint_from_record(record: Mapping[str, Any],
     return ConstraintSpec(kind="gen_t", payload={"categories": counts}), layout
 
 
-# The top-level run-config keys: PipelineConfig's fields and these.
-_RUN_KEYS = frozenset(f.name for f in fields(PipelineConfig)) | {
-    "run_dir", "base_dir", "task_family", "index", "stats", "dataset", "items", "backend"}
+# The top-level run-config keys besides PipelineConfig's fields.
+_RUN_KEYS = frozenset({"run_dir", "base_dir", "task_family", "index", "stats", "dataset",
+                       "items", "backend"})
 
 
 def _load_run_config(source: str | Path | Mapping[str, Any]) -> dict:
@@ -520,53 +519,40 @@ def _load_run_config(source: str | Path | Mapping[str, Any]) -> dict:
     return data
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _dataclass_from(name: str, cls, value):
-    """``cls(**value)`` for a run-config object, or ConfigError naming the
-    keys that ``cls`` has no field for or the first value whose JSON type
-    differs from its field's."""
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{name} must be an object, got {value!r}")
-    defaults = {f.name: f.default for f in fields(cls)}
-    unknown = sorted(str(key) for key in value if key not in defaults)
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {', '.join(unknown)}")
-    return cls(**{key: _config_value(f"{name}.{key}", defaults[key], v)
-                  for key, v in value.items()})
-
-
-# What a scalar run-config field accepts, by the type of its default. An
-# accepted value is converted to that type, so an integer becomes a float.
-# A field whose default is None holds an optional path or key.
+# What a run-config field accepts, by the type of its default. An accepted
+# value is converted to that type, so an integer becomes a float. A field
+# whose default is None holds an optional path or key.
 _SCALARS = {
     bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("an integer", lambda v: type(v) is int),
-    float: ("a number", _is_number),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     type(None): ("a string or null", lambda v: v is None or isinstance(v, str)),
 }
 
 
-def _config_value(name: str, default, value):
-    if name == "ranker":
-        return _dataclass_from("ranker", RankerWeights, value)
-    kind, accepts = _SCALARS[type(default)]
-    if not accepts(value):
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
-    return value if default is None else type(default)(value)
-
-
-def _pipeline_config(data: Mapping[str, Any]) -> PipelineConfig:
-    """The run config's pipeline fields. A value whose JSON type differs
-    from its field's is a ConfigError: no quoted booleans or numbers, and
-    no float where an integer belongs."""
-    return PipelineConfig(**{
-        f.name: _config_value(f.name, f.default, data[f.name])
-        for f in fields(PipelineConfig) if f.name in data
-    })
+def _read_config(cls, value, name: str | None = None, other_keys=frozenset()):
+    """``cls`` built from a run-config object: the top level when ``name`` is
+    None, else its ``name`` object. ConfigError names the keys that are
+    neither ``cls`` fields nor ``other_keys``, or the first value whose JSON
+    type differs from its field's: no quoted booleans or numbers, and no
+    float where an integer belongs."""
+    where = name or "run config"
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(str(key) for key in value if key not in defaults and key not in other_keys)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+    read = {}
+    for key, raw in value.items():
+        if key in defaults:
+            kind, accepts = _SCALARS[type(defaults[key])]
+            if not accepts(raw):
+                label = f"{name}.{key}" if name else key
+                raise ConfigError(f"{label} must be {kind}, got {raw!r}")
+            read[key] = raw if defaults[key] is None else type(defaults[key])(raw)
+    return cls(**read)
 
 
 def _read_input(kind: str, path: Path, load):
@@ -652,9 +638,7 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
     time. Every output is in record order either way.
     """
     data = _load_run_config(config)
-    unknown = sorted(str(key) for key in data if key not in _RUN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown run config keys: {', '.join(unknown)}")
+    cfg = _read_config(PipelineConfig, data, other_keys=_RUN_KEYS)
     for key in ("run_dir", "task_family", "index", "backend"):
         if key not in data:
             raise ConfigError(f"run config is missing {key!r}")
@@ -675,8 +659,7 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
 
     try:
         index = _read_input("index", base / data["index"], load_index)
-        cfg = _pipeline_config(data)
-        backend = _dataclass_from("backend", BackendConfig, data["backend"])
+        backend = _read_config(BackendConfig, data["backend"], "backend")
         gateway = Gateway(backend, transport)
         stats = None
         if data.get("stats"):

@@ -20,8 +20,9 @@ and the L1 cost separates by coordinate, so each coordinate costs at least
 its 1-D Wasserstein-1 distance, which has a closed form from sorted values.
 TV is one expression over the index's histogram array, and W1 one per
 element count. The first k entries in (bound, position) order are solved
-exactly. The entries whose bound similarity exp(BOUND_SLACK - LB)
-is not strictly below the k-th similarity then get a second, tighter bound:
+exactly. The entries whose bound similarity exp(BOUND_SLACK - LB) is not
+below the k-th similarity, less a margin of a few units in the last place,
+then get a second, tighter bound:
 a feasible dual of the transport problem, from entropic potentials made
 feasible by a c-transform. It is computed in batches of ``DUAL_BATCH``
 entries in first-bound order. At a few steps of the anneal
@@ -451,12 +452,11 @@ def topk_retrieve(query: Layout, index: RetrievalIndex, k: int,
         pool = np.delete(pool, index.positions[query.id])
     best: list[tuple[float, str]] = []  # (-similarity, id), ascending
 
-    def ruled_out(bound: float) -> bool:
-        return math.exp(BOUND_SLACK - bound) < -best[-1][0]
-
-    def surely_ruled_out(bound: np.ndarray) -> np.ndarray:
-        # np.exp may differ from math.exp in the last bits; a margin of a few
-        # units in the last place keeps every entry that ruled_out keeps.
+    def ruled_out(bound):
+        # A bound similarity below the k-th similarity rules an entry out.
+        # Each similarity is a math.exp, and np.exp may differ from it in the
+        # last bits, so a margin of a few units in the last place keeps every
+        # entry whose similarity could reach the k-th.
         kth = -best[-1][0]
         return np.exp(BOUND_SLACK - bound) < kth - 4 * np.spacing(kth)
 
@@ -480,7 +480,7 @@ def topk_retrieve(query: Layout, index: RetrievalIndex, k: int,
     # order, get the dual bound in batches. The k-th similarity only rises,
     # so an entry ruled out once stays out: a batch whose first entry is
     # ruled out ends the scan, and rows ruled out mid-anneal are dropped.
-    survives = ~surely_ruled_out(pool_bounds)
+    survives = ~ruled_out(pool_bounds)
     survives[np.searchsorted(pool, head)] = False
     rest = pool[survives]
     rest = rest[np.argsort(bounds[rest], kind="stable")]
@@ -488,10 +488,10 @@ def topk_retrieve(query: Layout, index: RetrievalIndex, k: int,
         if ruled_out(bounds[rest[start]]):
             break
         batch = rest[start:start + DUAL_BATCH]
-        batch = batch[~surely_ruled_out(bounds[batch])]
+        batch = batch[~ruled_out(bounds[batch])]
         costs = _entry_costs(q_labels, q_feats, index, batch)
         tighter = np.maximum(bounds[batch],
-                             dual_lower_bounds(costs, index.counts[batch], surely_ruled_out))
+                             dual_lower_bounds(costs, index.counts[batch], ruled_out))
         for i in np.argsort(tighter, kind="stable").tolist():
             if ruled_out(tighter[i]):
                 break

@@ -9,12 +9,17 @@ The problem solved here is
 
 The solver scales the uniform marginals by L = lcm(m, n), so row i supplies
 L/m whole mass units and column j demands L/n. The transportation polytope
-has integral vertices, so an optimal plan moves whole units. A square
-matrix is an assignment problem, solved by scipy's ``linear_sum_assignment``.
-Any other shape is solved by the transportation (network) simplex on the
-m x n matrix itself (Peyré & Cuturi, *Computational Optimal Transport*,
-2019, §3.5): flows stay integers, and every basis is a spanning tree of the
-bipartite row/column graph. The tree is kept strongly feasible (Cunningham,
+has integral vertices, so an optimal plan moves whole units. One rule picks
+the method. When L is at most ``MAX_ELEMENTS``, the problem is an
+assignment on the L x L unit expansion: every row repeated L/m times and
+every column L/n times. It is solved by scipy's ``linear_sum_assignment``
+and folded back into whole-unit flows; at that size it is faster than the
+simplex below. That covers squares (L = m) and every shape where one size
+divides the other (L = max(m, n)). Any other shape is
+solved by the transportation (network) simplex on the m x n matrix itself
+(Peyré & Cuturi, *Computational Optimal Transport*, 2019, §3.5): flows stay
+integers, and every basis is a spanning tree of the bipartite row/column
+graph. The tree is kept strongly feasible (Cunningham,
 1976): rooted at row 0, every tree cell with zero flow has its row as the
 parent of its column. The leaving cell is the first blocking cell met going
 round the pivot cycle from its apex in the entering cell's direction. That
@@ -76,11 +81,12 @@ def solve_exact(cost) -> TransportPlan:
     if not np.isfinite(c).all():
         raise ValueError("transport requires finite costs")
     unit = math.lcm(m, n)
-    if m == n:
-        flow = np.zeros((m, n), dtype=np.int64)
-        flow[linear_sum_assignment(c)] = 1
+    rep_r, rep_c = unit // m, unit // n
+    if unit <= MAX_ELEMENTS:
+        rows, cols = linear_sum_assignment(c.repeat(rep_r, axis=0).repeat(rep_c, axis=1))
+        flow = np.bincount(rows // rep_r * n + cols // rep_c, minlength=m * n).reshape(m, n)
     else:
-        flow = _transport_simplex(c, unit // m, unit // n)
+        flow = _transport_simplex(c, rep_r, rep_c)
     mass = flow / float(unit)
     used = flow > 0
     return TransportPlan(mass=mass, cost=math.fsum((mass[used] * c[used]).tolist()))

@@ -442,10 +442,10 @@ def entry_layout(index, position):
 
 
 def expansion_solve(cost):
-    """transport.solve_exact as it was before the transportation simplex:
-    one assignment on the cost matrix with every row repeated lcm(m, n)/m
+    """One assignment on the cost matrix with every row repeated lcm(m, n)/m
     times and every column lcm(m, n)/n times, folded back into whole-unit
-    flows. Exact, and O(lcm(m, n)**3)."""
+    flows: transport.solve_exact where lcm(m, n) <= 25, and the oracle for
+    its simplex elsewhere. Exact, and O(lcm(m, n)**3)."""
     c = np.asarray(cost, dtype=np.float64)
     m, n = c.shape
     unit = math.lcm(m, n)

@@ -4,6 +4,7 @@ import hashlib
 import http.client
 import io
 import json
+import math
 import re
 import sys
 import threading
@@ -142,6 +143,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^retry_limit must be at least 0$"):
             BackendConfig(mode="live", retry_limit=-1)
 
+    # urlopen raises ValueError for a timeout that is not positive, outside
+    # the retried TransportError, so such a value is refused up front.
+    @pytest.mark.parametrize("timeout", [0, 0.0, -1.0, math.nan])
+    def test_timeout_must_be_positive(self, timeout):
+        with pytest.raises(ConfigError, match="^timeout must be greater than 0$"):
+            BackendConfig(mode="live", timeout=timeout)
+
+    @pytest.mark.parametrize("max_tokens", [0, -1])
+    def test_max_tokens_must_be_at_least_one(self, max_tokens):
+        with pytest.raises(ConfigError, match="^max_tokens must be at least 1$"):
+            BackendConfig(mode="live", max_tokens=max_tokens)
+
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("LAYOUTLOOM_ENDPOINT", "https://example.test/v1/chat")
         monkeypatch.setenv("LAYOUTLOOM_MODEL", "m1")
@@ -241,8 +254,8 @@ class TestRecordReplay:
 
     def test_transcript_stores_the_request_it_is_keyed_by(self, tmp_path):
         stored = request("a", "b", "c", 0.1, 7)
-        path = write_transcript(tmp_path, stored, "hi", "2026-01-01T00:00:00+00:00")
         key = transcript_key(stored)
+        path = write_transcript(tmp_path, key, stored, "hi", "2026-01-01T00:00:00+00:00")
         assert path == tmp_path / f"{key}.json"
         assert json.loads(path.read_text(encoding="utf-8")) == {
             "key": key, "request": stored, "response_text": "hi",
@@ -259,7 +272,7 @@ class TestRecordReplay:
         def writer():
             try:
                 for _ in range(300):
-                    write_transcript(tmp_path, stored, "hi", "")
+                    write_transcript(tmp_path, key, stored, "hi", "")
             except Exception as exc:
                 errors.append(exc)
 
@@ -311,7 +324,8 @@ class TestTranscriptFormat:
             [GOLDEN_RESPONSE]
 
     def test_the_same_request_is_written_to_the_same_bytes(self, tmp_path):
-        path = write_transcript(tmp_path, GOLDEN_REQUEST, GOLDEN_RESPONSE, GOLDEN_CREATED_AT)
+        path = write_transcript(tmp_path, GOLDEN_KEY, GOLDEN_REQUEST, GOLDEN_RESPONSE,
+                                GOLDEN_CREATED_AT)
         assert path.name == f"{GOLDEN_KEY}.json"
         assert path.read_bytes() == GOLDEN_BYTES
 

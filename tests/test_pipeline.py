@@ -26,8 +26,7 @@ from layoutloom.pipeline import (
     RankerWeights,
     RefinementTrace,
     StageRecord,
-    _dataclass_from,
-    _pipeline_config,
+    _read_config,
     bundle_sha256,
     constraint_from_record,
     constraint_satisfaction,
@@ -207,7 +206,6 @@ _CONFIG_VALUES = {
     "stages": (2, 2),
     "use_rag": (False, False),
     "seed": (11, 11),
-    "ranker": ({"w_align": 2.0}, RankerWeights(w_align=2.0)),
 }
 
 
@@ -364,7 +362,7 @@ def test_rank_candidates_picks_and_scores_as_the_scalar_ranker(candidates, const
 @pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
 def test_every_config_field_is_set_from_a_run_config(name):
     raw, expected = _CONFIG_VALUES[name]
-    value = getattr(_pipeline_config({name: raw}), name)
+    value = getattr(_read_config(PipelineConfig, {name: raw}), name)
     assert value == expected
     assert type(value) is type(expected)
 
@@ -376,13 +374,10 @@ def test_every_config_field_is_set_from_a_run_config(name):
     ("k_refine", 3.0),
     ("n_candidates", "7"),
     ("seed", True),
-    ("ranker", {"w_align": "2"}),
-    ("ranker", {"w_allign": 2.0}),
-    ("ranker", [1.0, 1.0, 1.0]),
 ])
 def test_config_value_of_the_wrong_json_type_is_rejected(name, raw):
     with pytest.raises(ConfigError, match=name):
-        _pipeline_config({name: raw})
+        _read_config(PipelineConfig, {name: raw})
 
 
 # A raw run-config value for every BackendConfig field and what it becomes.
@@ -403,7 +398,7 @@ _BACKEND_VALUES = {
 @pytest.mark.parametrize("name", [f.name for f in fields(BackendConfig)])
 def test_every_backend_field_is_set_from_a_run_config(name):
     raw, expected = _BACKEND_VALUES[name]
-    backend = _dataclass_from("backend", BackendConfig, {"transcript_dir": "t", name: raw})
+    backend = _read_config(BackendConfig, {"transcript_dir": "t", name: raw}, "backend")
     assert getattr(backend, name) == expected
     assert type(getattr(backend, name)) is type(expected)
 
@@ -421,7 +416,7 @@ def test_every_backend_field_is_set_from_a_run_config(name):
 ])
 def test_backend_value_of_the_wrong_json_type_is_rejected(name, raw):
     with pytest.raises(ConfigError, match=f"backend.{name} must be"):
-        _dataclass_from("backend", BackendConfig, {"transcript_dir": "t", name: raw})
+        _read_config(BackendConfig, {"transcript_dir": "t", name: raw}, "backend")
 
 
 class TestProtocolDefaults:
@@ -434,7 +429,7 @@ class TestProtocolDefaults:
 
     def test_stages_out_of_range(self):
         with pytest.raises(ConfigError, match="stages"):
-            _pipeline_config({"stages": 4})
+            _read_config(PipelineConfig, {"stages": 4})
 
     @pytest.mark.parametrize("stages", [-1, 4])
     def test_stages_out_of_range_through_the_python_api(self, stages):
@@ -926,7 +921,8 @@ class TestRunTask:
                                             ("similarity_scale", 1.0), ("exclude_self", True),
                                             ("default_canvas", [512, 512]),
                                             ("coarse_temperature", 0.7),
-                                            ("stage_temperature", 0.0)])
+                                            ("stage_temperature", 0.0),
+                                            ("ranker", {"w_align": 2.0})])
     def test_deleted_setting_is_refused(self, fixture_env, tmp_path, key, value):
         config = dict(fixture_env["run_config"](tmp_path / "run_u", "replay"), **{key: value})
         with pytest.raises(ConfigError, match=f"unknown run config keys: {key}$"):
@@ -942,6 +938,9 @@ class TestRunTask:
         ({"k_refine": -1}, "k_refine must be at least 1"),
         ({"k_refine": 0, "stages": 0}, "k_refine must be at least 1"),
         ({"backend": {"retry_limit": -1}}, "retry_limit must be at least 0"),
+        ({"backend": {"timeout": -1.0}}, "timeout must be greater than 0"),
+        ({"backend": {"timeout": 0}}, "timeout must be greater than 0"),
+        ({"backend": {"max_tokens": 0}}, "max_tokens must be at least 1"),
     ])
     def test_count_that_cannot_work_is_refused_before_any_item(self, fixture_env, tmp_path,
                                                                  change, message):

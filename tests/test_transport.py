@@ -179,7 +179,8 @@ def _tied_costs(draw):
 
 
 class TestAgainstExpansion:
-    """m != n against the lcm(m, n)**2 assignment the simplex replaced."""
+    """m != n against the lcm(m, n)**2 assignment, which solve_exact is
+    itself where lcm(m, n) <= 25, so these check the simplex on the rest."""
 
     @settings(max_examples=150, deadline=None)
     @given(_RECTANGLES, st.integers(0, 2**32 - 1))
@@ -198,3 +199,21 @@ class TestAgainstExpansion:
         # mass * cost is rounded twice (relative error below 2**-52) and each
         # fsum once (half an ulp), which bounds the gap between the two.
         assert abs(plan.cost - oracle.cost) <= 2.0**-51 * oracle.cost + math.ulp(oracle.cost)
+
+
+# Every shape up to 25 x 25 where one size divides the other, squares included.
+_DIVISIBLE = [(m, n) for m in range(1, 26) for n in range(1, 26) if m % n == 0 or n % m == 0]
+
+
+@pytest.mark.parametrize("family", ["random", "quantized"])
+def test_divisible_shapes_are_the_expansion_assignment(family):
+    """Where lcm(m, n) is max(m, n), solve_exact is the assignment on the
+    unit expansion: the same flow and the same cost bits, ties included."""
+    rng = np.random.default_rng(31)
+    for m, n in _DIVISIBLE:
+        for _ in range(3):
+            cost = (rng.random((m, n)) if family == "random"
+                    else rng.choice([0.0, 0.5, 1.0], size=(m, n)))
+            plan, oracle = solve_exact(cost), expansion_solve(cost)
+            assert np.array_equal(plan.mass, oracle.mass), (m, n)
+            assert plan.cost.hex() == oracle.cost.hex(), (m, n)
