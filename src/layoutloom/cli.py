@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 domain error or unreadable file, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from . import pipeline as pl
 from . import prompts as pr
 from . import render as rd
 from . import retrieval as rt
-from .errors import LayoutLoomError, SchemaError
+from .errors import LayoutLoomError
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -91,13 +90,6 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_json(path: str):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise SchemaError(f"{path} is not a JSON file: {exc}") from exc
-
-
 def _load_dataset(manifest_path: str, records_path: str, strict: bool = True,
                   check_counts: bool = False) -> ds.CanonicalDataset:
     manifest = ds.load_manifest(manifest_path)
@@ -124,7 +116,7 @@ def _cmd_index(args) -> int:
 
 def _cmd_retrieve(args) -> int:
     index = rt.load_index(args.index)
-    query = ds.record_to_layout(_read_json(args.query), index.vocabulary)
+    query = ds.record_to_layout(ds.read_json(args.query), index.vocabulary)
     for layout_id, similarity in rt.topk_retrieve(query, index, args.k,
                                                   exclude_self=args.exclude_self):
         print(f"{layout_id}\t{similarity:.6f}")
@@ -153,22 +145,21 @@ def _cmd_generate(args) -> int:
 
 def _cmd_eval(args) -> int:
     metric_names = args.metrics.split(",") if args.metrics else None
+    stats = ds.load_area_stats(args.stats) if args.stats else None
     generated = [ds.record_to_layout(r) for r in ds.read_jsonl(args.generated)
                  if "error" not in r]
     columns, exclude = mx.family_metrics(args.task)
     references = {}
+    base = Path(args.dataset or ".").parent  # rasters are read relative to the dataset
     if args.dataset:
-        base = Path(args.dataset).parent
         for record in ds.read_jsonl(args.dataset):
             reference = ds.record_to_layout(record)
             references[reference.id] = reference, record
     samples = []
     for layout in generated:
-        if layout.id in references:
-            samples.append(pl.score_layout(layout, *references[layout.id], base, exclude))
-        else:
-            samples.append(mx.layout_samples(layout, exclude_overlap_labels=exclude))
-    stats = ds.load_area_stats(args.stats) if args.stats else None
+        reference, record = references.get(layout.id, (None, {}))
+        samples.append(mx.layout_samples(layout, reference, *pl.record_rasters(record, base),
+                                         exclude_overlap_labels=exclude))
     report = mx.population_report(generated, samples, stats=stats, metrics=metric_names)
     if metric_names:
         columns = tuple(metric_names)
@@ -188,8 +179,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    record = _read_json(args.layout)
-    layout = ds.record_to_layout(record)
+    layout = ds.record_to_layout(ds.read_json(args.layout))
     background = ds.load_raster(args.background) if args.background else None
     svg = rd.render_svg(layout, background)
     Path(args.out).write_text(svg, encoding="utf-8")

@@ -11,9 +11,10 @@ values are at most ``model.MAX_PIXEL`` from 0. Saliency and gradient maps
 are binary PGM (P5) files, 8-bit by default with 16-bit accepted; they are
 ingested, never computed.
 
-``_read_record`` is the one reader of records: ``record_to_layout`` wraps
-what it reads in a Layout, and ``ingest`` appends it to the columns of a
-CanonicalDataset, so set-up builds no object per element.
+``_read_record`` is the one reader of records, corpus records and run items
+alike, and checks each key's type: ``record_to_layout`` wraps what it reads
+in a Layout, and ``ingest`` appends it to the columns of a CanonicalDataset,
+so set-up builds no object per element.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import math
 import os
 import re
+import sys
 import uuid
 from array import array
 from collections import Counter
@@ -44,8 +46,8 @@ from .model import MAX_PIXEL, BBox, Canvas, Element, Layout
 
 TASK_KINDS = ("content_aware", "constraint_explicit", "text_to_layout")
 
-# Record keys that export writes back as read.
-_META_KEYS = ("split", "saliency", "gradient", "text", "constraints")
+# Record keys that export writes back as read, each of its type unless null.
+_META_KEYS = {"split": str, "saliency": str, "gradient": str, "text": str, "constraints": Mapping}
 
 
 @dataclass(frozen=True)
@@ -56,12 +58,18 @@ class DatasetManifest:
     split_sizes: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SchemaError(f"manifest name must be a string, got {self.name!r}")
         if self.task_kind not in TASK_KINDS:
             raise SchemaError(f"unknown task kind {self.task_kind!r}")
-        if not self.vocabulary:
-            raise SchemaError("manifest vocabulary must be non-empty")
-        if any(n < 0 for n in self.split_sizes.values()):
-            raise SchemaError("split sizes must be non-negative")
+        if not isinstance(self.vocabulary, (list, tuple)) or not self.vocabulary \
+                or not all(isinstance(label, str) for label in self.vocabulary):
+            raise SchemaError("manifest vocabulary must be a non-empty list of strings, "
+                              f"got {self.vocabulary!r}")
+        if not isinstance(self.split_sizes, Mapping) \
+                or not all(type(n) is int and n >= 0 for n in self.split_sizes.values()):
+            raise SchemaError("manifest split_sizes must be an object of non-negative "
+                              f"integers, got {self.split_sizes!r}")
         if not isinstance(self.vocabulary, tuple):
             object.__setattr__(self, "vocabulary", tuple(self.vocabulary))
         if len(set(self.vocabulary)) < len(self.vocabulary):
@@ -84,21 +92,19 @@ PUBLAYNET_MANIFEST = DatasetManifest(
 )
 
 
-def manifest_from_dict(data: Mapping[str, Any]) -> DatasetManifest:
+def manifest_from_dict(data: Any) -> DatasetManifest:
+    if not isinstance(data, Mapping):
+        raise SchemaError(f"manifest must be an object, got {type(data).__name__}")
     try:
-        return DatasetManifest(
-            name=str(data["name"]),
-            task_kind=str(data["task_kind"]),
-            vocabulary=tuple(data["vocabulary"]),
-            split_sizes={str(k): int(v) for k, v in data.get("split_sizes", {}).items()},
-        )
+        return DatasetManifest(name=data["name"], task_kind=data["task_kind"],
+                               vocabulary=data["vocabulary"],
+                               split_sizes=data.get("split_sizes", {}))
     except KeyError as exc:
         raise SchemaError(f"manifest is missing key {exc}") from exc
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        return manifest_from_dict(json.load(fh))
+    return manifest_from_dict(read_json(path))
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
@@ -151,19 +157,18 @@ def _read_record(record: Mapping[str, Any], vocab: Container[str] | None
                  ) -> tuple[str, Canvas, list[tuple[str, float, float, float, float]], dict]:
     """The one reader of interchange records: the id, the canvas, each
     element as ``(label, left, top, width, height)`` with each box value
-    ``float(value)``, and the ``_META_KEYS`` that are not None. The canvas
-    ``w`` and ``h`` must be JSON integers, ``elements`` a list, each box
-    value finite, every canvas side and box value at most ``MAX_PIXEL`` from
-    0, and each label in ``vocab`` when one is given."""
+    ``float(value)``, and the ``_META_KEYS`` that are not None, each of its
+    type. The canvas must be an object of JSON integers ``w`` and ``h``,
+    ``elements`` a list, each box value finite, every canvas side and box
+    value at most ``MAX_PIXEL`` from 0, and each label in ``vocab`` if given."""
     if not isinstance(record, Mapping):
         raise SchemaError(f"record must be an object, got {type(record).__name__}")
-    try:
-        rid = str(record["id"])
-        canvas_obj = record["canvas"]
-        size = (canvas_obj["w"], canvas_obj["h"])
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed record: {exc}") from exc
-    if not all(type(v) is int for v in size):
+    if "id" not in record:
+        raise SchemaError("record is missing key 'id'")
+    rid = str(record["id"])
+    canvas_obj = record.get("canvas")
+    size = (canvas_obj.get("w"), canvas_obj.get("h")) if isinstance(canvas_obj, Mapping) else ()
+    if not size or not all(type(v) is int for v in size):
         raise SchemaError(f"record {rid!r} canvas must have integer w and h, got {canvas_obj!r}")
     if max(size) > MAX_PIXEL:
         raise SchemaError(f"record {rid!r} canvas w and h must be at most {MAX_PIXEL:.0f} pixels")
@@ -190,7 +195,12 @@ def _read_record(record: Mapping[str, Any], vocab: Container[str] | None
         if vocab is not None and label not in vocab:
             raise VocabularyError(f"record {rid!r} uses label {label!r} outside the vocabulary")
         elements.append((label, left, top, width, height))
-    return rid, canvas, elements, {k: record[k] for k in _META_KEYS if record.get(k) is not None}
+    meta = {k: record[k] for k in _META_KEYS if record.get(k) is not None}
+    for key, value in meta.items():
+        if not isinstance(value, _META_KEYS[key]):
+            kind = "an object" if _META_KEYS[key] is Mapping else "a string"
+            raise SchemaError(f"record {rid!r} {key} must be {kind}, got {value!r}")
+    return rid, canvas, elements, meta
 
 
 def record_to_layout(record: Mapping[str, Any],
@@ -245,7 +255,7 @@ def ingest(records: Iterable[Mapping[str, Any]], manifest: DatasetManifest,
 
     dataset = CanonicalDataset(
         manifest=manifest, ids=list(ids),
-        splits=[str(m.get("split", "")) for m in meta],
+        splits=[m.get("split", "") for m in meta],
         canvases=canvases, counts=np.frombuffer(counts, dtype=np.int64), meta=meta,
         labels=np.frombuffer(labels, dtype=np.int64),
         boxes=np.frombuffer(boxes, dtype=np.float64).reshape(-1, 4))
@@ -272,6 +282,15 @@ def export_records(dataset: CanonicalDataset) -> Iterator[dict[str, Any]]:
                "elements": [{"label": vocabulary[label], "bbox": box} for label, box in elements],
                **meta}
         start = stop
+
+
+def read_json(path: str | Path) -> Any:
+    """The JSON value in a UTF-8 file; SchemaError naming the file when it
+    holds none."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise SchemaError(f"{path} is not a JSON file: {exc}") from exc
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
@@ -356,9 +375,17 @@ def save_area_stats(stats: AreaStats, path: str | Path) -> None:
 
 
 def load_area_stats(path: str | Path) -> AreaStats:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return AreaStats(means={str(k): float(v) for k, v in data.items()})
+    """The stats ``save_area_stats`` wrote: an object that maps each label to
+    a finite, non-negative number, or SchemaError naming what is not one."""
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path} must hold an object of label areas, got {type(data).__name__}")
+    for label, value in data.items():
+        # NaN and inf fail the comparison, and so does an integer past float range.
+        if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+            raise SchemaError(f"{path}: label {label!r} needs a finite, non-negative area, "
+                              f"got {value!r}")
+    return AreaStats(means={label: float(value) for label, value in data.items()})
 
 
 # --- saliency rasters -------------------------------------------------------

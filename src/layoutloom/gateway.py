@@ -52,8 +52,8 @@ MODEL_ENV = "LAYOUTLOOM_MODEL"
 # per candidate the way sampling temperature would.
 Transport = Callable[[dict, int], str]
 
-# The longest wait a Retry-After header can impose before the next attempt.
-RETRY_AFTER_CAP_S = 60.0
+# The longest wait before a retry, asked by a Retry-After header or the backoff.
+RETRY_WAIT_CAP_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,8 @@ class BackendConfig:
             raise ConfigError("retry_limit must be at least 0")
         if not self.timeout > 0:  # NaN too: urlopen refuses it outside the retry path
             raise ConfigError("timeout must be greater than 0")
+        if self.timeout > threading.TIMEOUT_MAX:  # a socket refuses it as well
+            raise ConfigError(f"timeout must be at most {threading.TIMEOUT_MAX:.0f} seconds")
         if self.max_tokens < 1:
             raise ConfigError("max_tokens must be at least 1")
 
@@ -260,6 +262,7 @@ class Gateway:
 
     def _call_with_retry(self, payload: dict, candidate_index: int) -> str:
         last: Exception | None = None
+        backoff = self.config.retry_backoff  # times 2 ** attempt, doubled in place: no overflow
         for attempt in range(self.config.retry_limit + 1):
             try:
                 return self._transport(payload, candidate_index)
@@ -268,9 +271,10 @@ class Gateway:
                 if attempt == self.config.retry_limit:
                     break
                 if exc.retry_after is not None:
-                    time.sleep(min(exc.retry_after, RETRY_AFTER_CAP_S))
-                elif self.config.retry_backoff > 0:
-                    time.sleep(self.config.retry_backoff * (2 ** attempt))
+                    time.sleep(min(exc.retry_after, RETRY_WAIT_CAP_S))
+                elif backoff > 0:
+                    time.sleep(min(backoff, RETRY_WAIT_CAP_S))
+                backoff *= 2
         raise TransportError(f"request failed after {self.config.retry_limit + 1} attempts: {last}")
 
     def complete(self, bundle: PromptBundle, n: int = 1, *,

@@ -40,13 +40,14 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 from .dataset import (
     TASK_KINDS,
     AreaStats,
+    SaliencyRaster,
     layout_to_record,
     load_area_stats,
     load_raster,
     read_jsonl,
     record_to_layout,
 )
-from .errors import ConfigError, InvalidPayload, LayoutLoomError, NoViableCandidate, SchemaError
+from .errors import ConfigError, LayoutLoomError, NoViableCandidate, SchemaError
 from .gateway import BackendConfig, ExtractionFailure, Gateway, extract_layout
 from .metrics import (
     alignments,
@@ -449,56 +450,35 @@ def refine_cot(coarse: Layout, constraint: ConstraintSpec, index: RetrievalIndex
 
 # --- full task runs ---------------------------------------------------------
 
-def constraint_from_record(record: Mapping[str, Any],
-                           task_family: str) -> tuple[ConstraintSpec, Layout | None]:
-    """Build the item constraint from an interchange record, and return it
-    with the record's layout when building it parsed the record, else None.
+def constraint_from_record(layout: Layout, record: Mapping[str, Any],
+                           task_family: str) -> ConstraintSpec:
+    """The constraint of a run item: ``layout`` is its record as
+    ``record_to_layout`` read it, which also typed ``constraints`` and ``text``.
 
     An explicit ``constraints`` object wins; otherwise content-aware items
     fall back to their own element categories, and text items to their text.
-    ``constraints`` that are not an object, or a ``canvas`` that is not an
-    object of integer ``w`` and ``h`` (each 0 when missing), raise
-    InvalidPayload.
     """
-    rid = record.get("id")
-    raw = record.get("constraints", {})
-    if not isinstance(raw, Mapping):
-        raise InvalidPayload(f"record {rid!r} constraints must be an object, got {raw!r}")
-    canvas = record.get("canvas", {})
-    canvas_pair = ([canvas.get("w", 0), canvas.get("h", 0)]
-                   if isinstance(canvas, Mapping) else None)
-    if canvas_pair is None or not all(isinstance(v, int) and not isinstance(v, bool)
-                                      for v in canvas_pair):
-        raise InvalidPayload(f"record {rid!r} canvas must be an object of integer w and h, "
-                             f"got {canvas!r}")
+    raw = record.get("constraints") or {}
     if "kind" in raw:
-        return ConstraintSpec(kind=str(raw["kind"]), payload=raw.get("payload", {})), None
+        return ConstraintSpec(kind=str(raw["kind"]), payload=raw.get("payload", {}))
+    canvas = [layout.canvas.width, layout.canvas.height]
     if task_family == "content_aware":
-        payload: dict[str, Any] = {"canvas": canvas_pair}
-        layout = None
-        if "categories" in raw:
-            payload["categories"] = raw["categories"]
-        else:
-            layout = record_to_layout(record)
-            counts = label_counts(layout)
-            if not counts:
-                raise ConfigError(f"record {rid!r} has no categories and no elements")
-            payload["categories"] = counts
-        return ConstraintSpec(kind="content_aware", payload=payload), layout
+        if "categories" not in raw and not layout.elements:
+            raise ConfigError(f"record {layout.id!r} has no categories and no elements")
+        categories = raw["categories"] if "categories" in raw else label_counts(layout)
+        return ConstraintSpec(kind="content_aware",
+                              payload={"canvas": canvas, "categories": categories})
     if task_family == "text_to_layout":
-        payload = {"text": str(record.get("text", ""))}
-        if canvas_pair[0] > 0:
-            payload["canvas"] = canvas_pair
+        payload = {"text": record.get("text") or "", "canvas": canvas}
         if "categories" in raw:
             payload["categories"] = raw["categories"]
-        return ConstraintSpec(kind="text_to_layout", payload=payload), None
+        return ConstraintSpec(kind="text_to_layout", payload=payload)
     # Constraint-explicit without an explicit spec: treat the record's own
     # label multiset as a Gen-T style type constraint.
-    layout = record_to_layout(record)
     counts = label_counts(layout)
     if not counts:
-        raise ConfigError(f"record {rid!r} yields no type constraint")
-    return ConstraintSpec(kind="gen_t", payload={"categories": counts}), layout
+        raise ConfigError(f"record {layout.id!r} yields no type constraint")
+    return ConstraintSpec(kind="gen_t", payload={"categories": counts})
 
 
 # The top-level run-config keys besides PipelineConfig's fields.
@@ -575,15 +555,11 @@ def _trace_name(item_id: str) -> str:
     return name
 
 
-def score_layout(layout: Layout, reference: Layout, record: Mapping[str, Any], base: Path,
-                 exclude_overlap_labels: Sequence[str]) -> dict[str, float]:
-    """``layout``'s metric samples against a dataset record: ``reference``,
-    the record's layout as the caller already parsed it, is the reference,
-    and the record's saliency and gradient rasters, read relative to
-    ``base``, are the content."""
-    saliency, gradient = (load_raster(base / record[key]) if record.get(key) else None
-                          for key in ("saliency", "gradient"))
-    return layout_samples(layout, reference, saliency, gradient, exclude_overlap_labels)
+def record_rasters(record: Mapping[str, Any], base: Path) -> list[SaliencyRaster | None]:
+    """The saliency and gradient rasters of a record ``record_to_layout`` has
+    checked, each read relative to ``base``; None where the record names none."""
+    return [load_raster(base / record[key]) if record.get(key) else None
+            for key in ("saliency", "gradient")]
 
 
 class _ItemOutcome(NamedTuple):
@@ -599,7 +575,8 @@ def _run_item(record: Mapping[str, Any], *, task_family: str, index: RetrievalIn
               cfg: PipelineConfig, gateway: Gateway, stats: AreaStats | None,
               base: Path, traces_dir: Path,
               exclude_overlap_labels: Sequence[str]) -> _ItemOutcome:
-    """Generate one item, score its final layout, and write its trace file.
+    """Read one item and its rasters, which fails it before any LLM request
+    if either cannot be read, generate it, score it, and write its trace.
 
     Any exception but KeyboardInterrupt becomes the item's error payload,
     written in place of its trace, so one item never aborts the run.
@@ -608,14 +585,14 @@ def _run_item(record: Mapping[str, Any], *, task_family: str, index: RetrievalIn
     trace_path = None
     try:
         trace_path = traces_dir / _trace_name(item_id)
-        constraint, item_layout = constraint_from_record(record, task_family)
-        if item_layout is None:
-            item_layout = record_to_layout(record)
+        item_layout = record_to_layout(record)
+        constraint = constraint_from_record(item_layout, record, task_family)
+        rasters = record_rasters(record, base)
         coarse, fragment = generate_coarse(constraint, index, cfg, gateway, stats=stats,
                                            query=item_layout, run_id=item_id)
         trace, final = refine_cot(coarse, constraint, index, cfg, gateway,
                                   coarse_fragment=fragment, run_id=item_id)
-        samples = score_layout(final, item_layout, record, base, exclude_overlap_labels)
+        samples = layout_samples(final, item_layout, *rasters, exclude_overlap_labels)
         trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
         return _ItemOutcome(payload=trace.final, final=final, samples=samples, error=None,
                             coarse_retried=len(fragment.candidates) > cfg.n_candidates,

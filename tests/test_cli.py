@@ -61,6 +61,20 @@ class TestIngestCommand:
         assert code == 1
         assert "VocabularyError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, error", [
+        ({"split_sizes": {"train": "x"}},
+         "manifest split_sizes must be an object of non-negative integers, got {'train': 'x'}"),
+        ({"vocabulary": 5}, "manifest vocabulary must be a non-empty list of strings, got 5"),
+    ])
+    def test_malformed_manifest_is_one_error_line(self, workspace, capsys, change, error):
+        manifest = json.loads((workspace / "manifest.json").read_text()) | change
+        (workspace / "bad.json").write_text(json.dumps(manifest))
+        assert main(["ingest", "--manifest", str(workspace / "bad.json"),
+                     "--records", str(workspace / "records.jsonl"),
+                     "--out", str(workspace / "out.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: SchemaError: {error}\n"
+        assert not (workspace / "out.jsonl").exists()
+
 
 class TestIndexAndRetrieve:
     def test_build_and_query(self, workspace, capsys):
@@ -207,6 +221,17 @@ class TestEvalCommand:
                      "--stats", str(workspace / "stats.json"), "--task", "content_aware"]) == 0
         lines = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines()[1:])
         assert lines["r_e"] == "skipped(missing_label_stats)"
+
+    def test_a_nan_area_is_one_error_line(self, workspace, capsys):
+        write_jsonl(_records(), workspace / "generated.jsonl")
+        stats = workspace / "stats.json"
+        stats.write_text('{"logo": 0.02, "text": NaN}\n', encoding="utf-8")
+        assert main(["eval", "--generated", str(workspace / "generated.jsonl"),
+                     "--stats", str(stats), "--task", "content_aware"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: SchemaError: {stats}: label 'text' needs a finite, "
+                                "non-negative area, got nan\n")
 
 
 class TestRenderCommand:

@@ -97,6 +97,38 @@ class TestManifests:
         save_manifest(PKU_MANIFEST, path)
         assert load_manifest(path) == PKU_MANIFEST
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("name", 5, "a string"),
+        ("vocabulary", 5, "a non-empty list of strings"),
+        ("vocabulary", "text", "a non-empty list of strings"),
+        ("vocabulary", ["text", 3], "a non-empty list of strings"),
+        ("split_sizes", {"train": "x"}, "an object of non-negative integers"),
+        ("split_sizes", {"train": 2.0}, "an object of non-negative integers"),
+        ("split_sizes", {"train": True}, "an object of non-negative integers"),
+        ("split_sizes", {"train": -1}, "an object of non-negative integers"),
+        ("split_sizes", [3], "an object of non-negative integers"),
+    ])
+    def test_fields_of_the_wrong_type_are_refused(self, tmp_path, key, value, kind):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"name": "x", "task_kind": "content_aware",
+                                    "vocabulary": ["text"], key: value}), encoding="utf-8")
+        message = f"manifest {key} must be {kind}, got {value!r}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"task_kind": "content_aware", "vocabulary": ["text"]}',
+         "manifest is missing key 'name'"),
+        ('["text"]', "manifest must be an object, got list"),
+        ('{"name": "x", "task_kind": 5, "vocabulary": ["text"]}', "unknown task kind 5"),
+    ])
+    def test_a_manifest_that_is_not_an_object_of_its_keys_is_refused(self, tmp_path,
+                                                                     content, message):
+        path = tmp_path / "m.json"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            load_manifest(path)
+
 
 class TestIngest:
     def test_empty_stream(self):
@@ -194,12 +226,12 @@ def _reference_read(record, vocabulary=None):
     """A record as export writes it back, read by a reader of its own."""
     if not isinstance(record, Mapping):
         raise SchemaError(f"record must be an object, got {type(record).__name__}")
-    try:
-        rid = str(record["id"])
-        canvas_obj = record["canvas"]
-        w, h = canvas_obj["w"], canvas_obj["h"]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed record: {exc}") from exc
+    if "id" not in record:
+        raise SchemaError("record is missing key 'id'")
+    rid = str(record["id"])
+    canvas_obj = record.get("canvas")
+    w, h = (canvas_obj.get("w"), canvas_obj.get("h")) if isinstance(canvas_obj, dict) \
+        else (None, None)
     if isinstance(w, bool) or isinstance(h, bool) or not isinstance(w, int) \
             or not isinstance(h, int):
         raise SchemaError(f"record {rid!r} canvas must have integer w and h, got {canvas_obj!r}")
@@ -534,6 +566,31 @@ class TestAreaStats:
         save_area_stats(stats, path)
         assert load_area_stats(path).means == stats.means
 
+    def test_zero_and_integer_areas_are_read(self, tmp_path):
+        path = tmp_path / "stats.json"
+        path.write_text('{"text": 0, "logo": 1, "underlay": 0.0}', encoding="utf-8")
+        means = load_area_stats(path).means
+        assert means == {"text": 0.0, "logo": 1.0, "underlay": 0.0}
+        assert all(type(v) is float for v in means.values())
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400", "-0.5",
+                                       "true", "null", '"0.1"', "[0.1]",
+                                       pytest.param("1" + "0" * 400, id="10**400")])
+    def test_an_area_that_is_not_a_finite_non_negative_number_is_refused(self, tmp_path,
+                                                                         value):
+        path = tmp_path / "stats.json"
+        path.write_text('{"logo": 0.02, "text": %s}' % value, encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}: label 'text' needs a finite, non-negative area, got ")):
+            load_area_stats(path)
+
+    @pytest.mark.parametrize("content", ["[0.1]", "0.1", "{not json"])
+    def test_a_stats_file_without_an_object_is_refused(self, tmp_path, content):
+        path = tmp_path / "stats.json"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(str(path))):
+            load_area_stats(path)
+
 
 class TestRasters:
     def test_scaling(self, tmp_path):
@@ -675,6 +732,40 @@ class TestRecordCodec:
         layout = record_to_layout(record)
         assert layout.canvas == Canvas(int(MAX_PIXEL), 1)
         assert layout.elements[0].bbox == BBox(-MAX_PIXEL, 0.0, MAX_PIXEL, 5.0)
+
+    @pytest.mark.parametrize("canvas", [None, [100, 200], "100x200", 7])
+    def test_canvas_that_is_not_an_object_is_refused(self, canvas):
+        record = dict(_record("a", []), canvas=canvas)
+        if canvas is None:
+            del record["canvas"]
+        message = re.escape(f"record 'a' canvas must have integer w and h, got {canvas!r}")
+        with pytest.raises(SchemaError, match=message):
+            record_to_layout(record)
+        with pytest.raises(SchemaError, match=message):
+            ingest([record], PKU_LIKE)
+
+    def test_record_without_an_id_is_refused(self):
+        with pytest.raises(SchemaError, match="^record is missing key 'id'$"):
+            record_to_layout({"canvas": {"w": 10, "h": 10}, "elements": []})
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("split", 5, "a string"), ("saliency", 5, "a string"),
+        ("gradient", ["g.pgm"], "a string"), ("text", {"en": "a form"}, "a string"),
+        ("constraints", ["gen_t"], "an object"), ("constraints", "gen_t", "an object"),
+    ])
+    def test_record_keys_of_the_wrong_type_are_refused(self, key, value, kind):
+        record = _record("a", [{"label": "text", "bbox": [0, 0, 1, 1]}], **{key: value})
+        message = "^" + re.escape(f"record 'a' {key} must be {kind}, got {value!r}") + "$"
+        with pytest.raises(SchemaError, match=message):
+            record_to_layout(record)
+        with pytest.raises(SchemaError, match=message):
+            ingest([record], PKU_LIKE, strict=False)
+
+    def test_null_record_keys_are_absent(self):
+        record = _record("a", [], split=None, saliency=None, text=None, constraints=None)
+        assert record_to_layout(record).id == "a"
+        [exported] = export_records(ingest([record], PKU_LIKE))
+        assert exported == {"id": "a", "canvas": {"w": 100, "h": 200}, "elements": []}
 
     @pytest.mark.parametrize("w", [100.7, 100.0, "100", True, None])
     def test_canvas_that_is_not_integers_is_refused(self, w):

@@ -27,7 +27,7 @@ from layoutloom.errors import (
     TransportError,
 )
 from layoutloom.gateway import (
-    RETRY_AFTER_CAP_S,
+    RETRY_WAIT_CAP_S,
     BackendConfig,
     ExtractionFailure,
     Gateway,
@@ -149,6 +149,16 @@ class TestConfig:
     def test_timeout_must_be_positive(self, timeout):
         with pytest.raises(ConfigError, match="^timeout must be greater than 0$"):
             BackendConfig(mode="live", timeout=timeout)
+
+    # A socket refuses a timeout past the platform's wait bound with an
+    # OverflowError, also outside the retried TransportError.
+    @pytest.mark.parametrize("timeout", [threading.TIMEOUT_MAX * 2, 1e300, math.inf])
+    def test_timeout_past_the_wait_bound_is_refused(self, timeout):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"timeout must be at most {threading.TIMEOUT_MAX:.0f} seconds")):
+            BackendConfig(mode="live", timeout=timeout)
+        assert BackendConfig(mode="live", timeout=threading.TIMEOUT_MAX).timeout \
+            == threading.TIMEOUT_MAX
 
     @pytest.mark.parametrize("max_tokens", [0, -1])
     def test_max_tokens_must_be_at_least_one(self, max_tokens):
@@ -438,7 +448,7 @@ class TestRetries:
         (429, "7", 7.0),
         (503, " 2 ", 2.0),
         (502, "0", 0.0),
-        (500, "86400", RETRY_AFTER_CAP_S),
+        (500, "86400", RETRY_WAIT_CAP_S),
         (429, "Thu, 01 Jan 2015 00:00:00 GMT", 0.0),
         (429, None, 0.5),
         (503, "soon", 0.5),
@@ -447,6 +457,25 @@ class TestRetries:
     ])
     def test_retry_after_sets_the_wait(self, monkeypatch, status, retry_after, slept):
         assert self._slept_after(monkeypatch, status, retry_after) == [slept]
+
+    @pytest.mark.parametrize("retry_limit, retry_backoff, first_waits", [
+        (2, 1e300, [RETRY_WAIT_CAP_S] * 2),
+        (1100, 0.5, [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, RETRY_WAIT_CAP_S]),
+    ])
+    def test_backoff_waits_are_capped(self, monkeypatch, retry_limit, retry_backoff,
+                                      first_waits):
+        def always_fails(payload, idx):
+            raise TransportError("down")
+
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        cfg = BackendConfig(mode="live", model="m", endpoint="x", retry_limit=retry_limit,
+                            retry_backoff=retry_backoff, api_key="k")
+        with pytest.raises(TransportError, match=f"after {retry_limit + 1} attempts"):
+            Gateway(cfg, transport=always_fails).complete(BUNDLE, n=1, temperature=0.7)
+        assert len(sleeps) == retry_limit
+        assert sleeps[:len(first_waits)] == first_waits
+        assert set(sleeps[len(first_waits):]) <= {RETRY_WAIT_CAP_S}
 
     def test_retry_after_http_date_waits_the_time_left(self, monkeypatch):
         when = format_datetime(datetime.now(timezone.utc) + timedelta(seconds=30), usegmt=True)

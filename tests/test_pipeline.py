@@ -774,11 +774,16 @@ class TestTraceJson:
         assert "\n" not in text
 
 
+def _constraint(record, family):
+    """The constraint of a run item, read as ``_run_item`` reads it."""
+    return constraint_from_record(record_to_layout(record), record, family)
+
+
 class TestConstraintFromRecord:
     def test_content_aware_from_categories(self):
         record = {"id": "x", "canvas": {"w": 100, "h": 200}, "elements": [],
                   "constraints": {"categories": {"text": 2}}, "saliency": "s.pgm"}
-        spec, _ = constraint_from_record(record, "content_aware")
+        spec = _constraint(record, "content_aware")
         assert spec.kind == "content_aware"
         assert spec.payload["categories"] == {"text": 2}
         assert spec.payload["canvas"] == [100, 200]
@@ -788,50 +793,37 @@ class TestConstraintFromRecord:
         record = {"id": "x", "canvas": {"w": 100, "h": 200},
                   "elements": [{"label": "text", "bbox": [0, 0, 10, 10]},
                                {"label": "text", "bbox": [0, 20, 10, 10]}]}
-        spec, _ = constraint_from_record(record, "content_aware")
+        spec = _constraint(record, "content_aware")
         assert spec.payload["categories"] == {"text": 2}
 
     def test_explicit_constraint_object_wins(self):
         record = {"id": "x", "canvas": {"w": 100, "h": 100}, "elements": [],
                   "constraints": {"kind": "gen_t",
                                   "payload": {"categories": {"title": 1}}}}
-        spec, _ = constraint_from_record(record, "constraint_explicit")
+        spec = _constraint(record, "constraint_explicit")
         assert spec.kind == "gen_t"
         assert spec.payload["categories"] == {"title": 1}
 
     def test_text_task(self):
         record = {"id": "x", "canvas": {"w": 360, "h": 640}, "elements": [],
                   "text": "a signup screen"}
-        spec, _ = constraint_from_record(record, "text_to_layout")
+        spec = _constraint(record, "text_to_layout")
         assert spec.kind == "text_to_layout"
-        assert spec.payload["text"] == "a signup screen"
+        assert spec.payload == {"text": "a signup screen", "canvas": [360, 640]}
 
-    @pytest.mark.parametrize("family", ["content_aware", "text_to_layout",
-                                        "constraint_explicit"])
-    @pytest.mark.parametrize("change", [
-        {"canvas": {"w": "wide", "h": 10}},
-        {"canvas": [513, 750]},
-        {"canvas": {"w": 513.7, "h": 750}},
-        {"canvas": {"w": True, "h": 750}},
-        {"constraints": ["gen_t"]},
-        {"constraints": "gen_t"},
-    ])
-    def test_malformed_canvas_or_constraints_are_refused(self, family, change):
-        record = dict({"id": "x", "canvas": {"w": 100, "h": 200}, "text": "a form",
-                       "elements": [{"label": "text", "bbox": [0, 0, 10, 10]}]}, **change)
-        with pytest.raises(InvalidPayload):
-            constraint_from_record(record, family)
-        if "canvas" in change:  # an explicit constraint does not skip the check
-            record["constraints"] = {"kind": "gen_t", "payload": {"categories": {"text": 1}}}
-            with pytest.raises(InvalidPayload):
-                constraint_from_record(record, family)
+    @pytest.mark.parametrize("family, error", [("content_aware", "has no categories"),
+                                               ("constraint_explicit", "yields no type")])
+    def test_no_elements_and_no_categories_is_a_config_error(self, family, error):
+        record = {"id": "x", "canvas": {"w": 100, "h": 200}, "elements": []}
+        with pytest.raises(ConfigError, match=f"record 'x' {error}"):
+            _constraint(record, family)
 
     @pytest.mark.parametrize("family", ["content_aware", "text_to_layout"])
     def test_categories_that_are_not_an_object_are_refused(self, family):
         record = {"id": "x", "canvas": {"w": 100, "h": 200}, "elements": [],
                   "text": "a form", "constraints": {"categories": "text"}}
         with pytest.raises(InvalidPayload):
-            constraint_from_record(record, family)
+            _constraint(record, family)
 
 
 def _tree_bytes(run_dir: Path) -> dict:
@@ -1252,20 +1244,6 @@ class TestRunTask:
         assert "item bad: InvalidPayload: gen_ts element" in log
         assert "Traceback" not in log
 
-    def test_unreadable_raster_is_one_log_line(self, fixture_env, tmp_path):
-        items = _distinct_items(2)
-        items[0]["saliency"] = "rasters/missing.pgm"
-        config = _record_config(fixture_env, tmp_path, items, fanout=1)
-        run_dir = run_task(config, transport=scripted_llm)
-        lines = [json.loads(l) for l in
-                 (run_dir / "generated.jsonl").read_text().splitlines()]
-        assert lines[0]["error"] == "FileNotFoundError"
-        assert "error" not in lines[1]
-        log = (run_dir / "run.log").read_text()
-        assert "item it0: FileNotFoundError: [Errno 2] No such file or directory" in log
-        assert "Traceback" not in log
-        assert "run ends: 1 ok, 1 failed" in log
-
     def test_unreadable_transcript_is_one_log_line(self, fixture_env, tmp_path):
         items = _distinct_items(2)
         config = _record_config(fixture_env, tmp_path, items[1:], fanout=1)
@@ -1306,19 +1284,52 @@ class TestRunTask:
         assert row["val"] == "1.000000"
         assert "run ends: 5 ok, 0 failed" in (run_dir / "run.log").read_text()
 
-    def test_malformed_canvas_costs_only_its_item(self, fixture_env, tmp_path):
-        bad = {"id": "bad", "canvas": [513, 750], "elements": [],
-               "constraints": {"categories": {"text": 1}}}
+    @pytest.mark.parametrize("change, error, message", [
+        ({"saliency": 5}, "SchemaError", "record 'bad' saliency must be a string, got 5"),
+        ({"gradient": "rasters/missing.pgm"}, "FileNotFoundError",
+         "[Errno 2] No such file or directory"),
+        ({"canvas": [513, 750]}, "SchemaError",
+         "record 'bad' canvas must have integer w and h, got [513, 750]"),
+        ({"canvas": {"w": 513.0, "h": 750}}, "SchemaError",
+         "record 'bad' canvas must have integer w and h, got {'w': 513.0, 'h': 750}"),
+        # An explicit constraint does not skip the reader.
+        ({"canvas": [513, 750], "constraints": {"kind": "gen_t",
+                                                "payload": {"categories": {"text": 9}}}},
+         "SchemaError", "record 'bad' canvas must have integer w and h, got [513, 750]"),
+    ])
+    def test_unreadable_item_fails_alone_before_any_llm_request(self, fixture_env, tmp_path,
+                                                                change, error, message):
+        bad = dict({"id": "bad", "canvas": {"w": 513, "h": 750}, "elements": [],
+                    "constraints": {"categories": {"text": 9}}}, **change)
+        requested = []
+
+        def transport(payload, idx):
+            requested.append(_item_of(payload))
+            return scripted_llm(payload, idx)
+
         config = _record_config(fixture_env, tmp_path, [bad] + _distinct_items(2), fanout=1)
-        run_dir = run_task(config, transport=scripted_llm)
+        run_dir = run_task(config, transport=transport)
+        assert 8 not in requested  # item `bad` asks for 9 text boxes
+        assert {0, 1} <= set(requested)
         lines = [json.loads(l) for l in
                  (run_dir / "generated.jsonl").read_text().splitlines()]
         assert [l["id"] for l in lines] == ["bad", "it0", "it1"]
-        assert lines[0]["error"] == "InvalidPayload"
+        assert lines[0]["error"] == error
         assert "error" not in lines[1] and "error" not in lines[2]
         log = (run_dir / "run.log").read_text()
-        assert "item bad: InvalidPayload: record 'bad' canvas" in log
+        assert f"item bad: {error}: {message}" in log
         assert "Traceback" not in log
+        assert "run ends: 2 ok, 1 failed" in log
+
+    def test_a_stats_file_with_a_nan_area_is_a_config_error(self, fixture_env, tmp_path):
+        stats = tmp_path / "stats.json"
+        stats.write_text('{"text": NaN}', encoding="utf-8")
+        config = _record_config(fixture_env, tmp_path, fixture_env["items"], fanout=1)
+        config["stats"] = str(stats)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"cannot read stats file {stats}: {stats}: label 'text' needs a finite, "
+                "non-negative area, got nan")):
+            run_task(config, transport=scripted_llm)
 
 
 def _item_of(payload) -> int | None:
