@@ -20,6 +20,16 @@ from . import retrieval as rt
 from .errors import LayoutLoomError
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="layoutloom",
@@ -47,7 +57,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retrieve", help="top-k scan against an index")
     p.add_argument("--index", required=True)
     p.add_argument("--query", required=True, help="layout record as a JSON file")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--exclude-self", action="store_true")
 
     p = sub.add_parser("generate", help="run the full generation pipeline")
@@ -56,9 +66,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("live", "record", "replay"), default=None,
                    help="override the backend mode")
     p.add_argument("--no-rag", action="store_true", help="seeded random exemplars")
-    p.add_argument("--no-cot", action="store_true",
-                   help="skip staged refinement, as --stages 0 does")
-    p.add_argument("--stages", type=int, default=None, help="number of refinement stages")
+    p.add_argument("--stages", type=int, default=None,
+                   help="number of refinement stages; 0 skips refinement")
 
     p = sub.add_parser("eval", help="compute metrics for generated layouts")
     p.add_argument("--generated", required=True)
@@ -136,8 +145,6 @@ def _cmd_generate(args) -> int:
         config["use_rag"] = False
     if args.stages is not None:
         config["stages"] = args.stages
-    if args.no_cot:
-        config["stages"] = 0
     run_dir = pl.run_task(config)
     print(f"run complete -> {run_dir}")
     return 0
@@ -160,7 +167,7 @@ def _cmd_eval(args) -> int:
         reference, record = references.get(layout.id, (None, {}))
         samples.append(mx.layout_samples(layout, reference, *pl.record_rasters(record, base),
                                          exclude_overlap_labels=exclude))
-    report = mx.population_report(generated, samples, stats=stats, metrics=metric_names)
+    report = mx.population_report(generated, samples, stats=stats)
     if metric_names:
         columns = tuple(metric_names)
     rows = mx.report_rows(report, columns)

@@ -392,18 +392,20 @@ def load_area_stats(path: str | Path) -> AreaStats:
 
 @dataclass(frozen=True)
 class SaliencyRaster:
-    """Grayscale intensity grid with every value in [0, 1]."""
+    """Grayscale intensity grid of at least one pixel, with every value in [0, 1]."""
 
     width: int
     height: int
     values: np.ndarray
 
     def __post_init__(self):
+        if self.width <= 0 or self.height <= 0:
+            raise DimensionMismatch("raster has no pixels")
         if self.values.shape != (self.height, self.width):
             raise DimensionMismatch(
                 f"raster declares {self.width}x{self.height} but data is {self.values.shape}"
             )
-        if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
+        if self.values.min() < 0.0 or self.values.max() > 1.0:
             raise FormatError("raster intensities must lie in [0, 1]")
 
 

@@ -18,6 +18,7 @@ import email.utils
 import hashlib
 import http.client
 import json
+import math
 import os
 import threading
 import time
@@ -78,6 +79,9 @@ class BackendConfig:
             raise ConfigError("fanout must be at least 1")
         if self.retry_limit < 0:
             raise ConfigError("retry_limit must be at least 0")
+        if not (math.isfinite(self.retry_backoff) and self.retry_backoff >= 0):
+            raise ConfigError(f"retry_backoff must be a finite number of at least 0, "
+                              f"got {self.retry_backoff!r}")
         if not self.timeout > 0:  # NaN too: urlopen refuses it outside the retry path
             raise ConfigError("timeout must be greater than 0")
         if self.timeout > threading.TIMEOUT_MAX:  # a socket refuses it as well
@@ -120,11 +124,7 @@ def transcript_keys(request: Mapping[str, Any], indices: Iterable[Any]) -> list[
 def transcript_key(request: Mapping[str, Any]) -> str:
     """Stable, platform-independent hash of a request record, ``{system,
     user, model, temperature, candidate_index}``: the SHA-256 of its compact
-    JSON with sorted keys and non-ASCII text kept. A record that has no
-    ``candidate_index``, or is not an object, which only a transcript written
-    elsewhere can hold, is encoded whole."""
-    if isinstance(request, Mapping) and _INDEX in request:
-        return transcript_keys(request, [request[_INDEX]])[0]
+    JSON with sorted keys and non-ASCII text kept."""
     return hashlib.sha256(_REQUEST_JSON.encode(request).encode("utf-8")).hexdigest()
 
 

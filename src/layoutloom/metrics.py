@@ -36,7 +36,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .dataset import AreaStats, SaliencyRaster
 from .errors import (
-    DimensionMismatch,
     EmptyLayout,
     MissingLabelStats,
     ZeroTrainingArea,
@@ -213,11 +212,6 @@ def _coverage_mask(ltwh: np.ndarray, raster: SaliencyRaster) -> np.ndarray:
     return mask
 
 
-def _check_raster(raster: SaliencyRaster) -> None:
-    if raster.width <= 0 or raster.height <= 0 or raster.values.size == 0:
-        raise DimensionMismatch("raster has no pixels")
-
-
 def _mean_under(mask: np.ndarray, raster: SaliencyRaster) -> float:
     """Mean raster value over the covered pixels; 0 when none is covered."""
     covered = int(mask.sum())
@@ -230,7 +224,6 @@ def occlusion_utilization(boxes: UnitBoxes, saliency: SaliencyRaster) -> tuple[f
     """Occlusion and utilization of one layout's boxes: the mean saliency
     under its elements, 0 when nothing is covered, and the share of the
     non-salient mass that they cover."""
-    _check_raster(saliency)
     mask = _coverage_mask(boxes.ltwh[0], saliency)
     nonsalient = 1.0 - saliency.values
     denom = float(nonsalient.sum())
@@ -241,7 +234,6 @@ def occlusion_utilization(boxes: UnitBoxes, saliency: SaliencyRaster) -> tuple[f
 
 def readability(boxes: UnitBoxes, gradient: SaliencyRaster) -> float | None:
     """Mean gradient intensity under one layout's text elements; None without text."""
-    _check_raster(gradient)
     is_text = np.array([label == "text" for label in boxes.labels], dtype=bool)
     if not is_text.any():
         return None
@@ -362,23 +354,18 @@ def layout_samples(layout: Layout, reference: Layout | None = None,
 
 
 def population_report(generated: Sequence[Layout], samples: Sequence[Mapping[str, float]],
-                      stats: AreaStats | None = None,
-                      metrics: Iterable[str] | None = None) -> MetricReport:
+                      stats: AreaStats | None = None) -> MetricReport:
     """Aggregate a generated population's metrics.
 
     ``samples[i]`` holds ``layout_samples`` of ``generated[i]``. Each
     per-layout metric is the mean over the layouts that have a sample for it;
     a metric no layout has carries its skip reason. Size reasonableness is
     scored over the non-empty layouts, and skipped when one of their labels
-    has no positive training-set area. ``metrics`` limits the report to
-    those names.
+    has no positive training-set area.
     """
-    wanted = set(metrics) if metrics is not None else None
     values: dict[str, float] = {}
     notes: dict[str, str] = {}
     for name, why_empty in _SKIP_REASONS.items():
-        if wanted is not None and name not in wanted:
-            continue
         column = [s[name] for s in samples if name in s]
         if column:
             values[name] = math.fsum(column) / len(column)
@@ -386,18 +373,17 @@ def population_report(generated: Sequence[Layout], samples: Sequence[Mapping[str
         else:
             notes[name] = f"skipped({why_empty})"
 
-    if wanted is None or "r_e" in wanted:
-        non_empty = [lay for lay in generated if lay.elements]
-        if stats is None or not non_empty:
-            notes["r_e"] = "skipped(no_area_stats)" if stats is None else "skipped(no_elements)"
-        else:
-            try:
-                values["r_e"] = size_reasonableness(non_empty, stats).value
-                notes["r_e"] = "computed"
-            except MissingLabelStats:
-                notes["r_e"] = "skipped(missing_label_stats)"
-            except ZeroTrainingArea:
-                notes["r_e"] = "skipped(zero_training_area)"
+    non_empty = [lay for lay in generated if lay.elements]
+    if stats is None or not non_empty:
+        notes["r_e"] = "skipped(no_area_stats)" if stats is None else "skipped(no_elements)"
+    else:
+        try:
+            values["r_e"] = size_reasonableness(non_empty, stats).value
+            notes["r_e"] = "computed"
+        except MissingLabelStats:
+            notes["r_e"] = "skipped(missing_label_stats)"
+        except ZeroTrainingArea:
+            notes["r_e"] = "skipped(zero_training_area)"
 
     return MetricReport(values=values, applicability=notes,
                         population_size=len(generated))

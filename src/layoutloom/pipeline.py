@@ -481,9 +481,18 @@ def constraint_from_record(layout: Layout, record: Mapping[str, Any],
     return ConstraintSpec(kind="gen_t", payload={"categories": counts})
 
 
-# The top-level run-config keys besides PipelineConfig's fields.
-_RUN_KEYS = frozenset({"run_dir", "base_dir", "task_family", "index", "stats", "dataset",
-                       "items", "backend"})
+# Each top-level run-config key that is no PipelineConfig field, with a
+# value of its JSON type (see _SCALARS).
+_RUN_KEYS = {"run_dir": "", "base_dir": "", "task_family": "", "index": "", "stats": None,
+             "dataset": {}, "items": [], "backend": {}}
+
+
+@dataclass(frozen=True)
+class _DatasetSpec:
+    """A run's ``dataset`` object: the records file, and the split to run,
+    every record when null."""
+    records: str = ""
+    split: str | None = None
 
 
 def _load_run_config(source: str | Path | Mapping[str, Any]) -> dict:
@@ -508,31 +517,32 @@ _SCALARS = {
     float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     type(None): ("a string or null", lambda v: v is None or isinstance(v, str)),
+    list: ("a list", lambda v: isinstance(v, list)),
+    dict: ("an object", lambda v: isinstance(v, Mapping)),
 }
 
 
-def _read_config(cls, value, name: str | None = None, other_keys=frozenset()):
+def _read_value(label: str, default, raw):
+    """``raw`` converted to the type of ``default``, or ConfigError naming
+    ``label`` when its JSON type is not that of ``default`` (see _SCALARS)."""
+    kind, accepts = _SCALARS[type(default)]
+    if not accepts(raw):
+        raise ConfigError(f"{label} must be {kind}, got {raw!r}")
+    return raw if default is None else type(default)(raw)
+
+
+def _read_config(cls, value: Mapping, name: str | None = None, other_keys=frozenset()):
     """``cls`` built from a run-config object: the top level when ``name`` is
     None, else its ``name`` object. ConfigError names the keys that are
     neither ``cls`` fields nor ``other_keys``, or the first value whose JSON
     type differs from its field's: no quoted booleans or numbers, and no
     float where an integer belongs."""
-    where = name or "run config"
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{where} must be an object, got {value!r}")
     defaults = {f.name: f.default for f in fields(cls)}
     unknown = sorted(str(key) for key in value if key not in defaults and key not in other_keys)
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
-    read = {}
-    for key, raw in value.items():
-        if key in defaults:
-            kind, accepts = _SCALARS[type(defaults[key])]
-            if not accepts(raw):
-                label = f"{name}.{key}" if name else key
-                raise ConfigError(f"{label} must be {kind}, got {raw!r}")
-            read[key] = raw if defaults[key] is None else type(defaults[key])(raw)
-    return cls(**read)
+        raise ConfigError(f"unknown {name or 'run config'} keys: {', '.join(unknown)}")
+    return cls(**{key: _read_value(f"{name}.{key}" if name else key, defaults[key], raw)
+                  for key, raw in value.items() if key in defaults})
 
 
 def _read_input(kind: str, path: Path, load):
@@ -619,12 +629,20 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
     for key in ("run_dir", "task_family", "index", "backend"):
         if key not in data:
             raise ConfigError(f"run config is missing {key!r}")
-    task_family = data["task_family"]
+    run = {key: _read_value(key, _RUN_KEYS[key], raw) for key, raw in data.items()
+           if key in _RUN_KEYS}
+    task_family = run["task_family"]
     if task_family not in TASK_KINDS:
         raise ConfigError(f"unknown task family {task_family!r}")
+    if ("items" in run) == ("dataset" in run):
+        raise ConfigError("run config needs exactly one of items and dataset")
+    if "dataset" in run:
+        spec = _read_config(_DatasetSpec, run["dataset"], "dataset")
+        if not spec.records:
+            raise ConfigError("dataset needs a records path")
 
-    base = Path(data.get("base_dir", "."))
-    run_dir = Path(data["run_dir"])
+    base = Path(run.get("base_dir", "."))
+    run_dir = Path(run["run_dir"])
     traces_dir = run_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
 
@@ -635,29 +653,25 @@ def run_task(config: str | Path | Mapping[str, Any], transport=None) -> Path:
     run_logger.addHandler(log_handler)
 
     try:
-        index = _read_input("index", base / data["index"], load_index)
-        backend = _read_config(BackendConfig, data["backend"], "backend")
+        index = _read_input("index", base / run["index"], load_index)
+        backend = _read_config(BackendConfig, run["backend"], "backend")
         gateway = Gateway(backend, transport)
         stats = None
-        if data.get("stats"):
-            stats = _read_input("stats", base / data["stats"], load_area_stats)
+        if run.get("stats"):
+            stats = _read_input("stats", base / run["stats"], load_area_stats)
 
-        if "items" in data:
-            records = list(data["items"])
+        if "items" in run:
+            records = run["items"]
             for i, record in enumerate(records):
                 if not isinstance(record, Mapping):
                     raise SchemaError(f"items[{i}] must be an object, "
                                       f"got {type(record).__name__}")
-        elif "dataset" in data:
-            spec = data["dataset"]
-            if not isinstance(spec, Mapping) or "records" not in spec:
-                raise ConfigError("dataset must be an object with a records path")
-            split = spec.get("split")
-            records = _read_input("records", base / spec["records"], lambda path: [
-                r for r in read_jsonl(path) if not split or r.get("split") == split
-            ])
         else:
-            raise ConfigError("run config needs either items or dataset")
+            # A record whose split is not a string is kept, to fail as its item.
+            records = _read_input("records", base / spec.records, lambda path: [
+                r for r in read_jsonl(path) if not spec.split or r.get("split") == spec.split
+                or not isinstance(r.get("split"), (str, type(None)))
+            ])
         repeated = sorted(i for i, n in Counter(str(r.get("id", "")) for r in records).items()
                           if n > 1)
         if repeated:

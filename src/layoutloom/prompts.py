@@ -30,37 +30,25 @@ from .model import MAX_PIXEL, HtmlSnippet, Layout, to_html
 
 STAGE_NAMES = ("coarse", "1", "2", "3")
 
-CONSTRAINT_KINDS = (
-    "gen_t",
-    "gen_ts",
-    "gen_r",
-    "completion",
-    "refinement",
-    "content_aware",
-    "text_to_layout",
-)
-
-KIND_TO_FAMILY = {
-    "gen_t": "constraint_explicit",
-    "gen_ts": "constraint_explicit",
-    "gen_r": "constraint_explicit",
-    "completion": "constraint_explicit",
-    "refinement": "constraint_explicit",
-    "content_aware": "content_aware",
-    "text_to_layout": "text_to_layout",
-}
-
 RELATIONS = ("above", "below", "left-of", "right-of", "larger", "smaller", "equal")
 
-# How each constraint kind locks elements during staged refinement.
-LOCK_RULES = {
-    "gen_t": "Every listed element type must appear with exactly the requested count.",
-    "gen_ts": "Honor the requested width and height of each element; do not deviate by more than 10 percent.",
-    "gen_r": "Honor every stated spatial and size relation between elements.",
-    "completion": "The provided partial elements are fixed. Do not move, resize, or relabel them.",
-    "refinement": "Keep the element set unchanged. Only correct positions and sizes.",
-    "content_aware": "",
-    "text_to_layout": "",
+# Each constraint kind's template family, and how it locks elements during
+# staged refinement.
+CONSTRAINT_KINDS = {
+    "gen_t": ("constraint_explicit",
+              "Every listed element type must appear with exactly the requested count."),
+    "gen_ts": ("constraint_explicit",
+               "Honor the requested width and height of each element; "
+               "do not deviate by more than 10 percent."),
+    "gen_r": ("constraint_explicit",
+              "Honor every stated spatial and size relation between elements."),
+    "completion": ("constraint_explicit",
+                   "The provided partial elements are fixed. "
+                   "Do not move, resize, or relabel them."),
+    "refinement": ("constraint_explicit",
+                   "Keep the element set unchanged. Only correct positions and sizes."),
+    "content_aware": ("content_aware", ""),
+    "text_to_layout": ("text_to_layout", ""),
 }
 
 _PLACEHOLDER_RE = re.compile(r"\{\{([A-Z0-9_]+)\}\}")
@@ -184,7 +172,7 @@ class ConstraintSpec:
 
     @property
     def family(self) -> str:
-        return KIND_TO_FAMILY[self.kind]
+        return CONSTRAINT_KINDS[self.kind][0]
 
     def categories(self) -> dict[str, int]:
         """Required category counts, derived for kinds that imply them.
@@ -247,7 +235,9 @@ def render_constraint(constraint: ConstraintSpec) -> str:
 
 
 def constraint_digest(constraint: ConstraintSpec) -> str:
-    """Stable hash of (kind, canonical rendering); keys replay transcripts."""
+    """Stable hash of (kind, canonical rendering), which each trace records.
+    Transcript keys hash the request record instead (see
+    ``gateway.transcript_key``)."""
     body = json.dumps([constraint.kind, render_constraint(constraint)],
                       ensure_ascii=False, separators=(",", ":"))
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
@@ -304,7 +294,7 @@ def _bundle(family: str, stage: str, exemplars: Sequence[HtmlSnippet],
                       or "(unspecified)",
         "PRIMARY_TYPES": ", ".join(ordered[:2]) or "(none)",
         "SECONDARY_TYPES": ", ".join(ordered[2:]) or "(none)",
-        "LOCK_RULES": LOCK_RULES[constraint.kind],
+        "LOCK_RULES": CONSTRAINT_KINDS[constraint.kind][1],
     })
     text = constraint.payload.get("text")
     if isinstance(text, str):

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import json
 import logging
 import math
 import zipfile
@@ -275,29 +274,27 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> RetrievalIndex:
     """Read an index that ``save_index`` wrote, through the validating
-    constructor. A file that is not one, or whose cost weights are not
-    ``[W_GEO, W_LABEL]``, raises SchemaError; another format version, such
-    as a JSON index of version 1, raises VersionMismatch."""
+    constructor. A file that is not an index archive, or whose cost weights
+    are not ``[W_GEO, W_LABEL]``, raises SchemaError; an archive of another
+    format version raises VersionMismatch."""
     with open(path, "rb") as fh:
         try:
             with np.load(fh, allow_pickle=False) as data:
                 version = str(data["version"])
-                if version == INDEX_VERSION:
-                    weights = data["weights"].tolist()
-                    if weights != [W_GEO, W_LABEL]:
-                        raise SchemaError(f"index {path} has cost weights {weights!r}, not "
-                                          f"{[W_GEO, W_LABEL]!r}; rebuild it with "
+                if version != INDEX_VERSION:
+                    raise VersionMismatch(f"index {path} has format version {version!r}, not "
+                                          f"{INDEX_VERSION!r}; rebuild it with "
                                           f"`layoutloom index build`")
-                    return RetrievalIndex(data["vocabulary"], data["ids"],
-                                          data["labels"], data["coords"])
+                weights = data["weights"].tolist()
+                if weights != [W_GEO, W_LABEL]:
+                    raise SchemaError(f"index {path} has cost weights {weights!r}, not "
+                                      f"{[W_GEO, W_LABEL]!r}; rebuild it with "
+                                      f"`layoutloom index build`")
+                return RetrievalIndex(data["vocabulary"], data["ids"],
+                                      data["labels"], data["coords"])
         except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-            fh.seek(0)
-            try:
-                version = json.load(fh)["version"]
-            except (KeyError, TypeError, ValueError):
-                raise SchemaError(f"{path} is not a layoutloom index") from exc
-    raise VersionMismatch(f"index {path} has format version {version!r}, not "
-                          f"{INDEX_VERSION!r}; rebuild it with `layoutloom index build`")
+            raise SchemaError(f"{path} is not a layoutloom index; build one with "
+                              f"`layoutloom index build`") from exc
 
 
 @functools.cache

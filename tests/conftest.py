@@ -26,7 +26,6 @@ from layoutloom.dataset import (
     write_jsonl,
 )
 from layoutloom.errors import (
-    DimensionMismatch,
     EmptyLayout,
     MissingLabelStats,
     SchemaError,
@@ -244,11 +243,6 @@ def object_path_coverage_mask(layout, width, height, labels=None):
     return mask
 
 
-def _check_raster(raster):
-    if raster.width <= 0 or raster.height <= 0 or raster.values.size == 0:
-        raise DimensionMismatch("raster has no pixels")
-
-
 def object_path_samples(layout, reference=None, saliency=None, gradient=None,
                         exclude_overlap_labels=()):
     """``metrics.layout_samples`` on the object path."""
@@ -264,7 +258,6 @@ def object_path_samples(layout, reference=None, saliency=None, gradient=None,
     if layout.elements and reference is not None and reference.elements:
         samples["miou"] = object_path_max_iou(layout, reference)
     if saliency is not None:
-        _check_raster(saliency)
         mask = object_path_coverage_mask(layout, saliency.width, saliency.height)
         covered = int(mask.sum())
         samples["occ"] = 0.0 if covered == 0 else \
@@ -273,8 +266,6 @@ def object_path_samples(layout, reference=None, saliency=None, gradient=None,
         denom = float(nonsalient.sum())
         samples["uti"] = 0.0 if denom <= 0.0 or not mask.any() else \
             float(nonsalient[mask].sum() / denom)
-    if gradient is not None:
-        _check_raster(gradient)
     if gradient is not None and any(e.label == "text" for e in layout.elements):
         mask = object_path_coverage_mask(layout, gradient.width, gradient.height, ["text"])
         covered = int(mask.sum())

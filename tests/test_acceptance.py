@@ -332,7 +332,8 @@ def test_criterion_8_ablation_harness(fixture_env, tmp_path):
     budget = Budget(30.0)
     root = fixture_env["root"]
 
-    # --no-cot: coarse result becomes final, no stages recorded (Table-style row "w/ RAG only")
+    # stages 0 (no CoT): coarse result becomes final, no stages recorded
+    # (Table-style row "w/ RAG only")
     config = fixture_env["run_config"](tmp_path / "abl_nocot", "replay")
     config["stages"] = 0
     run_dir = run_task(config, transport=_no_network)

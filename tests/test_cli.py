@@ -110,7 +110,7 @@ class TestIndexAndRetrieve:
         (None, "FileNotFoundError"),
         ('{"id": "r00"}\n{"id": "r01"}\n', "SchemaError"),
         (json.dumps({"entries": [], "version": "1", "vocabulary": ["text"],
-                     "weights": {"w_geo": 0.5, "w_label": 0.5}}), "VersionMismatch"),
+                     "weights": {"w_geo": 0.5, "w_label": 0.5}}), "SchemaError"),
     ])
     def test_bad_index_file_exits_1(self, workspace, capsys, content, error):
         index = workspace / "index.json"
@@ -187,6 +187,20 @@ class TestEvalCommand:
         header, values = out_path.read_text().strip().splitlines()
         assert header.split("\t") == ["align", "overlap", "val"]
         assert len(values.split("\t")) == 3
+
+    def test_metrics_pick_rows_of_the_whole_report(self, workspace, capsys):
+        write_jsonl(_records(), workspace / "generated.jsonl")
+        (workspace / "stats.json").write_text('{"text": 0.08}\n', encoding="utf-8")
+        argv = ["eval", "--generated", str(workspace / "generated.jsonl"),
+                "--dataset", str(workspace / "records.jsonl"),
+                "--stats", str(workspace / "stats.json")]
+        assert main(argv + ["--task", "content_aware"]) == 0
+        rows = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines()[1:])
+        assert main(argv + ["--metrics", "r_e,miou,occ,bogus,align"]) == 0
+        picked = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split(None, 1) for line in picked] == [
+            ["r_e", rows["r_e"]], ["miou", "1.000"], ["occ", rows["occ"]],
+            ["bogus", "skipped(not_requested)"], ["align", rows["align"]]]
 
 
     def test_only_generated_records_are_read(self, workspace, capsys):
@@ -302,8 +316,24 @@ class TestGenerateCommand:
         assert captured.err.splitlines() == ["error: ConfigError: k_coarse must be at least 1"]
         assert not (tmp_path / "cli_run" / "generated.jsonl").exists()
 
-    # --no-cot is stages 0, also next to --stages N; runs from existing transcripts.
-    @pytest.mark.parametrize("flags", [["--no-cot"], ["--stages", "2", "--no-cot"]])
+    @pytest.mark.parametrize("change, line", [
+        ({"index": 5}, "error: ConfigError: index must be a string, got 5"),
+        ({"dataset": {"records": "test.jsonl", "splt": "test"}},
+         "error: ConfigError: unknown dataset keys: splt"),
+        ({"backend": {"mode": "replay", "transcript_dir": "t", "retry_backoff": -1}},
+         "error: ConfigError: retry_backoff must be a finite number of at least 0, got -1.0"),
+    ])
+    def test_refused_run_config_is_one_line(self, fixture_env, tmp_path, capsys, change, line):
+        config = dict(fixture_env["run_config"](tmp_path / "cli_run", "replay"), **change)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["generate", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not (tmp_path / "cli_run" / "generated.jsonl").exists()
+
+    # The no-CoT ablation is --stages 0, alone and next to another override;
+    # runs from existing transcripts.
+    @pytest.mark.parametrize("flags", [["--stages", "0"], ["--mode", "replay", "--stages", "0"]])
     def test_ablation_flags_accepted(self, fixture_env, tmp_path, flags):
         config = fixture_env["run_config"](tmp_path / "nocot_run", "replay")
         config_path = tmp_path / "run.json"
@@ -332,9 +362,17 @@ class TestUsageErrors:
         # index query duplicated retrieve; eval never read --manifest.
         ["index", "query", "--index", "i.json", "--query", "q.json"],
         ["eval", "--generated", "g.jsonl", "--manifest", "m.json"],
+        # --no-cot was a second spelling of --stages 0.
+        ["generate", "--config", "run.json", "--no-cot"],
     ])
     def test_removed_options_are_usage_errors(self, argv):
         assert main(argv) == 2
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_below_one_is_a_usage_error(self, k, capsys):
+        assert main(["retrieve", "--index", "i.json", "--query", "q.json", "--k", k]) == 2
+        err = capsys.readouterr().err
+        assert "argument --k: " in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [

@@ -643,6 +643,11 @@ class TestRasters:
         with pytest.raises(DimensionMismatch):
             SaliencyRaster(width=3, height=2, values=np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("width, height", [(0, 0), (0, 3), (3, 0)])
+    def test_a_raster_without_pixels_is_refused(self, width, height):
+        with pytest.raises(DimensionMismatch, match="raster has no pixels"):
+            SaliencyRaster(width=width, height=height, values=np.zeros((height, width)))
+
     def test_range_enforced(self):
         with pytest.raises(FormatError):
             SaliencyRaster(width=2, height=1, values=np.array([[0.0, 1.5]]))

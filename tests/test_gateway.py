@@ -143,6 +143,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^retry_limit must be at least 0$"):
             BackendConfig(mode="live", retry_limit=-1)
 
+    # A negative or NaN backoff would mean no wait between retries.
+    @pytest.mark.parametrize("backoff", [-1.0, -1, math.nan, math.inf])
+    def test_retry_backoff_must_be_finite_and_not_negative(self, backoff):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"retry_backoff must be a finite number of at least 0, got {backoff!r}")):
+            BackendConfig(mode="live", retry_backoff=backoff)
+
     # urlopen raises ValueError for a timeout that is not positive, outside
     # the retried TransportError, so such a value is refused up front.
     @pytest.mark.parametrize("timeout", [0, 0.0, -1.0, math.nan])

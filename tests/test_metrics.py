@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from layoutloom import metrics, retrieval
 from layoutloom.dataset import AreaStats, SaliencyRaster, layout_to_record
 from layoutloom.errors import (
-    DimensionMismatch,
     EmptyLayout,
     InvalidPayload,
     MissingLabelStats,
@@ -321,14 +320,6 @@ class TestLayoutSamples:
         # text-only gradient mask.
         assert calls == {"unit_boxes": 2, "_coverage_mask": 2}
 
-    @pytest.mark.parametrize("labels", [["text"], ["logo"], []])
-    def test_a_raster_without_pixels_is_refused(self, labels):
-        layout = unit_layout([(0.1, 0.1, 0.2, 0.2)] * len(labels), labels)
-        empty = SaliencyRaster(0, 0, np.zeros((0, 0)))
-        for rasters in ({"saliency": empty}, {"gradient": empty}):
-            with pytest.raises(DimensionMismatch, match="raster has no pixels"):
-                layout_samples(layout, **rasters)
-
 
 class TestSizeReasonableness:
     def test_perfect_ratios(self):
@@ -429,22 +420,16 @@ class TestPopulationReport:
 
 def _reference_population_report(generated, references=None, stats=None, saliency=None,
                                  gradient=None, exclude_overlap_labels=(),
-                                 min_area_ratio=0.001, metrics=None):
+                                 min_area_ratio=0.001):
     """The population report as it was computed over id-keyed maps of
     references and rasters; parity reference for layout_samples plus
     population_report."""
-    wanted = set(metrics) if metrics is not None else None
     values, notes = {}, {}
 
     def mean(samples):
         return math.fsum(samples) / len(samples)
 
-    def include(name):
-        return wanted is None or name in wanted
-
     def put(name, samples, why_empty):
-        if not include(name):
-            return
         if samples:
             values[name] = mean(samples)
             notes[name] = "computed"
@@ -453,51 +438,46 @@ def _reference_population_report(generated, references=None, stats=None, salienc
 
     non_empty = [lay for lay in generated if lay.elements]
     put("align", [alignments(unit_boxes([lay]))[0] for lay in non_empty], "no_elements")
-    if include("overlap"):
-        values["overlap"] = mean([overlaps(unit_boxes([lay]), exclude_overlap_labels)[0]
-                                  for lay in generated]) if generated else 0.0
-        notes["overlap"] = "computed" if generated else "skipped(empty_population)"
+    values["overlap"] = mean([overlaps(unit_boxes([lay]), exclude_overlap_labels)[0]
+                              for lay in generated]) if generated else 0.0
+    notes["overlap"] = "computed" if generated else "skipped(empty_population)"
     put("val", [object_path_validity(lay, min_area_ratio) for lay in generated],
         "empty_population")
     underlays = [v for lay in generated
                  if (v := underlay_effectiveness(unit_boxes([lay]))) is not None]
     put("und_l", [loose for loose, _ in underlays], "no_underlay")
     put("und_s", [strict for _, strict in underlays], "no_underlay")
-    if include("miou"):
-        pairs = []
-        if references:
-            for lay in non_empty:
-                ref = references.get(lay.id)
-                if ref is not None and ref.elements:
-                    pairs.append(miou(lay, ref))
-        put("miou", pairs, "no_references")
-    if include("occ") or include("uti"):
-        occ_samples, uti_samples = [], []
-        if saliency:
-            for lay in generated:
-                raster = saliency.get(lay.id)
-                if raster is not None:
-                    occ, uti = occlusion_utilization(unit_boxes([lay]), raster)
-                    occ_samples.append(occ)
-                    uti_samples.append(uti)
-        put("occ", occ_samples, "no_saliency")
-        put("uti", uti_samples, "no_saliency")
-    if include("rea"):
-        rea_samples = []
-        if gradient:
-            for lay in generated:
-                raster = gradient.get(lay.id)
-                if raster is not None:
-                    value = readability(unit_boxes([lay]), raster)
-                    if value is not None:
-                        rea_samples.append(value)
-        put("rea", rea_samples, "no_gradient")
-    if include("r_e"):
-        if stats is not None and non_empty:
-            values["r_e"] = size_reasonableness(non_empty, stats).value
-            notes["r_e"] = "computed"
-        else:
-            notes["r_e"] = "skipped(no_area_stats)" if stats is None else "skipped(no_elements)"
+    pairs = []
+    if references:
+        for lay in non_empty:
+            ref = references.get(lay.id)
+            if ref is not None and ref.elements:
+                pairs.append(miou(lay, ref))
+    put("miou", pairs, "no_references")
+    occ_samples, uti_samples = [], []
+    if saliency:
+        for lay in generated:
+            raster = saliency.get(lay.id)
+            if raster is not None:
+                occ, uti = occlusion_utilization(unit_boxes([lay]), raster)
+                occ_samples.append(occ)
+                uti_samples.append(uti)
+    put("occ", occ_samples, "no_saliency")
+    put("uti", uti_samples, "no_saliency")
+    rea_samples = []
+    if gradient:
+        for lay in generated:
+            raster = gradient.get(lay.id)
+            if raster is not None:
+                value = readability(unit_boxes([lay]), raster)
+                if value is not None:
+                    rea_samples.append(value)
+    put("rea", rea_samples, "no_gradient")
+    if stats is not None and non_empty:
+        values["r_e"] = size_reasonableness(non_empty, stats).value
+        notes["r_e"] = "computed"
+    else:
+        notes["r_e"] = "skipped(no_area_stats)" if stats is None else "skipped(no_elements)"
     return MetricReport(values=values, applicability=notes, population_size=len(generated))
 
 
@@ -538,15 +518,14 @@ class TestSampleParity:
     @given(_populations(),
            st.sampled_from(((), ("underlay",))),
            st.sampled_from((None, AreaStats(means={"text": 0.05, "logo": 0.02,
-                                                   "underlay": 0.1}))),
-           st.one_of(st.none(), st.sets(st.sampled_from(CONTENT_AWARE_COLUMNS + ("miou",)))))
-    def test_same_report_as_the_reference(self, population, exclude, stats, metrics):
+                                                   "underlay": 0.1}))))
+    def test_same_report_as_the_reference(self, population, exclude, stats):
         generated, references, saliency, gradient = population
         expected = _reference_population_report(
-            generated, references, stats, saliency, gradient, exclude, metrics=metrics)
+            generated, references, stats, saliency, gradient, exclude)
         samples = [layout_samples(lay, references.get(lay.id), saliency.get(lay.id),
                                   gradient.get(lay.id), exclude) for lay in generated]
-        report = population_report(generated, samples, stats, metrics)
+        report = population_report(generated, samples, stats)
         expected_values = dict(expected.values)
         if not generated:
             # The reference wrote 0.0 for an empty population's overlap.

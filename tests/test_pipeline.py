@@ -933,6 +933,10 @@ class TestRunTask:
         ({"backend": {"timeout": -1.0}}, "timeout must be greater than 0"),
         ({"backend": {"timeout": 0}}, "timeout must be greater than 0"),
         ({"backend": {"max_tokens": 0}}, "max_tokens must be at least 1"),
+        ({"backend": {"retry_backoff": -1}},
+         "retry_backoff must be a finite number of at least 0, got -1.0"),
+        ({"backend": {"retry_backoff": float("nan")}},
+         "retry_backoff must be a finite number of at least 0, got nan"),
     ])
     def test_count_that_cannot_work_is_refused_before_any_item(self, fixture_env, tmp_path,
                                                                  change, message):
@@ -970,6 +974,51 @@ class TestRunTask:
         config["backend"] = backend
         with pytest.raises(ConfigError, match=named):
             run_task(config)
+
+    # Each top-level key is typed before the run directory is made.
+    @pytest.mark.parametrize("change, message", [
+        ({"run_dir": 5}, "run_dir must be a string, got 5"),
+        ({"base_dir": 5}, "base_dir must be a string, got 5"),
+        ({"index": 5}, "index must be a string, got 5"),
+        ({"stats": 5}, "stats must be a string or null, got 5"),
+        ({"task_family": ["content_aware"]},
+         "task_family must be a string, got ['content_aware']"),
+        ({"dataset": None, "items": 5}, "items must be a list, got 5"),
+        ({"dataset": 5}, "dataset must be an object, got 5"),
+        ({"dataset": {"records": 5}}, "dataset.records must be a string, got 5"),
+        ({"dataset": {"records": "test.jsonl", "splt": "test"}}, "unknown dataset keys: splt"),
+        ({"dataset": {"records": "test.jsonl", "split": 5}},
+         "dataset.split must be a string or null, got 5"),
+        ({"dataset": {"split": "test"}}, "dataset needs a records path"),
+        ({"items": []}, "run config needs exactly one of items and dataset"),
+        ({"dataset": None}, "run config needs exactly one of items and dataset"),
+    ])
+    def test_run_key_of_the_wrong_json_type_is_refused(self, fixture_env, tmp_path,
+                                                       monkeypatch, change, message):
+        monkeypatch.chdir(tmp_path)
+        config = fixture_env["run_config"](tmp_path / "run_t", "replay")
+        config.update(change)
+        config = {key: value for key, value in config.items() if value is not None}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_task(config)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_record_whose_split_is_not_a_string_fails_alone(self, fixture_env, tmp_path):
+        records = tmp_path / "records.jsonl"
+        odd = dict(fixture_env["items"][0], id="odd", split=5)
+        records.write_text((fixture_env["root"] / "test.jsonl").read_text(encoding="utf-8")
+                           + json.dumps(odd) + "\n", encoding="utf-8")
+        config = fixture_env["run_config"](tmp_path / "run_s", "replay")
+        config["dataset"] = dict(config["dataset"], records=str(records))
+        run_dir = run_task(config)
+        lines = [json.loads(l) for l in
+                 (run_dir / "generated.jsonl").read_text().splitlines()]
+        assert [l["id"] for l in lines] == [f"item{i}" for i in range(5)] + ["odd"]
+        assert lines[5] == {"id": "odd", "error": "SchemaError",
+                            "message": "record 'odd' split must be a string, got 5"}
+        [logged] = [l for l in (run_dir / "run.log").read_text().splitlines() if "odd" in l]
+        assert logged.endswith(" ERROR item odd: SchemaError: record 'odd' split must be a "
+                               "string, got 5")
 
     @pytest.mark.parametrize("key, content", [
         ("index", None), ("index", "{not json"), ("index", "[]"),

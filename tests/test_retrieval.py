@@ -420,14 +420,16 @@ class TestIndexValidation:
         (b"[]", SchemaError),
         (b'{"id": "a"}\n{"id": "b"}\n', SchemaError),
         (b"PK\x03\x04 truncated", SchemaError),
+        # A JSON index of the retired version 1 is no archive either.
         (json.dumps({"entries": [{"elements": [[0, 0.5, 0.5, 0.2, 0.2]], "id": "a"}],
                      "version": "1", "vocabulary": ["text"],
-                     "weights": {"w_geo": 0.5, "w_label": 0.5}}).encode(), VersionMismatch),
+                     "weights": {"w_geo": 0.5, "w_label": 0.5}}).encode(), SchemaError),
     ])
     def test_file_that_is_not_an_index(self, tmp_path, content, error):
         path = tmp_path / "index.json"
         path.write_bytes(content)
-        with pytest.raises(error):
+        with pytest.raises(error, match="not a layoutloom index; build one with "
+                                        "`layoutloom index build`"):
             load_index(path)
 
     def test_archive_missing_an_array(self, tmp_path):
